@@ -1,28 +1,30 @@
-"""Generated NumPy kernels (codegen backend) vs the interpreted
-specialized executor.
+"""Generated NumPy kernels (codegen backend) vs the strict reference
+and the unfused eager replay.
 
 Two claims, two kinds of evidence (the ``bench_batch.py`` pattern):
 
 * **Identity** (deterministic, CI-gated): the codegen backend's
-  outputs and per-category instruction counters equal the interpreted
-  executor exactly — across the full VLEN ∈ {128, 256, 512, 1024} ×
-  LMUL ∈ {1, 2, 4, 8} grid, for single-call and batched (2D)
-  execution. These land in ``BENCH_codegen.json``, which the perf job
-  regenerates and diffs at tolerance 0; only deterministic values
-  (counts, booleans) are written, never wall-clock.
+  outputs and per-category instruction counters equal the strict
+  per-strip reference (the same lazy plan run with ``mode="strict"``)
+  exactly — across the full VLEN ∈ {128, 256, 512, 1024} ×
+  LMUL ∈ {1, 2, 4, 8} grid — and batched (2D) execution equals
+  looping single calls. These land in ``BENCH_codegen.json``, which
+  the perf job regenerates and diffs at tolerance 0; only
+  deterministic values (counts, booleans) are written, never
+  wall-clock.
 
-* **Throughput** (asserted here, reported in the summary table): a
-  generated kernel replaces the per-step interpreter loop (attribute
-  loads, kind dispatch, scalar wrapping, the charge loop) with one
-  flat code object, so replays of a warm plan get cheaper where
-  dispatch dominates. In the dispatch-bound regime (n ≤ 256) the
-  generated kernel must be ≥ 2x faster than the interpreted fast
-  path; in the compute-bound regime (n = 100k) the NumPy work
-  dominates both backends and the floor is parity (no regression).
+* **Throughput** (asserted here, reported in the summary table): the
+  generated whole-plan kernel replaces one eager primitive call per
+  captured node — the path a user without the engine takes — with a
+  single flat code object over the fused groups. In the
+  dispatch-bound regime (n ≤ 256) it must be ≥ 2x faster than the
+  unfused replay (``svm.lazy(fuse=False)``) of the same plan; in the
+  compute-bound regime (n = 100k) the NumPy work dominates both and
+  the floor is parity (no regression).
 
-Both backends replay the *same* warm plan through
+Both sides replay the *same* captured plan through
 :func:`repro.engine.executor.execute`, so the comparison isolates the
-execution tier — capture and fusion costs are identical and excluded.
+execution tier — capture and compile costs are excluded.
 
 Grid cells run through :func:`repro.parallel.codegen_cell`, so
 ``REPRO_BENCH_JOBS=N`` / ``repro bench --jobs N`` fans them over
@@ -40,6 +42,7 @@ import numpy as np
 from repro import SVM
 from repro.bench.harness import ExperimentResult
 from repro.engine.executor import execute
+from repro.engine.fuse import FusedPlan
 from repro.parallel import CHAIN, codegen_cell, default_jobs, run_grid
 from repro.utils.formatting import fmt_count, fmt_ratio
 
@@ -89,49 +92,51 @@ def test_codegen_identity_grid(benchmark):
     for cell in cells:
         assert cell["identical_results"], cell
         assert cell["identical_counters"], cell
-        assert cell["codegen_instr"] == cell["interp_instr"], cell
+        assert cell["codegen_instr"] == cell["strict_instr"], cell
         rows.append([str(cell["vlen"]), str(cell["lmul"]), str(cell["n"]),
-                     fmt_count(cell["interp_instr"]),
+                     fmt_count(cell["strict_instr"]),
                      fmt_count(cell["codegen_instr"])])
     record(ExperimentResult(
         "Codegen identity grid",
         f"depth-{DEPTH} chain + plus_scan: generated kernels vs "
-        "interpreted executor",
-        ["VLEN", "LMUL", "n", "interp instr", "codegen instr"],
+        "strict reference",
+        ["VLEN", "LMUL", "n", "strict instr", "codegen instr"],
         rows,
-        notes=["generated kernels charge the same closed-form counter"
-               " profile and compute the same NumPy expressions, so both"
-               " columns are equal by construction — the grid locks that"
-               " invariant."],
+        notes=["generated kernels charge the closed-form counter profile"
+               " of the strict strip loop, so both columns are equal by"
+               " construction — the grid locks that invariant."],
     ))
 
-    # batched (2D) execution: the generated fn2d kernels must match the
-    # interpreted _group_2d path bit-for-bit and counter-for-counter
+    # batched (2D) execution: the generated fn2d kernels must match
+    # looped single calls bit-for-bit and counter-for-counter
     batch = []
     g = rng(SEED)
     data_rows = [g.integers(0, 2**16, 512, dtype=np.uint32)
                  for _ in range(16)]
     for vlen in (128, 1024):
-        outs = {}
-        snaps = {}
-        for backend in ("interp", "codegen"):
-            svm = SVM(vlen=vlen, codegen="paper", mode="fast",
-                      backend=backend)
-            res = svm.batch(_pipe, data_rows)
-            outs[backend] = [np.asarray(r) for r in res]
-            snaps[backend] = svm.counters.snapshot()
+        svm = SVM(vlen=vlen, codegen="paper", mode="fast",
+                  backend="codegen")
+        batched = [np.asarray(r) for r in svm.batch(_pipe, data_rows)]
+        batch_snap = svm.counters.snapshot()
+        loop_svm = SVM(vlen=vlen, codegen="paper", mode="fast",
+                       backend="codegen")
+        looped = []
+        for row in data_rows:
+            data = loop_svm.array(row)
+            with loop_svm.lazy() as lz:
+                _pipe(lz, data)
+            looped.append(data.to_numpy())
+            loop_svm.free(data)
+        loop_snap = loop_svm.counters.snapshot()
         batch.append({
             "vlen": vlen,
             "n": 512,
             "rows": len(data_rows),
-            "instr": snaps["codegen"].total,
+            "instr": batch_snap.total,
             "identical_results": bool(all(
-                np.array_equal(a, b)
-                for a, b in zip(outs["interp"], outs["codegen"])
-            )),
+                np.array_equal(a, b) for a, b in zip(batched, looped))),
             "identical_counters": bool(
-                snaps["interp"].by_category == snaps["codegen"].by_category
-            ),
+                batch_snap.by_category == loop_snap.by_category),
         })
     for cell in batch:
         assert cell["identical_results"], cell
@@ -232,35 +237,38 @@ def test_codegen_wallclock_speedup():
     table = []
     # (n, reps, floor): the dispatch-bound cells carry the >=2x
     # acceptance; at n=100k the NumPy array work dominates both
-    # backends, so the honest floor there is parity (see module doc)
+    # paths, so the honest floor there is parity (see module doc)
     for n, reps, floor in ((64, 2000, 2.0), (256, 2000, 2.0),
                            (100_000, 50, 1.0)):
-        times = {}
-        for backend in ("interp", "codegen"):
-            svm = SVM(vlen=512, codegen="paper", mode="fast",
-                      backend=backend)
-            data = svm.array(rng(SEED).integers(0, 2**16, n,
-                                                dtype=np.uint32))
-            with svm.lazy() as lz:  # capture once; replays are measured
-                _pipe(lz, data)
-            plan, fused = svm.engine.last_plan, svm.engine.last_fused
-            times[backend] = min(timeit.repeat(
-                lambda: execute(svm, plan, fused, backend=backend),
+        svm = SVM(vlen=512, codegen="paper", mode="fast", backend="codegen")
+        data = svm.array(rng(SEED).integers(0, 2**16, n, dtype=np.uint32))
+        with svm.lazy() as lz:  # capture once; replays are measured
+            _pipe(lz, data)
+        plan = svm.engine.last_plan
+        variants = {
+            "unfused": FusedPlan(units=list(range(len(plan.nodes)))),
+            "codegen": svm.engine.last_fused,
+        }
+        times = {
+            name: min(timeit.repeat(
+                lambda: execute(svm, plan, fused, backend="codegen"),
                 number=reps, repeat=9)) / reps
-        speedup = times["interp"] / times["codegen"]
-        table.append([str(n), f"{times['interp'] * 1e6:.2f} us",
+            for name, fused in variants.items()
+        }
+        speedup = times["unfused"] / times["codegen"]
+        table.append([str(n), f"{times['unfused'] * 1e6:.2f} us",
                       f"{times['codegen'] * 1e6:.2f} us",
                       fmt_ratio(speedup), f">= {floor:g}x"])
         assert speedup >= floor, (
-            f"n={n}: codegen {times['codegen'] * 1e6:.2f} us vs interp "
-            f"{times['interp'] * 1e6:.2f} us = {speedup:.2f}x < floor "
+            f"n={n}: codegen {times['codegen'] * 1e6:.2f} us vs unfused "
+            f"{times['unfused'] * 1e6:.2f} us = {speedup:.2f}x < floor "
             f"{floor:g}x"
         )
     record(ExperimentResult(
         "Codegen wall-clock",
         f"depth-{DEPTH} chain + plus_scan at VLEN=512, warm-plan replay "
-        "(best of 9)",
-        ["n", "interp", "codegen", "speedup x", "floor"], table,
+        "vs the unfused eager replay of the same plan (best of 9)",
+        ["n", "unfused", "codegen", "speedup x", "floor"], table,
         notes=["wall-clock is machine-dependent and intentionally kept out"
                " of BENCH_codegen.json; the CI gate locks only the"
                " deterministic identity data."],

@@ -1,11 +1,12 @@
-"""Compiled whole-plan C kernels (native backend) vs codegen/interp.
+"""Compiled whole-plan C kernels (native backend) vs codegen and the
+strict reference.
 
 Two claims, two kinds of evidence (the ``bench_codegen.py`` pattern):
 
 * **Identity** (deterministic, CI-gated): the native backend's warm
   replays — the compiled C kernel plus the recorded counter-charge
   profile — produce outputs and per-category instruction counters
-  equal to the interpreted executor exactly, across a
+  equal to the strict per-strip reference exactly, across a
   VLEN × LMUL × n grid and the batched (2D) path, and ``native-speed``
   keeps outputs identical with counters compiled out. These land in
   ``BENCH_native.json`` which the perf job regenerates and diffs at
@@ -93,8 +94,8 @@ def test_native_identity_grid(benchmark):
     for vlen in VLENS:
         for lmul in LMULS:
             for n in SIZES:
-                ref_svm = SVM(vlen=vlen, mode="fast", codegen="paper",
-                              lmul=LMUL(lmul), backend="interp")
+                ref_svm = SVM(vlen=vlen, mode="strict", codegen="paper",
+                              lmul=LMUL(lmul))
                 ref, ref_counts, _ = _observe(ref_svm, n, lmul, runs=1)
 
                 nat_svm = SVM(vlen=vlen, mode="fast", codegen="paper",
@@ -109,7 +110,7 @@ def test_native_identity_grid(benchmark):
                     "vlen": vlen,
                     "lmul": lmul,
                     "n": n,
-                    "interp_instr": sum(ref_counts.values()),
+                    "strict_instr": sum(ref_counts.values()),
                     "native_instr": sum(counts.values()),
                     "lowered": isinstance(fused.native, NativePlan),
                     "identical_results": bool(np.array_equal(ref, got)),
@@ -130,34 +131,35 @@ def test_native_identity_grid(benchmark):
                 cells.append(cell)
                 table_rows.append([
                     str(vlen), str(lmul), str(n),
-                    fmt_count(cell["interp_instr"]),
+                    fmt_count(cell["strict_instr"]),
                     fmt_count(cell["native_instr"]),
                 ])
 
     # batched (2D) execution: whole buckets through the compiled
-    # plan_run2d entry point, identical to the interpreted batch path
+    # plan_run2d entry point, identical to the strict batch (which
+    # loops single calls through the reference strip loops)
     batch = []
     for vlen in VLENS:
         raw = [rng(SEED + i).integers(0, 2**16, 256, dtype=np.uint32)
                for i in range(8)]
         outs = {}
         snaps = {}
-        for backend in ("interp", "native"):
-            svm = SVM(vlen=vlen, mode="fast", codegen="paper",
+        for mode, backend in (("strict", "codegen"), ("fast", "native")):
+            svm = SVM(vlen=vlen, mode=mode, codegen="paper",
                       backend=backend)
             res = svm.batch(_pipe, raw)
-            outs[backend] = [np.asarray(r) for r in res]
-            snaps[backend] = svm.counters.snapshot()
+            outs[mode] = [np.asarray(r) for r in res]
+            snaps[mode] = svm.counters.snapshot()
         batch.append({
             "vlen": vlen,
             "n": 256,
             "rows": len(raw),
-            "instr": snaps["native"].total,
+            "instr": snaps["fast"].total,
             "identical_results": bool(all(
                 np.array_equal(a, b)
-                for a, b in zip(outs["interp"], outs["native"]))),
+                for a, b in zip(outs["strict"], outs["fast"]))),
             "identical_counters": bool(
-                snaps["interp"].by_category == snaps["native"].by_category),
+                snaps["strict"].by_category == snaps["fast"].by_category),
         })
     for cell in batch:
         assert cell["identical_results"], cell
@@ -165,9 +167,9 @@ def test_native_identity_grid(benchmark):
 
     record(ExperimentResult(
         "Native identity grid",
-        f"{ROUNDS}-round interleaved chain+scan: compiled C kernels vs "
-        "interpreted executor (warm replay)",
-        ["VLEN", "LMUL", "n", "interp instr", "native instr"],
+        f"{ROUNDS}-round interleaved chain+scan: compiled C kernels "
+        "(warm replay) vs strict reference",
+        ["VLEN", "LMUL", "n", "strict instr", "native instr"],
         table_rows,
         notes=["the native tier replays the counter-charge profile its"
                " codegen warm-up recorded, so both columns are equal by"

@@ -18,8 +18,8 @@ Layering (see DESIGN.md):
   layer every execution axis resolves through (defaults ← REPRO_* env
   ← ``SVM(...)`` kwargs ← per-call overrides);
 * :mod:`repro.tune` — shape-aware tuning: the LMUL study (advisor +
-  measurement grids, formerly ``repro.lmul``) plus the persistent
-  shape→config auto-tuner consulted by ``SVM(tune="auto")``;
+  measurement grids) plus the persistent shape→config auto-tuner
+  consulted by ``SVM(tune="auto")``;
 * :mod:`repro.algorithms` — applications built purely on primitives
   (split radix sort, flat quicksort, RLE, SpMV, ...);
 * :mod:`repro.bench` — the harness regenerating every table and figure.

@@ -18,11 +18,12 @@ logical per-row lengths as a first-class column.
   kept counts (the vectorized form of the ``pack.kept``
   :class:`~repro.engine.ir.ScalarFuture`).
 
-The per-row *charge* correction lives next to the closed-form charge
-tuples in :func:`repro.engine.specialize.pack_variable_items`; the
+The per-row *charge* correction is
+:func:`repro.svm.fastpath.pack_variable_items`, next to the
+``PACK_VARIABLE`` weights the eager fast path charges with; the
 survivor-strip arithmetic it needs is
 :func:`repro.svm.fastpath.pack_strip_survivors`, shared with the eager
-fast path. See ``docs/batching.md`` (ragged representation) for the
+fast path too. See ``docs/batching.md`` (ragged representation) for the
 masking rule and the identity contract.
 """
 

@@ -32,13 +32,13 @@ path, which stays the definitional semantics:
   result (:class:`~repro.batch.ragged.RaggedBatch`), and an exact
   per-row counter charge via ``Counters.add_many`` that swaps row 0's
   data-dependent pack items for each row's own
-  (:func:`repro.engine.specialize.pack_variable_items`);
+  (:func:`repro.svm.fastpath.pack_variable_items`);
 * only out-of-registry opaque calls, strict mode, and plans where a
   packed buffer escapes into a non-prefix-local consumer fall back to
   literally looping the single-input path;
-* the 2D fast path replays the pre-compiled
-  :class:`~repro.engine.specialize.SpecializedGroup` lane chains with
-  ``axis=1`` scan tails.
+* fused groups run the batch kernels
+  :func:`~repro.engine.codegen.compile_fused` generated next to the
+  single-call ones, with ``axis=1`` scan tails.
 
 See ``docs/batching.md`` for the API, the bucketing rule, and the
 ragged representation.
@@ -54,13 +54,18 @@ import numpy as np
 from ..engine.capture import PlanBuilder
 from ..obs.telemetry import note_batch_path
 from ..engine.executor import execute
-from ..engine.fuse import GroupSpec, materialize
+from ..engine.fuse import GroupSpec
 from ..engine.ir import EngineError, Kind, Plan, ScalarFuture, resolve_scalar
 from ..engine.native import NATIVE_BACKENDS, native_state
-from ..engine.specialize import pack_variable_items
 from ..rvv.types import sew_for_dtype
 from ..scalar.kernels import segmented_cumsum, segmented_reduce_numpy
-from ..svm.fastpath import _NP_CMP, _UFUNC_VX, _wrap, pack_strip_survivors
+from ..svm.fastpath import (
+    _NP_CMP,
+    _UFUNC_VX,
+    _wrap,
+    pack_strip_survivors,
+    pack_variable_items,
+)
 from ..svm.opspec import get_spec
 from ..svm.operators import get_operator
 from .ragged import RaggedBatch, pack2d
@@ -310,49 +315,6 @@ def _mat_getter(plan: Plan, init: dict[int, np.ndarray], b1: int):
     return mats, get
 
 
-def _group_2d(plan: Plan, sg, mats, get) -> None:
-    """Replay a specialized group's lane chain on a [b1, n] matrix —
-    the 2D mirror of ``run_specialized_fast``."""
-    nodes = plan.nodes
-    head_node = nodes[sg.spec.node_indices[0]]
-    dst = head_node.dst
-    head = head_node.src if head_node.src is not None else dst
-    dtype = sg.dtype
-    acc = get(head)
-    # run_group_fast always copies the head so lane operands aliasing
-    # dst still read pre-group values; in 2D the copy is only needed
-    # when head != dst (head must survive) or such an alias exists
-    owned = head == dst and not any(
-        st.kind in ("vv", "cmp_vv") and nodes[st.node_index].operand == dst
-        for st in sg.steps
-    )
-    for st in sg.steps:
-        kind = st.kind
-        if kind == "vx" or kind == "vv":
-            if kind == "vx":
-                x = st.const if st.const is not None \
-                    else resolve_scalar(nodes[st.node_index].scalar)
-                operand = _wrap(x, dtype)
-            else:
-                operand = get(nodes[st.node_index].operand)
-            if not owned:
-                acc = acc.copy()
-                owned = True
-            st.fn(acc, operand, out=acc)
-        elif kind == "cmp_vx":
-            x = resolve_scalar(nodes[st.node_index].scalar)
-            acc = st.fn(acc, _wrap(x, dtype)).astype(dtype)
-            owned = True
-        else:  # cmp_vv
-            acc = st.fn(acc, get(nodes[st.node_index].operand)).astype(dtype)
-            owned = True
-    if sg.scan_ufunc is not None:
-        if not owned:
-            acc = acc.copy()
-        sg.scan_ufunc.accumulate(acc, axis=1, out=acc)
-    mats[dst] = acc
-
-
 def _scalar_2d(node, dtype, fvals):
     """A node's scalar operand for the 2D evaluation: a plain wrapped
     scalar, or — when it is a future produced earlier in the plan — a
@@ -517,9 +479,6 @@ def _run_bucket_2d(svm, plan: Plan, fused, data, out, rows,
         # pack is excluded from the native kind set)
         native = (native_state(svm, plan, fused)
                   if backend in NATIVE_BACKENDS and not ragged else None)
-        compiled = (fused.compiled
-                    if backend == "codegen" or backend in NATIVE_BACKENDS
-                    else None)
         b_mat = b if ragged else b1
         mats, get = _mat_getter(plan, init, b_mat)
         mats[input_bid] = np.stack(rows if ragged else rows[1:], axis=0)
@@ -532,16 +491,8 @@ def _run_bucket_2d(svm, plan: Plan, fused, data, out, rows,
         else:
             for unit in fused.units:
                 if isinstance(unit, GroupSpec):
-                    cg = compiled.groups.get(unit) if compiled is not None else None
-                    if cg is not None:
-                        cg.fn2d(plan.nodes, plan.buffers, mats, get)
-                        continue
-                    sg = fused.specialized.get(unit) if fused.specialized else None
-                    if sg is not None:
-                        _group_2d(plan, sg, mats, get)
-                    else:  # fused but unspecialized: derive steps via group
-                        from ..engine.specialize import specialize_group
-                        _group_2d(plan, specialize_group(plan, unit, m), mats, get)
+                    fused.compiled.groups[unit].fn2d(
+                        plan.nodes, plan.buffers, mats, get)
                 else:
                     _node_2d(plan, plan.nodes[unit], mats, get, fvals,
                              m=m, pack_sws=pack_sws)

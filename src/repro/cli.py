@@ -389,13 +389,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cells = run_grid(codegen_cell, params, jobs=args.jobs)
         grid["codegen"] = cells
         print(f"codegen suite ({len(cells)} cells):")
-        print("  VLEN LMUL      n     interp    codegen  identical")
+        print("  VLEN LMUL      n     strict    codegen  identical")
         for c in cells:
             ok = (c["identical_results"] and c["identical_counters"]
-                  and c["codegen_instr"] == c["interp_instr"])
+                  and c["codegen_instr"] == c["strict_instr"])
             failures += not ok
             print(f"  {c['vlen']:>4} {c['lmul']:>4} {c['n']:>6}"
-                  f" {fmt_count(c['interp_instr']):>10}"
+                  f" {fmt_count(c['strict_instr']):>10}"
                   f" {fmt_count(c['codegen_instr']):>10}  {ok}")
 
     # merged grid (all requested suites in one document), written at
@@ -761,8 +761,7 @@ def _add_config_flags(p: argparse.ArgumentParser, *, codegen: bool = False,
     if backend:
         p.add_argument("--backend", choices=list(BACKENDS), default=None,
                        help="fused-plan executor: generated NumPy kernels "
-                            "(codegen, the default), the specialized "
-                            "interpreter (interp), or compiled whole-plan "
+                            "(codegen, the default) or compiled whole-plan "
                             "C kernels (native keeps counters identical, "
                             "native-speed compiles them out); default "
                             "from REPRO_BACKEND")

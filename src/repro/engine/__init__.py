@@ -15,21 +15,20 @@ primitive kernels:
   elementwise→scan producers) into single strip loops that load once,
   apply every lane operation in registers, and store once;
 * :mod:`repro.engine.executor` — runs fused groups either strictly on
-  the :class:`~repro.rvv.machine.RVVMachine` intrinsics or via the
-  NumPy fast path with identical closed-form counters (preserving the
-  repo's strict-vs-fast bit-and-counter equality invariant);
+  the :class:`~repro.rvv.machine.RVVMachine` intrinsics (the reference
+  semantics) or through their generated kernels with identical
+  closed-form counters (preserving the repo's strict-vs-fast
+  bit-and-counter equality invariant);
 * :mod:`repro.engine.cache` — a plan cache keyed on (op signature, n,
   VLEN, SEW, LMUL, codegen preset) so repeated pipelines skip
   re-planning, plus an opt-in persistent on-disk store
   (``REPRO_CACHE_DIR`` / ``SVM(cache_dir=...)``) that is versioned and
   fingerprint-guarded so warm cold-starts skip compilation entirely;
-* :mod:`repro.engine.specialize` — compiles each fused group once at
-  cache-insert time (bound ufuncs, precomputed charge profile) so
-  cache hits replay with no per-execution resolution;
-* :mod:`repro.engine.codegen` — the generated-kernel backend: emits
-  one flat Python function per fused group (and a whole-plan kernel
-  when every unit fuses), selected with ``SVM(backend=...)`` and
-  bit- and counter-identical to the interpreted executor;
+* :mod:`repro.engine.codegen` — the Python fast path: at cache-insert
+  time it derives each fused group's lane chain and closed-form
+  charge profile and emits one flat Python function per group (and a
+  whole-plan kernel when every unit allows it), bit- and
+  counter-identical to the strict loop;
 * :mod:`repro.engine.native` — the compiled backend tier: lowers a
   whole fused plan to one C translation unit, builds it with the host
   toolchain, and replays it as a single ``ctypes`` call — either with
@@ -40,7 +39,7 @@ primitive kernels:
 See ``docs/engine.md`` for the IR, fusion legality rules, the cache
 key, and a worked before/after counter example, ``docs/native.md`` for
 the compiled tier's dual contracts, and ``docs/architecture.md`` for
-how the five execution tiers dispatch.
+how the execution tiers dispatch.
 """
 
 from .cache import CacheStats, PlanCache, PlanStore
@@ -50,7 +49,6 @@ from .executor import BACKENDS, DEFAULT_BACKEND, Engine, execute, resolve_backen
 from .fuse import FusedGroup, FusedPlan, fuse
 from .ir import OpNode, Plan, ScalarFuture
 from .native import NATIVE_BACKENDS, NativePlan, lower_plan, native_available
-from .specialize import SpecializedGroup, specialize_plan
 
 __all__ = [
     "Engine",
@@ -65,8 +63,6 @@ __all__ = [
     "CacheStats",
     "PlanStore",
     "execute",
-    "SpecializedGroup",
-    "specialize_plan",
     "CompiledPlan",
     "compile_fused",
     "BACKENDS",

@@ -14,10 +14,10 @@ stay resident.
 Persistence
 -----------
 :class:`PlanStore` extends the in-memory cache across processes: fully
-compiled entries (fused recipe + specialization + generated codegen
-source) are pickled to one file per plan signature under a cache
-directory, so ``repro.parallel`` workers and repeat CLI invocations
-skip capture/fuse/specialize/codegen entirely. The store is **opt-in**:
+compiled entries (fused recipe + generated codegen source) are
+pickled to one file per plan signature under a cache directory, so
+``repro.parallel`` workers and repeat CLI invocations skip
+capture/fuse/codegen entirely. The store is **opt-in**:
 it activates only when ``REPRO_CACHE_DIR`` is set (or an explicit
 ``cache_dir=`` is passed to :class:`~repro.svm.context.SVM`); the
 conventional location is ``~/.cache/repro``.
@@ -59,10 +59,10 @@ DEFAULT_CAPACITY = 256
 SCHEMA_VERSION = 1
 
 #: Engine modules whose source participates in the code fingerprint —
-#: any change to planning, specialization, or code generation must
-#: invalidate every persisted entry.
-_FINGERPRINT_MODULES = ("ir", "fuse", "specialize", "codegen", "native",
-                        "nodes", "executor", "cache")
+#: any change to planning or code generation must invalidate every
+#: persisted entry.
+_FINGERPRINT_MODULES = ("ir", "fuse", "codegen", "native", "nodes",
+                        "executor", "cache")
 
 _fingerprint_cache: str | None = None
 

@@ -1,14 +1,20 @@
-"""Lower specialized fused groups one more level: from data to code.
+"""Compile fused groups to Python source, once, at cache-insert time.
 
-:mod:`repro.engine.specialize` turns a fused group into *data* — a
-tuple of :class:`~repro.engine.specialize.LaneStep` records that
-:func:`~repro.engine.specialize.run_specialized_fast` interprets per
-execution. That interpreter loop (attribute loads, kind string
-compares, dict lookups, ``_wrap`` calls, the charge loop) is pure
-dispatch overhead, and at small ``n`` it dominates the NumPy work.
+This is the engine's one Python fast path. :func:`compile_fused` takes
+a :class:`~repro.engine.fuse.FusedPlan` and, for every fused group,
 
-This module emits Python *source* for each specialized plan instead:
-one flat kernel function per fused group with
+1. derives the group's lane chain from the registry's lane recipes
+   (:data:`~repro.svm.opspec.LANE_RECIPES`): one :class:`LaneStep` per
+   strip lane, each with its NumPy callable resolved and the *node
+   index* (never a buffer id) of the node that supplies its runtime
+   scalar or operand;
+2. precomputes the closed-form counter profile of the strict strip
+   loop (:func:`group_charge_items`) — a function of the vl sequence
+   and the codegen preset only, never of the data;
+3. emits one flat kernel function per group, plus a batch variant,
+   and a whole-plan kernel when every unit allows it.
+
+The generated source has
 
 * every lane op unrolled in order, its ufunc prebound in the module
   namespace (no per-step dispatch);
@@ -25,42 +31,169 @@ one flat kernel function per fused group with
   a group's head, destination, and operands is α-stable (buffer slot
   relations are part of :meth:`~repro.engine.ir.Plan.signature`), so
   an in-place chain whose operands never re-read the destination can
-  run directly on the memory view — skipping the head copy and the
-  final writeback the interpreter always pays.
+  run directly on the memory view, skipping the head copy and the
+  final writeback.
 
 Scalar *values* and raw buffer ids are **excluded** from the plan
 signature, so generated code never bakes them: it resolves both
 through node indices at call time (``nodes[i].scalar`` via
-``resolve_scalar``, ``nodes[i].operand``), exactly like the
-interpreter. The source is ``compile()``/``exec()``-ed once at
-plan-cache insert; cache hits call straight into the code objects.
+``resolve_scalar``, ``nodes[i].operand``). The source is
+``compile()``/``exec()``-ed once at plan-cache insert; cache hits call
+straight into the code objects.
 
-Results and per-category counters are bit-identical to the interpreted
-executor by construction — asserted across the full VLEN×LMUL grid in
+The reference semantics is the strict per-strip loop
+(:func:`repro.engine.executor.run_group_strict`): results and
+per-category counters of the generated kernels are identical to it —
+asserted across the full VLEN×LMUL grid in
 ``tests/engine/test_codegen.py`` and locked in ``BENCH_codegen.json``.
 
 A :class:`CompiledPlan` also pickles (for the persistent plan store of
 :mod:`repro.engine.cache`): ``__reduce__`` ships the generated source
 plus the prebound-constant table and re-``exec``-s on load, so a
-process that loads a warm cache entry skips capture, fusion,
-specialization *and* code generation.
+process that loads a warm cache entry skips capture, fusion *and*
+code generation.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .fuse import FusedPlan, GroupSpec
-from .ir import Kind, Plan, resolve_scalar
+from ..rvv.allocation import plan_allocation
+from ..rvv.counters import Cat
+from ..svm.fastpath import _wrap, strip_shape
+from ..svm.opspec import LANE_RECIPES, lane_ufunc
+from ..svm.operators import get_operator
+from ..svm.scan import inner_scan_steps
+from .fuse import (
+    KERNEL_EW,
+    KERNEL_SCAN,
+    FusedGroup,
+    FusedPlan,
+    GroupSpec,
+    group_profile,
+    materialize,
+)
+from .ir import EngineError, Kind, Plan, resolve_scalar
 from .nodes import run_node_eager
-from ..svm.fastpath import _wrap
 
-__all__ = ["CompiledGroup", "CompiledPlan", "compile_fused"]
+__all__ = [
+    "CompiledGroup",
+    "CompiledPlan",
+    "compile_fused",
+    "group_charge_items",
+]
 
 #: Bumped when the shape of the generated source changes; folded into
 #: the persistent store's code fingerprint via this module's source.
 CODEGEN_VERSION = 3
 
+
+# ---------------------------------------------------------------------------
+# front end: lane chains and closed-form charges
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LaneStep:
+    """One lane op of a fused group, as the emitter consumes it.
+
+    ``fn`` is the NumPy callable (``_UFUNC_VX`` entry for vx/vv lanes,
+    ``_NP_CMP`` entry for compares). ``node_index`` locates the node
+    that supplies the runtime scalar (vx) or operand buffer (vv) in
+    whatever plan is executing. ``const`` overrides the node's scalar
+    for structural literals (get_flags' trailing ``& 1``).
+    """
+
+    kind: str  # "vx" | "vv" | "cmp_vx" | "cmp_vv"
+    fn: object
+    node_index: int
+    const: int | None = None
+
+
+def _node_steps(node, index: int) -> list[LaneStep]:
+    """The lane steps one node contributes, with callables resolved —
+    the same registry recipes ``fuse._node_lanes`` expands, so a node's
+    strip lanes and their NumPy kernels come from one declaration. A
+    ``const`` in the recipe is structural (get_flags' trailing ``& 1``);
+    a ``None`` const defers to the node's scalar at run time (the shift
+    bit)."""
+    recipe = LANE_RECIPES.get(node.kind.value)
+    if recipe is None:
+        raise EngineError(f"no lane recipe for {node.kind}")
+    return [
+        LaneStep(lane_kind,
+                 lane_ufunc(lane_kind, op if op is not None else node.op),
+                 index, const=const)
+        for lane_kind, op, const in recipe
+    ]
+
+
+def _group_steps(plan: Plan, spec: GroupSpec) -> tuple[LaneStep, ...]:
+    """The lane chain of one group: every member but the scan tail."""
+    body = spec.node_indices[:-1] if spec.scan else spec.node_indices
+    return tuple(step for i in body for step in _node_steps(plan.nodes[i], i))
+
+
+def group_charge_items(m, group: FusedGroup) -> tuple[tuple[Cat, int], ...]:
+    """The closed-form per-category counts of ``run_group_strict`` as
+    ``(category, count)`` pairs, collected once so the generated kernel
+    can apply them in one call.
+
+    Depends only on the vl sequence (n, VLEN, SEW, LMUL) and the
+    codegen preset, never on the data.
+    """
+    sew = group.sew
+    lmul = group.lmul
+    scan = group.scan_op is not None
+    kernel = KERNEL_SCAN if scan else KERNEL_EW
+    cg = m.codegen
+    vlmax = m.vlmax(sew, lmul)
+    full, rem = strip_shape(group.n, vlmax)
+    n_strips = full + (1 if rem else 0)
+    alloc = plan_allocation(group_profile(group), lmul)
+
+    items: dict[Cat, int] = {}
+
+    def add(cat: Cat, k: int) -> None:
+        if k:
+            items[cat] = items.get(cat, 0) + k
+
+    add(Cat.SCALAR, cg.prologue(kernel))
+    if alloc.has_spills:
+        spill = alloc.frame_setup
+        if scan:
+            spill += full * alloc.strip_cost(inner_scan_steps(vlmax))
+            if rem:
+                spill += alloc.strip_cost(inner_scan_steps(rem))
+        else:
+            spill += n_strips * alloc.strip_cost(0)
+        add(Cat.SPILL, spill)
+    # one-time constant setup
+    if scan or group.needs_zero:
+        add(Cat.VCONFIG, 1)
+        add(Cat.VPERM, ((1 if scan else 0) + (1 if group.needs_zero else 0)) * cg.op_cost())
+    # per strip
+    add(Cat.VCONFIG, n_strips)
+    add(Cat.VMEM, n_strips * (group.n_loads + 1))
+    if group.n_varith:
+        add(Cat.VARITH, n_strips * group.n_varith * cg.op_cost())
+    if group.n_mask:
+        add(Cat.VMASK, n_strips * group.n_mask * cg.op_cost())
+    if scan:
+        total_steps = full * inner_scan_steps(vlmax) + inner_scan_steps(rem)
+        add(Cat.VPERM, total_steps * cg.op_cost(dest_undisturbed=True))
+        add(Cat.VARITH, total_steps * cg.op_cost())
+        add(Cat.SCALAR, total_steps * cg.inner_overhead(kernel))
+        add(Cat.VARITH, n_strips * cg.op_cost())  # carry apply
+        add(Cat.SCALAR, n_strips * 2)  # carry reload
+    add(Cat.SCALAR, n_strips * cg.strip_overhead(kernel, group.n_arrays))
+    return tuple(items.items())
+
+
+# ---------------------------------------------------------------------------
+# the compiled artifacts
+# ---------------------------------------------------------------------------
 
 class CompiledGroup:
     """The two generated entry points of one fused group.
@@ -68,15 +201,17 @@ class CompiledGroup:
     ``fn(svm, nodes, buffers)`` is the single-call kernel (computes the
     group and applies its precomputed charge); ``fn2d(nodes, buffers,
     mats, get)`` is the batch kernel over ``[b1, n]`` matrices (no
-    charging — the batch runner scales row 0's counter delta).
+    charging — the batch runner scales row 0's counter delta). ``n``
+    is the group length the executor gates the fast path on.
     """
 
-    __slots__ = ("fn", "fn2d", "name")
+    __slots__ = ("fn", "fn2d", "name", "n")
 
-    def __init__(self, fn, fn2d, name: str) -> None:
+    def __init__(self, fn, fn2d, name: str, n: int) -> None:
         self.fn = fn
         self.fn2d = fn2d
         self.name = name
+        self.n = n
 
 
 class CompiledPlan:
@@ -93,17 +228,17 @@ class CompiledPlan:
     through the SVM surface, exactly like the unit loop.
 
     Pickling re-emits nothing: the instance reduces to
-    ``(source, consts, group_names, plan_name, min_n)`` and re-binds by
+    ``(source, consts, group_meta, plan_name)`` and re-binds by
     ``exec``-ing the stored source on load.
     """
 
-    def __init__(self, source: str, consts: dict, group_names: dict,
-                 plan_name: str | None, min_n: int) -> None:
+    def __init__(self, source: str, consts: dict, group_meta: dict,
+                 plan_name: str | None) -> None:
         self.source = source
         self.consts = consts
-        self.group_names = group_names  # {GroupSpec: "_g0", ...}
+        self.group_meta = group_meta  # {GroupSpec: ("_g0", n), ...}
         self.plan_name = plan_name
-        self.min_n = int(min_n)
+        self.min_n = min(n for _, n in group_meta.values())
         self._bind()
 
     def _bind(self) -> None:
@@ -113,17 +248,17 @@ class CompiledPlan:
         ns["_rs"] = resolve_scalar
         exec(compile(self.source, "<repro.engine.codegen>", "exec"), ns)
         self.groups = {
-            spec: CompiledGroup(ns[name], ns[name + "_2d"], name)
-            for spec, name in self.group_names.items()
+            spec: CompiledGroup(ns[name], ns[name + "_2d"], name, n)
+            for spec, (name, n) in self.group_meta.items()
         }
         self.plan_fn = ns[self.plan_name] if self.plan_name else None
 
     def __reduce__(self):
-        return (CompiledPlan, (self.source, self.consts, self.group_names,
-                               self.plan_name, self.min_n))
+        return (CompiledPlan, (self.source, self.consts, self.group_meta,
+                               self.plan_name))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"CompiledPlan({len(self.group_names)} groups, "
+        return (f"CompiledPlan({len(self.group_meta)} groups, "
                 f"plan_fn={'yes' if self.plan_name else 'no'})")
 
 
@@ -176,13 +311,18 @@ def _operand_expr(step, view: str) -> str:
             f".array.ptr.view({view})")
 
 
-def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, sg, gi: int) -> str:
+def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
+                gi: int) -> tuple[str, int]:
     """Emit ``_g{gi}`` (single-call) and ``_g{gi}_2d`` (batch) for one
-    specialized group; returns the single-call function name."""
+    fused group; returns the single-call function name and the group
+    length."""
+    group = materialize(plan, spec)
+    steps = _group_steps(plan, spec)
+    charge = group_charge_items(machine, group)
     g = str(gi)
     name = f"_g{gi}"
-    n = sg.n
-    dtype = sg.dtype
+    n = int(group.n)
+    dtype = np.dtype(group.dtype)
     head_index = spec.node_indices[0]
     head_node = plan.nodes[head_index]
     dst_bid = head_node.dst
@@ -191,11 +331,12 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, sg, gi: int) -> str:
     alias_dst = any(
         st.kind in ("vv", "cmp_vv")
         and plan.nodes[st.node_index].operand == dst_bid
-        for st in sg.steps
+        for st in steps
     )
     dt = e.bind(f"_dt{g}", dtype)
-    sc = e.bind(f"_sc{g}", sg.scan_ufunc) if sg.scan_ufunc is not None else None
-    fns = [e.bind(f"_f{g}_{si}", st.fn) for si, st in enumerate(sg.steps)]
+    sc = e.bind(f"_sc{g}", get_operator(group.scan_op).ufunc) \
+        if group.scan_op is not None else None
+    fns = [e.bind(f"_f{g}_{si}", st.fn) for si, st in enumerate(steps)]
 
     def step_rhs(si: int, st, acc_src: str, view: str) -> str:
         if st.kind in ("vx", "cmp_vx"):
@@ -214,7 +355,6 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, sg, gi: int) -> str:
         e.emit(f"    _p = buffers[nodes[{head_index}].dst].array.ptr")
         e.emit(f"    dv = _p.mem._bytes[_p.addr:_p.addr + {nbytes}]"
                f".view({dt})")
-        steps = list(sg.steps)
         if head_is_dst and not alias_dst:
             # in-place: operate directly on the destination view; a
             # compare rebinds acc to a fresh array and forces the
@@ -229,8 +369,8 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, sg, gi: int) -> str:
                            f".astype({dt})")
                     acc_is_view = False
         elif head_is_dst:
-            # an operand re-reads dst: keep the interpreter's
-            # copy-then-write-back discipline so it sees pre-group memory
+            # an operand re-reads dst: copy, then write back, so the
+            # operand sees pre-group memory
             e.emit("    acc = _np.array(dv, copy=True)")
             acc_is_view = False
             for si, st in enumerate(steps):
@@ -266,16 +406,17 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, sg, gi: int) -> str:
     # closed-form charge: the whole (category, count) profile is a
     # function of the cache key, so it is prebound as one tuple and
     # applied in a single batched call
-    if sg.charge:
-        chg = e.bind(f"_chg{g}", tuple((cat, int(k)) for cat, k in sg.charge))
+    if charge:
+        chg = e.bind(f"_chg{g}", tuple((cat, int(k)) for cat, k in charge))
         e.emit(f"    svm.machine.counters.add_many({chg})")
     elif not n:
         e.emit("    pass")
     e.emit()
 
     # ---- batch (2D) kernel -------------------------------------------
-    # mirror of repro.batch.runner._group_2d with the `owned` copy
-    # logic resolved statically (it depends only on aliasing structure)
+    # the head is copied only when it must survive (head != dst) or an
+    # operand re-reads dst; `owned` is resolved statically because it
+    # depends only on the aliasing structure
     e.emit(f"def {name}_2d(nodes, buffers, mats, get):")
     e.emit(f"    _h = nodes[{head_index}]")
     if head_is_dst:
@@ -284,7 +425,7 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, sg, gi: int) -> str:
         e.emit("    acc = get(_h.src)")
     owned = head_is_dst and not alias_dst
     emitted_any = False
-    for si, st in enumerate(sg.steps):
+    for si, st in enumerate(steps):
         if st.kind in ("vx", "vv"):
             if not owned:
                 e.emit("    acc = acc.copy()")
@@ -312,48 +453,44 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, sg, gi: int) -> str:
         e.emit("    pass")
     e.emit("    mats[_h.dst] = acc")
     e.emit()
-    return name
+    return name, n
 
 
-def compile_fused(plan: Plan, fused: FusedPlan) -> CompiledPlan | None:
-    """Generate, compile and bind the kernels for every specialized
-    group of ``fused``; returns None when there is nothing to compile
-    (no fused groups — e.g. fully opaque plans).
+def compile_fused(plan: Plan, fused: FusedPlan, machine) -> CompiledPlan | None:
+    """Generate, compile and bind the kernels for every fused group of
+    ``fused`` against ``machine``'s configuration (VLEN and codegen
+    preset fix the closed-form charges); returns None when there is
+    nothing to compile (no fused groups — e.g. fully opaque plans).
 
-    Call once at plan-cache insert, after
-    :func:`~repro.engine.specialize.specialize_plan`; attach the result
-    as ``fused.compiled``.
+    Called once at plan-cache insert by
+    :meth:`repro.engine.executor.Engine.compile_plan`, which attaches
+    the result as ``fused.compiled``.
     """
-    specials = fused.specialized
-    if not specials:
+    order = [u for u in fused.units if isinstance(u, GroupSpec)]
+    if not order:
         return None
     e = _Emitter()
-    group_names: dict[GroupSpec, str] = {}
-    order = [u for u in fused.units if isinstance(u, GroupSpec)]
-    for gi, spec in enumerate(order):
-        sg = specials.get(spec)
-        if sg is None:  # pragma: no cover - specialize_plan covers all
-            continue
-        group_names[spec] = _emit_group(e, plan, spec, sg, gi)
+    group_meta = {
+        spec: _emit_group(e, plan, spec, machine, gi)
+        for gi, spec in enumerate(order)
+    }
 
     # whole-plan kernel: eligible when every unit is a compiled group,
     # a FREE, or a structured replay node — only out-of-registry OPAQUE
     # calls force the generic unit loop
     plan_name = None
     flat_ok = all(
-        (isinstance(u, GroupSpec) and u in group_names)
-        or (not isinstance(u, GroupSpec)
-            and plan.nodes[u].kind is not Kind.OPAQUE)
+        isinstance(u, GroupSpec) or plan.nodes[u].kind is not Kind.OPAQUE
         for u in fused.units
     )
-    if flat_ok and group_names:
+    if flat_ok:
         plan_name = "_plan_kernel"
         e.emit(f"def {plan_name}(svm, plan):")
         e.emit("    nodes = plan.nodes")
         e.emit("    buffers = plan.buffers")
         for u in fused.units:
             if isinstance(u, GroupSpec):
-                e.emit(f"    {group_names[u]}(svm, nodes, buffers)")
+                e.emit(f"    {group_meta[u][0]}(svm, nodes, buffers)")
             elif plan.nodes[u].kind is Kind.FREE:
                 e.emit(f"    svm.free(buffers[nodes[{u}].dst].array)")
             else:
@@ -363,5 +500,4 @@ def compile_fused(plan: Plan, fused: FusedPlan) -> CompiledPlan | None:
                 e.emit(f"    _rn(svm, plan, nodes[{u}])")
         e.emit()
 
-    min_n = min(specials[spec].n for spec in group_names)
-    return CompiledPlan(e.source(), e.consts, group_names, plan_name, min_n)
+    return CompiledPlan(e.source(), e.consts, group_meta, plan_name)

@@ -1,23 +1,27 @@
-"""Execute a fused plan, strictly or via the fast path.
+"""Execute a fused plan: the strict reference loop or generated kernels.
 
 Non-fused units replay the recorded :class:`~repro.svm.context.SVM`
 method call verbatim, so their results *and* counters are exactly what
 eager execution would have produced — ``svm.lazy(fuse=False)`` is a
 bit- and counter-identical spelling of the eager program.
 
-Fused groups have two interchangeable implementations mirroring the
-repo's strict/fast contract:
+Fused groups run one of two ways, mirroring the repo's strict/fast
+contract:
 
-* :func:`run_group_strict` drives the machine intrinsic-by-intrinsic:
-  one strip loop that loads the head value, applies every lane op in
-  registers, runs the optional in-register scan tail, and stores once;
-* :func:`run_group_fast` computes the same chain with NumPy and calls
-  :func:`charge_group`, the closed-form counter mirror of the strict
-  loop.
+* :func:`run_group_strict` is the reference semantics: it drives the
+  machine intrinsic-by-intrinsic — one strip loop that loads the head
+  value, applies every lane op in registers, runs the optional
+  in-register scan tail, and stores once;
+* on the fast path the group runs the kernel
+  :func:`~repro.engine.codegen.compile_fused` generated for it at
+  plan-cache insert — NumPy over the whole group plus one precomputed
+  closed-form charge of the strict loop's counters.
 
-Both paths share the vl sequence (``n``, VLEN, SEW, LMUL determine
-it), so results and per-category counts agree exactly — the invariant
-``tests/engine`` asserts across modes, sizes, and presets.
+Both share the vl sequence (``n``, VLEN, SEW, LMUL determine it), so
+results and per-category counts agree exactly — the invariant
+``tests/engine`` asserts across modes, sizes, and presets. The native
+backends (:mod:`repro.engine.native`) sit on top: one compiled C call
+per plan when it lowers, the generated kernels otherwise.
 """
 
 from __future__ import annotations
@@ -25,16 +29,13 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 
-import numpy as np
-
 from ..config import BACKENDS, DEFAULT_BACKEND, env_backend
 from ..obs.telemetry import note_plan_cache
+from ..rvv.allocation import plan_allocation
 from ..rvv.counters import Cat
 from ..rvv.intrinsics import arith, compare, loadstore, mask as maskops, move, permutation
-from ..rvv.types import LMUL
 from ..rvv.value import VReg
 from ..svm import elementwise as ew
-from ..svm.fastpath import _NP_CMP, _UFUNC_VX, _wrap, strip_shape
 from ..svm.operators import get_operator
 from ..svm.scan import inner_scan_steps
 from .cache import PlanCache, store_from_env
@@ -52,24 +53,15 @@ from .fuse import (
 from .ir import EngineError, Plan, resolve_scalar
 from .native import NATIVE_BACKENDS, lower_plan, native_state
 from .nodes import run_node_eager
-from .specialize import (
-    group_charge_items,
-    run_specialized_fast,
-    specialize_plan,
-)
 
 __all__ = [
     "Engine",
     "execute",
     "run_group_strict",
-    "run_group_fast",
-    "charge_group",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "resolve_backend",
 ]
-
-from ..rvv.allocation import plan_allocation
 
 _CMP_VX_INTRIN = ew._CMP_VX  # no "ge": that relation uses vmsltu + vmnot
 _CMP_VV_INTRIN = ew._CMP_VV
@@ -178,61 +170,22 @@ _SCAN_EW = {
 
 
 # ---------------------------------------------------------------------------
-# fast group execution (NumPy semantics + closed-form counters)
-# ---------------------------------------------------------------------------
-
-def charge_group(m, group: FusedGroup) -> None:
-    """Closed-form per-category counts of :func:`run_group_strict` —
-    depends only on the vl sequence, never on the data. The arithmetic
-    lives in :func:`~repro.engine.specialize.group_charge_items` so
-    specialization can cache its result."""
-    for cat, k in group_charge_items(m, group):
-        m.count(cat, k)
-
-
-def run_group_fast(svm, plan: Plan, group: FusedGroup) -> None:
-    """NumPy execution of one fused group + closed-form counters."""
-    n = int(group.n)
-    if n:
-        dtype = np.dtype(group.dtype)
-        acc = np.array(plan.buffers[group.head_src].array.ptr.view(n), copy=True)
-        for lane in group.lane_ops:
-            if lane.kind == "vx":
-                _UFUNC_VX[lane.op](acc, _wrap(resolve_scalar(lane.scalar), dtype), out=acc)
-            elif lane.kind == "vv":
-                operand = plan.buffers[lane.operand].array.ptr.view(n)
-                _UFUNC_VX[lane.op](acc, operand, out=acc)
-            elif lane.kind == "cmp_vx":
-                acc = _NP_CMP[lane.op](
-                    acc, _wrap(resolve_scalar(lane.scalar), dtype)
-                ).astype(dtype)
-            elif lane.kind == "cmp_vv":
-                operand = plan.buffers[lane.operand].array.ptr.view(n)
-                acc = _NP_CMP[lane.op](acc, operand).astype(dtype)
-            else:
-                raise EngineError(f"unknown lane kind {lane.kind!r}")
-        if group.scan_op is not None:
-            get_operator(group.scan_op).ufunc.accumulate(acc, out=acc)
-        plan.buffers[group.dst].array.ptr.view(n)[:] = acc
-    charge_group(svm.machine, group)
-
-
-# ---------------------------------------------------------------------------
 # plan execution + the Engine facade
 # ---------------------------------------------------------------------------
 
-def execute(svm, plan: Plan, fused: FusedPlan, backend: str = "interp") -> None:
+def execute(svm, plan: Plan, fused: FusedPlan,
+            backend: str = DEFAULT_BACKEND) -> None:
     """Run a fused plan's units in program order against ``svm``.
 
-    ``backend`` selects how specialized fused groups run on the fast
-    path: ``"interp"`` replays the :class:`LaneStep` chain through
-    :func:`run_specialized_fast`; ``"codegen"`` calls the generated
-    kernels of ``fused.compiled`` (bit- and counter-identical — see
-    :mod:`repro.engine.codegen`). Everything else is backend-blind:
-    strict mode, opaque/eager units, and unspecialized plans always
-    take the interpreter paths, so ``backend="codegen"`` degrades
-    automatically instead of failing.
+    ``fused`` must come from :meth:`Engine.compile_plan` (directly or
+    through the plan cache): on the fast path every fused group runs
+    the kernel generated for it in ``fused.compiled``, and there is no
+    other fast-path implementation to fall back to. Strict execution
+    materializes each group and drives :func:`run_group_strict`.
 
+    ``"codegen"`` (the default) runs the generated kernels — the whole
+    plan as one call when ``fused.compiled.plan_fn`` exists and the
+    fast path applies to every group, else unit by unit.
     ``"native"`` / ``"native-speed"`` run the whole plan as one
     compiled C call (:mod:`repro.engine.native`) when the plan lowers,
     a toolchain is present, and the execution is all-fast; otherwise
@@ -245,18 +198,16 @@ def execute(svm, plan: Plan, fused: FusedPlan, backend: str = "interp") -> None:
     per-group.
 
     With a profiler installed each fused group gets its own span
-    (``fused_scan``/``fused_ew`` with {n, nodes, path, backend}
-    metadata); non-fused units replay through the instrumented SVM
-    methods, so they show up under their primitive names as in eager
-    mode.
+    (``fused_scan``/``fused_ew`` with {n, nodes, path} metadata, plus
+    ``backend`` on the fast path); non-fused units replay through the
+    instrumented SVM methods, so they show up under their primitive
+    names as in eager mode.
     """
     col = getattr(svm.machine, "collector", None)
     if backend in NATIVE_BACKENDS:
         native = native_state(svm, plan, fused) if col is None else None
-        speed = backend == "native-speed"
-        backend = "codegen"  # the fallback (and warm-up) tier
         if native is not None and svm._fast(native.min_n):
-            if speed:
+            if backend == "native-speed":
                 native.run(svm, plan)
                 return
             if native.charge_items is None:
@@ -264,7 +215,7 @@ def execute(svm, plan: Plan, fused: FusedPlan, backend: str = "interp") -> None:
                 # and record the closed-form per-category delta (sound
                 # because the all-fast gate makes charges data-blind)
                 before = svm.machine.counters.snapshot()
-                _execute_units(svm, plan, fused, backend, col)
+                _execute_units(svm, plan, fused, col)
                 delta = svm.machine.counters.snapshot() - before
                 native.charge_items = tuple(
                     (cat, k) for cat, k in delta.by_category.items() if k
@@ -273,69 +224,59 @@ def execute(svm, plan: Plan, fused: FusedPlan, backend: str = "interp") -> None:
             native.run(svm, plan)
             svm.machine.counters.add_many(native.charge_items)
             return
-    _execute_units(svm, plan, fused, backend, col)
+    _execute_units(svm, plan, fused, col)
 
 
-def _execute_units(svm, plan: Plan, fused: FusedPlan, backend: str,
-                   col) -> None:
-    """The Python-tier unit loop (interp/codegen paths)."""
-    specials = fused.specialized
-    compiled = fused.compiled if backend == "codegen" else None
-    if (
-        compiled is not None
-        and col is None
-        and compiled.plan_fn is not None
-        and svm._fast(compiled.min_n)
-    ):
+def _execute_units(svm, plan: Plan, fused: FusedPlan, col) -> None:
+    """The Python-tier unit loop: generated kernels on the fast path,
+    the strict reference loop otherwise."""
+    compiled = fused.compiled
+    if compiled is None:
+        groups = {}
+    elif col is None and compiled.plan_fn is not None \
+            and svm._fast(compiled.min_n):
         # whole-plan flat kernel: every unit is a generated group (or a
         # FREE), and the fast path applies to all of them — skip the
         # unit loop entirely (profiled runs keep per-group spans)
         compiled.plan_fn(svm, plan)
         return
+    else:
+        groups = compiled.groups
     for unit in fused.units:
-        if isinstance(unit, GroupSpec):
-            sg = specials.get(unit) if specials is not None else None
-            if sg is not None and svm._fast(sg.n):
-                # pre-compiled fast path: no materialization, no lookups
-                cg = compiled.groups.get(unit) if compiled is not None else None
-                if col is not None:
-                    ctx = col.span(sg.kernel, n=sg.n,
-                                   nodes=len(unit.node_indices), path="fast",
-                                   backend="codegen" if cg is not None
-                                   else "interp")
-                else:
-                    ctx = nullcontext()
-                with ctx:
-                    if cg is not None:
-                        cg.fn(svm, plan.nodes, plan.buffers)
-                    else:
-                        run_specialized_fast(svm, plan, sg)
-                continue
-            group = materialize(plan, unit)
-            fast = svm._fast(group.n)
-            if col is not None:
-                name = "fused_scan" if group.scan_op is not None else "fused_ew"
-                ctx = col.span(name, n=group.n, nodes=len(unit.node_indices),
-                               path="fast" if fast else "strict")
-            else:
-                ctx = nullcontext()
-            with ctx:
-                if fast:
-                    run_group_fast(svm, plan, group)
-                else:
-                    run_group_strict(svm, plan, group)
-        else:
+        if not isinstance(unit, GroupSpec):
             run_node_eager(svm, plan, plan.nodes[unit])
+            continue
+        name = KERNEL_SCAN if unit.scan else KERNEL_EW
+        cg = groups.get(unit)
+        if cg is not None and svm._fast(cg.n):
+            ctx = col.span(name, n=cg.n, nodes=len(unit.node_indices),
+                           path="fast", backend="codegen") \
+                if col is not None else nullcontext()
+            with ctx:
+                cg.fn(svm, plan.nodes, plan.buffers)
+            continue
+        group = materialize(plan, unit)
+        if svm._fast(group.n):
+            raise EngineError(
+                "fused group has no generated kernel; build fused plans "
+                "with Engine.compile_plan"
+            )
+        ctx = col.span(name, n=group.n, nodes=len(unit.node_indices),
+                       path="strict") if col is not None else nullcontext()
+        with ctx:
+            run_group_strict(svm, plan, group)
 
 
 def resolve_backend(backend: str | None) -> str:
     """Validate an explicit backend or derive the default from the
     environment (``REPRO_BACKEND`` via :mod:`repro.config`, read at
-    call time) falling back to codegen. ``BACKENDS`` and
+    call time) falling back to codegen when it is unset or unknown. ``BACKENDS`` and
     ``DEFAULT_BACKEND`` are canonical in :mod:`repro.config` and
     re-exported here for the execution layer."""
     if backend is None:
-        backend = env_backend() or DEFAULT_BACKEND
+        # like every REPRO_* value, a malformed one falls back
+        env = env_backend()
+        return env if env in BACKENDS else DEFAULT_BACKEND
     if backend not in BACKENDS:
         raise EngineError(
             f"backend must be one of {BACKENDS}, got {backend!r}"
@@ -368,18 +309,17 @@ class Engine:
         return plan.signature(m.vlen, m.codegen.name)
 
     def compile_plan(self, plan: Plan) -> FusedPlan:
-        """Fuse + specialize + generate code for ``plan`` (a cache
-        miss's work), with one ``plan.compile`` span when profiling."""
+        """Fuse + generate code for ``plan`` (a cache miss's work),
+        with one ``plan.compile`` span when profiling."""
         col = getattr(self.svm.machine, "collector", None)
         t0 = time.perf_counter()
         ctx = col.span("plan.compile", nodes=len(plan.nodes)) \
             if col is not None else nullcontext()
         with ctx:
             fused = fuse_plan(plan)
-            specialize_plan(plan, fused, self.svm.machine)
-            fused.compiled = compile_fused(plan, fused)
+            fused.compiled = compile_fused(plan, fused, self.svm.machine)
         if col is not None:
-            groups = len(fused.compiled.group_names) if fused.compiled else 0
+            groups = len(fused.compiled.groups) if fused.compiled else 0
             col.codegen_event(groups, time.perf_counter() - t0)
         return fused
 

@@ -242,20 +242,15 @@ class FusedPlan:
 
     units: list[int | GroupSpec] = field(default_factory=list)
     removed: tuple[int, ...] = ()
-    #: ``{GroupSpec: SpecializedGroup}`` attached by
-    #: :func:`repro.engine.specialize.specialize_plan` at cache-insert
-    #: time; ``None`` until specialized (e.g. ``fuse=False`` replays).
-    #: Excluded from equality: a specialization is derived state.
-    specialized: dict | None = field(default=None, compare=False, repr=False)
     #: :class:`~repro.engine.codegen.CompiledPlan` attached by
-    #: :func:`repro.engine.codegen.compile_fused` at cache-insert time;
-    #: ``None`` until compiled (or when there is nothing to compile).
-    #: Derived state, like ``specialized``.
+    #: :meth:`repro.engine.executor.Engine.compile_plan` at cache-insert
+    #: time; ``None`` until compiled (or when there is nothing to
+    #: compile). Excluded from equality: it is derived state.
     compiled: object | None = field(default=None, compare=False, repr=False)
     #: :class:`~repro.engine.native.NativePlan` attached by
     #: :func:`repro.engine.native.lower_plan` on first native-backend
     #: use (``None`` = not yet attempted, ``"unavailable"`` =
-    #: structurally ineligible). Derived state, like ``specialized``.
+    #: structurally ineligible). Derived state, like ``compiled``.
     native: object | None = field(default=None, compare=False, repr=False)
 
     @property

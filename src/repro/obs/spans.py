@@ -293,7 +293,7 @@ class ProfileCollector:
         m.gauge("engine.plan_cache.hit_rate").set(round(cache.stats.hit_rate, 4))
 
     def codegen_event(self, groups: int, seconds: float) -> None:
-        """Engine hook: one plan compiled (fuse + specialize + codegen)
+        """Engine hook: one plan compiled (fuse + codegen)
         on a cache miss; ``groups`` is how many fused groups got
         generated kernels."""
         ms = seconds * 1e3

@@ -19,7 +19,7 @@ the ``repro bench --jobs N`` CLI.
 
 Workers started with ``REPRO_CACHE_DIR`` set additionally share the
 persistent plan store (:class:`~repro.engine.cache.PlanStore`), so
-each worker process skips capture/fuse/specialize/codegen for plans
+each worker process skips capture/fuse/codegen for plans
 any earlier process already compiled.
 """
 
@@ -116,10 +116,11 @@ def fusion_cell(params: dict) -> dict:
 
 
 def codegen_cell(params: dict) -> dict:
-    """One generated-kernel-vs-interpreted-executor measurement.
+    """One generated-kernel-vs-strict-reference measurement.
 
     ``params``: n, vlen, lmul, depth, seed. Runs the chain+scan
-    pipeline once per backend on a private machine and reports both
+    pipeline once in strict mode (the per-strip reference) and once on
+    the codegen fast path, each on a private machine, and reports both
     dynamic instruction counts plus result/counter identity — the
     invariants ``BENCH_codegen.json`` locks under the tolerance-0 CI
     gate. Wall-clock speedup is timing-dependent and therefore
@@ -135,24 +136,24 @@ def codegen_cell(params: dict) -> dict:
         0, 2**16, n, dtype=np.uint32
     )
 
-    def one(backend: str):
-        svm = SVM(vlen=vlen, codegen="paper", mode="fast", backend=backend)
+    def one(mode: str):
+        svm = SVM(vlen=vlen, codegen="paper", mode=mode, backend="codegen")
         data = svm.array(values)
         svm.reset()
         with svm.lazy() as lz:
             _chain_pipeline(lz, data, lmul, depth)
         return svm.counters.snapshot(), data.to_numpy()
 
-    interp, ref = one("interp")
-    codegen, got = one("codegen")
+    strict, ref = one("strict")
+    codegen, got = one("fast")
     return {
         "vlen": vlen,
         "lmul": int(lmul),
         "n": n,
-        "interp_instr": interp.total,
+        "strict_instr": strict.total,
         "codegen_instr": codegen.total,
         "identical_results": bool(np.array_equal(ref, got)),
-        "identical_counters": bool(interp.by_category == codegen.by_category),
+        "identical_counters": bool(strict.by_category == codegen.by_category),
     }
 
 

@@ -133,10 +133,10 @@ class SVM:
         self.config = cfg
         self.lmul = cfg.lmul
         #: Fast-path backend for the lazy engine: "codegen" (default)
-        #: runs generated kernels, "interp" the LaneStep interpreter,
-        #: "native" compiled whole-plan C kernels with counters kept
-        #: identical, "native-speed" the same kernels with counters
-        #: compiled out; None defers to REPRO_BACKEND / the engine
+        #: runs generated kernels, "native" compiled whole-plan C
+        #: kernels with counters kept identical, "native-speed" the
+        #: same kernels with counters compiled out; None defers to
+        #: REPRO_BACKEND / the engine
         #: default. Native tiers fall back to codegen when the plan is
         #: ineligible or no C toolchain is present.
         self.backend = cfg.backend

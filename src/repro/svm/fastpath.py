@@ -407,9 +407,21 @@ def fast_back_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
 #: back (2 extra vsetvls) and issues the compacted store (1 extra
 #: vse). Everything else in pack's profile is closed-form. This is the
 #: single source for the variable term — shared by :func:`fast_pack`
-#: and the ragged 2D batch path (via
-#: :func:`repro.engine.specialize.pack_variable_items`).
+#: and the ragged 2D batch path (via :func:`pack_variable_items`).
 PACK_VARIABLE = ((Cat.VCONFIG, 2), (Cat.VMEM, 1))
+
+
+def pack_variable_items(sws: int) -> tuple[tuple[Cat, int], ...]:
+    """Pack's data-dependent charge for one row as ``(category, count)``
+    pairs, given that row's strips-with-survivors count.
+
+    Every other term in pack's profile is a function of (n, VLEN, SEW,
+    LMUL) alone and is covered by the closed-form counter delta; only
+    these items vary between rows of a batch. The weights are
+    :data:`PACK_VARIABLE` — the same constant :func:`fast_pack`
+    charges with — so the eager and ragged tiers cannot drift."""
+    sws = int(sws)
+    return tuple((cat, weight * sws) for cat, weight in PACK_VARIABLE)
 
 
 def pack_strip_survivors(keep: np.ndarray, vlmax: int) -> np.ndarray:

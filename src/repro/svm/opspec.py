@@ -4,8 +4,8 @@ Before this registry existed every primitive was declared five times —
 a strict per-strip kernel (:mod:`repro.svm.elementwise` and friends), a
 closed-form NumPy fast path (:mod:`repro.svm.fastpath`), a capture node
 kind (:mod:`repro.engine.capture`), a fusion lane recipe
-(:mod:`repro.engine.fuse` / :mod:`repro.engine.specialize`) and a
-codegen emitter (:mod:`repro.engine.codegen`) — and keeping the five in
+(:mod:`repro.engine.fuse`) and a codegen emitter
+(:mod:`repro.engine.codegen`) — and keeping the five in
 agreement was manual. Now each primitive is declared exactly once here;
 every layer consumes the spec:
 
@@ -13,7 +13,7 @@ every layer consumes the spec:
   dispatches (``spec.strict``/``spec.fast`` keyed by variant);
 * :class:`repro.engine.capture.PlanBuilder` records the structured node
   kind named by ``spec.node_kinds`` — no primitive is opaque anymore;
-* the fuser and specializer derive lane recipes from
+* the fuser and the code generator derive lane recipes from
   :data:`LANE_RECIPES` instead of per-kind if-ladders;
 * the batch runner consults ``spec.batch2d`` / ``spec.data_dependent``
   / ``spec.ragged2d`` to pick the ``2d`` / ``ragged`` / ``loop`` path;
@@ -23,7 +23,7 @@ every layer consumes the spec:
 
 Adding a primitive is now a one-file change: write the strict and fast
 kernels, register an :class:`OpSpec`, and every tier — eager, capture,
-fusion, specialization, codegen, batch — picks it up (see
+fusion, codegen, batch — picks it up (see
 ``docs/opspec.md`` for the recipe).
 
 This module must stay **engine-free**: the engine imports the registry
@@ -73,7 +73,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OpSpec:
-    """Everything the five execution tiers need to know about one
+    """Everything the execution tiers need to know about one
     primitive.
 
     ``node_kinds`` maps a dispatch variant (``"vx"``, ``"vv"``,
@@ -447,13 +447,13 @@ _register(OpSpec(
 
 
 # ---------------------------------------------------------------------------
-# fusion lane recipes (consumed by repro.engine.fuse / .specialize)
+# fusion lane recipes (consumed by repro.engine.fuse / .codegen)
 # ---------------------------------------------------------------------------
 
 #: node-kind value → tuple of ``(lane_kind, op_override, const)``: the
 #: strip lanes one captured node contributes to a fused group. ``op``
 #: defaults to the node's own op; ``const`` is a structural scalar
-#: baked at specialization time (get_flags' ``& 1``).
+#: baked at code-generation time (get_flags' ``& 1``).
 LANE_RECIPES: dict[str, tuple[tuple[str, str | None, int | None], ...]] = {
     "ew_vx": (("vx", None, None),),
     "ew_vv": (("vv", None, None),),

@@ -6,10 +6,9 @@ configuration depends on workload *shape*: high LMUL wins at large n
 package operationalizes that observation end to end:
 
 * :mod:`~repro.tune.advisor` — closed-form cost prediction per LMUL
-  and the paper-conclusion selection heuristic (moved here from the
-  deprecated ``repro.lmul.advisor``);
+  and the paper-conclusion selection heuristic;
 * :mod:`~repro.tune.measure` — the single-kernel measurement grids
-  behind Tables 5-7 and Figure 5 (moved from ``repro.lmul.sweep``);
+  behind Tables 5-7 and Figure 5;
 * :mod:`~repro.tune.sweep` — the pipeline-level sweep driver: fans a
   plan-fingerprint × size-grid × config grid over
   :mod:`repro.parallel` and fits the measurements into a policy;

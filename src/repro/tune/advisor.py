@@ -1,5 +1,4 @@
-"""LMUL selection advisor — operationalizing §6.3's conclusion
-(formerly ``repro.lmul.advisor``).
+"""LMUL selection advisor — operationalizing §6.3's conclusion.
 
 The paper closes its LMUL study with guidance: *"for workloads with
 small vector size, the overhead of register spilling can be

@@ -1,5 +1,5 @@
 """Single-kernel LMUL/VLEN measurement grids — the loops behind
-Tables 5-7 and Figure 5 (formerly ``repro.lmul.sweep``).
+Tables 5-7 and Figure 5.
 
 Each sweep runs a kernel on a fresh machine per configuration and
 collects the measured dynamic instruction counts; the bench harness

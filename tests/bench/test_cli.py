@@ -65,10 +65,13 @@ class TestCommands:
         assert "pack" in out and "keep" in out
 
     def test_fuse_backend_flag(self, capsys):
-        for backend in ("interp", "codegen"):
+        for backend in ("codegen", "native"):
             assert main(["fuse", "--n", "200", "--vlen", "128",
                          "--backend", backend]) == 0
             assert "bit-identical" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["fuse", "--backend", "interp"])
+        assert exc.value.code == 2
 
     def test_bench_out_merged_grid_jobs1(self, tmp_path, capsys):
         import json
@@ -85,7 +88,7 @@ class TestCommands:
         assert all(c["identical"] for c in doc["fusion"])
         assert all(c["identical_results"] and c["identical_counters"]
                    for c in doc["batch"])
-        assert all(c["codegen_instr"] == c["interp_instr"]
+        assert all(c["codegen_instr"] == c["strict_instr"]
                    for c in doc["codegen"])
 
     def test_bench_out_matches_across_jobs(self, tmp_path):

@@ -1,11 +1,11 @@
 """Generated-kernel backend (``repro.engine.codegen``) equivalence.
 
 The codegen backend must be bit-identical and per-category
-counter-identical to the interpreted specialized executor across the
-full VLEN × LMUL grid — for single-call and batched execution — and
-must fall back to the interpreter wherever generated kernels don't
-apply (plans with no fused groups, strict mode). CompiledPlan must survive a pickle
-round-trip (the persistent store's transport).
+counter-identical to the strict per-strip reference (the same lazy
+plan run with ``mode="strict"``) across the full VLEN × LMUL grid —
+for single-call and batched execution — including plans with no fused
+groups, where the unit loop replays every node. CompiledPlan must
+survive a pickle round-trip (the persistent store's transport).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ LMULS = (1, 2, 4, 8)
 N = 777
 
 
-def _run(pipe, *, vlen, lmul, backend, n=N, mode="fast", seed=0):
+def _run(pipe, *, vlen, lmul, backend="codegen", n=N, mode="fast", seed=0):
     svm = SVM(vlen=vlen, codegen="paper", mode=mode, backend=backend)
     data = make_data(svm, n, seed)
     svm.reset()
@@ -41,10 +41,10 @@ def _run(pipe, *, vlen, lmul, backend, n=N, mode="fast", seed=0):
 @pytest.mark.parametrize("lmul", LMULS)
 def test_backend_equivalence_grid(pipeline, vlen, lmul):
     lm = LMUL(lmul)
-    interp, ref, _ = _run(pipeline, vlen=vlen, lmul=lm, backend="interp")
-    codegen, got, _ = _run(pipeline, vlen=vlen, lmul=lm, backend="codegen")
+    strict, ref, _ = _run(pipeline, vlen=vlen, lmul=lm, mode="strict")
+    codegen, got, _ = _run(pipeline, vlen=vlen, lmul=lm)
     assert np.array_equal(ref, got)
-    assert interp.by_category == codegen.by_category
+    assert strict.by_category == codegen.by_category
 
 
 @pytest.mark.parametrize("vlen", VLENS)
@@ -57,21 +57,22 @@ def test_backend_equivalence_batch(vlen, lmul):
     def pipe(lz, data):
         return PIPELINES["chain_scan"](lz, data, lm)
 
+    # strict batches take the per-row loop: the reference semantics
     outs, snaps = {}, {}
-    for backend in ("interp", "codegen"):
-        svm = SVM(vlen=vlen, codegen="paper", mode="fast", backend=backend)
+    for mode in ("strict", "fast"):
+        svm = SVM(vlen=vlen, codegen="paper", mode=mode, backend="codegen")
         res = svm.batch(pipe, rows)
-        outs[backend] = [np.array(r) for r in res]
-        snaps[backend] = svm.machine.counters.snapshot()
+        outs[mode] = [np.array(r) for r in res]
+        snaps[mode] = svm.machine.counters.snapshot()
     assert all(
-        np.array_equal(a, b) for a, b in zip(outs["interp"], outs["codegen"])
+        np.array_equal(a, b) for a, b in zip(outs["strict"], outs["fast"])
     )
-    assert snaps["interp"].by_category == snaps["codegen"].by_category
+    assert snaps["strict"].by_category == snaps["fast"].by_category
 
 
 def test_whole_plan_kernel_and_copy_elision():
     _, _, svm = _run(PIPELINES["chain_scan"], vlen=512, lmul=LMUL.M1,
-                     backend="codegen", n=1000)
+                     n=1000)
     cp = svm.engine.last_fused.compiled
     assert cp is not None
     # every unit fused -> the whole plan runs as one generated call
@@ -85,55 +86,54 @@ def test_whole_plan_kernel_and_copy_elision():
 
 def test_alias_keeps_copy_discipline():
     # p_add(data, data): the head's vector operand aliases dst, so the
-    # generated kernel must keep the interpreter's copy-then-writeback
-    interp, ref, _ = _run(PIPELINES["alias"], vlen=256, lmul=LMUL.M1,
-                          backend="interp")
-    codegen, got, svm = _run(PIPELINES["alias"], vlen=256, lmul=LMUL.M1,
-                             backend="codegen")
+    # generated kernel must copy the head and write back at the end
+    strict, ref, _ = _run(PIPELINES["alias"], vlen=256, lmul=LMUL.M1,
+                          mode="strict")
+    codegen, got, svm = _run(PIPELINES["alias"], vlen=256, lmul=LMUL.M1)
     assert np.array_equal(ref, got)
-    assert interp.by_category == codegen.by_category
+    assert strict.by_category == codegen.by_category
     assert "copy=True" in svm.engine.last_fused.compiled.source
 
 
 def test_unfused_plan_has_no_compiled_kernels():
     # seg_scan captures as a structured node but never fuses; with no
-    # fused groups compile_fused returns None and the codegen backend
-    # falls back to the interpreter's replay with identical behavior
+    # fused groups there is no whole-plan kernel and the unit loop
+    # replays every node with identical behavior
     def pipe(lz, data, lmul):
         flags = lz.get_flags(data, 0, lmul=lmul)
         lz.seg_plus_scan(data, flags, lmul=lmul)
         lz.free(flags)
         return data
 
-    interp, ref, _ = _run(pipe, vlen=256, lmul=LMUL.M1, backend="interp")
-    codegen, got, svm = _run(pipe, vlen=256, lmul=LMUL.M1, backend="codegen")
+    strict, ref, _ = _run(pipe, vlen=256, lmul=LMUL.M1, mode="strict")
+    codegen, got, svm = _run(pipe, vlen=256, lmul=LMUL.M1)
     assert np.array_equal(ref, got)
-    assert interp.by_category == codegen.by_category
+    assert strict.by_category == codegen.by_category
     fused = svm.engine.last_fused
     # no groups compiled, so there is no whole-plan kernel
     assert fused.compiled is None or fused.compiled.plan_fn is None
 
 
 def test_strict_mode_is_backend_independent(pipeline):
-    interp, ref, _ = _run(pipeline, vlen=128, lmul=LMUL.M1,
-                          backend="interp", mode="strict")
-    codegen, got, _ = _run(pipeline, vlen=128, lmul=LMUL.M1,
+    codegen, ref, _ = _run(pipeline, vlen=128, lmul=LMUL.M1,
                            backend="codegen", mode="strict")
+    native, got, _ = _run(pipeline, vlen=128, lmul=LMUL.M1,
+                          backend="native", mode="strict")
     assert np.array_equal(ref, got)
-    assert interp.by_category == codegen.by_category
+    assert codegen.by_category == native.by_category
 
 
 def test_empty_input_both_backends():
-    interp, ref, _ = _run(PIPELINES["chain_scan"], vlen=256, lmul=LMUL.M1,
-                          backend="interp", n=0)
+    strict, ref, _ = _run(PIPELINES["chain_scan"], vlen=256, lmul=LMUL.M1,
+                          mode="strict", n=0)
     codegen, got, _ = _run(PIPELINES["chain_scan"], vlen=256, lmul=LMUL.M1,
-                           backend="codegen", n=0)
+                           n=0)
     assert np.array_equal(ref, got)
-    assert interp.by_category == codegen.by_category
+    assert strict.by_category == codegen.by_category
 
 
 def test_compiled_plan_pickle_roundtrip():
-    svm = SVM(vlen=512, codegen="paper", mode="fast", backend="codegen")
+    svm = SVM(vlen=512, codegen="paper", mode="fast")
     data = make_data(svm, 500)
     with svm.lazy() as lz:
         PIPELINES["chain_scan"](lz, data, LMUL.M1)
@@ -154,8 +154,13 @@ def test_compiled_plan_pickle_roundtrip():
 def test_resolve_backend(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert resolve_backend(None) == DEFAULT_BACKEND
-    assert resolve_backend("interp") == "interp"
+    assert resolve_backend("native-speed") == "native-speed"
+    monkeypatch.setenv("REPRO_BACKEND", "native-speed")
+    assert resolve_backend(None) == "native-speed"
+    # an unknown env value falls back; an explicit one raises
     monkeypatch.setenv("REPRO_BACKEND", "interp")
-    assert resolve_backend(None) == "interp"
+    assert resolve_backend(None) == DEFAULT_BACKEND
+    with pytest.raises(EngineError):
+        resolve_backend("interp")
     with pytest.raises(EngineError):
         resolve_backend("jit")

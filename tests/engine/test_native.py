@@ -6,7 +6,7 @@ The contracts under test (see ``docs/native.md``):
   execution of a plan replays through codegen while recording its
   counter-charge profile; every later execution runs the compiled C
   kernel and replays that profile, so results AND per-category
-  counters stay bit-identical to the interpreter forever;
+  counters stay bit-identical to the strict reference forever;
 * ``backend="native-speed"`` — results stay bit-identical, counters
   are compiled out entirely (zero bookkeeping);
 * graceful degradation — no toolchain, a structurally ineligible plan
@@ -59,9 +59,9 @@ def _observe(svm, pipe, lmul, seed=0):
 @needs_cc
 def test_warm_run_counter_identity(name):
     """Runs 2..k replay the C kernel; results and counters must stay
-    identical to the interpreter on every one of them."""
+    identical to the strict reference on every one of them."""
     pipe = PIPELINES[name]
-    ref_svm = SVM(vlen=128, mode="fast", backend="interp")
+    ref_svm = SVM(vlen=128, mode="strict")
     ref, ref_counts, _ = _observe(ref_svm, pipe, LMUL.M1)
 
     svm = SVM(vlen=128, mode="fast", backend="native")
@@ -104,7 +104,7 @@ def test_future_threading_not_stale():
         return data
 
     def ref(seed):
-        svm = SVM(vlen=128, mode="fast", backend="interp")
+        svm = SVM(vlen=128, mode="strict")
         return _observe(svm, pipe, LMUL.M1, seed)[:2]
 
     svm = SVM(vlen=128, mode="fast", backend="native")
@@ -120,7 +120,7 @@ def test_future_threading_not_stale():
 def test_speed_mode_zero_counters(name):
     """native-speed: bit-identical results, counters compiled out."""
     pipe = PIPELINES[name]
-    ref_svm = SVM(vlen=128, mode="fast", backend="interp")
+    ref_svm = SVM(vlen=128, mode="strict")
     ref, _, _ = _observe(ref_svm, pipe, LMUL.M1)
 
     svm = SVM(vlen=128, mode="fast", backend="native-speed")
@@ -202,7 +202,7 @@ def test_batch_native_2d(monkeypatch):
     rng = np.random.default_rng(5)
     inputs = [rng.integers(0, 2**16, 64).tolist() for _ in range(6)]
 
-    ref_svm = SVM(vlen=128, mode="fast", backend="interp")
+    ref_svm = SVM(vlen=128, mode="strict")
     ref = ref_svm.batch(pipe, inputs)
     ref_counts = ref_svm.machine.counters.snapshot().by_category
 

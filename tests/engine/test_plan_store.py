@@ -56,7 +56,7 @@ def test_warm_start_skips_compile(tmp_path):
     col = svm2.profiler
     col.finish()
     doc = col.to_json()
-    # capture happened, but fuse/specialize/codegen did not
+    # capture happened, but fuse/codegen did not
     assert "plan.compile" not in _span_names(doc)
     hits = [e for e in doc["events"] if e["name"] == "plan_cache.hit"]
     assert hits and hits[0]["meta"]["source"] == "disk"

@@ -51,8 +51,8 @@ def _eager(vlen, lmul, values, flags):
     return svm.machine.counters.snapshot(), data.to_numpy()
 
 
-def _engine(vlen, lmul, values, flags, backend):
-    svm = SVM(vlen=vlen, codegen="paper", mode="fast", backend=backend)
+def _engine(vlen, lmul, values, flags, mode):
+    svm = SVM(vlen=vlen, codegen="paper", mode=mode)
     data, fl = svm.array(values), svm.array(flags)
     svm.reset()
     with svm.lazy() as lz:
@@ -67,11 +67,11 @@ def test_seg_scan_edges_grid(vlen, lmul):
     vlmax = vlen * lmul // SEW_BITS
     for label, values, flags in _cases(vlmax):
         ref_snap, ref = _eager(vlen, lm, values, flags)
-        for backend in ("interp", "codegen"):
-            snap, got = _engine(vlen, lm, values, flags, backend)
-            assert np.array_equal(ref, got), (label, vlen, lmul, backend)
+        for mode in ("strict", "fast"):
+            snap, got = _engine(vlen, lm, values, flags, mode)
+            assert np.array_equal(ref, got), (label, vlen, lmul, mode)
             assert ref_snap.by_category == snap.by_category, (
-                label, vlen, lmul, backend)
+                label, vlen, lmul, mode)
 
 
 def test_seg_scan_semantics_at_boundary():
@@ -84,6 +84,6 @@ def test_seg_scan_semantics_at_boundary():
     flags = np.zeros(2 * vlmax, dtype=np.uint32)
     flags[0] = 1
     flags[vlmax] = 1
-    _, got = _engine(vlen, lm, values, flags, "codegen")
+    _, got = _engine(vlen, lm, values, flags, "fast")
     expect = np.concatenate([np.arange(1, vlmax + 1, dtype=np.uint32)] * 2)
     assert np.array_equal(got, expect)

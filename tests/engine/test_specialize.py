@@ -1,6 +1,7 @@
-"""Plan specialization: cache-insert compilation must change nothing
-observable — same results, same counters — while populating the bound
-state the fast path and the batch runner replay."""
+"""Cache-insert compilation (``Engine.compile_plan``: fuse → codegen)
+must change nothing observable — same results, same counters as the
+strict reference — while attaching the generated kernels the fast path
+and the batch runner call."""
 
 from __future__ import annotations
 
@@ -9,13 +10,10 @@ import pytest
 
 from repro import SVM
 from repro.engine.capture import PlanBuilder
-from repro.engine.executor import charge_group, execute
+from repro.engine.codegen import group_charge_items
+from repro.engine.executor import execute, run_group_strict
 from repro.engine.fuse import GroupSpec, fuse, materialize
-from repro.engine.specialize import (
-    SpecializedGroup,
-    group_charge_items,
-    specialize_plan,
-)
+from repro.engine.ir import EngineError
 from repro.rvv.types import LMUL
 
 from .conftest import PIPELINES, make_data
@@ -24,65 +22,77 @@ from .conftest import PIPELINES, make_data
 def _capture(svm, pipe, n, lmul=LMUL.M1, seed=0):
     data = make_data(svm, n, seed)
     lz = PlanBuilder(svm)
-    pipe(lz, data, lmul)
-    return lz.build()
+    out = pipe(lz, data, lmul)
+    return lz.build(), out
 
 
 def test_fused_for_attaches_specializations():
     svm = SVM(vlen=128, mode="fast")
-    plan = _capture(svm, PIPELINES["chain_scan"], 4096)
+    plan, _ = _capture(svm, PIPELINES["chain_scan"], 4096)
     fused = svm.engine.fused_for(plan)
-    assert fused.specialized is not None
+    cp = fused.compiled
+    assert cp is not None
     specs = [u for u in fused.units if isinstance(u, GroupSpec)]
-    assert specs and set(fused.specialized) == set(specs)
-    for spec, sg in fused.specialized.items():
-        assert isinstance(sg, SpecializedGroup)
-        assert sg.n == 4096
-        assert sg.charge  # closed form is precomputed
-        assert (sg.scan_ufunc is not None) == spec.scan
+    assert specs and set(cp.groups) == set(specs)
+    for cg in cp.groups.values():
+        assert cg.n == 4096
+    # the closed-form charge is prebound, one batched call per group
+    assert cp.source.count("counters.add_many(") == len(specs)
 
 
-def test_charge_items_equal_charge_group():
-    svm = SVM(vlen=128)
-    for name in ("chain_scan", "cmp_chain", "flags", "vv_mix"):
-        plan = _capture(svm, PIPELINES[name], 1000)
-        fused = fuse(plan)
-        for unit in fused.units:
-            if not isinstance(unit, GroupSpec):
-                continue
-            group = materialize(plan, unit)
-            probe = SVM(vlen=128)
-            with probe.machine.region() as delta:
-                charge_group(probe.machine, group)
-            items = dict(group_charge_items(probe.machine, group))
-            observed = {c: k for c, k in delta.by_category.items() if k}
-            assert items == observed
+def test_charge_items_equal_strict_delta():
+    """The precomputed charge of every fused group equals the counter
+    delta of driving that group through the strict strip loop — with
+    and without spills, with a remainder strip."""
+    checked = 0
+    for vlen, lmul in ((128, LMUL.M1), (128, LMUL.M8), (1024, LMUL.M4)):
+        svm = SVM(vlen=vlen, mode="strict")
+        for name in ("chain_scan", "cmp_chain", "flags", "vv_mix", "alias"):
+            plan, _ = _capture(svm, PIPELINES[name], 1000, lmul=lmul)
+            for unit in fuse(plan).units:
+                if not isinstance(unit, GroupSpec):
+                    continue
+                group = materialize(plan, unit)
+                with svm.machine.region() as delta:
+                    run_group_strict(svm, plan, group)
+                observed = {c: k for c, k in delta.by_category.items() if k}
+                assert dict(group_charge_items(svm.machine, group)) == observed
+                checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINES))
 @pytest.mark.parametrize("mode", ["fast", "strict"])
 def test_specialized_execution_identical(name, mode):
-    def run(specialize: bool):
-        svm = SVM(vlen=128, mode=mode)
-        data = make_data(svm, 600, seed=9)
-        lz = PlanBuilder(svm)
-        out = PIPELINES[name](lz, data, LMUL.M1)
-        plan = lz.build()
-        fused = fuse(plan)
-        assert fused.specialized is None
-        if specialize:
-            specialize_plan(plan, fused, svm.machine)
+    """A compiled plan run in ``mode`` matches the bare fusion recipe
+    run strictly, bit for bit and counter for counter."""
+    def run(run_mode: str, compiled: bool):
+        svm = SVM(vlen=128, mode=run_mode)
+        plan, out = _capture(svm, PIPELINES[name], 600, seed=9)
+        fused = svm.engine.compile_plan(plan) if compiled else fuse(plan)
+        assert (fused.compiled is not None) == (compiled and fused.n_groups > 0)
         execute(svm, plan, fused)
         return out.to_numpy(), svm.counters.snapshot().by_category
 
-    base_out, base_counts = run(specialize=False)
-    spec_out, spec_counts = run(specialize=True)
-    assert np.array_equal(base_out, spec_out)
-    assert base_counts == spec_counts
+    ref_out, ref_counts = run("strict", compiled=False)
+    got_out, got_counts = run(mode, compiled=True)
+    assert np.array_equal(ref_out, got_out)
+    assert ref_counts == got_counts
+
+
+def test_uncompiled_fast_group_raises():
+    """There is no fallback fast path: a fused group without generated
+    kernels cannot run in fast mode."""
+    svm = SVM(vlen=128, mode="fast")
+    plan, _ = _capture(svm, PIPELINES["chain_scan"], 100)
+    fused = fuse(plan)
+    assert fused.n_groups and fused.compiled is None
+    with pytest.raises(EngineError, match="compile_plan"):
+        execute(svm, plan, fused)
 
 
 def test_specialization_replays_across_alpha_equivalent_plans():
-    """A cached specialization must resolve buffers from the executing
+    """A cached compilation must resolve buffers from the executing
     plan, not the inserting one: run two pipelines that share a
     signature but bind different buffer objects and scalars."""
     svm = SVM(vlen=128, mode="fast")

@@ -2,7 +2,7 @@
 
 Every primitive registered in :mod:`repro.svm.opspec` must produce
 bit-identical results *and* per-category counters across all five
-execution tiers — eager strict, eager fast, lazy interp, lazy codegen,
+execution tiers — eager strict, eager fast, lazy strict, lazy codegen,
 lazy native (compiled whole-plan C kernels) — over a VLEN × LMUL grid.
 The op list is derived from the registry itself, and a completeness
 assertion keeps the two in lockstep: registering a new primitive
@@ -183,13 +183,12 @@ def test_invoke_table_complete():
 def test_five_tier_identity(name, vlen, lmul):
     strict = _run(_INVOKE, name, vlen, lmul, "strict")
     fast = _run(_INVOKE, name, vlen, lmul, "fast")
-    interp = _run(_INVOKE, name, vlen, lmul, "fast", lazy=True,
-                  backend="interp")
+    lazy_strict = _run(_INVOKE, name, vlen, lmul, "strict", lazy=True)
     codegen = _run(_INVOKE, name, vlen, lmul, "fast", lazy=True,
                    backend="codegen")
     native = _run_native(_INVOKE, name, vlen, lmul)
     _assert_tier_matches(strict, fast, label=f"{name} fast")
-    _assert_tier_matches(strict, interp, label=f"{name} lazy-interp")
+    _assert_tier_matches(strict, lazy_strict, label=f"{name} lazy-strict")
     _assert_tier_matches(strict, codegen, label=f"{name} lazy-codegen")
     _assert_tier_matches(strict, native, label=f"{name} lazy-native")
 
@@ -228,14 +227,13 @@ def test_speed_mode_results_identity(name):
 def test_composite_identity(name, vlen, lmul):
     strict = _run(_COMPOSITES, name, vlen, lmul, "strict")
     fast = _run(_COMPOSITES, name, vlen, lmul, "fast")
-    interp = _run(_COMPOSITES, name, vlen, lmul, "fast", lazy=True,
-                  backend="interp")
+    lazy_strict = _run(_COMPOSITES, name, vlen, lmul, "strict", lazy=True)
     codegen = _run(_COMPOSITES, name, vlen, lmul, "fast", lazy=True,
                    backend="codegen")
     _assert_tier_matches(strict, fast, label=f"{name} fast")
     # captured composites lower to plan nodes with uncharged scratch
     # temporaries; results must still match bit-for-bit
-    _assert_tier_matches(strict, interp, counters=False,
-                         label=f"{name} lazy-interp")
+    _assert_tier_matches(strict, lazy_strict, counters=False,
+                         label=f"{name} lazy-strict")
     _assert_tier_matches(strict, codegen, counters=False,
                          label=f"{name} lazy-codegen")

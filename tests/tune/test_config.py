@@ -51,11 +51,11 @@ class TestEnvLayer:
     def test_env_overlays_defaults(self, monkeypatch):
         monkeypatch.setenv(ENV_VARS["vlen"], "256")
         monkeypatch.setenv(ENV_VARS["lmul"], "8")
-        monkeypatch.setenv(ENV_VARS["backend"], "interp")
+        monkeypatch.setenv(ENV_VARS["backend"], "native-speed")
         cfg = ExecConfig.from_env()
         assert cfg.vlen == 256
         assert cfg.lmul is LMUL.M8
-        assert cfg.backend == "interp"
+        assert cfg.backend == "native-speed"
         assert cfg.digit_bits == 2  # untouched axis keeps its default
 
     def test_env_read_at_resolve_time_not_import_time(self, monkeypatch):
@@ -78,10 +78,15 @@ class TestEnvLayer:
 
     def test_malformed_env_keeps_good_siblings(self, monkeypatch):
         monkeypatch.setenv(ENV_VARS["vlen"], "nope")
-        monkeypatch.setenv(ENV_VARS["backend"], "interp")
+        monkeypatch.setenv(ENV_VARS["backend"], "native-speed")
         cfg = ExecConfig.from_env()
         assert cfg.vlen == 1024              # bad field dropped
-        assert cfg.backend == "interp"       # good field survives
+        assert cfg.backend == "native-speed"  # good field survives
+
+    def test_removed_interp_backend_env_falls_back(self, monkeypatch):
+        monkeypatch.setenv(ENV_VARS["backend"], "interp")
+        assert ExecConfig.from_env().backend is None  # dropped, no raise
+        assert SVM().engine.backend == "codegen"
 
 
 class TestExplicitLayer:
@@ -101,6 +106,12 @@ class TestExplicitLayer:
         with pytest.raises(ConfigurationError):
             ExecConfig(digit_bits=0)
 
+    def test_removed_interp_backend_raises(self):
+        with pytest.raises(ConfigurationError):
+            ExecConfig(backend="interp")
+        with pytest.raises(ConfigurationError):
+            SVM(backend="interp")
+
     def test_unknown_axis_raises(self):
         with pytest.raises(ConfigurationError):
             ExecConfig().override(warp_factor=9)
@@ -110,7 +121,7 @@ class TestExplicitLayer:
         assert cfg.override(vlen=None) is cfg
 
     def test_roundtrip_dict(self):
-        cfg = ExecConfig(vlen=256, lmul=LMUL.M4, backend="interp")
+        cfg = ExecConfig(vlen=256, lmul=LMUL.M4, backend="native-speed")
         assert ExecConfig.from_dict(cfg.as_dict()) == cfg
 
     def test_as_dict_is_json_plain(self):
@@ -151,8 +162,8 @@ class TestSVMIntegration:
 class TestCallTimeHelpers:
     def test_env_backend(self, monkeypatch):
         assert env_backend() is None
-        monkeypatch.setenv(ENV_VARS["backend"], "interp")
-        assert env_backend() == "interp"
+        monkeypatch.setenv(ENV_VARS["backend"], "native-speed")
+        assert env_backend() == "native-speed"
 
     def test_env_bench_jobs_clamped(self, monkeypatch):
         monkeypatch.setenv(ENV_VARS["bench_jobs"], "-3")

@@ -5,7 +5,7 @@ Run with ``REPRO_CACHE_DIR`` set. Phase ``cold`` executes a pipeline
 bits; phase ``warm`` re-runs the identical pipeline in a *fresh
 process* and asserts (a) the output is bit-identical, (b) the plan was
 served from the on-disk store, and (c) no capture-analysis /
-fuse / specialize / codegen work happened — no ``plan.compile`` span
+fuse / codegen work happened — no ``plan.compile`` span
 and no ``codegen.compile`` event in the profile.
 
     REPRO_CACHE_DIR=/tmp/cache python tools/ci_warm_cache.py cold --ref /tmp/ref.npy
@@ -50,8 +50,7 @@ def main() -> int:
     parser.add_argument("--ref", required=True,
                         help="path of the .npy reference written by cold")
     parser.add_argument("--backend", default="codegen",
-                        choices=["interp", "codegen", "native",
-                                 "native-speed"],
+                        choices=["codegen", "native", "native-speed"],
                         help="execution backend; 'native' additionally "
                              "proves the compiled C artifacts persist "
                              "next to the plan entries")
