@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine.capture import PlanBuilder
-from ..obs.telemetry import note_batch_path
 from ..engine.executor import execute
 from ..engine.fuse import GroupSpec
 from ..engine.ir import EngineError, Kind, Plan, ScalarFuture, resolve_scalar
@@ -585,7 +584,6 @@ def _dispatch_bucket(svm, pipe, rows):
     use_mat = (len(rows) > 1 and svm._fast(n) and _batchable(plan, fused)
                and (not has_pack or ragged_ok))
     path = ("ragged" if has_pack else "2d") if use_mat else "loop"
-    note_batch_path(path)  # serve telemetry: flush-scoped trace context
     col = getattr(svm.machine, "collector", None)
     ctx = col.span("batch_bucket", rows=len(rows), n=int(n), path=path) \
         if col is not None else nullcontext()

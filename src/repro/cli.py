@@ -899,8 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(under --cache-dir) per request shape at "
                         "dispatch time; see 'repro tune'")
     p.add_argument("--profile", action="store_true",
-                   help="install per-worker obs collectors (serve.flush "
-                        "spans and metrics)")
+                   help="install per-worker obs collectors (engine and "
+                        "batch spans and metrics, merged into 'metrics')")
     p.add_argument("--max-requests", type=int, default=None, metavar="N",
                    help="gracefully exit after N execute requests "
                         "(smoke tests)")

@@ -30,7 +30,6 @@ import time
 from contextlib import nullcontext
 
 from ..config import BACKENDS, DEFAULT_BACKEND, env_backend
-from ..obs.telemetry import note_plan_cache
 from ..rvv.allocation import plan_allocation
 from ..rvv.counters import Cat
 from ..rvv.intrinsics import arith, compare, loadstore, mask as maskops, move, permutation
@@ -193,22 +192,22 @@ def execute(svm, plan: Plan, fused: FusedPlan,
     counter contract by replaying its *first* execution of each plan
     through codegen while recording the counter delta, then charging
     that delta on every native run; ``"native-speed"`` skips counter
-    bookkeeping entirely (results-identical only). Profiled runs
-    (``svm.profiler``) always take the codegen tier so spans stay
-    per-group.
+    bookkeeping entirely (results-identical only).
 
     With a profiler installed each fused group gets its own span
     (``fused_scan``/``fused_ew`` with {n, nodes, path} metadata, plus
-    ``backend`` on the fast path); non-fused units replay through the
-    instrumented SVM methods, so they show up under their primitive
-    names as in eager mode.
+    ``backend`` on the fast path), and each compiled C call one
+    ``native_plan`` span with {n, backend}; non-fused units replay
+    through the instrumented SVM methods, so they show up under their
+    primitive names as in eager mode.
     """
     col = getattr(svm.machine, "collector", None)
     if backend in NATIVE_BACKENDS:
-        native = native_state(svm, plan, fused) if col is None else None
+        native = native_state(svm, plan, fused)
         if native is not None and svm._fast(native.min_n):
             if backend == "native-speed":
-                native.run(svm, plan)
+                with _native_span(col, native, backend):
+                    native.run(svm, plan)
                 return
             if native.charge_items is None:
                 # first counters-mode execution: replay through codegen
@@ -221,10 +220,20 @@ def execute(svm, plan: Plan, fused: FusedPlan,
                     (cat, k) for cat, k in delta.by_category.items() if k
                 )
                 return
-            native.run(svm, plan)
-            svm.machine.counters.add_many(native.charge_items)
+            with _native_span(col, native, backend):
+                native.run(svm, plan)
+                svm.machine.counters.add_many(native.charge_items)
             return
     _execute_units(svm, plan, fused, col)
+
+
+def _native_span(col, native, backend: str):
+    """One ``native_plan`` span around a compiled C call when
+    profiling (the charge replay inside it, so the span carries the
+    plan's counter delta)."""
+    if col is None:
+        return nullcontext()
+    return col.span("native_plan", n=native.min_n, backend=backend)
 
 
 def _execute_units(svm, plan: Plan, fused: FusedPlan, col) -> None:
@@ -300,6 +309,10 @@ class Engine:
         self.cache = cache if cache is not None else PlanCache()
         self.backend = resolve_backend(backend)
         self.store = store if store is not None else store_from_env()
+        #: Plan resolutions by tier, counted once per :meth:`fused_for`
+        #: call. Per engine, unlike the (possibly shared) cache's
+        #: stats, so a caller can diff it around its own executions.
+        self.resolutions = {"memory": 0, "disk": 0, "compile": 0}
         #: Most recent (plan, fused plan) pair — used by ``repro fuse``.
         self.last_plan: Plan | None = None
         self.last_fused: FusedPlan | None = None
@@ -366,7 +379,7 @@ class Engine:
                 fused.native = lower_plan(plan, fused) or "unavailable"
             if self.store is not None:
                 self.store.save(key, fused)
-        note_plan_cache(source if hit else "compile")
+        self.resolutions[source if hit else "compile"] += 1
         col = getattr(self.svm.machine, "collector", None)
         if col is not None:
             col.plan_cache_event(hit, self.cache,

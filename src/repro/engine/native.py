@@ -197,6 +197,10 @@ def reset_native_caches() -> None:
 #: source digest → (plan_run, plan_run2d) ctypes functions, or None
 #: when the build failed / no toolchain (memoized per process).
 _SO_CACHE: dict[str, tuple | None] = {}
+#: Serializes the check-build-memoize step: serve workers share one
+#: fused plan, and two threads building one digest would race on its
+#: temporary artifact path (one build fails and memoizes None).
+_SO_LOCK = threading.Lock()
 
 _TMP_DIR: list = []  # fallback artifact dir when the SVM has no store
 
@@ -615,9 +619,11 @@ class NativePlan:
         available or the build fails."""
         if self._fns is not None:
             return True
-        if self.digest not in _SO_CACHE:
-            _SO_CACHE[self.digest] = _build(self.source, self.digest, art_dir)
-        self._fns = _SO_CACHE[self.digest]
+        with _SO_LOCK:
+            if self.digest not in _SO_CACHE:
+                _SO_CACHE[self.digest] = _build(self.source, self.digest,
+                                                art_dir)
+            self._fns = _SO_CACHE[self.digest]
         return self._fns is not None
 
     def _scratch(self):

@@ -12,11 +12,8 @@ This package turns that from per-bench ad-hoc code into a layer:
   rate, spill share);
 * :mod:`repro.obs.export` — the tree report, JSON export, and
   Chrome-trace (``chrome://tracing`` / Perfetto) export;
-* :mod:`repro.obs.tap` — a counter-event tap that fan-outs every
-  ``Counters.add`` to subscribers (the mechanism under
-  :class:`~repro.rvv.trace.TraceRecorder`);
 * :mod:`repro.obs.telemetry` — always-on *service* telemetry for the
-  daemon: request trace IDs and context propagation, plus a bounded
+  daemon: request trace IDs and per-flush timing, plus a bounded
   flight recorder of structured events with slowest-request
   exemplars;
 * :mod:`repro.obs.exposition` — Prometheus text exposition of the
@@ -39,16 +36,7 @@ from .spans import (
     profile,
     span,
 )
-from .tap import CounterTap, install_tap, uninstall_tap_if_idle
-from .telemetry import (
-    FlightRecorder,
-    Telemetry,
-    TraceContext,
-    current_trace,
-    note_batch_path,
-    note_plan_cache,
-    trace_scope,
-)
+from .telemetry import FlightRecorder, Telemetry
 
 __all__ = [
     "ProfileCollector",
@@ -66,16 +54,8 @@ __all__ = [
     "render_tree",
     "to_json",
     "to_chrome_trace",
-    "CounterTap",
-    "install_tap",
-    "uninstall_tap_if_idle",
     "Telemetry",
     "FlightRecorder",
-    "TraceContext",
-    "current_trace",
-    "trace_scope",
-    "note_plan_cache",
-    "note_batch_path",
     "render_exposition",
     "parse_exposition",
     "ExpositionError",

@@ -314,20 +314,6 @@ class ProfileCollector:
         m.counter("batch.rows").inc(rows)
         m.counter(f"batch.buckets.{path}").inc()
 
-    def serve_flush_event(self, rows: int, n: int, path: str,
-                          wait_ms: float) -> None:
-        """Serving-daemon hook: one coalesced flush executed (``path``
-        as in :meth:`batch_event`; ``wait_ms`` is how long the oldest
-        request in the flush sat in the coalescing window)."""
-        self.event("serve.flush", rows=rows, n=n, path=path,
-                   wait_ms=round(wait_ms, 3))
-        m = self.metrics
-        m.counter("serve.flushes").inc()
-        m.counter("serve.rows").inc(rows)
-        m.counter(f"serve.flush.{path}").inc()
-        m.histogram("serve.rows_per_flush").observe(rows)
-        m.summary("serve.flush_wait_ms").observe(round(wait_ms, 3))
-
     # ------------------------------------------------------------------
     # finalization
     # ------------------------------------------------------------------

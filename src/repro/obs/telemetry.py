@@ -7,19 +7,7 @@ cheap enough to leave enabled, with just enough retained context to
 explain a slow or failed request after the fact. This module is that
 layer; :mod:`repro.serve.server` drives it.
 
-Three pieces:
-
-* **Trace context** — a :class:`contextvars.ContextVar` carrying a
-  per-flush :class:`TraceContext`. The serving daemon activates it
-  around each flush execution (in the worker thread, so contexts
-  never leak across threads), and deep layers that must not import
-  ``repro.serve`` — :meth:`repro.engine.executor.Engine.fused_for`,
-  :func:`repro.batch.runner.run_bucket`'s dispatcher — annotate it
-  through the module-level :func:`note_plan_cache` /
-  :func:`note_batch_path` helpers. That is how a response can say
-  which plan-cache tier (memory / disk / compile) and dispatch path
-  ("2d" / "ragged" / "loop") served it without threading arguments
-  through five call layers.
+Two pieces:
 
 * **Flight recorder** — :class:`FlightRecorder`, a bounded ring
   buffer (``collections.deque(maxlen=...)``: appends are O(1), old
@@ -45,89 +33,14 @@ on or off (``tests/serve/test_identity.py`` runs with it on).
 
 from __future__ import annotations
 
-import contextvars
 import heapq
 import itertools
 import json
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 
-__all__ = [
-    "TraceContext",
-    "FlightRecorder",
-    "Telemetry",
-    "current_trace",
-    "trace_scope",
-    "note_plan_cache",
-    "note_batch_path",
-]
-
-_TRACE: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_trace", default=None)
-
-
-class TraceContext:
-    """Mutable per-flush annotation target for the deep layers.
-
-    One flush executes one ``run_bucket`` call on one worker thread;
-    the notes below are filled in during that call and read back by
-    the server when it fans results out to the flush's requests.
-    """
-
-    __slots__ = ("flush_id", "cache", "path")
-
-    def __init__(self, flush_id: str | None = None) -> None:
-        self.flush_id = flush_id
-        #: plan-cache outcomes seen during the flush: source -> count
-        #: (sources: "memory", "disk", "compile")
-        self.cache: dict[str, int] = {}
-        #: batch dispatch path ("2d", "ragged", or "loop")
-        self.path: str | None = None
-
-    def note_cache(self, source: str) -> None:
-        self.cache[source] = self.cache.get(source, 0) + 1
-
-    def cache_outcome(self) -> str:
-        """The flush's dominant plan-cache outcome, worst tier wins:
-        a single compile makes the flush a "compile" even if later
-        groups hit memory."""
-        for source in ("compile", "disk", "memory"):
-            if self.cache.get(source):
-                return source
-        return "none"
-
-
-def current_trace() -> TraceContext | None:
-    """The active flush's trace context, or None outside a flush."""
-    return _TRACE.get()
-
-
-@contextmanager
-def trace_scope(ctx: TraceContext):
-    """Activate ``ctx`` for the duration of a flush execution."""
-    token = _TRACE.set(ctx)
-    try:
-        yield ctx
-    finally:
-        _TRACE.reset(token)
-
-
-def note_plan_cache(source: str) -> None:
-    """Engine hook: a plan resolved from ``source`` ("memory" /
-    "disk" / "compile"). No-op outside a trace scope."""
-    ctx = _TRACE.get()
-    if ctx is not None:
-        ctx.note_cache(source)
-
-
-def note_batch_path(path: str) -> None:
-    """Batch-runner hook: the bucket dispatched via ``path`` ("2d" /
-    "ragged" / "loop"). No-op outside a trace scope."""
-    ctx = _TRACE.get()
-    if ctx is not None:
-        ctx.path = path
+__all__ = ["FlightRecorder", "Telemetry"]
 
 
 class FlightRecorder:

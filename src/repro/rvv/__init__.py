@@ -23,7 +23,6 @@ from .machine import RVVMachine, strips
 from .memory import Allocator, Memory, Pointer
 from .regfile import MASK_REG, NUM_REGS, RegisterFile
 from .paper_api import PaperIntrinsics
-from .trace import TraceRecorder, trace
 from .types import LMUL, SEW, MaskPolicy, TailPolicy, VType, dtype_for_sew, sew_for_dtype, vlmax_for
 from .value import VMask, VReg
 
@@ -33,8 +32,6 @@ __all__ = [
     "AsmProgram",
     "parse_asm",
     "PaperIntrinsics",
-    "TraceRecorder",
-    "trace",
     "RegisterProfile",
     "SpillPlan",
     "ValueUse",

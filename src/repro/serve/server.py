@@ -50,7 +50,7 @@ from ..errors import (
 )
 from ..obs.exposition import render_exposition
 from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import Telemetry, TraceContext, trace_scope
+from ..obs.telemetry import Telemetry
 from ..svm.context import SVM
 from ..svm.opspec import support_matrix
 from . import protocol
@@ -59,6 +59,16 @@ from .coalesce import BucketKey, Coalescer, Flush, PendingRequest
 __all__ = ["ServeConfig", "ExecuteResult", "Server", "ServerThread"]
 
 _STOP = object()  # worker-queue sentinel
+
+
+def _cache_outcome(sources: dict) -> str:
+    """A flush's plan-cache outcome from its resolutions by tier,
+    worst tier wins: one compile makes the flush a "compile" even if
+    later groups hit memory."""
+    for source in ("compile", "disk", "memory"):
+        if sources.get(source):
+            return source
+    return "none"
 
 
 @dataclass
@@ -80,7 +90,7 @@ class ServeConfig:
     #: None (off), "auto", or a TunePolicy — workers consult the
     #: shape→config tuning DB per request shape at dispatch time
     tune: object | None = None
-    profile: bool = False            #: per-worker obs collectors + flush spans
+    profile: bool = False            #: per-worker engine/batch obs collectors
     max_requests: int | None = None  #: graceful exit after N execute requests
     telemetry: bool = True           #: always-on tracing + flight recorder
     flight_capacity: int = 512       #: flight-recorder ring size (events)
@@ -357,11 +367,14 @@ class Server:
             for flush in self._coalescer.expired():
                 self._flush_q.put_nowait(flush)
 
-    def _execute_flush(self, svm: SVM, flush: Flush, flush_id: str):
+    def _execute_flush(self, svm: SVM, flush: Flush):
         """Thread-pool body: one coalesced bucket through the batch
-        runner's pre-grouped entry point on this worker's machine,
-        inside a flush-scoped trace context (set in *this* thread, so
-        contexts never leak between concurrent flushes)."""
+        runner's pre-grouped entry point on this worker's machine.
+
+        Also returns the flush's plan resolutions by tier: the delta
+        of the worker engine's tally across ``run_bucket``. It is exact
+        because the engine belongs to this worker alone, and a worker
+        runs one flush at a time."""
         from ..batch import run_bucket  # local: batch depends on svm
 
         key = flush.key
@@ -369,22 +382,21 @@ class Server:
         exec_start = self._clock()
         wait_ms = (exec_start
                    - min(r.enqueued_at for r in flush.requests)) * 1e3
-        with trace_scope(TraceContext(flush_id)) as ctx:
-            res = run_bucket(svm, protocol.PIPELINES[key.pipeline],
-                             [r.data for r in flush.requests],
-                             dtype=protocol.DTYPES[key.dtype])
+        tally = svm.engine.resolutions
+        before = dict(tally)
+        res = run_bucket(svm, protocol.PIPELINES[key.pipeline],
+                         [r.data for r in flush.requests],
+                         dtype=protocol.DTYPES[key.dtype])
         execute_ms = (self._clock() - exec_start) * 1e3
-        path = res.buckets[0].path
+        sources = {tier: k - before[tier] for tier, k in tally.items()
+                   if k != before[tier]}
         # pack pipelines: only the first ``lengths[i]`` lanes of a row
         # are defined, so the wire result is the valid prefix on every
         # path (ragged and loop alike — uniform response semantics)
         outputs = [out if k is None else out[:k]
                    for out, k in zip(res.outputs, res.lengths)]
-        col = svm.machine.collector
-        if col is not None:
-            col.serve_flush_event(len(res.outputs), key.n, path, wait_ms)
-        return (outputs, list(res.lengths), path, wait_ms, ctx, exec_start,
-                execute_ms)
+        return (outputs, list(res.lengths), res.buckets[0].path, wait_ms,
+                sources, exec_start, execute_ms)
 
     async def _worker(self, svm: SVM, idx: int = 0) -> None:
         loop = asyncio.get_running_loop()
@@ -401,9 +413,9 @@ class Server:
                             reason=flush.reason, rows=flush.rows,
                             key=flush.key)
             try:
-                (outputs, lengths, path, wait_ms, ctx, exec_start,
+                (outputs, lengths, path, wait_ms, sources, exec_start,
                  execute_ms) = await loop.run_in_executor(
-                    self._pool, self._execute_flush, svm, flush, flush_id)
+                    self._pool, self._execute_flush, svm, flush)
             except BaseException as exc:  # noqa: BLE001 - fan failure out
                 err = exc if isinstance(exc, ServeError) else ServeError(
                     f"flush execution failed: {exc!r}")
@@ -419,13 +431,13 @@ class Server:
                 m.counter(f"serve.flush.{path}").inc()
                 m.histogram("serve.rows_per_flush").observe(flush.rows)
                 m.summary("serve.flush_wait_ms").observe(round(wait_ms, 3))
-                cache = ctx.cache_outcome()
+                cache = _cache_outcome(sources)
                 if tel.enabled:
-                    tel.cache_outcome(flush_id, sources=ctx.cache)
+                    tel.cache_outcome(flush_id, sources=sources)
                     m.counter("serve.flush.path", path=path,
                               pipeline=flush.key.pipeline).inc()
                     m.counter("serve.worker.flushes", worker=str(idx)).inc()
-                    for source, count in sorted(ctx.cache.items()):
+                    for source, count in sorted(sources.items()):
                         m.counter("serve.plan_cache.resolutions",
                                   source=source).inc(count)
                 meta = {"path": path, "rows": flush.rows,

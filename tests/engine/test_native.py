@@ -19,6 +19,9 @@ The contracts under test (see ``docs/native.md``):
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -240,3 +243,68 @@ def test_plan_store_persists_native_source(tmp_path):
     assert isinstance(fused2.native, NativePlan)
     assert fused2.native.digest == digest
     assert svm2.engine.store.hits >= 1
+
+
+@needs_cc
+def test_profiled_runs_stay_native():
+    """A profiler no longer forces the codegen tier: after the codegen
+    warm-up every run is one ``native_plan`` span carrying the plan's
+    counter delta, and results and counts match the unprofiled runs."""
+
+    def runs(profile):
+        svm = SVM(vlen=128, mode="fast", backend="native", profile=profile)
+        got = []
+        for seed in range(3):
+            data = svm.array(np.random.default_rng(seed).integers(
+                0, 2**16, 256, dtype=np.uint32))
+            before = svm.instructions
+            with svm.lazy() as lz:
+                lz.p_add(data, 7)
+                lz.p_mul(data, 3)
+                lz.plus_scan(data)
+            got.append((data.to_numpy(), svm.instructions - before))
+        return svm, got
+
+    svm, profiled = runs(True)
+    _, plain = runs(False)
+    for (a, ka), (b, kb) in zip(profiled, plain):
+        assert np.array_equal(a, b)
+        assert ka == kb
+    spans = [s for s in svm.profiler.root.walk()
+             if s.name in ("fused_scan", "fused_ew", "native_plan")]
+    assert [s.name for s in spans] == ["fused_scan", "native_plan",
+                                       "native_plan"]
+    assert spans[1].meta == {"n": 256, "backend": "native"}
+    assert [s.total for s in spans] == [k for _, k in profiled]
+
+
+@needs_cc
+def test_concurrent_first_builds_all_bind(tmp_path):
+    """Serve workers share one fused plan: threads racing to build its
+    artifact must all bind it, none memoize a spurious failure."""
+    svm = SVM(vlen=128, mode="fast", backend="native")
+    _, _, fused = _observe(svm, PIPELINES["chain_scan"], LMUL.M1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for trial in range(2):
+            reset_native_caches()
+            plan = NativePlan(fused.native.source + f"/* {trial} */\n",
+                              fused.native.meta)
+            barrier = threading.Barrier(4)
+            bound = []
+
+            def build():
+                barrier.wait(timeout=60)
+                bound.append(plan.ensure(tmp_path))
+
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert bound == [True] * 4, trial
+    finally:
+        sys.setswitchinterval(interval)
+        reset_native_caches()

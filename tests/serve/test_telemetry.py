@@ -8,6 +8,8 @@ admit → coalesce → flush → complete, and the flush event lists that
 request's trace ID.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,33 @@ class TestTraceIdentity:
         assert sources["disk"] >= 1
         assert sources["memory"] + sources["disk"] + sources["compile"] \
             == stats["plan_cache"]["hits"] + stats["plan_cache"]["misses"]
+
+    def test_per_flush_resolutions_partition_the_lookups(self):
+        """Each flush's plan-cache sources are the delta of its own
+        worker engine's tally; with more workers than cores the deltas
+        must still add up to exactly the shared cache's lookups (a
+        delta leaking across concurrent flushes would overcount)."""
+        reqs = [{"pipeline": pipe, "data": list(range(1, n + 1))}
+                for n in (2000, 4000, 8000)
+                for pipe in ("chain_scan", "scan", "reverse", "filter")
+                for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServerThread(ServeConfig(workers=4, max_rows=2,
+                                          flush_ms=1.0)) as st:
+                results = st.submit_many(reqs)
+                doc = parse_exposition(st.metrics_exposition())
+                sources = st.stats()["plan_cache"]["sources"]
+        finally:
+            sys.setswitchinterval(interval)
+        errors = [r for r in results if isinstance(r, BaseException)]
+        assert not errors, errors[:3]
+        counted = {labels["source"]: v for _, labels, v
+                   in doc["repro_serve_plan_cache_resolutions_total"]
+                   ["samples"]}
+        assert sum(counted.values()) == sum(sources.values())
+        assert counted.get("compile", 0) == sources["compile"]
 
     def test_wire_response_carries_trace(self):
         from repro.serve import ServeClient
@@ -188,6 +217,24 @@ class TestExposition:
         assert by_pipeline == {"chain_scan": 4, "filter": 1}
         assert "repro_serve_instructions" in doc
         assert "repro_serve_plan_cache_lookups" in doc
+
+    def test_profiled_daemon_counts_each_flush_once(self):
+        """--profile merges the workers' collector registries into the
+        scrape; the flush counters must still match the stats document."""
+        with ServerThread(ServeConfig(profile=True, flush_ms=1.0)) as st:
+            for _ in range(5):
+                st.submit("chain_scan", list(range(1, 33)))
+            doc = parse_exposition(st.metrics_exposition())
+            coalescing = st.stats()["coalescing"]
+
+        def total(family):
+            return next(v for _, labels, v in doc[family]["samples"]
+                        if not labels)
+
+        assert total("repro_serve_flushes_total") == coalescing["flushes"]
+        assert total("repro_serve_rows_total") == coalescing["rows"]
+        # the collectors did merge in: their engine counters are there
+        assert "repro_engine_plan_cache_hits_total" in doc
 
     def test_counters_unperturbed_by_telemetry(self):
         reqs = [{"pipeline": "scan", "data": list(range(1, 65))}

@@ -161,6 +161,8 @@ class TestSVMIntegration:
 
 class TestCallTimeHelpers:
     def test_env_backend(self, monkeypatch):
+        # hermetic under the CI native job, which exports REPRO_BACKEND
+        monkeypatch.delenv(ENV_VARS["backend"], raising=False)
         assert env_backend() is None
         monkeypatch.setenv(ENV_VARS["backend"], "native-speed")
         assert env_backend() == "native-speed"

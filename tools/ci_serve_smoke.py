@@ -18,7 +18,8 @@ over one pipelined client connection, and asserts:
   outcome, the ``metrics`` request scrapes as *strictly valid*
   Prometheus text exposition (validated with
   :func:`repro.obs.exposition.parse_exposition`, which rejects rather
-  than skips malformed lines), the ``dump`` request returns a flight
+  than skips malformed lines) whose flush total equals the ``stats``
+  document's (one count per flush), the ``dump`` request returns a flight
   recorder whose event chains match the response trace IDs, and
   SIGUSR1 makes the daemon write the same recorder as NDJSON to
   ``--flight-dump``;
@@ -107,14 +108,18 @@ def sequential_reference(requests: list[dict]) -> list[np.ndarray]:
     return outs
 
 
-def check_exposition(text: str, n_requests: int) -> None:
+def check_exposition(text: str, stats: dict, n_requests: int) -> None:
     """Strictly parse a live scrape and spot-check the families the
-    dashboard relies on."""
+    dashboard relies on; each flush must be counted exactly once, so
+    the scrape's flush total equals the ``stats`` document's."""
     doc = parse_exposition(text)  # raises ExpositionError on violation
-    total = next(v for name, labels, v
-                 in doc["repro_serve_requests_total"]["samples"]
-                 if not labels)
-    assert total == n_requests, (total, n_requests)
+
+    for family, want in (
+            ("repro_serve_requests_total", n_requests),
+            ("repro_serve_flushes_total", stats["coalescing"]["flushes"])):
+        got = next(v for _, labels, v in doc[family]["samples"]
+                   if not labels)
+        assert got == want, (family, got, want)
     by_pipeline: dict[str, float] = {}
     for _, labels, v in doc["repro_serve_pipeline_requests_total"]["samples"]:
         by_pipeline[labels["pipeline"]] = \
@@ -233,7 +238,8 @@ def main() -> int:
                   f"lanes of n=2600 on the {fresp['path']!r} path")
             extra = len(traced) + 1
 
-            check_exposition(client.metrics(), len(requests) + extra)
+            check_exposition(client.metrics(), client.stats(),
+                             len(requests) + extra)
             check_flight_dump(client.dump(), traced)
             run_top(host, port)
 
