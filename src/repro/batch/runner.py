@@ -33,9 +33,10 @@ path, which stays the definitional semantics:
   per-row counter charge via ``Counters.add_many`` that swaps row 0's
   data-dependent pack items for each row's own
   (:func:`repro.svm.fastpath.pack_variable_items`);
-* only out-of-registry opaque calls, strict mode, and plans where a
-  packed buffer escapes into a non-prefix-local consumer fall back to
-  literally looping the single-input path;
+* only strict mode, sub-threshold lengths, and plans where a packed
+  buffer escapes into a non-prefix-local consumer (or a future feeds a
+  consumer the 2D path cannot broadcast) fall back to literally looping
+  the single-input path;
 * fused groups run the batch kernels
   :func:`~repro.engine.codegen.compile_fused` generated next to the
   single-call ones, with ``axis=1`` scan tails.
@@ -172,8 +173,7 @@ def _batchable(plan: Plan, fused) -> bool:
     """Whether a plan batches as one 2D evaluation (the shared
     precondition of the ``"2d"`` and ``"ragged"`` paths).
 
-    Rejected outright: out-of-registry OPAQUE calls (nothing
-    structured to vectorize). PACK is *not* rejected here — plans
+    Every node kind batches; PACK is *not* rejected here — plans
     containing it are additionally screened by :func:`_ragged_tags`
     and dispatch to the ``"ragged"`` path.
 
@@ -192,8 +192,6 @@ def _batchable(plan: Plan, fused) -> bool:
     produced: set[ScalarFuture] = set()
     for i, node in enumerate(plan.nodes):
         kind = node.kind
-        if kind is Kind.OPAQUE:
-            return False
         if isinstance(node.scalar, ScalarFuture):
             if node.scalar not in produced or i in group_nodes:
                 return False
@@ -324,7 +322,7 @@ def _scalar_2d(node, dtype, fvals):
 
 
 def _node_2d(plan: Plan, node, mats, get, fvals, m=None, pack_sws=None) -> None:
-    """One eager (non-fused, non-opaque) node on a [b, n] matrix.
+    """One eager (non-fused) node on a [b, n] matrix.
 
     ``fvals`` maps each :class:`ScalarFuture` produced by the plan
     (enumerate counts, reductions, pack kept counts) to its per-row
@@ -429,7 +427,7 @@ def _node_2d(plan: Plan, node, mats, get, fvals, m=None, pack_sws=None) -> None:
         pack_sws.append(pack_strip_survivors(keep, vlmax))
     elif kind is Kind.FREE:
         mats.pop(node.dst, None)
-    else:  # pragma: no cover - _batchable() excludes OPAQUE
+    else:  # pragma: no cover - exhaustive over Kind
         raise EngineError(f"cannot batch node kind {kind}")
 
 
@@ -535,10 +533,10 @@ def _run_bucket_2d(svm, plan: Plan, fused, data, out, rows,
 
 def _run_bucket_loop(svm, pipe, rows, want_lengths: bool = False):
     """Fallback: literally the loop of single-input calls (the
-    definitional semantics) — used for opaque plans, strict mode, and
-    ragged flows no 2D evaluation can track. When ``want_lengths``,
-    each row's defined-prefix length is read off its plan's resolved
-    ``pack.kept`` future."""
+    definitional semantics) — used for strict mode, single rows,
+    sub-threshold lengths, and ragged flows no 2D evaluation can
+    track. When ``want_lengths``, each row's defined-prefix length is
+    read off its plan's resolved ``pack.kept`` future."""
     outputs = []
     lengths: list | None = [] if want_lengths else None
     for row in rows:
@@ -568,8 +566,8 @@ def _dispatch_bucket(svm, pipe, rows):
     take ``"ragged"`` when the registry declares the recipe
     (``get_spec("pack").ragged2d``) and every packed buffer stays in
     prefix-local flow; everything else — strict mode, single rows,
-    sub-threshold lengths, opaque nodes, untrackable ragged flow —
-    takes ``"loop"``."""
+    sub-threshold lengths, future operands :func:`_batchable` rejects,
+    untrackable ragged flow — takes ``"loop"``."""
     n = rows[0].size
     plan, data, out = _capture(svm, pipe, rows[0])
     fused = svm.engine.fused_for(plan)

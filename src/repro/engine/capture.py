@@ -7,11 +7,11 @@ flag compares, ``get_flags``, scans) plus the typed replay kinds
 (``permute``, ``pack``, ``enumerate``, ``seg_scan``, ``p_select``,
 ``reduce``, ``shift1up``, ``copy``, ``index_array``). Structured nodes
 expose their operands as buffer slots, so whole-plan codegen and the
-batch runner's 2D path see through them; only a call outside the
-registry would fall back to an :data:`~repro.engine.ir.Kind.OPAQUE`
-verbatim replay. The composites ``split`` and ``reverse`` lower to
-their constituent primitives at capture time, so a captured radix-sort
-round contains no opaque nodes at all.
+batch runner's 2D path see through them. There is no fallback node: a
+call outside the registry raises ``AttributeError`` at capture. The
+composites ``split`` and ``reverse`` lower to their constituent
+primitives at capture time, so a captured radix-sort round is
+structured end to end.
 
 Allocation is eager (``empty``/``zeros``/``array`` hand back live
 SVMArrays immediately, marked as plan temporaries); only *execution*
@@ -240,7 +240,7 @@ class PlanBuilder:
         kept = ScalarFuture("pack.kept")
         self._record(OpNode(Kind.PACK, dst=self._bid(dst), src=self._bid(src),
                             operand=self._bid(flags), future=kept,
-                            future_index=1, lmul=self.svm._lmul(lmul)))
+                            lmul=self.svm._lmul(lmul)))
         return dst, kept
 
     def enumerate(self, flags, set_bit: bool = True, out=None,
@@ -250,15 +250,14 @@ class PlanBuilder:
         count = ScalarFuture("enumerate.count")
         self._record(OpNode(Kind.ENUMERATE, dst=self._bid(dst),
                             src=self._bid(flags), scalar=bool(set_bit),
-                            future=count, future_index=1,
-                            lmul=self.svm._lmul(lmul)))
+                            future=count, lmul=self.svm._lmul(lmul)))
         return dst, count
 
     def reduce(self, a, op: str | BinaryOp = PLUS, lmul=None) -> ScalarFuture:
         result = ScalarFuture("reduce")
         self._record(OpNode(Kind.REDUCE, op=get_operator(op).name,
                             src=self._bid(a), future=result,
-                            future_index=None, lmul=self.svm._lmul(lmul)))
+                            lmul=self.svm._lmul(lmul)))
         return result
 
     def seg_scan(self, a, head_flags, op: str | BinaryOp = PLUS, *,
@@ -306,7 +305,7 @@ class PlanBuilder:
 
     def split(self, src, flags, out=None, lmul=None) -> tuple[SVMArray, ScalarFuture]:
         """Split (Listing 7) lowered to registered primitives, so the
-        whole radix-sort inner loop captures without opaque nodes.
+        whole radix-sort inner loop captures as structured nodes.
 
         The scratch index vectors are plan temporaries (uncharged, like
         every capture-time allocation) rather than the charged

@@ -89,6 +89,9 @@ __all__ = [
 #: the persistent store's code fingerprint via this module's source.
 CODEGEN_VERSION = 3
 
+#: Name of the generated whole-plan kernel (``CompiledPlan.plan_fn``).
+_PLAN_KERNEL = "_plan_kernel"
+
 
 # ---------------------------------------------------------------------------
 # front end: lane chains and closed-form charges
@@ -218,26 +221,23 @@ class CompiledPlan:
     """Generated source + bound code objects for one fused plan.
 
     ``groups`` maps each :class:`GroupSpec` to its
-    :class:`CompiledGroup`; ``plan_fn(svm, plan)``, when not None, runs
-    the *entire* plan as one flat call (available when every execution
-    unit is a fused group, a FREE node, or a structured replay node —
-    anything but an out-of-registry OPAQUE call). ``min_n`` is the
-    smallest group length — ``svm._fast(min_n)`` implies the fast path
+    :class:`CompiledGroup`; ``plan_fn(svm, plan)`` runs the *entire*
+    plan as one flat call — fused groups through their kernels, FREE
+    and structured replay units through the SVM surface. ``min_n`` is
+    the smallest group length — ``svm._fast(min_n)`` implies the fast path
     applies to every group, which gates the whole-plan kernel;
     structured replay units inside it dispatch per their own length
     through the SVM surface, exactly like the unit loop.
 
     Pickling re-emits nothing: the instance reduces to
-    ``(source, consts, group_meta, plan_name)`` and re-binds by
+    ``(source, consts, group_meta)`` and re-binds by
     ``exec``-ing the stored source on load.
     """
 
-    def __init__(self, source: str, consts: dict, group_meta: dict,
-                 plan_name: str | None) -> None:
+    def __init__(self, source: str, consts: dict, group_meta: dict) -> None:
         self.source = source
         self.consts = consts
         self.group_meta = group_meta  # {GroupSpec: ("_g0", n), ...}
-        self.plan_name = plan_name
         self.min_n = min(n for _, n in group_meta.values())
         self._bind()
 
@@ -251,15 +251,13 @@ class CompiledPlan:
             spec: CompiledGroup(ns[name], ns[name + "_2d"], name, n)
             for spec, (name, n) in self.group_meta.items()
         }
-        self.plan_fn = ns[self.plan_name] if self.plan_name else None
+        self.plan_fn = ns[_PLAN_KERNEL]
 
     def __reduce__(self):
-        return (CompiledPlan, (self.source, self.consts, self.group_meta,
-                               self.plan_name))
+        return (CompiledPlan, (self.source, self.consts, self.group_meta))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"CompiledPlan({len(self.group_meta)} groups, "
-                f"plan_fn={'yes' if self.plan_name else 'no'})")
+        return f"CompiledPlan({len(self.group_meta)} groups)"
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +458,7 @@ def compile_fused(plan: Plan, fused: FusedPlan, machine) -> CompiledPlan | None:
     """Generate, compile and bind the kernels for every fused group of
     ``fused`` against ``machine``'s configuration (VLEN and codegen
     preset fix the closed-form charges); returns None when there is
-    nothing to compile (no fused groups — e.g. fully opaque plans).
+    nothing to compile (no fused groups).
 
     Called once at plan-cache insert by
     :meth:`repro.engine.executor.Engine.compile_plan`, which attaches
@@ -475,29 +473,21 @@ def compile_fused(plan: Plan, fused: FusedPlan, machine) -> CompiledPlan | None:
         for gi, spec in enumerate(order)
     }
 
-    # whole-plan kernel: eligible when every unit is a compiled group,
-    # a FREE, or a structured replay node — only out-of-registry OPAQUE
-    # calls force the generic unit loop
-    plan_name = None
-    flat_ok = all(
-        isinstance(u, GroupSpec) or plan.nodes[u].kind is not Kind.OPAQUE
-        for u in fused.units
-    )
-    if flat_ok:
-        plan_name = "_plan_kernel"
-        e.emit(f"def {plan_name}(svm, plan):")
-        e.emit("    nodes = plan.nodes")
-        e.emit("    buffers = plan.buffers")
-        for u in fused.units:
-            if isinstance(u, GroupSpec):
-                e.emit(f"    {group_meta[u][0]}(svm, nodes, buffers)")
-            elif plan.nodes[u].kind is Kind.FREE:
-                e.emit(f"    svm.free(buffers[nodes[{u}].dst].array)")
-            else:
-                # structured replay (permute/pack/seg_scan/...) through
-                # the SVM surface; _rn is run_node_eager, prebound
-                e.bind("_rn", run_node_eager)
-                e.emit(f"    _rn(svm, plan, nodes[{u}])")
-        e.emit()
+    # whole-plan kernel: every unit is a compiled group, a FREE, or a
+    # structured replay node
+    e.emit(f"def {_PLAN_KERNEL}(svm, plan):")
+    e.emit("    nodes = plan.nodes")
+    e.emit("    buffers = plan.buffers")
+    for u in fused.units:
+        if isinstance(u, GroupSpec):
+            e.emit(f"    {group_meta[u][0]}(svm, nodes, buffers)")
+        elif plan.nodes[u].kind is Kind.FREE:
+            e.emit(f"    svm.free(buffers[nodes[{u}].dst].array)")
+        else:
+            # structured replay (permute/pack/seg_scan/...) through
+            # the SVM surface; _rn is run_node_eager, prebound
+            e.bind("_rn", run_node_eager)
+            e.emit(f"    _rn(svm, plan, nodes[{u}])")
+    e.emit()
 
-    return CompiledPlan(e.source(), e.consts, group_meta, plan_name)
+    return CompiledPlan(e.source(), e.consts, group_meta)

@@ -183,8 +183,8 @@ def execute(svm, plan: Plan, fused: FusedPlan,
     materializes each group and drives :func:`run_group_strict`.
 
     ``"codegen"`` (the default) runs the generated kernels — the whole
-    plan as one call when ``fused.compiled.plan_fn`` exists and the
-    fast path applies to every group, else unit by unit.
+    plan as one call (``fused.compiled.plan_fn``) when the fast path
+    applies to every group, else unit by unit.
     ``"native"`` / ``"native-speed"`` run the whole plan as one
     compiled C call (:mod:`repro.engine.native`) when the plan lowers,
     a toolchain is present, and the execution is all-fast; otherwise
@@ -242,11 +242,10 @@ def _execute_units(svm, plan: Plan, fused: FusedPlan, col) -> None:
     compiled = fused.compiled
     if compiled is None:
         groups = {}
-    elif col is None and compiled.plan_fn is not None \
-            and svm._fast(compiled.min_n):
-        # whole-plan flat kernel: every unit is a generated group (or a
-        # FREE), and the fast path applies to all of them — skip the
-        # unit loop entirely (profiled runs keep per-group spans)
+    elif col is None and svm._fast(compiled.min_n):
+        # whole-plan flat kernel: the fast path applies to every
+        # group — skip the unit loop entirely (profiled runs keep
+        # per-group spans)
         compiled.plan_fn(svm, plan)
         return
     else:

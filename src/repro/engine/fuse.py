@@ -54,7 +54,7 @@ from ..rvv.allocation import (
 )
 from ..rvv.types import LMUL, sew_for_dtype
 from ..svm.opspec import LANE_RECIPES
-from .ir import Buf, Kind, OpNode, Plan, PURE_KINDS
+from .ir import Kind, OpNode, Plan, PURE_KINDS
 
 __all__ = [
     "LaneOp",
@@ -449,8 +449,8 @@ def fuse(plan: Plan) -> FusedPlan:
                 close()
                 units.append(i)  # eager scan: counters match baseline
             continue
-        # structured replay (permute/pack/seg_scan/select/...), opaque,
-        # free, exclusive scan — never merged into a strip loop
+        # structured replay (permute/pack/seg_scan/select/...), free,
+        # exclusive scan — never merged into a strip loop
         close()
         units.append(i)
     close()

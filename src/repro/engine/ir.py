@@ -20,9 +20,12 @@ Node kinds split into three classes:
   slots, so dataflow analysis, whole-plan codegen and the batch
   runner's 2D path all see through them — every primitive in the
   :mod:`repro.svm.opspec` registry captures as one of these;
-* :data:`Kind.OPAQUE` / :data:`Kind.FREE` replay a recorded
-  :class:`~repro.svm.context.SVM` method call verbatim — the escape
-  hatch for anything outside the registry.
+* :data:`Kind.FREE` releases a buffer's simulated memory.
+
+The set is closed: capture records no call outside the registry (an
+unregistered method raises ``AttributeError`` on the recorder), and
+``tools/check_opspec.py`` fails when a kind is left that no registered
+op records.
 
 Data-dependent scalar results (the count returned by ``enumerate`` or
 ``pack``, the value of ``reduce``) become :class:`ScalarFuture`
@@ -33,15 +36,15 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from ..errors import ReproError
-from ..rvv.types import LMUL, sew_for_dtype
+from ..rvv.types import LMUL
 
-__all__ = ["Kind", "Buffer", "OpNode", "Plan", "ScalarFuture", "EngineError", "Buf"]
+__all__ = ["Kind", "Buffer", "OpNode", "Plan", "ScalarFuture", "EngineError"]
 
 
 class EngineError(ReproError):
@@ -133,8 +136,6 @@ class Kind(enum.Enum):
     COPY = "copy"
     #: Index vector: ``dst[i] = i``.
     INDEX = "index"
-    #: A recorded SVM method call replayed verbatim at execution.
-    OPAQUE = "opaque"
     #: Release a buffer's simulated memory.
     FREE = "free"
 
@@ -144,13 +145,6 @@ class Kind(enum.Enum):
 PURE_KINDS = frozenset(
     {Kind.EW_VX, Kind.EW_VV, Kind.CMP_VX, Kind.CMP_VV, Kind.GET_FLAGS, Kind.SCAN}
 )
-
-
-@dataclass(frozen=True)
-class Buf:
-    """Marker wrapping a buffer id inside an opaque node's args."""
-
-    bid: int
 
 
 @dataclass
@@ -164,10 +158,6 @@ class Buffer:
     #: Allocated by the recorder inside the lazy block (DCE candidate
     #: once it is also freed inside the plan).
     temp: bool = False
-
-    @property
-    def sew(self):
-        return sew_for_dtype(self.dtype)
 
 
 @dataclass
@@ -195,7 +185,6 @@ class OpNode:
     SHIFT1UP     ✓     ✓     —       fill    —
     COPY         ✓     ✓     —       —       —
     INDEX        ✓     —     —       —       —
-    OPAQUE       —     —     —       —       method/args/kwargs/future
     FREE         ✓     —     —       —       —
     ============ ===== ===== ======= ======= =====================
     """
@@ -208,13 +197,7 @@ class OpNode:
     scalar: Any = None  # int | ScalarFuture
     lmul: LMUL = LMUL.M1
     inclusive: bool = True
-    method: str = ""
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
     future: ScalarFuture | None = None
-    #: Index into the method's return tuple holding the future's value
-    #: (None means the return value itself).
-    future_index: int | None = None
 
     # -- dataflow ----------------------------------------------------------
     def buffers_read(self) -> set[int]:
@@ -233,20 +216,10 @@ class OpNode:
             reads.add(self.src)
         if self.operand is not None:
             reads.add(self.operand)
-        if self.kind is Kind.OPAQUE:
-            for a in self.args:
-                if isinstance(a, Buf):
-                    reads.add(a.bid)
-            for a in self.kwargs.values():
-                if isinstance(a, Buf):
-                    reads.add(a.bid)
         return reads
 
     def buffers_written(self) -> set[int]:
         """Buffer ids this node may write."""
-        if self.kind is Kind.OPAQUE:
-            # conservatively: every buffer argument may be written
-            return self.buffers_read()
         if self.kind is Kind.FREE:
             return set()
         return {self.dst} if self.dst is not None else set()
@@ -260,12 +233,13 @@ class Plan:
         self.nodes = nodes
 
     # -- cache key ---------------------------------------------------------
-    def signature(self, vlen: int, codegen: str) -> tuple:
-        """A hashable structural key: node shapes with buffers α-renamed
-        in first-use order, plus everything planning depends on —
-        (per-buffer n and SEW, per-node LMUL, VLEN, codegen preset).
-        Scalar *values* are excluded: the same pipeline over different
-        constants shares one plan.
+    def _alpha(self) -> tuple[list[Buffer], list[tuple]]:
+        """The α-renaming walk behind :meth:`signature` and
+        :meth:`fingerprint`: buffers get slots in first-use order.
+        Returns the buffers in slot order and one tuple per node —
+        ``(kind, op, inclusive, dst, src, operand, has_scalar, lmul)``
+        with slots in place of buffer ids; LMUL is last so the
+        fingerprint can drop it.
         """
         slots: dict[int, int] = {}
 
@@ -276,35 +250,31 @@ class Plan:
                 slots[bid] = len(slots)
             return slots[bid]
 
-        node_sig = []
-        for node in self.nodes:
-            if node.kind is Kind.OPAQUE:
-                arg_sig = tuple(
-                    slot(a.bid) if isinstance(a, Buf) else "·" for a in node.args
-                )
-                kw_sig = tuple(
-                    (k, slot(v.bid) if isinstance(v, Buf) else "·")
-                    for k, v in sorted(node.kwargs.items())
-                )
-                node_sig.append(
-                    (node.kind.value, node.method, arg_sig, kw_sig, int(node.lmul))
-                )
-            else:
-                node_sig.append(
-                    (
-                        node.kind.value,
-                        node.op,
-                        node.inclusive,
-                        slot(node.dst),
-                        slot(node.src),
-                        slot(node.operand),
-                        node.scalar is not None,
-                        int(node.lmul),
-                    )
-                )
+        node_sig = [
+            (
+                node.kind.value,
+                node.op,
+                node.inclusive,
+                slot(node.dst),
+                slot(node.src),
+                slot(node.operand),
+                node.scalar is not None,
+                int(node.lmul),
+            )
+            for node in self.nodes
+        ]
+        return [self.buffers[bid] for bid in slots], node_sig
+
+    def signature(self, vlen: int, codegen: str) -> tuple:
+        """A hashable structural key: node shapes with buffers α-renamed
+        in first-use order, plus everything planning depends on —
+        (per-buffer n and SEW, per-node LMUL, VLEN, codegen preset).
+        Scalar *values* are excluded: the same pipeline over different
+        constants shares one plan.
+        """
+        bufs, node_sig = self._alpha()
         buf_sig = tuple(
-            (s, self.buffers[bid].n, self.buffers[bid].dtype.str, self.buffers[bid].temp)
-            for bid, s in sorted(slots.items(), key=lambda kv: kv[1])
+            (s, b.n, b.dtype.str, b.temp) for s, b in enumerate(bufs)
         )
         return (int(vlen), str(codegen), buf_sig, tuple(node_sig))
 
@@ -318,43 +288,9 @@ class Plan:
         problem size of a pipeline (n enters the policy key as a size
         bucket instead).
         """
-        slots: dict[int, int] = {}
-
-        def slot(bid: int | None):
-            if bid is None:
-                return None
-            if bid not in slots:
-                slots[bid] = len(slots)
-            return slots[bid]
-
-        node_sig = []
-        for node in self.nodes:
-            if node.kind is Kind.OPAQUE:
-                arg_sig = tuple(
-                    slot(a.bid) if isinstance(a, Buf) else "·" for a in node.args
-                )
-                kw_sig = tuple(
-                    (k, slot(v.bid) if isinstance(v, Buf) else "·")
-                    for k, v in sorted(node.kwargs.items())
-                )
-                node_sig.append((node.kind.value, node.method, arg_sig, kw_sig))
-            else:
-                node_sig.append(
-                    (
-                        node.kind.value,
-                        node.op,
-                        node.inclusive,
-                        slot(node.dst),
-                        slot(node.src),
-                        slot(node.operand),
-                        node.scalar is not None,
-                    )
-                )
-        buf_sig = tuple(
-            (s, self.buffers[bid].dtype.str, self.buffers[bid].temp)
-            for bid, s in sorted(slots.items(), key=lambda kv: kv[1])
-        )
-        blob = repr((buf_sig, tuple(node_sig))).encode()
+        bufs, node_sig = self._alpha()
+        buf_sig = tuple((s, b.dtype.str, b.temp) for s, b in enumerate(bufs))
+        blob = repr((buf_sig, tuple(t[:-1] for t in node_sig))).encode()
         return hashlib.sha256(blob).hexdigest()
 
     def max_n(self) -> int:
@@ -430,7 +366,4 @@ def _describe_node(plan: Plan, node: OpNode) -> str:
         return f"index      {_bname(plan, node.dst)} = [0..n){lm}"
     if node.kind is Kind.FREE:
         return f"free       {_bname(plan, node.dst)}"
-    argbits = ", ".join(
-        _bname(plan, a.bid) if isinstance(a, Buf) else repr(a) for a in node.args
-    )
-    return f"{node.method}({argbits})  [opaque]{lm}"
+    raise EngineError(f"cannot describe node kind {node.kind}")

@@ -15,7 +15,7 @@ Two contracts, selected through the backend seam
 (``SVM(backend=...)`` / ``REPRO_BACKEND``):
 
 ``"native"`` (counters mode)
-    Bit- **and counter-identical** to the interpreter. The first
+    Bit- **and counter-identical** to the codegen tier. The first
     execution of a plan replays through the codegen tier while the
     counter delta is recorded; every subsequent execution runs the C
     kernel and charges the recorded delta via
@@ -45,13 +45,12 @@ memoizes the failure and the executor falls back to the codegen tier
 ``REPRO_NATIVE_CC`` overrides compiler discovery.
 
 Structural limits (fall back to codegen, also per plan): ``pack``
-(data-dependent output length) and opaque replay nodes are not
-lowered, dtypes must be unsigned (the wrap-around arithmetic contract
-C shares with the fast path), and scatter/gather must be genuinely
-out-of-place. Out-of-range permute indices are *skipped* by the C
-kernel (bounds-guarded scatter) where the interpreter would raise —
-the guard protects host memory, and plans that would raise are outside
-the identity contract anyway.
+(data-dependent output length) is not lowered, dtypes must be unsigned
+(the wrap-around arithmetic contract C shares with the fast path), and
+scatter/gather must be genuinely out-of-place. Out-of-range permute
+indices are *skipped* by the C kernel (bounds-guarded scatter) where
+the codegen tier would raise — the guard protects host memory, and
+plans that would raise are outside the identity contract anyway.
 """
 
 from __future__ import annotations
@@ -93,11 +92,10 @@ NATIVE_BACKENDS = ("native", "native-speed")
 
 #: Node kinds the lowering can emit C for. ``pack`` is excluded (its
 #: output length is data-dependent, which breaks the fixed-buffer
-#: kernel shape — the op declares ``native=False`` in the registry)
-#: and so is opaque replay (arbitrary Python). ``tools/check_opspec``
-#: gates that every registered op is either covered here or carries an
-#: explicit ``native=False`` escape hatch.
-NATIVE_KINDS = frozenset(Kind) - {Kind.PACK, Kind.OPAQUE}
+#: kernel shape — the op declares ``native=False`` in the registry).
+#: ``tools/check_opspec`` gates that every registered op is either
+#: covered here or carries an explicit ``native=False`` escape hatch.
+NATIVE_KINDS = frozenset(Kind) - {Kind.PACK}
 
 _U64 = (1 << 64) - 1
 
@@ -443,7 +441,7 @@ def _emit_node(g: _Gen, ni: int) -> None:
         s, _, ns = g.buf(ni, "src")
         x, _, _ = g.buf(ni, "operand")
         # bounds guard: skip out-of-range indices instead of touching
-        # host memory (the interpreter would raise IndexError there)
+        # host memory (the codegen tier raises IndexError there)
         loop(ns, f"uint64_t t = (uint64_t){x}[i];",
              f"if (t < (uint64_t){nd}) {d}[t] = ({TD}){s}[i];")
     elif kind is Kind.BACK_PERMUTE:

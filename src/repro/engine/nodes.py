@@ -1,14 +1,11 @@
 """Eager replay of a single plan node through the SVM surface.
 
 Non-fused units — structured replay kinds (permute, pack, seg_scan,
-select, ...), out-of-registry opaque calls, and frees — execute by
-calling the recorded :class:`~repro.svm.context.SVM` method verbatim,
-so their results *and* counters are exactly what eager execution would
-have produced. Each structured kind maps back to its primitive using
-the node-field conventions documented on
-:class:`~repro.engine.ir.OpNode`; only :data:`~repro.engine.ir.Kind`
-``OPAQUE`` still goes through the recorded ``(method, args, kwargs)``
-tuple.
+select, ...) and frees — execute by calling the
+:class:`~repro.svm.context.SVM` primitive they were captured from, so
+their results *and* counters are exactly what eager execution would
+have produced. Each kind maps back to its primitive using the
+node-field conventions documented on :class:`~repro.engine.ir.OpNode`.
 
 :func:`run_node_eager` is a module-level function (not a closure) so
 generated whole-plan kernels can reference it as a pre-bound constant
@@ -17,7 +14,7 @@ and remain picklable for the persistent plan store.
 
 from __future__ import annotations
 
-from .ir import Buf, EngineError, Kind, OpNode, Plan, resolve_scalar
+from .ir import EngineError, Kind, OpNode, Plan, resolve_scalar
 
 __all__ = ["run_node_eager"]
 
@@ -72,15 +69,5 @@ def run_node_eager(svm, plan: Plan, node: OpNode) -> None:
         svm.index_array(plan.buffers[node.dst].n, out=arr(node.dst), lmul=node.lmul)
     elif node.kind is Kind.FREE:
         svm.free(arr(node.dst))
-    elif node.kind is Kind.OPAQUE:
-        bind = lambda a: arr(a.bid) if isinstance(a, Buf) else (
-            resolve_scalar(a) if hasattr(a, "resolve") else a
-        )
-        args = tuple(bind(a) for a in node.args)
-        kwargs = {k: bind(v) for k, v in node.kwargs.items()}
-        ret = getattr(svm, node.method)(*args, **kwargs)
-        if node.future is not None:
-            value = ret if node.future_index is None else ret[node.future_index]
-            node.future.resolve(value)
     else:  # pragma: no cover - exhaustive over Kind
         raise EngineError(f"cannot execute node kind {node.kind}")

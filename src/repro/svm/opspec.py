@@ -12,7 +12,8 @@ every layer consumes the spec:
 * :class:`repro.svm.context.SVM` primitive methods are thin registry
   dispatches (``spec.strict``/``spec.fast`` keyed by variant);
 * :class:`repro.engine.capture.PlanBuilder` records the structured node
-  kind named by ``spec.node_kinds`` — no primitive is opaque anymore;
+  kind named by ``spec.node_kinds`` (``tools/check_opspec.py`` fails on
+  an engine node kind no op records);
 * the fuser and the code generator derive lane recipes from
   :data:`LANE_RECIPES` instead of per-kind if-ladders;
 * the batch runner consults ``spec.batch2d`` / ``spec.data_dependent``

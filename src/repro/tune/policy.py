@@ -31,11 +31,6 @@ from .db import TuningDB, entry_key
 
 __all__ = ["TunePolicy", "fit_policy", "n_bucket"]
 
-#: Node kinds the policy never retags: FREE carries no execution and
-#: OPAQUE replays a recorded call verbatim (its lmul is part of the
-#: recorded arguments, not a plan-level tag).
-_SKIP_KINDS = (Kind.FREE, Kind.OPAQUE)
-
 
 def n_bucket(n: int) -> int:
     """The power-of-two size bucket of a problem size: ``n.bit_length()``
@@ -165,7 +160,8 @@ class TunePolicy:
         if self._empty:
             return None
         base = svm.lmul
-        nodes = [nd for nd in plan.nodes if nd.kind not in _SKIP_KINDS]
+        # FREE carries no execution, so the policy never retags it
+        nodes = [nd for nd in plan.nodes if nd.kind is not Kind.FREE]
         if not nodes or any(nd.lmul != base for nd in nodes):
             return None
         choice = self.choose(

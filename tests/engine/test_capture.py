@@ -65,6 +65,20 @@ class TestRecording:
         with pytest.raises(Exception):
             lz.p_add(a, b)
 
+    def test_unregistered_call_raises_at_capture(self, svm):
+        # the recorder has no fallback node for calls outside the
+        # registry: the block fails at capture and nothing runs
+        data = make_data(svm, 32)
+        before = data.to_numpy().copy()
+        svm.reset()
+        with pytest.raises(AttributeError):
+            with svm.lazy() as lz:
+                lz.p_add(data, 1)
+                lz.plus_scan(data)
+                lz.no_such_primitive(data)
+        assert np.array_equal(data.to_numpy(), before)
+        assert svm.machine.counters.total == 0
+
 
 class TestSignature:
     def capture(self, svm, n, scalar, lmul=LMUL.M1, dtype=np.uint32):
@@ -79,6 +93,21 @@ class TestSignature:
         p1 = self.capture(svm, 100, scalar=7)
         p2 = self.capture(svm, 100, scalar=99)  # fresh buffers, new constants
         assert p1.signature(128, "ideal") == p2.signature(128, "ideal")
+
+        # slot wiring is structure: renaming buffers keeps both keys,
+        # swapping operands changes both
+        def keys(x, y, swap=False):
+            lz = PlanBuilder(svm)
+            lz.p_add(x, y)
+            lz.p_add(*((y, x) if swap else (x, y)))
+            plan = lz.build()
+            return plan.signature(128, "ideal"), plan.fingerprint()
+
+        a, b, c, d = (make_data(svm, 32, seed=s) for s in range(4))
+        assert keys(c, d) == keys(a, b)
+        sig, fp = keys(a, b)
+        sig_swapped, fp_swapped = keys(a, b, swap=True)
+        assert sig_swapped != sig and fp_swapped != fp
 
     def test_key_depends_on_shape_and_machine(self, svm):
         base = self.capture(svm, 100, 7).signature(128, "ideal")

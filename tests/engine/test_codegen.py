@@ -111,7 +111,7 @@ def test_unfused_plan_has_no_compiled_kernels():
     assert strict.by_category == codegen.by_category
     fused = svm.engine.last_fused
     # no groups compiled, so there is no whole-plan kernel
-    assert fused.compiled is None or fused.compiled.plan_fn is None
+    assert fused.compiled is None
 
 
 def test_strict_mode_is_backend_independent(pipeline):

@@ -107,7 +107,7 @@ class TestBoundaries:
         fused = fuse(capture(svm, body))
         assert fused.units == [0, 1]
 
-    def test_opaque_closes_group(self, svm):
+    def test_replay_node_closes_group(self, svm):
         data = make_data(svm, 64)
         idx = make_data(svm, 64, seed=1)
 
@@ -268,7 +268,7 @@ class TestDeadTempElimination:
 
         assert dead_temp_elimination(capture(svm, body)) == (0, 1)
 
-    def test_opaque_read_keeps_temp_alive(self, svm):
+    def test_replay_read_keeps_temp_alive(self, svm):
         data = make_data(svm, 64)
 
         def body(lz):

@@ -156,7 +156,7 @@ class TestApply:
         assert pol.apply(plan, svm) is LMUL.M8
         from repro.engine.ir import Kind
         for nd in plan.nodes:
-            if nd.kind not in (Kind.FREE, Kind.OPAQUE):
+            if nd.kind is not Kind.FREE:
                 assert nd.lmul is LMUL.M8
 
     def test_apply_stands_down_on_explicit_lmul(self, tmp_path):

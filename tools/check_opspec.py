@@ -5,7 +5,10 @@ Fails (exit 1) when the "declared exactly once" invariant is violated:
 
 1. every public SVM primitive must map to exactly one registered
    :class:`repro.svm.opspec.OpSpec` (by name or alias) — no primitive
-   may bypass the registry;
+   may bypass the registry — and capture needs no fallback: every
+   registered op and alias has a ``PlanBuilder`` recording method, and
+   every engine node ``Kind`` but ``FREE`` is recorded by some
+   registered op (a kind no op records is dead IR);
 2. every registered non-composite op must carry a strict kernel, a
    fast kernel (same variant keys), and a counter-charge profile that
    exists in ``repro.rvv.allocation.PROFILES``;
@@ -36,6 +39,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from repro.engine.capture import PlanBuilder  # noqa: E402
+from repro.engine.ir import Kind  # noqa: E402
 from repro.rvv.allocation import PROFILES  # noqa: E402
 from repro.svm import opspec  # noqa: E402
 from repro.svm.context import SVM  # noqa: E402
@@ -77,6 +82,19 @@ def check_public_surface() -> list[str]:
     for name in opspec.OPSPECS:
         if not hasattr(SVM, name):
             errors.append(f"registered op {name!r} has no SVM method")
+    for name in sorted(registered):
+        if not callable(getattr(PlanBuilder, name, None)):
+            errors.append(
+                f"registered op {name!r} has no PlanBuilder recording method"
+            )
+    recorded = {kind for spec in opspec.iter_specs()
+                for kind in spec.node_kinds.values()}
+    for kind in Kind:
+        if kind is not Kind.FREE and kind.value not in recorded:
+            errors.append(
+                f"node kind {kind.value!r} is recorded by no registered op "
+                "— delete it or register the op that captures to it"
+            )
     return errors
 
 
@@ -199,6 +217,7 @@ def main() -> int:
         fail(errors)
     n = sum(1 for s in opspec.iter_specs())
     print(f"check_opspec: OK — {n} registered ops, public surface covered, "
+          "every op captures to a structured node kind, "
           "native flags consistent, context.py imports no kernel modules")
     return 0
 
