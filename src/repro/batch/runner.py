@@ -472,8 +472,8 @@ def _run_bucket_2d(svm, plan: Plan, fused, data, out, rows,
 
     if b1:
         # native backends fall back to the codegen 2D kernels per unit
-        # when the whole plan does not lower (ragged plans never do:
-        # pack is excluded from the native kind set)
+        # when the whole plan does not lower; ragged plans always take
+        # them, since pack has no 2D C kernel (pack2d is not lowered)
         native = (native_state(svm, plan, fused)
                   if backend in NATIVE_BACKENDS and not ragged else None)
         b_mat = b if ragged else b1
@@ -484,7 +484,7 @@ def _run_bucket_2d(svm, plan: Plan, fused, data, out, rows,
         if native is not None:
             # whole-bucket compiled call: the C kernel loops rows over
             # the same [b, n] matrices the per-unit path would build
-            native.run2d(plan, mats, get, fvals, b_mat)
+            native.run2d(svm, plan, mats, get, fvals, b_mat)
         else:
             for unit in fused.units:
                 if isinstance(unit, GroupSpec):

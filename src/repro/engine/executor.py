@@ -35,6 +35,7 @@ from ..rvv.counters import Cat
 from ..rvv.intrinsics import arith, compare, loadstore, mask as maskops, move, permutation
 from ..rvv.value import VReg
 from ..svm import elementwise as ew
+from ..svm.fastpath import pack_variable_items
 from ..svm.operators import get_operator
 from ..svm.scan import inner_scan_steps
 from .cache import PlanCache, store_from_env
@@ -49,8 +50,13 @@ from .fuse import (
     group_profile,
     materialize,
 )
-from .ir import EngineError, Plan, resolve_scalar
-from .native import NATIVE_BACKENDS, lower_plan, native_state
+from .ir import EngineError, Kind, Plan, resolve_scalar
+from .native import (
+    NATIVE_BACKENDS,
+    lower_plan,
+    native_state,
+    pack_survivor_strips,
+)
 from .nodes import run_node_eager
 
 __all__ = [
@@ -192,7 +198,11 @@ def execute(svm, plan: Plan, fused: FusedPlan,
     counter contract by replaying its *first* execution of each plan
     through codegen while recording the counter delta, then charging
     that delta on every native run; ``"native-speed"`` skips counter
-    bookkeeping entirely (results-identical only).
+    bookkeeping entirely (results-identical only). ``pack``'s one
+    data-dependent term is split off: the recording run subtracts its
+    own :func:`~repro.svm.fastpath.pack_variable_items`, and every
+    native run adds them back for the survivor strips its kernel
+    counted.
 
     With a profiler installed each fused group gets its own span
     (``fused_scan``/``fused_ew`` with {n, nodes, path} metadata, plus
@@ -212,17 +222,24 @@ def execute(svm, plan: Plan, fused: FusedPlan,
             if native.charge_items is None:
                 # first counters-mode execution: replay through codegen
                 # and record the closed-form per-category delta (sound
-                # because the all-fast gate makes charges data-blind)
+                # because the all-fast gate makes charges data-blind,
+                # once pack's survivor-strip term is taken out)
+                sws = [] if native.meta["pack_nodes"] else None
                 before = svm.machine.counters.snapshot()
-                _execute_units(svm, plan, fused, col)
+                _execute_units(svm, plan, fused, col, sws)
                 delta = svm.machine.counters.snapshot() - before
+                items = dict(delta.by_category)
+                for cat, k in pack_variable_items(sum(sws or ())):
+                    items[cat] = items.get(cat, 0) - k
                 native.charge_items = tuple(
-                    (cat, k) for cat, k in delta.by_category.items() if k
-                )
+                    (cat, k) for cat, k in items.items() if k)
                 return
             with _native_span(col, native, backend):
-                native.run(svm, plan)
-                svm.machine.counters.add_many(native.charge_items)
+                sws = native.run(svm, plan)
+                counters = svm.machine.counters
+                counters.add_many(native.charge_items)
+                if sws:
+                    counters.add_many(pack_variable_items(sws))
             return
     _execute_units(svm, plan, fused, col)
 
@@ -236,13 +253,16 @@ def _native_span(col, native, backend: str):
     return col.span("native_plan", n=native.min_n, backend=backend)
 
 
-def _execute_units(svm, plan: Plan, fused: FusedPlan, col) -> None:
+def _execute_units(svm, plan: Plan, fused: FusedPlan, col,
+                   sws: list | None = None) -> None:
     """The Python-tier unit loop: generated kernels on the fast path,
-    the strict reference loop otherwise."""
+    the strict reference loop otherwise. With ``sws`` given, each pack
+    node's survivor-strip count is appended to it just before the node
+    runs (the whole-plan flat kernel is skipped to expose the units)."""
     compiled = fused.compiled
     if compiled is None:
         groups = {}
-    elif col is None and svm._fast(compiled.min_n):
+    elif col is None and sws is None and svm._fast(compiled.min_n):
         # whole-plan flat kernel: the fast path applies to every
         # group — skip the unit loop entirely (profiled runs keep
         # per-group spans)
@@ -252,7 +272,10 @@ def _execute_units(svm, plan: Plan, fused: FusedPlan, col) -> None:
         groups = compiled.groups
     for unit in fused.units:
         if not isinstance(unit, GroupSpec):
-            run_node_eager(svm, plan, plan.nodes[unit])
+            node = plan.nodes[unit]
+            if sws is not None and node.kind is Kind.PACK:
+                sws.append(pack_survivor_strips(svm, plan, node))
+            run_node_eager(svm, plan, node)
             continue
         name = KERNEL_SCAN if unit.scan else KERNEL_EW
         cg = groups.get(unit)

@@ -22,35 +22,46 @@ Two contracts, selected through the backend seam
     :meth:`~repro.rvv.counters.Counters.add_many`. This is sound
     because the native tier only engages on all-fast executions
     (``svm._fast``), whose charges are closed-form in the plan shape —
-    the same property the 2D batch runner already relies on.
+    the same property the 2D batch runner already relies on. The one
+    data-dependent term, ``pack``'s
+    :data:`~repro.svm.fastpath.PACK_VARIABLE` per strip holding a
+    survivor, is split off the recorded delta and re-charged per run
+    from the survivor-strip count the kernel itself reports.
 
 ``"native-speed"`` (speed mode)
     Results-identical only; counter bookkeeping is compiled out
     entirely. This is the production-traffic contract.
 
-Lowering is **structural**: :func:`lower_plan` consumes only
-signature-stable facts (unit kinds, lane recipes from the OpSpec
-registry, buffer lengths/dtypes — all part of ``Plan.signature``), so
-a :class:`NativePlan` persisted in the :class:`~repro.engine.cache.
-PlanStore` envelope rebinds to any α-equivalent plan. Buffer
-addresses and runtime scalars (including :class:`ScalarFuture`
-operands) are resolved per call through small argument tables; scalar
-futures *produced by the plan itself* (reduce / enumerate) are
-threaded through the kernel's ``outs`` table so split pipelines
-compile whole.
+Lowering is **structural**: :func:`lower_plan` consumes only unit
+kinds, lane recipes from the OpSpec registry and buffer dtypes, so the
+generated source — and therefore its digest and ``.so`` — is one per
+pipeline *structure*, shared by every length, VLEN and α-renaming of
+it. A :class:`NativePlan` persisted in the :class:`~repro.engine.
+cache.PlanStore` envelope rebinds to any α-equivalent plan. Buffer
+addresses, buffer lengths, ``pack`` strip lengths (VLMAX) and runtime
+scalars (including :class:`ScalarFuture` operands) are resolved per
+call through small argument tables; scalar futures *produced by the
+plan itself* (reduce / enumerate / pack) are threaded through the
+kernel's ``outs`` table so split pipelines compile whole.
+
+The C entry points are ``plan_run(bufs, scalars, sel, outs, lens)``
+and ``plan_run2d(..., lens, rows)``. ``lens`` holds one length per
+buffer slot followed by one strip length per ``pack`` node; ``outs``
+holds one value per produced future followed by one survivor-strip
+count per ``pack`` node.
 
 Toolchain absence is never an error: :meth:`NativePlan.ensure`
 memoizes the failure and the executor falls back to the codegen tier
 (see ``docs/native.md``). ``REPRO_NATIVE_DISABLE=1`` forces that path;
 ``REPRO_NATIVE_CC`` overrides compiler discovery.
 
-Structural limits (fall back to codegen, also per plan): ``pack``
-(data-dependent output length) is not lowered, dtypes must be unsigned
-(the wrap-around arithmetic contract C shares with the fast path), and
-scatter/gather must be genuinely out-of-place. Out-of-range permute
-indices are *skipped* by the C kernel (bounds-guarded scatter) where
-the codegen tier would raise — the guard protects host memory, and
-plans that would raise are outside the identity contract anyway.
+Structural limits (fall back to codegen, also per plan): dtypes must
+be unsigned (the wrap-around arithmetic contract C shares with the
+fast path), and scatter/gather must be genuinely out-of-place.
+Out-of-range permute indices are *skipped* by the C kernel
+(bounds-guarded scatter) where the codegen tier would raise — the
+guard protects host memory, and plans that would raise are outside
+the identity contract anyway.
 """
 
 from __future__ import annotations
@@ -67,6 +78,8 @@ from pathlib import Path
 import numpy as np
 
 from ..config import native_toolchain_env
+from ..rvv.types import sew_for_dtype
+from ..svm.fastpath import pack_strip_survivors
 from ..svm.operators import get_operator
 from ..svm.opspec import LANE_RECIPES
 from .fuse import FusedPlan, GroupSpec
@@ -81,21 +94,20 @@ __all__ = [
     "native_available",
     "lower_plan",
     "native_state",
+    "pack_survivor_strips",
 ]
 
 #: Bumped on any change to the generated C or the meta layout; part of
 #: the artifact digest, so stale ``.so`` files are never rebound.
-NATIVE_VERSION = 1
+NATIVE_VERSION = 2
 
 #: The backend names this module serves (counters mode, speed mode).
 NATIVE_BACKENDS = ("native", "native-speed")
 
-#: Node kinds the lowering can emit C for. ``pack`` is excluded (its
-#: output length is data-dependent, which breaks the fixed-buffer
-#: kernel shape — the op declares ``native=False`` in the registry).
+#: Node kinds the lowering can emit C for: every kind.
 #: ``tools/check_opspec`` gates that every registered op is either
 #: covered here or carries an explicit ``native=False`` escape hatch.
-NATIVE_KINDS = frozenset(Kind) - {Kind.PACK}
+NATIVE_KINDS = frozenset(Kind)
 
 _U64 = (1 << 64) - 1
 
@@ -137,6 +149,12 @@ _HEADER = """\
 #define R_SRL(T, a, b)  ((T)((a) >> ((unsigned)(b) & (8u * (unsigned)sizeof(T) - 1u))))
 #define R_SLL(T, a, b)  ((T)((uint64_t)(a) << ((unsigned)(b) & (8u * (unsigned)sizeof(T) - 1u))))
 #define R_RSUB(T, a, b) ((T)((uint64_t)(b) - (uint64_t)(a)))
+
+/* Branchless select: a where the lane mask m is all ones, else b. The
+ * segmented scans use it so no compiler turns a random head-flag test
+ * into a mispredicted branch. */
+#define R_MASK(T, c)       ((T)((T)0 - (T)((c) != 0)))
+#define R_PICK(T, m, a, b) ((T)(((a) & (m)) | ((b) & (T)~(m))))
 
 /* Runtime scalar k: a literal (sel[k] < 0) or a scalar future produced
  * earlier in this very plan, read back from the outs table. */
@@ -231,10 +249,10 @@ def _build(source: str, digest: str, art_dir) -> tuple | None:
             os.replace(tmp, so)
         lib = ctypes.CDLL(str(so))
         run = lib.plan_run
-        run.argtypes = [ctypes.c_void_p] * 4
+        run.argtypes = [ctypes.c_void_p] * 5
         run.restype = None
         run2d = lib.plan_run2d
-        run2d.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_longlong]
+        run2d.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong]
         run2d.restype = None
     except Exception:
         return None
@@ -249,9 +267,9 @@ class _Gen:
     """Accumulates the C body plus the call-time binding tables.
 
     Buffer/scalar slots are recorded as ``(node_index, field)`` /
-    ``node_index`` references — never buffer ids or scalar values — so
-    the result rebinds to any α-equivalent plan (exactly the
-    :class:`GroupSpec` convention)."""
+    ``node_index`` references — never buffer ids, lengths or scalar
+    values — so the result rebinds to any α-equivalent plan of any
+    length (exactly the :class:`GroupSpec` convention)."""
 
     def __init__(self, plan: Plan) -> None:
         self.plan = plan
@@ -260,6 +278,7 @@ class _Gen:
         self.scalar_slots: list[int] = []
         self.future_nodes: list[int] = []
         self.free_nodes: list[int] = []
+        self.pack_nodes: list[int] = []
         self.blocks: list[list[str]] = []
 
     def slot(self, ni: int, fld: str, want=None) -> int:
@@ -276,11 +295,12 @@ class _Gen:
             self.buf_slots.append((ni, fld))
         return s
 
-    def buf(self, ni: int, fld: str, want=None) -> tuple[str, str, int]:
-        """(C name, C type, length) for a node's buffer reference."""
+    def buf(self, ni: int, fld: str, want=None) -> tuple[str, str, str]:
+        """(C name, C type, C length expression) for a node's buffer
+        reference; the length is read from the per-call ``lens`` table."""
         s = self.slot(ni, fld, want)
         b = self.plan.buffers[getattr(self.plan.nodes[ni], fld)]
-        return f"b{s}", _CTYPE[b.dtype.itemsize], int(b.n)
+        return f"b{s}", _CTYPE[b.dtype.itemsize], f"n{s}"
 
     def scalar(self, ni: int, pre: list[str]) -> str:
         """Hoist runtime scalar ``node.scalar`` into a uint64 local."""
@@ -293,6 +313,13 @@ class _Gen:
         j = len(self.future_nodes)
         self.future_nodes.append(ni)
         return j
+
+    def pack(self, ni: int) -> int:
+        """Index k of a pack node: its strip length is ``vlmax[k]``,
+        its survivor-strip count goes to ``strips[k]``."""
+        k = len(self.pack_nodes)
+        self.pack_nodes.append(ni)
+        return k
 
 
 def _ident(op, dtype) -> str:
@@ -369,7 +396,7 @@ def _emit_node(g: _Gen, ni: int) -> None:
     pre: list[str] = []
     out: list[str] = [f"{{ /* {kind.value}: node {ni} */"]
 
-    def loop(n: int, *lines: str) -> None:
+    def loop(n: str, *lines: str) -> None:
         out.append(f"    for (int64_t i = 0; i < {n}; ++i) {{")
         out.extend(f"        {l}" for l in lines)
         out.append("    }")
@@ -417,18 +444,21 @@ def _emit_node(g: _Gen, ni: int) -> None:
         if node.op not in _SCANOP_MACRO:
             raise _Ineligible(f"scan operator {node.op!r}")
         m = _SCANOP_MACRO[node.op]
-        dt = plan.buffers[node.dst].dtype
+        ident = f"({T}){_ident(node.op, plan.buffers[node.dst].dtype)}"
+        # the carry starts at the identity, so lane 0 needs no head
+        # test: folding it into the identity yields the lane itself
         if node.inclusive:
-            pre.append(f"{T} acc = ({T})0;")
+            pre.append(f"{T} acc = {ident};")
             loop(n, f"{T} v = {d}[i];",
-                 f"acc = (i == 0 || {f}[i] != 0) ? v : {m}({T}, acc, v);",
+                 f"{T} h = R_MASK({T}, {f}[i]);",
+                 f"acc = R_PICK({T}, h, v, {m}({T}, acc, v));",
                  f"{d}[i] = acc;")
         else:
-            pre.append(f"{T} run = ({T})0;")
+            pre.append(f"{T} run = {ident};")
             loop(n, f"{T} v = {d}[i];",
-                 f"if (i == 0 || {f}[i] != 0) "
-                 f"{{ {d}[i] = ({T}){_ident(node.op, dt)}; run = v; }}",
-                 f"else {{ {d}[i] = run; run = {m}({T}, run, v); }}")
+                 f"{T} h = R_MASK({T}, {f}[i]);",
+                 f"{d}[i] = R_PICK({T}, h, {ident}, run);",
+                 f"run = R_PICK({T}, h, v, {m}({T}, run, v));")
     elif kind is Kind.SELECT:
         d, TD, n = g.buf(ni, "dst")
         s, _, _ = g.buf(ni, "src")
@@ -452,6 +482,35 @@ def _emit_node(g: _Gen, ni: int) -> None:
         x, _, _ = g.buf(ni, "operand")
         loop(nd, f"uint64_t t = (uint64_t){x}[i];",
              f"if (t < (uint64_t){ns}) {d}[i] = ({TD}){s}[t];")
+    elif kind is Kind.PACK:
+        d, TD, n = g.buf(ni, "dst")
+        s, _, _ = g.buf(ni, "src")
+        f, TF, _ = g.buf(ni, "operand")
+        j = g.out(ni)
+        k = g.pack(ni)
+        # Strip-mined like the vcompress kernel; each strip holding a
+        # survivor counts toward the variable charge. The store is
+        # branchless: every lane writes dst[cnt] (cnt never passes i,
+        # so in-place packs are safe) and only survivors advance cnt.
+        # The one lane past the survivors that this clobbers is saved
+        # up front and restored, so dst matches the codegen tier.
+        pre.append(f"int64_t vl = vlmax[{k}];")
+        pre.append("uint64_t cnt = 0, sws = 0, kept = 0;")
+        loop(n, f"kept += {f}[i] != 0;")
+        out.append(f"    {TD} spare = kept < (uint64_t){n} ? {d}[kept] : 0;")
+        out.append(f"    for (int64_t i0 = 0; i0 < {n}; i0 += vl) {{")
+        out.append(f"        int64_t e = i0 + vl < {n} ? i0 + vl : {n};")
+        out.append("        uint64_t c0 = cnt;")
+        out.append("        for (int64_t i = i0; i < e; ++i) {")
+        out.append(f"            {TF} fv = {f}[i];")
+        out.append(f"            {d}[cnt] = ({TD}){s}[i];")
+        out.append("            cnt += fv != 0;")
+        out.append("        }")
+        out.append("        sws += cnt != c0;")
+        out.append("    }")
+        out.append(f"    if (kept < (uint64_t){n}) {d}[kept] = spare;")
+        out.append(f"    outs[{j}] = cnt;")
+        out.append(f"    strips[{k}] = sws;")
     elif kind is Kind.ENUMERATE:
         d, TD, n = g.buf(ni, "dst")
         f, TF, _ = g.buf(ni, "src")
@@ -497,6 +556,22 @@ def _emit_node(g: _Gen, ni: int) -> None:
     g.blocks.append(out)
 
 
+def _pack_vlmax(machine, plan: Plan, node) -> int:
+    """A pack node's strip length: VLMAX for its source's SEW at its
+    LMUL, exactly what the vcompress kernel strips by."""
+    return machine.vlmax(sew_for_dtype(plan.buffers[node.src].dtype),
+                         node.lmul)
+
+
+def pack_survivor_strips(svm, plan: Plan, node) -> int:
+    """Strips of a pack node that hold at least one survivor, read off
+    its flags as they stand — call it just before the node executes."""
+    flags = plan.buffers[node.operand].array
+    keep = flags.ptr.view(flags.n) != 0
+    return int(pack_strip_survivors(keep, _pack_vlmax(svm.machine, plan,
+                                                      node)))
+
+
 def _unit_n(plan: Plan, unit) -> int | None:
     """The element count a unit iterates over (None for FREE)."""
     if isinstance(unit, GroupSpec):
@@ -511,7 +586,9 @@ def _unit_n(plan: Plan, unit) -> int | None:
 def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
     """Lower a fused plan to C source + binding metadata, or None when
     the plan is structurally ineligible. Pure: consumes only
-    signature-stable plan facts, touches no toolchain."""
+    signature-stable plan facts, touches no toolchain. The source
+    depends on the plan's structure alone — never on buffer lengths —
+    so every length of one pipeline shares one digest and one ``.so``."""
     if not fused.units:
         return None
     g = _Gen(plan)
@@ -531,45 +608,51 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
         return None
 
     nb = len(g.buf_slots)
-    nf = len(g.future_nodes)
+    nout = len(g.future_nodes) + len(g.pack_nodes)
     decls = []
-    strides = []
+    sizes = []
     for s, (ni, fld) in enumerate(g.buf_slots):
-        buf = plan.buffers[getattr(plan.nodes[ni], fld)]
-        decls.append(
-            f"    {_CTYPE[buf.dtype.itemsize]} *b{s} = "
-            f"({_CTYPE[buf.dtype.itemsize]} *)bufs[{s}];")
-        strides.append(int(buf.n) * buf.dtype.itemsize)
+        size = plan.buffers[getattr(plan.nodes[ni], fld)].dtype.itemsize
+        T = _CTYPE[size]
+        decls.append(f"    {T} *b{s} = ({T} *)bufs[{s}];")
+        decls.append(f"    const int64_t n{s} = lens[{s}];")
+        sizes.append(size)
+    # the tables' tails: pack strip lengths follow the buffer lengths,
+    # survivor-strip counts follow the produced futures
+    decls.append(f"    const int64_t *vlmax = lens + {nb};")
+    decls.append(f"    uint64_t *strips = outs + {len(g.future_nodes)};")
 
     src = [f"/* generated by repro.engine.native v{NATIVE_VERSION}"
            " -- do not edit */", _HEADER]
     src.append("static void plan_body(uint8_t **bufs,"
                " const uint64_t *scalars,")
-    src.append("                      const int64_t *sel, uint64_t *outs)")
+    src.append("                      const int64_t *sel, uint64_t *outs,")
+    src.append("                      const int64_t *lens)")
     src.append("{")
     src += decls
-    src.append("    (void)scalars; (void)sel; (void)outs;")
+    src.append("    (void)scalars; (void)sel; (void)vlmax; (void)strips;")
     for block in g.blocks:
         src += [f"    {l}" for l in block]
     src.append("}")
     src.append("")
     src.append("void plan_run(uint8_t **bufs, const uint64_t *scalars,")
-    src.append("              const int64_t *sel, uint64_t *outs)")
+    src.append("              const int64_t *sel, uint64_t *outs,"
+               " const int64_t *lens)")
     src.append("{")
-    src.append("    plan_body(bufs, scalars, sel, outs);")
+    src.append("    plan_body(bufs, scalars, sel, outs, lens);")
     src.append("}")
     src.append("")
     src.append("void plan_run2d(uint8_t **bufs, const uint64_t *scalars,")
     src.append("                const int64_t *sel, uint64_t *outs,"
-               " int64_t b)")
+               " const int64_t *lens, int64_t b)")
     src.append("{")
-    src.append(f"    static const int64_t stride[{nb}] = "
-               f"{{{', '.join(str(s) for s in strides)}}};")
+    src.append(f"    static const int64_t size[{nb}] = "
+               f"{{{', '.join(str(z) for z in sizes)}}};")
     src.append(f"    uint8_t *row[{nb}];")
     src.append("    for (int64_t r = 0; r < b; ++r) {")
     src.append(f"        for (int s = 0; s < {nb}; ++s)"
-               " row[s] = bufs[s] + r * stride[s];")
-    src.append(f"        plan_body(row, scalars, sel, outs + r * {nf});")
+               " row[s] = bufs[s] + r * size[s] * lens[s];")
+    src.append(f"        plan_body(row, scalars, sel, outs + r * {nout}, lens);")
     src.append("    }")
     src.append("}")
 
@@ -578,6 +661,7 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
         "scalar_slots": g.scalar_slots,
         "future_nodes": g.future_nodes,
         "free_nodes": g.free_nodes,
+        "pack_nodes": g.pack_nodes,
         "min_n": min(lengths),
     }
     return NativePlan("\n".join(src) + "\n", meta)
@@ -629,14 +713,16 @@ class NativePlan:
         s = getattr(loc, "s", None)
         if s is None:
             meta = self.meta
+            npk = len(meta["pack_nodes"])
             nb = max(len(meta["buf_slots"]), 1)
             ns = max(len(meta["scalar_slots"]), 1)
-            nf = max(len(meta["future_nodes"]), 1)
+            nout = max(len(meta["future_nodes"]) + npk, 1)
             s = (
                 (ctypes.c_uint64 * nb)(),
                 (ctypes.c_uint64 * ns)(),
                 (ctypes.c_int64 * ns)(),
-                (ctypes.c_uint64 * nf)(),
+                (ctypes.c_uint64 * nout)(),
+                (ctypes.c_int64 * (nb + npk))(),
             )
             loc.s = s
         return s
@@ -658,19 +744,31 @@ class NativePlan:
             sel[k] = idx
             scalars[k] = 0 if idx >= 0 else resolve_scalar(sc) & _U64
 
+    def _fill_lens(self, machine, plan: Plan, lens) -> None:
+        """Per-call lengths: one per buffer slot, then one strip
+        length per pack node."""
+        nodes = plan.nodes
+        slots = self.meta["buf_slots"]
+        for j, (ni, fld) in enumerate(slots):
+            lens[j] = int(plan.buffers[getattr(nodes[ni], fld)].n)
+        for k, ni in enumerate(self.meta["pack_nodes"]):
+            lens[len(slots) + k] = _pack_vlmax(machine, plan, nodes[ni])
+
     # -- execution ---------------------------------------------------------
 
-    def _bind(self, loc, plan: Plan):
+    def _bind(self, loc, svm, plan: Plan):
         """Precompute everything stable for repeated executions of one
-        plan *instance*: simulated buffer pointers, constant scalar
-        values, the future routing table, the argument addresses. The
-        hot replay path then only refreshes what can actually change —
-        memory base addresses (the heap may be reallocated between
-        runs) and the values of futures produced by *other* plans."""
+        plan *instance*: simulated buffer pointers, buffer and strip
+        lengths, constant scalar values, the future routing table, the
+        argument addresses. The hot replay path then only refreshes
+        what can actually change — memory base addresses (the heap may
+        be reallocated between runs) and the values of futures produced
+        by *other* plans."""
         nodes = plan.nodes
         buffers = plan.buffers
-        bufs, scalars, sel, outs = self._scratch()
+        bufs, scalars, sel, outs, lens = self._scratch()
         meta = self.meta
+        self._fill_lens(svm.machine, plan, lens)
         ptrs = [buffers[getattr(nodes[ni], fld)].array.ptr
                 for ni, fld in meta["buf_slots"]]
         mems: list = []
@@ -704,25 +802,30 @@ class NativePlan:
                 scalars[k] = int(sc) & _U64
         free_arrays = [buffers[nodes[ni].dst].array
                        for ni in meta["free_nodes"]]
+        nf = len(futures)
+        strip_outs = range(nf, nf + len(meta["pack_nodes"]))
         args = (ctypes.addressof(bufs), ctypes.addressof(scalars),
-                ctypes.addressof(sel), ctypes.addressof(outs))
+                ctypes.addressof(sel), ctypes.addressof(outs),
+                ctypes.addressof(lens))
         loc.bind = (bufs, scalars, outs, ptrs, slot_mem, mems,
                     [None] * len(mems), fut_reads, futures, free_arrays,
-                    args)
+                    strip_outs, args)
         loc.plan = plan
         return loc.bind
 
-    def run(self, svm, plan: Plan) -> None:
+    def run(self, svm, plan: Plan) -> int:
         """Execute the whole plan as one compiled call against the
         machine's flat memory (zero-copy: buffer pointers are computed
-        from the simulated heap addresses)."""
+        from the simulated heap addresses). Returns the total count of
+        pack strips that held a survivor (0 for pack-free plans) — the
+        multiplier of the run's data-dependent charge."""
         loc = self._local
         if getattr(loc, "plan", None) is not plan:
-            bind = self._bind(loc, plan)
+            bind = self._bind(loc, svm, plan)
         else:
             bind = loc.bind
         (bufs, scalars, outs, ptrs, slot_mem, mems, mem_bytes,
-         fut_reads, futures, free_arrays, args) = bind
+         fut_reads, futures, free_arrays, strip_outs, args) = bind
         for i, mem in enumerate(mems):
             mb = mem._bytes
             if mb is not mem_bytes[i]:
@@ -742,14 +845,16 @@ class NativePlan:
         # so deferring them cannot change any address the kernel used
         for arr in free_arrays:
             svm.free(arr)
+        return sum(outs[j] for j in strip_outs)
 
-    def run2d(self, plan: Plan, mats: dict, get, fvals: dict, b: int) -> None:
+    def run2d(self, svm, plan: Plan, mats: dict, get, fvals: dict,
+              b: int) -> None:
         """Batched execution for the 2D bucket runner: every buffer is
         materialized as a C-contiguous ``[b, n]`` matrix and the kernel
         loops rows natively; produced futures land in ``fvals`` as
         per-row int64 columns (the ``_scalar_2d`` convention)."""
         nodes = plan.nodes
-        bufs, scalars, sel, _ = self._scratch()
+        bufs, scalars, sel, _, lens = self._scratch()
         hold = []
         for j, (ni, fld) in enumerate(self.meta["buf_slots"]):
             bid = getattr(nodes[ni], fld)
@@ -759,11 +864,13 @@ class NativePlan:
                 mats[bid] = mat
             hold.append(mat)
             bufs[j] = mat.ctypes.data
-        nf = len(self.meta["future_nodes"])
-        outs_mat = np.zeros((b, max(nf, 1)), dtype=np.uint64)
+        nout = len(self.meta["future_nodes"]) + len(self.meta["pack_nodes"])
+        outs_mat = np.zeros((b, max(nout, 1)), dtype=np.uint64)
         self._fill_scalars(nodes, scalars, sel)
+        self._fill_lens(svm.machine, plan, lens)
         self._fns[1](ctypes.addressof(bufs), ctypes.addressof(scalars),
-                     ctypes.addressof(sel), outs_mat.ctypes.data, b)
+                     ctypes.addressof(sel), outs_mat.ctypes.data,
+                     ctypes.addressof(lens), b)
         for j, ni in enumerate(self.meta["future_nodes"]):
             fvals[nodes[ni].future] = outs_mat[:, j].astype(np.int64)
 

@@ -100,10 +100,12 @@ class OpSpec:
     selects the ops wrapped with an observability span.
 
     ``native`` declares that the op's node kinds lower to C in the
-    compiled whole-plan tier (:mod:`repro.engine.native`); an op that
-    cannot (pack: data-dependent output length) must set
-    ``native=False`` explicitly — ``tools/check_opspec.py`` gates that
-    the flag and the native emitter table agree in both directions.
+    compiled whole-plan tier (:mod:`repro.engine.native`); every
+    registered op does today, pack included (its kernel reports its
+    survivor-strip count so the data-dependent charge stays exact). An
+    op that cannot lower must set ``native=False`` explicitly —
+    ``tools/check_opspec.py`` gates that the flag and the native
+    emitter table agree in both directions.
     """
 
     name: str
@@ -355,7 +357,6 @@ _register(OpSpec(
     batch2d=False,        # charge depends on the survivor distribution
     data_dependent=True,
     ragged2d=True,        # masked axis=1 kernel + per-row charge items
-    native=False,         # data-dependent output length: no C lowering
     future="pack.kept",
     doc="Stream compaction: keep flagged elements, preserving order.",
 ))

@@ -9,9 +9,15 @@ The contracts under test (see ``docs/native.md``):
   counters stay bit-identical to the strict reference forever;
 * ``backend="native-speed"`` — results stay bit-identical, counters
   are compiled out entirely (zero bookkeeping);
+* pack — lowered like every other kind: its kernel reports the
+  survivor-strip count, so counters mode re-charges the one
+  data-dependent term per run and stays counter-identical however the
+  survivors move between runs;
+* one artifact per pipeline structure — every length of a pipeline
+  shares one generated source, one digest and one ``.so``;
 * graceful degradation — no toolchain, a structurally ineligible plan
-  (pack), or strict mode all fall back to the codegen tier with the
-  full identity contract intact;
+  (in-place scatter), or strict mode all fall back to the codegen tier
+  with the full identity contract intact;
 * persistence — the lowered C source rides inside the plan store
   entry next to the generated Python kernels, and the ``.c``/``.so``
   artifacts land under ``<cache_dir>/native/``.
@@ -26,30 +32,29 @@ import numpy as np
 import pytest
 
 from repro import SVM
+from repro.engine import native as native_mod
 from repro.engine.native import (
     NativePlan,
     native_available,
     reset_native_caches,
 )
-from repro.rvv.types import LMUL
+from repro.rvv.types import LMUL, SEW, vlmax_for
 
 from .conftest import PIPELINES, make_data
 
 N = 97
 
-#: Pipelines the native tier must fully lower (everything except the
-#: pack-carrying one, whose data-dependent output length is the
-#: registry's one declared ``native=False`` escape hatch).
-LOWERABLE = sorted(set(PIPELINES) - {"pack_future"})
+#: Pipelines the native tier must fully lower: all of them.
+LOWERABLE = sorted(PIPELINES)
 
 needs_cc = pytest.mark.skipif(
     not native_available(), reason="no C toolchain on this host"
 )
 
 
-def _observe(svm, pipe, lmul, seed=0):
+def _observe(svm, pipe, lmul, seed=0, n=N):
     """One captured execution on fresh inputs: (result, counters)."""
-    data = make_data(svm, N, seed)
+    data = make_data(svm, n, seed)
     svm.machine.counters.reset()
     with svm.lazy() as lz:
         out = pipe(lz, data, lmul)
@@ -154,15 +159,29 @@ def test_no_toolchain_falls_back(monkeypatch):
         reset_native_caches()
 
 
+def _observe_inplace_scatter(svm):
+    """A permute scattering onto its own source — a plan with no C
+    lowering — as one captured execution: (result, counters, fused)."""
+    data = make_data(svm, N)
+    index = svm.array(np.arange(N, dtype=np.uint32)[::-1].copy())
+    svm.machine.counters.reset()
+    with svm.lazy() as lz:
+        lz.p_add(data, 1)
+        lz.permute(data, index, out=data)
+        lz.plus_scan(data)
+    counts = {cat: k for cat, k in
+              svm.machine.counters.snapshot().by_category.items() if k}
+    return data.to_numpy(), counts, lz.fused
+
+
 def test_ineligible_plan_falls_back():
-    """pack (native=False) keeps the whole plan on the codegen tier,
+    """An in-place scatter keeps the whole plan on the codegen tier,
     marked 'unavailable' so lowering is attempted exactly once."""
-    pipe = PIPELINES["pack_future"]
     ref_svm = SVM(vlen=128, mode="fast", backend="codegen")
-    ref, ref_counts, _ = _observe(ref_svm, pipe, LMUL.M1)
+    ref, ref_counts, _ = _observe_inplace_scatter(ref_svm)
     svm = SVM(vlen=128, mode="fast", backend="native")
     for run in range(2):
-        got, counts, fused = _observe(svm, pipe, LMUL.M1)
+        got, counts, fused = _observe_inplace_scatter(svm)
         assert np.array_equal(ref, got), run
         assert counts == ref_counts, run
     assert fused.native == "unavailable"
@@ -215,6 +234,191 @@ def test_batch_native_2d(monkeypatch):
     for r, g in zip(ref, got):
         assert np.array_equal(r, g)
     assert svm.machine.counters.snapshot().by_category == ref_counts
+
+
+@needs_cc
+@pytest.mark.parametrize("inclusive", [True, False])
+@pytest.mark.parametrize("op", ["plus", "max", "min", "or", "and", "xor"])
+def test_seg_scan_lane_zero_is_a_head(op, inclusive):
+    """The C segmented scans carry the operator's identity into lane 0
+    instead of testing ``i == 0``: with or without a head flag there,
+    every width matches codegen bit for bit."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        for head0 in (0, 1):
+            got = {}
+            for backend in ("codegen", "native"):
+                svm = SVM(vlen=128, mode="fast", backend=backend)
+                for seed in range(2):   # run 2 replays the C kernel
+                    rng = np.random.default_rng(seed)
+                    x = rng.integers(0, np.iinfo(dtype).max, 50,
+                                     dtype=dtype, endpoint=True)
+                    heads = (rng.random(50) < 0.3).astype(dtype)
+                    heads[0] = head0
+                    data = svm.array(x, dtype)
+                    with svm.lazy() as lz:
+                        lz.seg_scan(data, svm.array(heads, dtype), op,
+                                    inclusive=inclusive)
+                got[backend] = data.to_numpy()
+            assert isinstance(lz.fused.native, NativePlan)
+            assert np.array_equal(got["codegen"], got["native"]), (
+                dtype, head0)
+
+
+# ---------------------------------------------------------------------------
+# pack: the data-dependent kind, lowered
+# ---------------------------------------------------------------------------
+
+#: Flag patterns; nonzero flags are not all 1 (pack keeps ``flag != 0``)
+#: and the random one is sparse enough to leave whole strips empty.
+FLAG_PATTERNS = {
+    "zero": lambda rng, n: np.zeros(n, dtype=np.uint32),
+    "one": lambda rng, n: np.ones(n, dtype=np.uint32),
+    "random": lambda rng, n: (rng.integers(1, 4, n)
+                              * (rng.random(n) < 0.08)).astype(np.uint32),
+}
+
+
+def _pack_sizes(vlen, lmul):
+    vlmax = vlmax_for(vlen, SEW.E32, LMUL(lmul))
+    return sorted({0, 1, vlmax - 1, vlmax, vlmax + 1, 97, 3000})
+
+
+def _pack_once(svm, x, flags, lmul, inplace=False):
+    """One captured pack whose kept count feeds a later in-plan
+    operand: (output bits, kept, nonzero counters)."""
+    data = svm.array(x)
+    f = svm.array(flags)
+    out = data if inplace else svm.array(
+        np.full(len(x), 0xABCD, dtype=np.uint32))
+    svm.machine.counters.reset()
+    with svm.lazy() as lz:
+        _, kept = lz.pack(data, f, out=out, lmul=lmul)
+        lz.p_add(out, kept, lmul=lmul)
+    counts = {cat: k for cat, k in
+              svm.machine.counters.snapshot().by_category.items() if k}
+    got = (out.to_numpy(), kept.value, counts, lz.fused)
+    svm.free(f)
+    svm.free(data)
+    if not inplace:
+        svm.free(out)
+    return got
+
+
+def _pack_schedule(record, n, seed):
+    """The recording run's flag pattern, then every other pattern and
+    a second random draw — each a different survivor distribution."""
+    rng = np.random.default_rng(seed)
+    names = [record] + [p for p in FLAG_PATTERNS if p != record] + ["random"]
+    x = rng.integers(0, 2**32, n, dtype=np.uint32)
+    return [(x, FLAG_PATTERNS[p](rng, n)) for p in names]
+
+
+@needs_cc
+@pytest.mark.parametrize("record", sorted(FLAG_PATTERNS))
+@pytest.mark.parametrize("vlen,lmul", [(128, 1), (128, 4), (1024, 1),
+                                       (1024, 4)])
+def test_pack_native_grid(vlen, lmul, record):
+    """Pack lowers to C at every strip boundary: on ``native`` bits and
+    per-category counters equal codegen's on every run — including runs
+    whose survivors sit in different strips than the recording run's —
+    and on ``native-speed`` the bits do."""
+    for n in _pack_sizes(vlen, lmul):
+        svms = {b: SVM(vlen=vlen, mode="fast", lmul=LMUL(lmul), backend=b)
+                for b in ("codegen", "native", "native-speed")}
+        for run, (x, flags) in enumerate(_pack_schedule(record, n, n)):
+            ref, ref_kept, ref_counts, _ = _pack_once(
+                svms["codegen"], x, flags, LMUL(lmul))
+            got, kept, counts, fused = _pack_once(
+                svms["native"], x, flags, LMUL(lmul))
+            cell = (n, run)
+            assert np.array_equal(ref, got) and kept == ref_kept, cell
+            assert counts == ref_counts, cell
+            assert isinstance(fused.native, NativePlan), cell
+            assert fused.native.charge_items is not None, cell
+            spd, spd_kept, spd_counts, _ = _pack_once(
+                svms["native-speed"], x, flags, LMUL(lmul))
+            assert np.array_equal(ref, spd) and spd_kept == ref_kept, cell
+            assert spd_counts == {}, cell
+
+
+@needs_cc
+@pytest.mark.parametrize("n", [97, 3000])
+def test_pack_in_place_native(n):
+    """Packing a vector onto itself stays bit- and counter-identical:
+    survivors land at the running count, never ahead of the read."""
+    svms = {b: SVM(vlen=128, mode="fast", backend=b)
+            for b in ("codegen", "native")}
+    for x, flags in _pack_schedule("random", n, 7):
+        ref = _pack_once(svms["codegen"], x, flags, LMUL.M1, inplace=True)
+        got = _pack_once(svms["native"], x, flags, LMUL.M1, inplace=True)
+        assert np.array_equal(ref[0], got[0]) and ref[1] == got[1]
+        assert ref[2] == got[2]
+    assert isinstance(got[3].native, NativePlan)
+
+
+@needs_cc
+def test_one_build_serves_every_length(monkeypatch):
+    """The generated source never depends on n: one pipeline at two
+    lengths calls ``_build`` exactly once, and the second length runs
+    native with codegen-identical bits and counters."""
+    reset_native_caches()
+    builds = []
+    orig_build = native_mod._build
+    monkeypatch.setattr(native_mod, "_build", lambda *a: (
+        builds.append(a[1]), orig_build(*a))[1])
+    runs = []
+    orig_run = NativePlan.run
+    monkeypatch.setattr(NativePlan, "run", lambda self, svm, plan: (
+        runs.append(plan), orig_run(self, svm, plan))[1])
+    pipe = PIPELINES["pack_future"]
+    svm = SVM(vlen=128, mode="fast", backend="native")
+    ref_svm = SVM(vlen=128, mode="fast", backend="codegen")
+    digests = set()
+    for n in (97, 300):
+        for seed in range(3):
+            got, counts, fused = _observe(svm, pipe, LMUL.M1, seed, n)
+            ref, ref_counts, _ = _observe(ref_svm, pipe, LMUL.M1, seed, n)
+            assert np.array_equal(ref, got), (n, seed)
+            assert counts == ref_counts, (n, seed)
+        digests.add(fused.native.digest)
+    assert len(builds) == 1
+    assert len(digests) == 1
+    assert len(runs) == 4   # runs 2 and 3 of each length were compiled
+    assert {p.buffers[p.nodes[0].dst].n for p in runs} == {97, 300}
+
+
+@needs_cc
+def test_batch_pack_stays_ragged(monkeypatch):
+    """svm.batch of a pack pipeline on ``native`` keeps the ragged
+    codegen path (no 2D C kernel for pack): ``run2d`` is never called,
+    and results, lengths and counters equal codegen's."""
+    calls = []
+    monkeypatch.setattr(NativePlan, "run2d",
+                        lambda self, *a, **k: calls.append(1))
+
+    def pipe(lz, data):
+        flags = lz.p_lt(data, 2**15)
+        out, kept = lz.pack(data, flags)
+        lz.p_add(out, kept)
+        lz.free(flags)
+        return out
+
+    rng = np.random.default_rng(11)
+    inputs = [rng.integers(0, 2**16, 300, dtype=np.uint32)
+              for _ in range(5)]
+    results = {}
+    for backend in ("codegen", "native"):
+        svm = SVM(vlen=128, mode="fast", backend=backend)
+        for _ in range(2):   # the second batch replays row 0 natively
+            res = svm.batch(pipe, inputs)
+        assert {b.path for b in res.buckets} == {"ragged"}
+        results[backend] = (res, svm.machine.counters.snapshot().by_category)
+    (ref, ref_counts), (got, counts) = results["codegen"], results["native"]
+    assert calls == []
+    assert got.lengths == ref.lengths
+    for r, g, k in zip(ref, got, ref.lengths):
+        assert np.array_equal(r[:k], g[:k])
+    assert counts == ref_counts
 
 
 @needs_cc

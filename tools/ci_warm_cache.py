@@ -6,7 +6,10 @@ bits; phase ``warm`` re-runs the identical pipeline in a *fresh
 process* and asserts (a) the output is bit-identical, (b) the plan was
 served from the on-disk store, and (c) no capture-analysis /
 fuse / codegen work happened — no ``plan.compile`` span
-and no ``codegen.compile`` event in the profile.
+and no ``codegen.compile`` event in the profile. With a native backend
+the warm phase also runs the same pipeline at a second length and
+asserts that no new file appears under ``<cache_dir>/native/``: the C
+artifacts are per pipeline structure, not per shape.
 
     REPRO_CACHE_DIR=/tmp/cache python tools/ci_warm_cache.py cold --ref /tmp/ref.npy
     REPRO_CACHE_DIR=/tmp/cache python tools/ci_warm_cache.py warm --ref /tmp/ref.npy
@@ -24,12 +27,14 @@ from repro import SVM
 from repro.rvv.types import LMUL
 
 N = 5000
+#: A second length for the native warm phase: a new plan, same C source.
+N2 = 3001
 
 
-def _pipeline(profile: bool, backend: str = "codegen"):
+def _pipeline(profile: bool, backend: str = "codegen", n: int = N):
     svm = SVM(vlen=512, codegen="paper", mode="fast", backend=backend,
               profile=profile)
-    data = svm.array(np.arange(N, dtype=np.uint32))
+    data = svm.array(np.arange(n, dtype=np.uint32))
     with svm.lazy() as lz:
         lz.p_add(data, 10, lmul=LMUL.M2)
         lz.p_mul(data, 3, lmul=LMUL.M2)
@@ -105,6 +110,13 @@ def main() -> int:
 
         assert isinstance(svm.engine.last_fused.native, NativePlan), (
             "disk-served plan lost its native lowering")
+        # a new length compiles a new plan but reuses the C artifact
+        arts = sorted(store.native_artifacts())
+        _, svm2 = _pipeline(profile=False, backend=args.backend, n=N2)
+        assert svm2.engine.store.misses == 1, "second length hit the store"
+        assert isinstance(svm2.engine.last_fused.native, NativePlan)
+        assert sorted(store.native_artifacts()) == arts, (
+            "a second length built a new native artifact")
     print("warm: bit-identical, served from disk, no compile work")
     return 0
 
