@@ -30,8 +30,8 @@ Commands
     matrix (strict / fast / fusion / codegen / batch-2D); ``--json``
     emits the machine-readable form for tooling.
 ``cache stats|clear|prune [--dir D]``
-    Inspect, clear, or prune the persistent plan cache and tuning DB
-    (``REPRO_CACHE_DIR``).
+    Inspect, clear, or prune the persistent cache (``REPRO_CACHE_DIR``):
+    the native tier's compiled C artifacts and the tuning DB.
 ``tune sweep|show|clear [--dir D] ...``
     Drive the shape→config auto-tuner: ``sweep`` measures a
     pipeline × size × config grid and fits/persists the policy,
@@ -460,47 +460,56 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unlink_all(paths) -> int:
+    """Delete ``paths``; returns how many were removed."""
+    removed = 0
+    for path in paths:
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            pass
+    return removed
+
+
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .config import env_cache_dir
-    from .engine.cache import PlanStore, default_cache_dir
+    from pathlib import Path
+
+    from .config import default_cache_dir, env_cache_dir
+    from .engine.native import artifact_dir, artifact_stats, artifacts
     from .tune.db import TuningDB
 
     configured = bool(args.dir or env_cache_dir())
-    root = args.dir or default_cache_dir()
-    store = PlanStore(root)
+    root = Path(args.dir) if args.dir else default_cache_dir()
     tdb = TuningDB(root)
     if args.action == "clear":
-        removed = store.clear() + tdb.clear()
-        print(f"removed {removed} cached file(s) from {store.root} "
-              "(plan entries, native artifacts, and tuning entries)")
+        # *.plan: pickled plan entries left by earlier versions
+        removed = _unlink_all(artifacts(root) + artifacts(root, temps=True)
+                              + sorted(root.glob("*.plan"))) + tdb.clear()
+        print(f"removed {removed} cached file(s) from {root} "
+              "(native artifacts and tuning entries)")
         return 0
     if args.action == "prune":
-        pruned = store.prune()
+        temps = _unlink_all(artifacts(root, temps=True))
         tpruned = tdb.prune()
-        print(f"pruned {pruned['removed']} stale entr(ies) from "
-              f"{store.root} ({pruned['kept']} current kept, "
-              f"{pruned['temps']} temp file(s) removed)")
+        print(f"pruned {temps} abandoned native build file(s) from "
+              f"{artifact_dir(root)}")
         print(f"pruned {tpruned['removed']} stale tuning entr(ies) from "
               f"{tdb.tune_dir} ({tpruned['kept']} current kept, "
               f"{tpruned['temps']} temp file(s) removed)")
         return 0
-    s = store.stats_dict(scan=True)
+    a = artifact_stats(root)
     t = tdb.stats_dict(scan=True)
-    print(f"persistent plan cache at {s['dir']}")
-    print(f"  entries: {s['entries']}  bytes: {s['bytes']:,}  "
-          f"stale: {s['stale']}")
-    print(f"  native artifacts: {s['native_artifacts']}  "
-          f"bytes: {s['native_bytes']:,}")
+    print(f"persistent cache at {root}")
+    print(f"  native artifacts: {a['artifacts']}  bytes: {a['bytes']:,}")
     print(f"  tuning entries: {t['entries']}  bytes: {t['bytes']:,}  "
-          f"stale: {t['stale']}")
-    print(f"  schema: v{s['schema']}  code: {s['code']}")
-    if s["stale"] or t["stale"]:
-        print(f"  note: run 'repro cache prune' to evict the "
-              f"{s['stale'] + t['stale']} stale entr(ies) left by an "
-              "older engine fingerprint")
+          f"stale: {t['stale']}  schema: v{t['schema']}  code: {t['code']}")
+    if t["stale"]:
+        print(f"  note: run 'repro cache prune' to evict the {t['stale']} "
+              "stale tuning entr(ies) left by an older engine fingerprint")
     if not configured:
         print("  note: persistence is disabled — the engine writes this "
-              "store only when REPRO_CACHE_DIR is set or "
+              "cache only when REPRO_CACHE_DIR is set or "
               "SVM(cache_dir=...) is passed")
     return 0
 
@@ -767,8 +776,9 @@ def _add_config_flags(p: argparse.ArgumentParser, *, codegen: bool = False,
                             "from REPRO_BACKEND")
     if cache_dir:
         p.add_argument("--cache-dir", default=None,
-                       help="persistent plan-store / tuning-DB directory "
-                            "(default: REPRO_CACHE_DIR if set)")
+                       help="persistent cache directory: native C "
+                            "artifacts and the tuning DB (default: "
+                            "REPRO_CACHE_DIR if set)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -941,7 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_top)
 
     p = sub.add_parser(
-        "cache", help="inspect or clear the persistent plan cache"
+        "cache", help="inspect, prune or clear the persistent cache "
+                      "(native C artifacts and the tuning DB)"
     )
     p.add_argument("action", choices=["stats", "clear", "prune"])
     p.add_argument("--dir", default=None,

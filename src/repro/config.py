@@ -4,7 +4,7 @@ Before this module existed the execution configuration was smeared
 across the stack: ``SVM.__init__`` held vlen/lmul/backend keyword
 arguments, ``REPRO_BACKEND`` / ``REPRO_CACHE_DIR`` /
 ``REPRO_NATIVE_*`` were read ad hoc by the executor, the native
-lowering, the plan store, and the sweep runner, and each consumer
+lowering, the cache directory, and the sweep runner, and each consumer
 invented its own precedence. :class:`ExecConfig` is the one place all
 of those axes live, with a single layering rule applied by
 :meth:`ExecConfig.resolve`::
@@ -14,7 +14,7 @@ of those axes live, with a single layering rule applied by
 
 Every consumer goes through it: :class:`~repro.svm.context.SVM` holds
 the resolved config of its context, the engine derives its backend and
-persistent store from it, :mod:`repro.parallel` sweeps are expressed
+native artifact directory from it, :mod:`repro.parallel` sweeps are expressed
 as config deltas (:meth:`ExecConfig.override`), the serving daemon
 builds its whole worker pool from one config, and the ``repro tune``
 policy stores chosen configs per workload shape.
@@ -129,8 +129,8 @@ class ExecConfig:
     #: Radix digit width for :func:`~repro.algorithms.radix_wide.
     #: split_radix_sort_wide` (the paper's digit-bits study axis).
     digit_bits: int = 2
-    #: Persistent plan-store / tuning-DB root; None disables
-    #: persistence.
+    #: Persistent cache root (tuning DB and native C artifacts);
+    #: None disables persistence.
     cache_dir: str | None = None
     #: Explicit C compiler for the native tier; None discovers one.
     native_cc: str | None = None
@@ -284,8 +284,9 @@ def native_toolchain_env() -> tuple[str | None, bool]:
 
 
 def default_cache_dir() -> Path:
-    """The conventional persistent-store location: ``REPRO_CACHE_DIR``
-    if set, else ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``)."""
+    """The conventional cache location (tuning DB, native artifacts):
+    ``REPRO_CACHE_DIR`` if set, else ``$XDG_CACHE_HOME/repro``
+    (``~/.cache/repro``)."""
     env = env_cache_dir()
     if env:
         return Path(env)

@@ -19,11 +19,9 @@ primitive kernels:
   semantics) or through their generated kernels with identical
   closed-form counters (preserving the repo's strict-vs-fast
   bit-and-counter equality invariant);
-* :mod:`repro.engine.cache` — a plan cache keyed on (op signature, n,
-  VLEN, SEW, LMUL, codegen preset) so repeated pipelines skip
-  re-planning, plus an opt-in persistent on-disk store
-  (``REPRO_CACHE_DIR`` / ``SVM(cache_dir=...)``) that is versioned and
-  fingerprint-guarded so warm cold-starts skip compilation entirely;
+* :mod:`repro.engine.cache` — an in-memory LRU plan cache keyed on
+  (op signature, n, VLEN, SEW, LMUL, codegen preset) so repeated
+  pipelines skip re-planning;
 * :mod:`repro.engine.codegen` — the Python fast path: at cache-insert
   time it derives each fused group's lane chain and closed-form
   charge profile and emits one flat Python function per group (and a
@@ -31,7 +29,10 @@ primitive kernels:
   counter-identical to the strict loop;
 * :mod:`repro.engine.native` — the compiled backend tier: lowers a
   whole fused plan to one C translation unit, builds it with the host
-  toolchain, and replays it as a single ``ctypes`` call — either with
+  toolchain (the ``.so`` persists under ``<cache_dir>/native/``
+  when ``REPRO_CACHE_DIR`` / ``SVM(cache_dir=...)`` is set, so a warm
+  process runs no ``cc``), and replays it as a single ``ctypes`` call
+  — either with
   the counter contract intact (``backend="native"``) or with counters
   compiled out (``backend="native-speed"``), falling back to codegen
   whenever the plan or the environment is ineligible.
@@ -42,7 +43,7 @@ the compiled tier's dual contracts, and ``docs/architecture.md`` for
 how the execution tiers dispatch.
 """
 
-from .cache import CacheStats, PlanCache, PlanStore
+from .cache import CacheStats, PlanCache
 from .capture import PlanBuilder
 from .codegen import CompiledPlan, compile_fused
 from .executor import BACKENDS, DEFAULT_BACKEND, Engine, execute, resolve_backend
@@ -61,7 +62,6 @@ __all__ = [
     "FusedPlan",
     "PlanCache",
     "CacheStats",
-    "PlanStore",
     "execute",
     "CompiledPlan",
     "compile_fused",

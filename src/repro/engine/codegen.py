@@ -46,12 +46,6 @@ The reference semantics is the strict per-strip loop
 per-category counters of the generated kernels are identical to it —
 asserted across the full VLEN×LMUL grid in
 ``tests/engine/test_codegen.py`` and locked in ``BENCH_codegen.json``.
-
-A :class:`CompiledPlan` also pickles (for the persistent plan store of
-:mod:`repro.engine.cache`): ``__reduce__`` ships the generated source
-plus the prebound-constant table and re-``exec``-s on load, so a
-process that loads a warm cache entry skips capture, fusion *and*
-code generation.
 """
 
 from __future__ import annotations
@@ -84,10 +78,6 @@ __all__ = [
     "compile_fused",
     "group_charge_items",
 ]
-
-#: Bumped when the shape of the generated source changes; folded into
-#: the persistent store's code fingerprint via this module's source.
-CODEGEN_VERSION = 3
 
 #: Name of the generated whole-plan kernel (``CompiledPlan.plan_fn``).
 _PLAN_KERNEL = "_plan_kernel"
@@ -228,10 +218,6 @@ class CompiledPlan:
     applies to every group, which gates the whole-plan kernel;
     structured replay units inside it dispatch per their own length
     through the SVM surface, exactly like the unit loop.
-
-    Pickling re-emits nothing: the instance reduces to
-    ``(source, consts, group_meta)`` and re-binds by
-    ``exec``-ing the stored source on load.
     """
 
     def __init__(self, source: str, consts: dict, group_meta: dict) -> None:
@@ -239,22 +225,16 @@ class CompiledPlan:
         self.consts = consts
         self.group_meta = group_meta  # {GroupSpec: ("_g0", n), ...}
         self.min_n = min(n for _, n in group_meta.values())
-        self._bind()
-
-    def _bind(self) -> None:
-        ns = dict(self.consts)
+        ns = dict(consts)
         ns["_np"] = np
         ns["_wrap"] = _wrap
         ns["_rs"] = resolve_scalar
-        exec(compile(self.source, "<repro.engine.codegen>", "exec"), ns)
+        exec(compile(source, "<repro.engine.codegen>", "exec"), ns)
         self.groups = {
             spec: CompiledGroup(ns[name], ns[name + "_2d"], name, n)
-            for spec, (name, n) in self.group_meta.items()
+            for spec, (name, n) in group_meta.items()
         }
         self.plan_fn = ns[_PLAN_KERNEL]
-
-    def __reduce__(self):
-        return (CompiledPlan, (self.source, self.consts, self.group_meta))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CompiledPlan({len(self.group_meta)} groups)"

@@ -38,7 +38,7 @@ from ..svm import elementwise as ew
 from ..svm.fastpath import pack_variable_items
 from ..svm.operators import get_operator
 from ..svm.scan import inner_scan_steps
-from .cache import PlanCache, store_from_env
+from .cache import PlanCache
 from .codegen import compile_fused
 from .fuse import (
     KERNEL_EW,
@@ -53,6 +53,7 @@ from .fuse import (
 from .ir import EngineError, Kind, Plan, resolve_scalar
 from .native import (
     NATIVE_BACKENDS,
+    artifact_dir,
     lower_plan,
     native_state,
     pack_survivor_strips,
@@ -319,18 +320,19 @@ class Engine:
     """Owns the plan cache and runs captured plans for one SVM context.
 
     ``backend`` picks the fast-path execution strategy for fused groups
-    (see :func:`execute`); ``store`` is the optional persistent
-    :class:`~repro.engine.cache.PlanStore` consulted between the
-    in-memory cache and a full compile (default: enabled iff
-    ``REPRO_CACHE_DIR`` is set).
+    (see :func:`execute`). On a native backend, compiled C artifacts
+    persist under :func:`~repro.engine.native.artifact_dir` of the
+    context's ``cache_dir`` (set explicitly or through
+    ``REPRO_CACHE_DIR``); nothing else the engine builds touches disk.
     """
 
     def __init__(self, svm, cache: PlanCache | None = None, *,
-                 backend: str | None = None, store=None) -> None:
+                 backend: str | None = None) -> None:
         self.svm = svm
         self.cache = cache if cache is not None else PlanCache()
         self.backend = resolve_backend(backend)
-        self.store = store if store is not None else store_from_env()
+        #: ``<cache_dir>/native`` when the context has a cache dir.
+        self.artifact_dir = artifact_dir(getattr(svm, "cache_dir", None))
         #: Plan resolutions by tier, counted once per :meth:`fused_for`
         #: call. Per engine, unlike the (possibly shared) cache's
         #: stats, so a caller can diff it around its own executions.
@@ -359,9 +361,11 @@ class Engine:
         return fused
 
     def fused_for(self, plan: Plan) -> FusedPlan:
-        """The fusion recipe for ``plan``, through the cache hierarchy:
-        in-memory LRU, then the persistent store (when enabled), then a
-        full compile (whose result feeds both).
+        """The fusion recipe for ``plan``: an in-memory LRU hit, else a
+        full compile. On a native backend the compile also lowers the
+        plan and binds its C artifact; the resolution counts as
+        ``"disk"`` when that artifact was already under
+        :attr:`artifact_dir` so no ``cc`` ran, else ``"compile"``.
 
         When the context was built with ``tune=``, the tuning policy is
         consulted first — it may retag the plan's LMUL to the learned
@@ -377,33 +381,26 @@ class Engine:
                 policy.apply(plan, self.svm)
         key = self.plan_key(plan)
         fused = self.cache.get(key)
-        hit = fused is not None
         source = "memory"
-        if not hit and self.store is not None:
-            fused = self.store.load(key)
-            if fused is not None:
-                # warm disk entry: skip capture-side work entirely and
-                # promote into the in-memory cache
-                hit = True
-                source = "disk"
-                self.cache.note_disk_hit()
-                self.cache.put(key, fused)
-        if not hit:
+        if fused is None:
             fused = self.compile_plan(plan)
             self.cache.put(key, fused)
+            source = "compile"
             if self.backend in NATIVE_BACKENDS:
-                # lower after the put (so concurrent workers hit the
-                # warm entry immediately) but before the save, so the
-                # C source persists in the plan store next to the
-                # Python kernels; codegen-backend processes never pay
-                # for this, and a disk entry written by one of them
-                # lowers lazily on first native execution instead
-                fused.native = lower_plan(plan, fused) or "unavailable"
-            if self.store is not None:
-                self.store.save(key, fused)
-        self.resolutions[source if hit else "compile"] += 1
+                # lower and bind after the put, so concurrent workers
+                # hit the warm entry immediately; codegen-backend
+                # processes never pay for this
+                native = lower_plan(plan, fused)
+                fused.native = native or "unavailable"
+                if (native is not None and native.ensure(self.artifact_dir)
+                        and self.artifact_dir is not None
+                        and not native.built):
+                    source = "disk"
+                    self.cache.note_disk_hit()
+        self.resolutions[source] += 1
         col = getattr(self.svm.machine, "collector", None)
         if col is not None:
+            hit = source != "compile"
             col.plan_cache_event(hit, self.cache,
                                  source=source if hit else "none")
         return fused

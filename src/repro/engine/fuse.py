@@ -248,9 +248,10 @@ class FusedPlan:
     #: compile). Excluded from equality: it is derived state.
     compiled: object | None = field(default=None, compare=False, repr=False)
     #: :class:`~repro.engine.native.NativePlan` attached by
-    #: :func:`repro.engine.native.lower_plan` on first native-backend
-    #: use (``None`` = not yet attempted, ``"unavailable"`` =
-    #: structurally ineligible). Derived state, like ``compiled``.
+    #: :meth:`repro.engine.executor.Engine.fused_for` on a
+    #: native-backend compile, or lazily on first native use (``None``
+    #: = not yet attempted, ``"unavailable"`` = structurally
+    #: ineligible). Derived state, like ``compiled``.
     native: object | None = field(default=None, compare=False, repr=False)
 
     @property

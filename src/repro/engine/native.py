@@ -36,8 +36,7 @@ Lowering is **structural**: :func:`lower_plan` consumes only unit
 kinds, lane recipes from the OpSpec registry and buffer dtypes, so the
 generated source — and therefore its digest and ``.so`` — is one per
 pipeline *structure*, shared by every length, VLEN and α-renaming of
-it. A :class:`NativePlan` persisted in the :class:`~repro.engine.
-cache.PlanStore` envelope rebinds to any α-equivalent plan. Buffer
+it. A :class:`NativePlan` binds to any α-equivalent plan. Buffer
 addresses, buffer lengths, ``pack`` strip lengths (VLMAX) and runtime
 scalars (including :class:`ScalarFuture` operands) are resolved per
 call through small argument tables; scalar futures *produced by the
@@ -49,6 +48,19 @@ and ``plan_run2d(..., lens, rows)``. ``lens`` holds one length per
 buffer slot followed by one strip length per ``pack`` node; ``outs``
 holds one value per produced future followed by one survivor-strip
 count per ``pack`` node.
+
+Artifacts are content-addressed: ``<digest>.c`` / ``<digest>.so``
+pairs, the digest a hash of the generated source (and
+:data:`NATIVE_VERSION`). With a cache directory configured
+(``SVM(cache_dir=...)`` / ``REPRO_CACHE_DIR``) they live under
+:func:`artifact_dir`, so a fresh process binds an existing ``.so``
+without running ``cc``; otherwise they go to a per-process temporary
+directory. This module alone knows that layout — the engine, ``repro
+cache`` and the serving stats all ask it. Builds compile a per-pid
+temporary source into a per-pid temporary object and rename both into
+place, so concurrent builders of one digest never see a partial file,
+and an existing artifact that fails to load is rebuilt over, never
+trusted.
 
 Toolchain absence is never an error: :meth:`NativePlan.ensure`
 memoizes the failure and the executor falls back to the codegen tier
@@ -95,6 +107,9 @@ __all__ = [
     "lower_plan",
     "native_state",
     "pack_survivor_strips",
+    "artifact_dir",
+    "artifact_stats",
+    "artifacts",
 ]
 
 #: Bumped on any change to the generated C or the meta layout; part of
@@ -210,15 +225,44 @@ def reset_native_caches() -> None:
 # build + bind cache
 # ---------------------------------------------------------------------------
 
-#: source digest → (plan_run, plan_run2d) ctypes functions, or None
-#: when the build failed / no toolchain (memoized per process).
-_SO_CACHE: dict[str, tuple | None] = {}
+#: (artifact dir, source digest) → (plan_run, plan_run2d) ctypes
+#: functions, or None when the build failed / no toolchain (memoized
+#: per process; dir None is the per-process temporary directory).
+_SO_CACHE: dict[tuple, tuple | None] = {}
 #: Serializes the check-build-memoize step: serve workers share one
 #: fused plan, and two threads building one digest would race on its
 #: temporary artifact path (one build fails and memoizes None).
 _SO_LOCK = threading.Lock()
 
-_TMP_DIR: list = []  # fallback artifact dir when the SVM has no store
+_TMP_DIR: list = []  # fallback artifact dir when no cache dir is set
+
+
+def artifact_dir(cache_dir) -> Path | None:
+    """Where compiled artifacts persist for ``cache_dir``
+    (``<cache_dir>/native``), or None when no cache directory is
+    configured."""
+    return Path(cache_dir) / "native" if cache_dir else None
+
+
+def artifacts(cache_dir, *, temps: bool = False) -> list[Path]:
+    """The resident ``<digest>.{c,so}`` artifacts under ``cache_dir``
+    (empty when it is unset or missing). ``temps=True`` lists the
+    ``*.tmp*`` files of builds instead — abandoned ones when no build
+    is in flight."""
+    root = artifact_dir(cache_dir)
+    if root is None or not root.is_dir():
+        return []
+    if temps:
+        return sorted(root.glob("*.tmp*"))
+    return sorted(p for p in root.iterdir()
+                  if p.suffix in (".c", ".so") and ".tmp" not in p.name)
+
+
+def artifact_stats(cache_dir) -> dict:
+    """Count and total size of the resident :func:`artifacts`."""
+    arts = artifacts(cache_dir)
+    return {"artifacts": len(arts),
+            "bytes": sum(p.stat().st_size for p in arts)}
 
 
 def _default_artifact_dir() -> Path:
@@ -227,36 +271,58 @@ def _default_artifact_dir() -> Path:
     return _TMP_DIR[0]
 
 
-def _build(source: str, digest: str, art_dir) -> tuple | None:
-    """Compile ``source`` into ``<art_dir>/<digest>.so`` (reusing an
-    existing artifact) and bind the two entry points. Returns None on
-    any failure — the caller treats that as "tier unavailable"."""
+def _bind(so: Path) -> tuple:
+    lib = ctypes.CDLL(str(so))
+    run = lib.plan_run
+    run.argtypes = [ctypes.c_void_p] * 5
+    run.restype = None
+    run2d = lib.plan_run2d
+    run2d.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong]
+    run2d.restype = None
+    return (run, run2d)
+
+
+def _build(source: str, digest: str, art_dir) -> tuple[tuple | None, bool]:
+    """Bind ``<art_dir>/<digest>.so``, compiling ``source`` into it
+    first unless a loadable artifact is already there. Returns the two
+    entry points — None on any failure, which the caller treats as
+    "tier unavailable" — and whether ``cc`` ran.
+
+    An existing artifact that fails to load (truncated, corrupt) is a
+    miss: it is rebuilt and replaced. The build compiles a per-pid
+    temporary source into a per-pid temporary object and renames both
+    into place, so a concurrent builder of the same digest never reads
+    a partial ``.c`` or binds a partial ``.so``."""
     cc = find_compiler()
     if cc is None:
-        return None
+        return None, False
     root = Path(art_dir) if art_dir is not None else _default_artifact_dir()
     so = root / f"{digest}.so"
+    if so.exists():
+        try:
+            return _bind(so), False
+        except Exception:
+            pass  # unloadable artifact: rebuild over it
+    tag = f"{digest}.tmp{os.getpid()}"
+    csrc, tmp = root / f"{tag}.c", root / f"{tag}.so"
     try:
-        if not so.exists():
-            root.mkdir(parents=True, exist_ok=True)
-            csrc = root / f"{digest}.c"
-            csrc.write_text(source)
-            tmp = root / f"{digest}.so.tmp{os.getpid()}"
-            subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(csrc)],
-                check=True, capture_output=True, timeout=120,
-            )
-            os.replace(tmp, so)
-        lib = ctypes.CDLL(str(so))
-        run = lib.plan_run
-        run.argtypes = [ctypes.c_void_p] * 5
-        run.restype = None
-        run2d = lib.plan_run2d
-        run2d.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong]
-        run2d.restype = None
+        root.mkdir(parents=True, exist_ok=True)
+        csrc.write_text(source)
+        subprocess.run(
+            [cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(csrc)],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(csrc, root / f"{digest}.c")
+        os.replace(tmp, so)
+        return _bind(so), True
     except Exception:
-        return None
-    return (run, run2d)
+        return None, True
+    finally:
+        for path in (csrc, tmp):
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +739,8 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
 
 class NativePlan:
     """One plan's native artifact: the generated C source plus the
-    call-time binding tables. Picklable (source + meta only) so it
-    persists inside the PlanStore envelope; the ``.so`` binding and
-    the recorded counters-mode charge profile are per-process."""
+    call-time binding tables. The ``.so`` binding and the recorded
+    counters-mode charge profile are per-process."""
 
     def __init__(self, source: str, meta: dict) -> None:
         self.source = source
@@ -688,24 +753,26 @@ class NativePlan:
             (f"v{NATIVE_VERSION}\n" + source).encode()
         ).hexdigest()[:16]
         self._fns: tuple | None = None
+        #: Whether :meth:`ensure` ran ``cc`` for this plan (False when
+        #: it bound an artifact already on disk or in this process).
+        self.built = False
         self._local = threading.local()
-
-    def __reduce__(self):
-        return (NativePlan, (self.source, self.meta))
 
     # -- binding -----------------------------------------------------------
 
     def ensure(self, art_dir=None) -> bool:
-        """Bind the compiled entry points, building the artifact on
+        """Bind the compiled entry points, building the artifact in
+        ``art_dir`` (a per-process temporary directory when None) on
         first use. False (never an exception) when no toolchain is
         available or the build fails."""
         if self._fns is not None:
             return True
+        key = (art_dir, self.digest)
         with _SO_LOCK:
-            if self.digest not in _SO_CACHE:
-                _SO_CACHE[self.digest] = _build(self.source, self.digest,
-                                                art_dir)
-            self._fns = _SO_CACHE[self.digest]
+            if key not in _SO_CACHE:
+                _SO_CACHE[key], self.built = _build(
+                    self.source, self.digest, art_dir)
+            self._fns = _SO_CACHE[key]
         return self._fns is not None
 
     def _scratch(self):
@@ -893,8 +960,6 @@ def native_state(svm, plan: Plan, fused: FusedPlan) -> NativePlan | None:
         return None
     if state._fns is not None:  # hot path: already bound
         return state
-    store = getattr(svm.engine, "store", None)
-    art_dir = (Path(store.root) / "native") if store is not None else None
-    if not state.ensure(art_dir):
+    if not state.ensure(artifact_dir(svm.cache_dir)):
         return None
     return state

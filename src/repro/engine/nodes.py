@@ -8,8 +8,8 @@ have produced. Each kind maps back to its primitive using the
 node-field conventions documented on :class:`~repro.engine.ir.OpNode`.
 
 :func:`run_node_eager` is a module-level function (not a closure) so
-generated whole-plan kernels can reference it as a pre-bound constant
-and remain picklable for the persistent plan store.
+generated whole-plan kernels can reference it as one pre-bound
+constant shared by every compiled plan.
 """
 
 from __future__ import annotations

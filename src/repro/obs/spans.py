@@ -279,8 +279,9 @@ class ProfileCollector:
     def plan_cache_event(self, hit: bool, cache, source: str = "memory") -> None:
         """Engine hook: one plan-cache lookup resolved (hit or miss).
         ``source`` says where a hit came from (``"memory"`` for the
-        in-process LRU, ``"disk"`` for the persistent store; misses
-        report ``"none"``)."""
+        in-process LRU, ``"disk"`` for a native compile that bound its
+        C artifact from ``<cache_dir>/native/`` without running
+        ``cc``; misses report ``"none"``)."""
         self.event("plan_cache.hit" if hit else "plan_cache.miss",
                    size=len(cache), source=source)
         m = self.metrics

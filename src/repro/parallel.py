@@ -17,10 +17,12 @@ are shared by ``benchmarks/bench_fusion.py``,
 ``benchmarks/bench_batch.py``, ``benchmarks/bench_codegen.py``, and
 the ``repro bench --jobs N`` CLI.
 
-Workers started with ``REPRO_CACHE_DIR`` set additionally share the
-persistent plan store (:class:`~repro.engine.cache.PlanStore`), so
-each worker process skips capture/fuse/codegen for plans
-any earlier process already compiled.
+Workers started with ``REPRO_CACHE_DIR`` set on a native backend
+additionally share the compiled C artifacts under
+``<cache_dir>/native/`` (:func:`repro.engine.native.artifact_dir`), so
+a worker binds the ``.so`` an earlier process built instead of
+running ``cc`` again. Plans themselves are rebuilt per process: fuse
+and codegen take about a millisecond, no more than loading them.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ over TCP / unix socket, or the in-process async API — and coalesces
 same-``(pipeline, n, dtype, mode)`` requests on a deadline window
 (flush every ``flush_ms`` or ``max_rows``, whichever first) into
 single :func:`repro.batch.run_bucket` evaluations. A worker pool
-shares one warm :class:`~repro.engine.cache.PlanCache` and persistent
-plan store, so a plan compiles once per shape for the whole service.
+shares one warm :class:`~repro.engine.cache.PlanCache` (and, on a
+native backend with a cache directory, its compiled C artifacts), so a
+plan compiles once per shape for the whole service.
 
 Guarantees:
 

@@ -35,9 +35,12 @@ Responses
 coalesced requests shared the flush — the client-visible coalescing
 evidence; ``trace`` is the request's telemetry trace ID, ``timing``
 its coalesce/queue/execute breakdown in ms, and ``cache`` the flush's
-plan-cache outcome in ``{"memory", "disk", "compile", "none"}`` — the
-telemetry trio is present whenever the daemon runs with telemetry
-enabled, the default). Pack pipelines additionally carry
+plan-cache outcome in ``{"memory", "disk", "compile", "none"}``, worst
+tier wins: ``memory`` is an in-process hit, ``disk`` a compile whose
+native C artifact was already under ``<cache_dir>/native/`` so no
+``cc`` ran, ``compile`` any other compile — the telemetry trio is
+present whenever the daemon runs with telemetry enabled, the
+default). Pack pipelines additionally carry
 ``"valid": K`` — the row's survivor count — and ``result`` holds only
 those ``K`` defined lanes (lanes past the kept count are undefined
 under the single-row semantics, so they never cross the wire, on any

@@ -7,8 +7,9 @@ One :class:`Server` owns:
 * a worker pool — each worker is an :class:`~repro.svm.context.SVM`
   context with its own simulated machine (counters stay additive), all
   sharing **one** warm :class:`~repro.engine.cache.PlanCache` and, when
-  configured, one persistent plan-store directory, so a plan compiled
-  for any request serves every later request of the same shape;
+  configured, one cache directory (native C artifacts, tuning DB), so
+  a plan compiled for any request serves every later request of the
+  same shape;
 * optional TCP / unix-socket listeners speaking the NDJSON protocol
   (:mod:`repro.serve.protocol`), plus the in-process async
   :meth:`Server.submit` API used by tests and benchmarks.
@@ -42,6 +43,7 @@ from time import monotonic
 import numpy as np
 
 from ..engine.cache import PlanCache
+from ..engine.native import artifact_stats
 from ..errors import (
     ServeClosedError,
     ServeError,
@@ -86,7 +88,7 @@ class ServeConfig:
     codegen: str = "paper"
     mode: str = "auto"               #: default per-request execution mode
     backend: str | None = None
-    cache_dir: str | None = None     #: shared persistent plan store
+    cache_dir: str | None = None     #: shared native artifacts + tuning DB
     #: None (off), "auto", or a TunePolicy — workers consult the
     #: shape→config tuning DB per request shape at dispatch time
     tune: object | None = None
@@ -509,14 +511,12 @@ class Server:
         rows = m.counter("serve.rows").value
         latency = m.summary("serve.latency_ms")
         counters = self.counters_snapshot()
-        store = None
-        if self._worker_svms:
-            engine_store = self._worker_svms[0].engine.store
-            if engine_store is not None:
-                store = engine_store.stats_dict()
+        store = (artifact_stats(self._worker_svms[0].cache_dir)
+                 if self._worker_svms and self._worker_svms[0].cache_dir
+                 else None)
         plan_cache = self.plan_cache.stats_dict()
         # hit *source* tiers, not just aggregate hits: memory (LRU),
-        # disk (persistent store satisfied the miss), compile
+        # disk (the miss bound its C artifact from disk, no cc), compile
         plan_cache["sources"] = {
             "memory": plan_cache["hits"],
             "disk": plan_cache["disk_hits"],

@@ -140,8 +140,9 @@ class SVM:
         #: default. Native tiers fall back to codegen when the plan is
         #: ineligible or no C toolchain is present.
         self.backend = cfg.backend
-        #: Persistent plan-store directory; None means the store is
-        #: enabled only when REPRO_CACHE_DIR is set (see engine.cache).
+        #: Persistent cache directory (REPRO_CACHE_DIR when not given):
+        #: the TuningDB and the native tier's compiled C artifacts
+        #: (see engine.native.artifact_dir); None persists nothing.
         self.cache_dir = cfg.cache_dir
         #: Optional externally-owned :class:`~repro.engine.cache.PlanCache`
         #: shared with other contexts (the serving daemon's worker pool
@@ -213,11 +214,8 @@ class SVM:
         first use; owns the plan cache)."""
         if self._engine is None:
             from ..engine import Engine  # local import: engine depends on svm
-            from ..engine.cache import PlanStore
 
-            store = PlanStore(self.cache_dir) if self.cache_dir else None
-            self._engine = Engine(self, self.plan_cache,
-                                  backend=self.backend, store=store)
+            self._engine = Engine(self, self.plan_cache, backend=self.backend)
         return self._engine
 
     def _tuner(self):

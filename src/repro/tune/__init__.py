@@ -13,8 +13,8 @@ package operationalizes that observation end to end:
   plan-fingerprint × size-grid × config grid over
   :mod:`repro.parallel` and fits the measurements into a policy;
 * :mod:`~repro.tune.db` — :class:`TuningDB`, the versioned persistent
-  store of fitted policies (JSON, next to the PlanStore, guarded by
-  the engine code fingerprint);
+  store of fitted policies (JSON, next to the native C artifacts,
+  guarded by the engine code fingerprint);
 * :mod:`~repro.tune.policy` — :class:`TunePolicy`, the dispatch-time
   consumer: ``SVM(tune="auto")`` consults it at plan-dispatch time,
   memoized per (plan fingerprint, n-bucket), and retags the plan to

@@ -1,7 +1,7 @@
 """TuningDB — the versioned persistent store of fitted tuning policies.
 
-Lives next to the :class:`~repro.engine.cache.PlanStore` under the
-same cache directory (``<root>/tune/``), one JSON file per plan
+Lives in the cache directory next to the native tier's C artifacts
+(``<root>/tune/``), one JSON file per plan
 fingerprint (:meth:`repro.engine.ir.Plan.fingerprint` — the pipeline's
 structure with the tuning axes stripped). JSON rather than pickle: the
 payload is pure data (chosen configs + the measurements behind them),
@@ -17,8 +17,8 @@ Envelope per file::
          "config": {... ExecConfig.as_dict() ...}}},
      "meta": {...}}
 
-Safety mirrors the PlanStore exactly: every load re-verifies the
-schema version, the engine code fingerprint, and the file's own plan
+Safety: every load re-verifies the schema version, the engine code
+fingerprint (:func:`engine_fingerprint`), and the file's own plan
 fingerprint; *any* mismatch, truncation, or parse failure is a silent
 miss (the policy simply has no opinion), writes are atomic (temp file
 + rename) and best-effort, and :meth:`prune` evicts entries a load
@@ -33,12 +33,36 @@ import json
 import os
 from pathlib import Path
 
-from ..engine.cache import code_fingerprint
-
-__all__ = ["TuningDB", "TUNE_SCHEMA_VERSION", "entry_key"]
+__all__ = ["TuningDB", "TUNE_SCHEMA_VERSION", "entry_key",
+           "engine_fingerprint"]
 
 #: Bumped whenever the JSON envelope layout changes.
 TUNE_SCHEMA_VERSION = 1
+
+#: Engine modules whose source participates in the fingerprint: any
+#: change to planning or code generation may change the measured
+#: instruction counts behind every persisted entry.
+_FINGERPRINT_MODULES = ("ir", "fuse", "codegen", "native", "nodes",
+                        "executor")
+
+_fingerprint_cache: str | None = None
+
+
+def engine_fingerprint() -> str:
+    """SHA-256 over the engine's own source files plus the package
+    version — the persisted-entry compatibility guard. Computed once
+    per process."""
+    global _fingerprint_cache
+    if _fingerprint_cache is None:
+        from .. import __version__
+
+        h = hashlib.sha256(__version__.encode())
+        engine = Path(__file__).resolve().parent.parent / "engine"
+        for mod in _FINGERPRINT_MODULES:
+            h.update(mod.encode())
+            h.update((engine / f"{mod}.py").read_bytes())
+        _fingerprint_cache = h.hexdigest()
+    return _fingerprint_cache
 
 _FINGERPRINT_RE_HEX = frozenset("0123456789abcdef")
 
@@ -61,9 +85,9 @@ def _safe_name(fingerprint: str) -> str:
 class TuningDB:
     """One-file-per-fingerprint JSON store of fitted tuning entries.
 
-    ``root`` is the *cache* directory (the PlanStore's root); tuning
-    files live in the ``tune/`` subdirectory so ``repro cache`` can
-    report and manage both stores side by side.
+    ``root`` is the *cache* directory; tuning files live in its
+    ``tune/`` subdirectory, next to the native artifacts, so ``repro
+    cache`` can report and manage both side by side.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -90,7 +114,7 @@ class TuningDB:
             envelope = json.loads(self._path(fingerprint).read_text())
             if (
                 envelope["schema"] != TUNE_SCHEMA_VERSION
-                or envelope["code"] != code_fingerprint()
+                or envelope["code"] != engine_fingerprint()
                 or envelope["fingerprint"] != fingerprint
             ):
                 raise ValueError("stale or mismatched tuning entry")
@@ -118,7 +142,7 @@ class TuningDB:
             path = self._path(fingerprint)
             blob = json.dumps({
                 "schema": TUNE_SCHEMA_VERSION,
-                "code": code_fingerprint(),
+                "code": engine_fingerprint(),
                 "fingerprint": fingerprint,
                 "entries": entries,
                 "meta": meta or {},
@@ -151,14 +175,14 @@ class TuningDB:
             envelope = json.loads(path.read_text())
             return (
                 envelope["schema"] != TUNE_SCHEMA_VERSION
-                or envelope["code"] != code_fingerprint()
+                or envelope["code"] != engine_fingerprint()
             )
         except Exception:
             return True
 
     def prune(self) -> dict:
         """Evict every stale tuning file plus abandoned temp files;
-        returns counts (mirrors ``PlanStore.prune``)."""
+        returns counts."""
         removed = kept = 0
         for path in self.entries():
             if self._is_stale(path):
@@ -206,5 +230,5 @@ class TuningDB:
             "misses": self.misses,
             "write_errors": self.write_errors,
             "schema": TUNE_SCHEMA_VERSION,
-            "code": code_fingerprint()[:12],
+            "code": engine_fingerprint()[:12],
         }

@@ -8,6 +8,7 @@ import numpy as np
 from repro import SVM
 from repro.engine import PlanCache
 from repro.rvv.counters import Cat
+from repro.rvv.types import LMUL
 
 from .conftest import make_data, pipe_chain_scan, run_eager
 
@@ -85,3 +86,21 @@ class TestPlanCacheLRU:
         cache.put(("a",), 1)
         cache.clear()
         assert len(cache) == 0 and ("a",) not in cache
+
+
+def test_cold_compile_emits_spans():
+    svm = SVM(vlen=256, codegen="paper", mode="fast", backend="codegen",
+              profile=True)
+    with svm.lazy() as lz:
+        pipe_chain_scan(lz, make_data(svm, 600), LMUL.M1)
+    col = svm.profiler
+    col.finish()
+    doc = col.to_json()
+    names, todo = set(), [doc["profile"]]
+    while todo:
+        span = todo.pop()
+        names.add(span["name"])
+        todo.extend(span.get("children", ()))
+    assert "plan.compile" in names
+    assert any(e["name"] == "codegen.compile" for e in doc["events"])
+    assert doc["metrics"]["engine.codegen.plans_compiled"] == 1

@@ -4,13 +4,10 @@ The codegen backend must be bit-identical and per-category
 counter-identical to the strict per-strip reference (the same lazy
 plan run with ``mode="strict"``) across the full VLEN × LMUL grid —
 for single-call and batched execution — including plans with no fused
-groups, where the unit loop replays every node. CompiledPlan must
-survive a pickle round-trip (the persistent store's transport).
+groups, where the unit loop replays every node.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -130,25 +127,6 @@ def test_empty_input_both_backends():
                            n=0)
     assert np.array_equal(ref, got)
     assert strict.by_category == codegen.by_category
-
-
-def test_compiled_plan_pickle_roundtrip():
-    svm = SVM(vlen=512, codegen="paper", mode="fast")
-    data = make_data(svm, 500)
-    with svm.lazy() as lz:
-        PIPELINES["chain_scan"](lz, data, LMUL.M1)
-    ref = data.to_numpy()
-    fused = svm.engine.last_fused
-    clone = pickle.loads(pickle.dumps(fused.compiled))
-    assert clone.source == fused.compiled.source
-    assert clone.plan_fn is not None
-    assert clone.min_n == fused.compiled.min_n
-    # replay the cached plan through the unpickled kernels
-    fused.compiled = clone
-    data2 = make_data(svm, 500)
-    with svm.lazy() as lz:
-        PIPELINES["chain_scan"](lz, data2, LMUL.M1)
-    assert np.array_equal(data2.to_numpy(), ref)
 
 
 def test_resolve_backend(monkeypatch):

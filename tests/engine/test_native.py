@@ -18,9 +18,9 @@ The contracts under test (see ``docs/native.md``):
 * graceful degradation — no toolchain, a structurally ineligible plan
   (in-place scatter), or strict mode all fall back to the codegen tier
   with the full identity contract intact;
-* persistence — the lowered C source rides inside the plan store
-  entry next to the generated Python kernels, and the ``.c``/``.so``
-  artifacts land under ``<cache_dir>/native/``.
+* persistence — the ``.c``/``.so`` artifacts land under
+  ``<cache_dir>/native/``, and a fresh process over a warm directory
+  binds them without running ``cc`` (the ``disk`` resolution).
 """
 
 from __future__ import annotations
@@ -422,9 +422,10 @@ def test_batch_pack_stays_ragged(monkeypatch):
 
 
 @needs_cc
-def test_plan_store_persists_native_source(tmp_path):
-    """The lowered C source persists in the plan store; a second
-    process (fresh SVM, same dir) reuses it without re-lowering."""
+def test_plan_store_persists_native_source(tmp_path, monkeypatch):
+    """The C artifacts persist under ``<cache_dir>/native/``; a fresh
+    process (new SVM, no bound library) over the warm directory
+    resolves ``disk`` and never runs ``cc``."""
     reset_native_caches()  # cold process: no memoized .so for the plan
     pipe = PIPELINES["chain_scan"]
 
@@ -432,12 +433,19 @@ def test_plan_store_persists_native_source(tmp_path):
                cache_dir=str(tmp_path))
     ref, ref_counts, fused1 = _observe(svm1, pipe, LMUL.M1)
     assert isinstance(fused1.native, NativePlan)
+    assert svm1.engine.resolutions["compile"] == 1
     native_dir = tmp_path / "native"
     digest = fused1.native.digest
     assert (native_dir / f"{digest}.c").is_file()
     assert (native_dir / f"{digest}.so").is_file()
 
-    # simulate a new process: fresh SVM and plan cache, same store
+    # simulate a new process: fresh SVM and plan cache, no bound .so
+    reset_native_caches()
+
+    def no_cc(*args, **kwargs):
+        raise AssertionError("cc ran over a warm cache_dir")
+
+    monkeypatch.setattr(native_mod.subprocess, "run", no_cc)
     svm2 = SVM(vlen=128, mode="fast", backend="native",
                cache_dir=str(tmp_path))
     for run in range(2):
@@ -446,7 +454,8 @@ def test_plan_store_persists_native_source(tmp_path):
         assert counts == ref_counts, run
     assert isinstance(fused2.native, NativePlan)
     assert fused2.native.digest == digest
-    assert svm2.engine.store.hits >= 1
+    assert fused2.native._fns is not None
+    assert svm2.engine.resolutions == {"memory": 1, "disk": 1, "compile": 0}
 
 
 @needs_cc

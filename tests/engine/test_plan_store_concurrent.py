@@ -1,55 +1,68 @@
-"""Two processes sharing one ``REPRO_CACHE_DIR`` must not corrupt the
-persistent plan store (ISSUE 6 satellite).
+"""Two processes sharing one ``cache_dir`` must not corrupt the native
+artifact cache.
 
-The serving daemon makes this the normal case: a warm daemon and ad-hoc
-CLI runs (or two daemons) race on the same store directory. Writes are
-atomic temp-file + rename, so concurrent writers of the same plan key
-settle on one valid entry; every store file must load cleanly
-afterwards and results stay identical.
+The serving daemon makes this the normal case: a warm daemon and
+ad-hoc CLI runs (or two daemons) race on one directory. Each build
+compiles a per-pid temporary source into a per-pid temporary object
+and renames both into place, so concurrent builders of one digest
+never hand ``cc`` a partial ``.c`` or bind a partial ``.so``: both
+run natively, and the directory settles on exactly one artifact pair.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
+import subprocess
 
 import numpy as np
+import pytest
 
 from repro import SVM
-from repro.engine.cache import PlanStore
+from repro.engine import native as native_mod
+from repro.engine.native import artifacts, native_available, reset_native_caches
 
 N = 700
-ROUNDS = 30
+
+pytestmark = pytest.mark.skipif(
+    not native_available(), reason="no C toolchain on this host"
+)
 
 
-def _worker(cache_dir: str, seed: int, out_q) -> None:
-    """One process: many compile-or-load rounds against the shared
-    store, each a fresh SVM (cold memory cache, warm disk at best)."""
+def _pipeline(svm):
+    data = svm.array(np.arange(1, N + 1, dtype=np.uint32) * 2654435761)
+    svm.reset()
+    with svm.lazy() as lz:
+        lz.p_add(data, 10)
+        lz.p_mul(data, 3)
+        lz.plus_scan(data)
+    counts = {c.value: k for c, k in
+              svm.machine.counters.snapshot().by_category.items() if k}
+    return data.to_numpy().tolist(), counts
+
+
+def _worker(cache_dir: str, barrier, out_q) -> None:
+    """One process: build (or bind) the pipeline's artifact at the same
+    moment as its sibling, then run it natively twice."""
     try:
-        results = []
-        for i in range(ROUNDS):
-            svm = SVM(vlen=256, codegen="paper", mode="fast",
-                      backend="codegen", cache_dir=cache_dir)
-            rng = np.random.default_rng(seed * 1000 + i)
-            raw = rng.integers(0, 2**16, N, dtype=np.uint32)
-            data = svm.array(raw)
-            with svm.lazy() as lz:
-                lz.p_add(data, 10)
-                lz.p_mul(data, 3)
-                lz.plus_scan(data)
-            results.append(int(data.to_numpy()[-1]))
-        out_q.put(("ok", seed, results))
+        svm = SVM(vlen=256, codegen="paper", mode="fast", backend="native",
+                  cache_dir=cache_dir)
+        barrier.wait(timeout=120)
+        runs = [_pipeline(svm) for _ in range(2)]  # run 2 is the C kernel
+        native = svm.engine.last_fused.native
+        bound = getattr(native, "_fns", None) is not None
+        out_q.put(("ok", runs, bound))
     except BaseException as exc:  # noqa: BLE001 - ship it to the parent
-        out_q.put(("error", seed, repr(exc)))
+        out_q.put(("error", repr(exc), False))
 
 
-def test_two_processes_share_store_without_corruption(tmp_path):
-    cache_dir = str(tmp_path / "store")
+def test_concurrent_writers_of_same_key_settle_on_one_entry(tmp_path):
+    cache_dir = str(tmp_path / "cache")
     ctx = mp.get_context("spawn")  # a real second interpreter
     out_q = ctx.Queue()
-    procs = [ctx.Process(target=_worker, args=(cache_dir, seed, out_q))
-             for seed in (1, 2)]
+    barrier = ctx.Barrier(2)
+    procs = [ctx.Process(target=_worker, args=(cache_dir, barrier, out_q))
+             for _ in range(2)]
     for p in procs:
         p.start()
     outcomes = [out_q.get(timeout=600) for _ in procs]
@@ -58,62 +71,34 @@ def test_two_processes_share_store_without_corruption(tmp_path):
         assert p.exitcode == 0
 
     assert all(status == "ok" for status, _, _ in outcomes), outcomes
-
-    # both processes computed over the same plan family: re-running
-    # sequentially against the (now warm) store must reproduce both
-    for _, seed, results in outcomes:
-        for i, want in enumerate(results):
-            svm = SVM(vlen=256, codegen="paper", mode="fast",
-                      backend="codegen", cache_dir=cache_dir)
-            rng = np.random.default_rng(seed * 1000 + i)
-            raw = rng.integers(0, 2**16, N, dtype=np.uint32)
-            data = svm.array(raw)
-            with svm.lazy() as lz:
-                lz.p_add(data, 10)
-                lz.p_mul(data, 3)
-                lz.plus_scan(data)
-            assert int(data.to_numpy()[-1]) == want
-
-    # no double-write: exactly one entry per plan key, and every file
-    # on disk is a complete, loadable pickle (no torn writes)
-    store = PlanStore(cache_dir)
-    entries = store.entries()
-    assert len(entries) == len(set(entries)) >= 1
-    files = [f for f in os.listdir(store.root)
-             if not f.endswith(".tmp")]
-    assert files, "store ended up empty"
-    for fname in files:
-        with open(os.path.join(store.root, fname), "rb") as fh:
-            pickle.load(fh)  # raises on a corrupt/partial entry
+    assert all(bound for _, _, bound in outcomes), "a process fell back"
+    ref = _pipeline(SVM(vlen=256, codegen="paper", mode="fast",
+                        backend="codegen"))
+    for _, runs, _ in outcomes:
+        assert runs == [ref, ref]  # bits and per-category counters
+    assert sorted(p.suffix for p in artifacts(cache_dir)) == [".c", ".so"]
+    assert artifacts(cache_dir, temps=True) == []
 
 
-def test_concurrent_writers_of_same_key_settle_on_one_entry(tmp_path):
-    """Force the worst case: two processes compiling the *same* plan
-    key at the same time. Atomic rename means last-writer-wins with no
-    intermediate torn state visible to readers."""
-    cache_dir = str(tmp_path / "store")
-    ctx = mp.get_context("spawn")
-    out_q = ctx.Queue()
-    # identical seeds -> identical plan keys and data every round
-    procs = [ctx.Process(target=_worker, args=(cache_dir, 7, out_q))
-             for _ in range(2)]
-    for p in procs:
-        p.start()
-    outcomes = [out_q.get(timeout=600) for _ in procs]
-    for p in procs:
-        p.join(timeout=600)
-        assert p.exitcode == 0
-    (s1, _, r1), (s2, _, r2) = outcomes
-    assert s1 == s2 == "ok"
-    assert r1 == r2                      # bit-identical results
-    store = PlanStore(cache_dir)
-    assert len(store.entries()) >= 1
-    # and the surviving entry is actually usable
-    svm = SVM(vlen=256, codegen="paper", mode="fast", backend="codegen",
-              cache_dir=cache_dir)
-    data = svm.array(np.arange(1, N + 1, dtype=np.uint32))
-    with svm.lazy() as lz:
-        lz.p_add(data, 10)
-        lz.p_mul(data, 3)
-        lz.plus_scan(data)
-    assert data.to_numpy().dtype == np.uint32
+def test_build_compiles_a_private_source(tmp_path, monkeypatch):
+    """``cc`` never reads the shared ``<digest>.c``: it compiles this
+    process's temporary copy, and the final pair appears only after."""
+    seen = []
+    run = subprocess.run
+
+    def spy(cmd, **kwargs):
+        src = cmd[-1]
+        final = os.path.join(os.path.dirname(src),
+                             os.path.basename(src).split(".")[0] + ".c")
+        seen.append((os.path.basename(src), os.path.exists(final)))
+        return run(cmd, **kwargs)
+
+    reset_native_caches()
+    monkeypatch.setattr(native_mod.subprocess, "run", spy)
+    svm = SVM(vlen=256, codegen="paper", mode="fast", backend="native",
+              cache_dir=str(tmp_path))
+    _pipeline(svm)
+    monkeypatch.undo()
+    assert seen == [(seen[0][0], False)]
+    assert seen[0][0].endswith(f".tmp{os.getpid()}.c")
+    assert sorted(p.suffix for p in artifacts(tmp_path)) == [".c", ".so"]

@@ -61,7 +61,10 @@ class TestCLI:
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"radix_sort", "pass", "split"} <= names
 
-    def test_profile_filter_shows_cache_hit(self, capsys):
+    def test_profile_filter_shows_cache_hit(self, capsys, monkeypatch):
+        # no ambient cache dir: a warm native artifact would turn the
+        # first lookup into a disk resolution
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert main(["profile", "--algo", "filter", "--format", "json",
                      "--n", "500"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -162,7 +165,10 @@ class TestCacheStats:
         # the pre-existing fuse output survives
         assert "bit-identical" in out
 
-    def test_engine_reports_hit_on_alpha_equivalent_plan(self):
+    def test_engine_reports_hit_on_alpha_equivalent_plan(self, monkeypatch):
+        # no ambient cache dir: a warm native artifact would make the
+        # first lookup a disk resolution
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         svm = SVM(vlen=256, profile=True)
         for _ in range(2):
             data = svm.array(np.arange(100, dtype=np.uint32))

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.engine.native import native_available, reset_native_caches
 from repro.obs.exposition import parse_exposition
 from repro.serve import ServeConfig, ServerThread
 
@@ -58,7 +59,10 @@ class TestTraceIdentity:
         assert flushes[0]["rows"] == 8
         assert flushes[0]["reason"] == "rows"
 
-    def test_timing_breakdown_and_cache_outcome(self):
+    def test_timing_breakdown_and_cache_outcome(self, monkeypatch):
+        # no ambient cache dir: a warm native artifact would turn the
+        # first flush into a disk resolution
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         cfg = ServeConfig(max_rows=4, flush_ms=10_000)
         with ServerThread(cfg) as st:
             first = st.submit_many(
@@ -78,18 +82,24 @@ class TestTraceIdentity:
         assert all(res.cache == "compile" for res in first)
         assert all(res.cache == "memory" for res in second)
 
+    @pytest.mark.skipif(not native_available(),
+                        reason="no C toolchain on this host")
     def test_disk_cache_source_surfaces(self, tmp_path):
         req = {"pipeline": "chain_scan", "data": list(range(1, 65))}
-        with ServerThread(ServeConfig(cache_dir=str(tmp_path))) as st:
-            assert st.submit(**{k: v for k, v in req.items()
-                                if k != "pipeline"},
-                             pipeline=req["pipeline"]).cache == "compile"
-        # a fresh daemon (cold in-memory cache) over the same store:
-        # the persistent entry satisfies the miss
-        with ServerThread(ServeConfig(cache_dir=str(tmp_path))) as st:
+        cfg = ServeConfig(cache_dir=str(tmp_path), backend="native")
+        reset_native_caches()
+        with ServerThread(cfg) as st:
+            first = st.submit(req["pipeline"], req["data"])
+        assert first.cache == "compile"
+        # a fresh daemon (cold in-memory cache, no bound library) over
+        # the same directory: the miss binds the persisted C artifact
+        reset_native_caches()
+        with ServerThread(cfg) as st:
             res = st.submit(req["pipeline"], req["data"])
             stats = st.stats()
         assert res.cache == "disk"
+        assert np.array_equal(res.output, first.output)
+        assert stats["plan_store"]["artifacts"] == 2
         sources = stats["plan_cache"]["sources"]
         assert sources["disk"] >= 1
         assert sources["memory"] + sources["disk"] + sources["compile"] \

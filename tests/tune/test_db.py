@@ -1,7 +1,6 @@
 """TuningDB persistence: envelope verification, atomicity, maintenance.
 
-Safety mirrors the PlanStore contract (tests/engine/test_plan_store.py):
-every load re-verifies schema + engine code fingerprint + the file's
+Every load re-verifies schema + engine code fingerprint + the file's
 own plan fingerprint, any mismatch or corruption is a silent miss, and
 prune evicts exactly what a load would reject. A poisoned tuning DB
 must never raise into the dispatch path — at worst a plan runs at the
@@ -12,9 +11,8 @@ from __future__ import annotations
 
 import json
 
-from repro.engine.cache import code_fingerprint
 from repro.tune import TUNE_SCHEMA_VERSION, TuningDB
-from repro.tune.db import entry_key
+from repro.tune.db import engine_fingerprint, entry_key
 
 FP = "ab" * 32  # a plausible sha256 hex fingerprint
 ENTRIES = {entry_key(128, "paper", 10): {"lmul": 4, "instructions": 112,
@@ -35,7 +33,7 @@ class TestRoundTrip:
         assert path.is_file()
         envelope = json.loads(path.read_text())      # human-inspectable
         assert envelope["schema"] == TUNE_SCHEMA_VERSION
-        assert envelope["code"] == code_fingerprint()
+        assert envelope["code"] == engine_fingerprint()
         assert envelope["fingerprint"] == FP
         assert envelope["entries"] == ENTRIES
 
@@ -78,7 +76,7 @@ class TestGuards:
         db = self._poison(tmp_path, lambda e: e.update(schema=999))
         assert db.load(FP) == {} and db.misses == 1
 
-    def test_code_fingerprint_mismatch_is_miss(self, tmp_path):
+    def test_engine_fingerprint_mismatch_is_miss(self, tmp_path):
         db = self._poison(tmp_path, lambda e: e.update(code="stale"))
         assert db.load(FP) == {}
 
@@ -138,4 +136,4 @@ class TestMaintenance:
         assert stats["stale"] == 0
         assert stats["bytes"] > 0
         assert stats["schema"] == TUNE_SCHEMA_VERSION
-        assert stats["code"] == code_fingerprint()[:12]
+        assert stats["code"] == engine_fingerprint()[:12]

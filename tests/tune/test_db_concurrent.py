@@ -1,7 +1,7 @@
 """Two processes sharing one cache dir must not corrupt the TuningDB.
 
-Mirror of tests/engine/test_plan_store_concurrent.py for the tuning
-store: concurrent sweeps (the serve-daemon-plus-ad-hoc-CLI case) write
+The tuning-store counterpart of tests/engine/test_plan_store_concurrent.py
+(the native artifacts): concurrent sweeps (the serve-daemon-plus-ad-hoc-CLI case) write
 per-fingerprint JSON files with atomic temp + rename, so racing
 writers settle on complete, loadable envelopes and a subsequent
 ``SVM(tune="auto")`` consumer sees a valid policy.
