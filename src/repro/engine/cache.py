@@ -2,7 +2,11 @@
 
 The key is :meth:`repro.engine.ir.Plan.signature` — the α-renamed node
 structure plus everything planning depends on (per-buffer length and
-element width, per-node LMUL, VLEN, codegen preset). The cached value
+element width, per-node LMUL, VLEN, codegen preset). It is recorded at
+capture (:class:`~repro.engine.capture.PlanBuilder` builds each node's
+key tuple as it records), so a lookup costs no walk over the plan; a
+tuning retag of the plan's LMUL invalidates the record (see
+:meth:`~repro.engine.ir.Plan.invalidate`). The cached value
 is a :class:`~repro.engine.fuse.FusedPlan`, which stores only node
 indices, so one cached entry replays against every α-equivalent plan
 (same pipeline over fresh buffers or different constants).

@@ -38,6 +38,10 @@ from .ir import Buffer, Kind, OpNode, Plan, ScalarFuture
 
 __all__ = ["PlanBuilder"]
 
+#: dtype -> ``dtype.str``: the property builds a new string on every
+#: read, and the key needs one per buffer per capture.
+_DTYPE_STR: dict[np.dtype, str] = {}
+
 
 class PlanBuilder:
     """Records SVM calls into a :class:`Plan` instead of executing them."""
@@ -47,6 +51,13 @@ class PlanBuilder:
         self._buffers: dict[int, Buffer] = {}
         self._by_addr: dict[int, int] = {}
         self._nodes: list[OpNode] = []
+        # the α-renaming record Plan._alpha would otherwise walk for:
+        # buffer id -> slot in first-use order, the buffers and their
+        # key tuples in slot order, one key tuple per node
+        self._slots: dict[int, int] = {}
+        self._alpha_bufs: list[Buffer] = []
+        self._buf_sig: list[tuple] = []
+        self._node_sig: list[tuple] = []
         #: Set by :meth:`build` / :meth:`SVM.lazy` on completion.
         self.plan: Plan | None = None
         self.fused = None
@@ -63,12 +74,43 @@ class PlanBuilder:
             self._by_addr[addr] = bid
         return bid
 
+    def _new_slot(self, bid: int) -> int:
+        s = self._slots[bid] = len(self._alpha_bufs)
+        buf = self._buffers[bid]
+        self._alpha_bufs.append(buf)
+        dt = buf.dtype
+        dts = _DTYPE_STR.get(dt)
+        if dts is None:
+            dts = _DTYPE_STR[dt] = dt.str
+        self._buf_sig.append((s, buf.n, dts, buf.temp))
+        return s
+
     def _record(self, node: OpNode) -> None:
+        """Append ``node`` and its key tuple — the one
+        :meth:`Plan._alpha` documents, built here so the plan-cache key
+        costs nothing at dispatch. This runs once per recorded call, so
+        it inlines the slot lookups and reads ``_value_`` rather than
+        the enum ``value`` property, which costs more than the rest of
+        the tuple."""
         self._nodes.append(node)
+        slots = self._slots
+        d, s, o = node.dst, node.src, node.operand
+        if d is not None:
+            d = slots[d] if d in slots else self._new_slot(d)
+        if s is not None:
+            s = slots[s] if s in slots else self._new_slot(s)
+        if o is not None:
+            o = slots[o] if o in slots else self._new_slot(o)
+        self._node_sig.append((
+            node.kind._value_, node.op, node.inclusive, d, s, o,
+            node.scalar is not None, node.lmul._value_,
+        ))
 
     def build(self) -> Plan:
         """Freeze the recording into an executable plan."""
-        self.plan = Plan(dict(self._buffers), list(self._nodes))
+        self.plan = Plan(dict(self._buffers), list(self._nodes),
+                         (list(self._alpha_bufs), tuple(self._buf_sig),
+                          tuple(self._node_sig)))
         return self.plan
 
     def __len__(self) -> int:

@@ -147,7 +147,7 @@ PURE_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Buffer:
     """One SVM array participating in a plan."""
 
@@ -160,7 +160,7 @@ class Buffer:
     temp: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class OpNode:
     """One recorded operation.
 
@@ -226,21 +226,35 @@ class OpNode:
 
 
 class Plan:
-    """A captured straight-line operation graph over SVM buffers."""
+    """A captured straight-line operation graph over SVM buffers.
 
-    def __init__(self, buffers: dict[int, Buffer], nodes: list[OpNode]) -> None:
+    ``alpha`` is the α-renaming record :class:`~repro.engine.capture.
+    PlanBuilder` keeps while it captures (see :meth:`_alpha`); a plan
+    built by hand passes none and walks its nodes once, on the first
+    key request. Whoever mutates a node after that must call
+    :meth:`invalidate`.
+    """
+
+    def __init__(self, buffers: dict[int, Buffer], nodes: list[OpNode],
+                 alpha: tuple | None = None) -> None:
         self.buffers = buffers
         self.nodes = nodes
+        self._memo = alpha
 
     # -- cache key ---------------------------------------------------------
-    def _alpha(self) -> tuple[list[Buffer], list[tuple]]:
-        """The α-renaming walk behind :meth:`signature` and
-        :meth:`fingerprint`: buffers get slots in first-use order.
-        Returns the buffers in slot order and one tuple per node —
-        ``(kind, op, inclusive, dst, src, operand, has_scalar, lmul)``
-        with slots in place of buffer ids; LMUL is last so the
-        fingerprint can drop it.
+    def _alpha(self) -> tuple[list[Buffer], tuple, tuple]:
+        """The α-renaming behind :meth:`signature` and
+        :meth:`fingerprint`: buffers get slots in first-use order over
+        each node's dst, src and operand. Returns the buffers in slot
+        order, one ``(slot, n, dtype str, temp)`` tuple per buffer and
+        one tuple per node — ``(kind, op, inclusive, dst, src, operand,
+        has_scalar, lmul)`` with slots in place of buffer ids; LMUL is
+        last so the fingerprint can drop it. A captured plan returns
+        the record its builder kept; otherwise this walks the nodes
+        and keeps the result.
         """
+        if self._memo is not None:
+            return self._memo
         slots: dict[int, int] = {}
 
         def slot(bid: int | None):
@@ -250,7 +264,7 @@ class Plan:
                 slots[bid] = len(slots)
             return slots[bid]
 
-        node_sig = [
+        node_sig = tuple(
             (
                 node.kind.value,
                 node.op,
@@ -262,8 +276,18 @@ class Plan:
                 int(node.lmul),
             )
             for node in self.nodes
-        ]
-        return [self.buffers[bid] for bid in slots], node_sig
+        )
+        bufs = [self.buffers[bid] for bid in slots]
+        buf_sig = tuple(
+            (s, b.n, b.dtype.str, b.temp) for s, b in enumerate(bufs)
+        )
+        self._memo = bufs, buf_sig, node_sig
+        return self._memo
+
+    def invalidate(self) -> None:
+        """Drop the kept record after a node was mutated (the tuning
+        policy's LMUL retag); the next key request walks the nodes."""
+        self._memo = None
 
     def signature(self, vlen: int, codegen: str) -> tuple:
         """A hashable structural key: node shapes with buffers α-renamed
@@ -272,11 +296,8 @@ class Plan:
         Scalar *values* are excluded: the same pipeline over different
         constants shares one plan.
         """
-        bufs, node_sig = self._alpha()
-        buf_sig = tuple(
-            (s, b.n, b.dtype.str, b.temp) for s, b in enumerate(bufs)
-        )
-        return (int(vlen), str(codegen), buf_sig, tuple(node_sig))
+        _, buf_sig, node_sig = self._alpha()
+        return (int(vlen), str(codegen), buf_sig, node_sig)
 
     def fingerprint(self) -> str:
         """A stable hex digest identifying the *pipeline*, independent
@@ -288,9 +309,9 @@ class Plan:
         problem size of a pipeline (n enters the policy key as a size
         bucket instead).
         """
-        bufs, node_sig = self._alpha()
-        buf_sig = tuple((s, b.dtype.str, b.temp) for s, b in enumerate(bufs))
-        blob = repr((buf_sig, tuple(t[:-1] for t in node_sig))).encode()
+        _, buf_sig, node_sig = self._alpha()
+        fp_bufs = tuple((s, dt, temp) for s, _, dt, temp in buf_sig)
+        blob = repr((fp_bufs, tuple(t[:-1] for t in node_sig))).encode()
         return hashlib.sha256(blob).hexdigest()
 
     def max_n(self) -> int:

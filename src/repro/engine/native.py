@@ -36,18 +36,22 @@ Lowering is **structural**: :func:`lower_plan` consumes only unit
 kinds, lane recipes from the OpSpec registry and buffer dtypes, so the
 generated source — and therefore its digest and ``.so`` — is one per
 pipeline *structure*, shared by every length, VLEN and α-renaming of
-it. A :class:`NativePlan` binds to any α-equivalent plan. Buffer
-addresses, buffer lengths, ``pack`` strip lengths (VLMAX) and runtime
-scalars (including :class:`ScalarFuture` operands) are resolved per
-call through small argument tables; scalar futures *produced by the
-plan itself* (reduce / enumerate / pack) are threaded through the
-kernel's ``outs`` table so split pipelines compile whole.
+it. A :class:`NativePlan` binds to any α-equivalent plan through
+small argument tables. Each thread builds them once per
+:class:`NativePlan` — one per plan-cache entry — with everything the
+cache key fixes: the α-slot behind each buffer slot, buffer lengths and
+``pack`` strip lengths (VLMAX). A call then writes only buffer
+addresses and runtime scalars (including :class:`ScalarFuture`
+operands); scalar futures *produced by the plan itself* (reduce /
+enumerate / pack) are threaded through the kernel's ``outs`` table so
+split pipelines compile whole.
 
 The C entry points are ``plan_run(bufs, scalars, sel, outs, lens)``
 and ``plan_run2d(..., lens, rows)``. ``lens`` holds one length per
 buffer slot followed by one strip length per ``pack`` node; ``outs``
-holds one value per produced future followed by one survivor-strip
-count per ``pack`` node.
+holds one value per produced future, then one survivor-strip count per
+``pack`` node, then — when the plan scatters or gathers — the
+out-of-range index flag.
 
 Artifacts are content-addressed: ``<digest>.c`` / ``<digest>.so``
 pairs, the digest a hash of the generated source (and
@@ -70,10 +74,13 @@ memoizes the failure and the executor falls back to the codegen tier
 Structural limits (fall back to codegen, also per plan): dtypes must
 be unsigned (the wrap-around arithmetic contract C shares with the
 fast path), and scatter/gather must be genuinely out-of-place.
-Out-of-range permute indices are *skipped* by the C kernel
-(bounds-guarded scatter) where the codegen tier would raise — the
-guard protects host memory, and plans that would raise are outside
-the identity contract anyway.
+Scatter and gather keep their bounds-guarded store, so an out-of-range
+index never touches host memory, and raise :class:`IndexError` after
+the call when any index was out of range — the exception type the
+codegen tier raises. The state left behind differs: codegen stops at
+the failing node, native has run the whole plan (in-range lanes and
+later nodes wrote their buffers) and resolves no future, so buffer
+contents after the error are unspecified.
 """
 
 from __future__ import annotations
@@ -114,7 +121,7 @@ __all__ = [
 
 #: Bumped on any change to the generated C or the meta layout; part of
 #: the artifact digest, so stale ``.so`` files are never rebound.
-NATIVE_VERSION = 2
+NATIVE_VERSION = 3
 
 #: The backend names this module serves (counters mode, speed mode).
 NATIVE_BACKENDS = ("native", "native-speed")
@@ -125,6 +132,8 @@ NATIVE_BACKENDS = ("native", "native-speed")
 NATIVE_KINDS = frozenset(Kind)
 
 _U64 = (1 << 64) - 1
+
+_OOB_MESSAGE = "scatter/gather index out of range"
 
 _CTYPE = {1: "uint8_t", 2: "uint16_t", 4: "uint32_t", 8: "uint64_t"}
 
@@ -345,6 +354,9 @@ class _Gen:
         self.future_nodes: list[int] = []
         self.free_nodes: list[int] = []
         self.pack_nodes: list[int] = []
+        #: Whether a scatter/gather reports out-of-range indices
+        #: through the ``oob`` flag at the tail of ``outs``.
+        self.checks_index = False
         self.blocks: list[list[str]] = []
 
     def slot(self, ni: int, fld: str, want=None) -> int:
@@ -536,18 +548,26 @@ def _emit_node(g: _Gen, ni: int) -> None:
         d, TD, nd = g.buf(ni, "dst")
         s, _, ns = g.buf(ni, "src")
         x, _, _ = g.buf(ni, "operand")
-        # bounds guard: skip out-of-range indices instead of touching
-        # host memory (the codegen tier raises IndexError there)
+        # the guard keeps an out-of-range index off host memory; the
+        # flag makes the call raise IndexError like the codegen tier
+        g.checks_index = True
+        pre.append("uint64_t bad = 0;")
         loop(ns, f"uint64_t t = (uint64_t){x}[i];",
+             f"bad |= t >= (uint64_t){nd};",
              f"if (t < (uint64_t){nd}) {d}[t] = ({TD}){s}[i];")
+        out.append("    *oob |= bad;")
     elif kind is Kind.BACK_PERMUTE:
         if node.dst in (node.src, node.operand):
             raise _Ineligible("in-place gather")
         d, TD, nd = g.buf(ni, "dst")
         s, _, ns = g.buf(ni, "src")
         x, _, _ = g.buf(ni, "operand")
+        g.checks_index = True
+        pre.append("uint64_t bad = 0;")
         loop(nd, f"uint64_t t = (uint64_t){x}[i];",
+             f"bad |= t >= (uint64_t){ns};",
              f"if (t < (uint64_t){ns}) {d}[i] = ({TD}){s}[t];")
+        out.append("    *oob |= bad;")
     elif kind is Kind.PACK:
         d, TD, n = g.buf(ni, "dst")
         s, _, _ = g.buf(ni, "src")
@@ -675,6 +695,8 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
 
     nb = len(g.buf_slots)
     nout = len(g.future_nodes) + len(g.pack_nodes)
+    oob = nout if g.checks_index else None
+    nout += g.checks_index
     decls = []
     sizes = []
     for s, (ni, fld) in enumerate(g.buf_slots):
@@ -687,6 +709,9 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
     # survivor-strip counts follow the produced futures
     decls.append(f"    const int64_t *vlmax = lens + {nb};")
     decls.append(f"    uint64_t *strips = outs + {len(g.future_nodes)};")
+    if oob is not None:
+        decls.append(f"    uint64_t *oob = outs + {oob};")
+        decls.append("    *oob = 0;")
 
     src = [f"/* generated by repro.engine.native v{NATIVE_VERSION}"
            " -- do not edit */", _HEADER]
@@ -728,6 +753,8 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
         "future_nodes": g.future_nodes,
         "free_nodes": g.free_nodes,
         "pack_nodes": g.pack_nodes,
+        "oob": oob,
+        "nout": nout,
         "min_n": min(lengths),
     }
     return NativePlan("\n".join(src) + "\n", meta)
@@ -738,9 +765,10 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
 # ---------------------------------------------------------------------------
 
 class NativePlan:
-    """One plan's native artifact: the generated C source plus the
-    call-time binding tables. The ``.so`` binding and the recorded
-    counters-mode charge profile are per-process."""
+    """One plan-cache entry's native artifact: the generated C source
+    plus the call-time binding tables. The ``.so`` binding and the
+    recorded counters-mode charge profile are per-process; the argument
+    tables (:meth:`_layout`) are per thread."""
 
     def __init__(self, source: str, meta: dict) -> None:
         self.source = source
@@ -775,31 +803,57 @@ class NativePlan:
             self._fns = _SO_CACHE[key]
         return self._fns is not None
 
-    def _scratch(self):
-        loc = self._local
-        s = getattr(loc, "s", None)
-        if s is None:
-            meta = self.meta
-            npk = len(meta["pack_nodes"])
-            nb = max(len(meta["buf_slots"]), 1)
-            ns = max(len(meta["scalar_slots"]), 1)
-            nout = max(len(meta["future_nodes"]) + npk, 1)
-            s = (
-                (ctypes.c_uint64 * nb)(),
-                (ctypes.c_uint64 * ns)(),
-                (ctypes.c_int64 * ns)(),
-                (ctypes.c_uint64 * nout)(),
-                (ctypes.c_int64 * (nb + npk))(),
-            )
-            loc.s = s
-        return s
+    def _layout(self, machine, plan: Plan) -> tuple:
+        """This thread's argument tables, built on its first call.
+        Everything in them is fixed by the plan-cache key, and a
+        NativePlan serves one cache entry: the α-slot each buffer slot
+        binds (see :meth:`~repro.engine.ir.Plan._alpha`), the α-slots
+        the plan frees, the ``lens`` table (buffer n, VLEN, SEW and
+        LMUL are all in the key) and the argument addresses. Per
+        thread because the tables are the call's scratch memory."""
+        meta = self.meta
+        nodes = plan.nodes
+        alpha_bufs = plan._alpha()[0]
+        slot_of = {buf.bid: a for a, buf in enumerate(alpha_bufs)}
+        alpha_of = tuple(slot_of[getattr(nodes[ni], fld)]
+                         for ni, fld in meta["buf_slots"])
+        free_alpha = tuple(slot_of[nodes[ni].dst]
+                           for ni in meta["free_nodes"])
+        nb = len(alpha_of)
+        npk = len(meta["pack_nodes"])
+        ns = max(len(meta["scalar_slots"]), 1)
+        bufs = (ctypes.c_uint64 * nb)()
+        scalars = (ctypes.c_uint64 * ns)()
+        sel = (ctypes.c_int64 * ns)()
+        outs = (ctypes.c_uint64 * max(meta["nout"], 1))()
+        lens = (ctypes.c_int64 * (nb + npk))()
+        for j, a in enumerate(alpha_of):
+            lens[j] = alpha_bufs[a].n
+        for k, ni in enumerate(meta["pack_nodes"]):
+            lens[nb + k] = _pack_vlmax(machine, plan, nodes[ni])
+        nf = len(meta["future_nodes"])
+        args = (ctypes.addressof(bufs), ctypes.addressof(scalars),
+                ctypes.addressof(sel), ctypes.addressof(outs),
+                ctypes.addressof(lens))
+        # [memory, host address of its byte 0] of the last buffer
+        # bound: Memory never reallocates its bytes
+        base = [None, 0]
+        layout = (bufs, scalars, sel, outs, lens, alpha_of, free_alpha,
+                  slice(nf, nf + npk), base, args)
+        # the plan whose pointers and scalars the tables hold
+        self._local.last = None
+        self._local.layout = layout
+        return layout
 
-    def _fill_scalars(self, nodes, scalars, sel) -> None:
+    def _fill_scalars(self, nodes, scalars, sel) -> list:
         """Resolve each runtime scalar: a future produced by this very
         plan routes through the kernel's outs table (``sel``) — checked
         *before* ``resolved``, because a replayed plan's futures still
-        hold last run's values; anything else resolves to a literal."""
+        hold last run's values; anything else resolves to a literal.
+        Returns ``(slot, future)`` for each future produced outside the
+        plan, whose value a replay of this plan must read again."""
         future_nodes = self.meta["future_nodes"]
+        outside = []
         for k, ni in enumerate(self.meta["scalar_slots"]):
             sc = nodes[ni].scalar
             idx = -1
@@ -808,77 +862,13 @@ class NativePlan:
                     if nodes[fni].future is sc:
                         idx = j
                         break
+                else:
+                    outside.append((k, sc))
             sel[k] = idx
             scalars[k] = 0 if idx >= 0 else resolve_scalar(sc) & _U64
-
-    def _fill_lens(self, machine, plan: Plan, lens) -> None:
-        """Per-call lengths: one per buffer slot, then one strip
-        length per pack node."""
-        nodes = plan.nodes
-        slots = self.meta["buf_slots"]
-        for j, (ni, fld) in enumerate(slots):
-            lens[j] = int(plan.buffers[getattr(nodes[ni], fld)].n)
-        for k, ni in enumerate(self.meta["pack_nodes"]):
-            lens[len(slots) + k] = _pack_vlmax(machine, plan, nodes[ni])
+        return outside
 
     # -- execution ---------------------------------------------------------
-
-    def _bind(self, loc, svm, plan: Plan):
-        """Precompute everything stable for repeated executions of one
-        plan *instance*: simulated buffer pointers, buffer and strip
-        lengths, constant scalar values, the future routing table, the
-        argument addresses. The hot replay path then only refreshes
-        what can actually change — memory base addresses (the heap may
-        be reallocated between runs) and the values of futures produced
-        by *other* plans."""
-        nodes = plan.nodes
-        buffers = plan.buffers
-        bufs, scalars, sel, outs, lens = self._scratch()
-        meta = self.meta
-        self._fill_lens(svm.machine, plan, lens)
-        ptrs = [buffers[getattr(nodes[ni], fld)].array.ptr
-                for ni, fld in meta["buf_slots"]]
-        mems: list = []
-        slot_mem = []
-        for p in ptrs:
-            for mi, m in enumerate(mems):
-                if m is p.mem:
-                    break
-            else:
-                mi = len(mems)
-                mems.append(p.mem)
-            slot_mem.append(mi)
-        futures = [nodes[ni].future for ni in meta["future_nodes"]]
-        fut_reads = []
-        for k, ni in enumerate(meta["scalar_slots"]):
-            sc = nodes[ni].scalar
-            idx = -1
-            if isinstance(sc, ScalarFuture):
-                for j, f in enumerate(futures):
-                    if f is sc:
-                        idx = j
-                        break
-            sel[k] = idx
-            if idx >= 0:
-                scalars[k] = 0
-            elif isinstance(sc, ScalarFuture):
-                # produced by an earlier plan: re-read per run, its
-                # producer may have replayed with new data meanwhile
-                fut_reads.append((k, sc))
-            else:
-                scalars[k] = int(sc) & _U64
-        free_arrays = [buffers[nodes[ni].dst].array
-                       for ni in meta["free_nodes"]]
-        nf = len(futures)
-        strip_outs = range(nf, nf + len(meta["pack_nodes"]))
-        args = (ctypes.addressof(bufs), ctypes.addressof(scalars),
-                ctypes.addressof(sel), ctypes.addressof(outs),
-                ctypes.addressof(lens))
-        loc.bind = (bufs, scalars, outs, ptrs, slot_mem, mems,
-                    [None] * len(mems), fut_reads, futures, free_arrays,
-                    strip_outs, args)
-        loc.plan = plan
-        return loc.bind
 
     def run(self, svm, plan: Plan) -> int:
         """Execute the whole plan as one compiled call against the
@@ -887,32 +877,38 @@ class NativePlan:
         pack strips that held a survivor (0 for pack-free plans) — the
         multiplier of the run's data-dependent charge."""
         loc = self._local
-        if getattr(loc, "plan", None) is not plan:
-            bind = self._bind(loc, svm, plan)
+        layout = (getattr(loc, "layout", None)
+                  or self._layout(svm.machine, plan))
+        (bufs, scalars, sel, outs, _, alpha_of, free_alpha, strip_outs,
+         base, args) = layout
+        alpha_bufs = plan._alpha()[0]
+        nodes = plan.nodes
+        if loc.last is not plan:
+            for j, a in enumerate(alpha_of):
+                ptr = alpha_bufs[a].array.ptr
+                if ptr.mem is not base[0]:
+                    base[0] = ptr.mem
+                    base[1] = ptr.mem._bytes.ctypes.data
+                bufs[j] = base[1] + ptr.addr
+            loc.outside = self._fill_scalars(nodes, scalars, sel)
+            loc.last = plan
         else:
-            bind = loc.bind
-        (bufs, scalars, outs, ptrs, slot_mem, mems, mem_bytes,
-         fut_reads, futures, free_arrays, strip_outs, args) = bind
-        for i, mem in enumerate(mems):
-            mb = mem._bytes
-            if mb is not mem_bytes[i]:
-                # first run, or the heap grew and was reallocated:
-                # recompute the host addresses of this memory's slots
-                mem_bytes[i] = mb
-                base = mb.ctypes.data
-                for j, mi in enumerate(slot_mem):
-                    if mi == i:
-                        bufs[j] = base + ptrs[j].addr
-        for k, sc in fut_reads:
-            scalars[k] = sc.value & _U64
+            # this thread's last call ran this very plan (a replay
+            # loop): its pointers and literals are already in place
+            for k, sc in loc.outside:
+                scalars[k] = sc.value & _U64
         self._fns[0](*args)
-        for j, f in enumerate(futures):
-            f.resolve(int(outs[j]))
+        meta = self.meta
+        oob = meta["oob"]
+        if oob is not None and outs[oob]:
+            raise IndexError(_OOB_MESSAGE)
+        for j, ni in enumerate(meta["future_nodes"]):
+            nodes[ni].future.resolve(int(outs[j]))
         # frees run after the kernel: plans never allocate mid-flight,
         # so deferring them cannot change any address the kernel used
-        for arr in free_arrays:
-            svm.free(arr)
-        return sum(outs[j] for j in strip_outs)
+        for a in free_alpha:
+            svm.free(alpha_bufs[a].array)
+        return sum(outs[strip_outs])
 
     def run2d(self, svm, plan: Plan, mats: dict, get, fvals: dict,
               b: int) -> None:
@@ -920,25 +916,31 @@ class NativePlan:
         materialized as a C-contiguous ``[b, n]`` matrix and the kernel
         loops rows natively; produced futures land in ``fvals`` as
         per-row int64 columns (the ``_scalar_2d`` convention)."""
-        nodes = plan.nodes
-        bufs, scalars, sel, _, lens = self._scratch()
+        layout = (getattr(self._local, "layout", None)
+                  or self._layout(svm.machine, plan))
+        bufs, scalars, sel, _, lens, alpha_of = layout[:6]
+        self._local.last = None  # the tables get matrix pointers
+        alpha_bufs = plan._alpha()[0]
         hold = []
-        for j, (ni, fld) in enumerate(self.meta["buf_slots"]):
-            bid = getattr(nodes[ni], fld)
+        for j, a in enumerate(alpha_of):
+            bid = alpha_bufs[a].bid
             mat = get(bid)
             if not mat.flags["C_CONTIGUOUS"]:
                 mat = np.ascontiguousarray(mat)
                 mats[bid] = mat
             hold.append(mat)
             bufs[j] = mat.ctypes.data
-        nout = len(self.meta["future_nodes"]) + len(self.meta["pack_nodes"])
-        outs_mat = np.zeros((b, max(nout, 1)), dtype=np.uint64)
+        meta = self.meta
+        outs_mat = np.zeros((b, max(meta["nout"], 1)), dtype=np.uint64)
+        nodes = plan.nodes
         self._fill_scalars(nodes, scalars, sel)
-        self._fill_lens(svm.machine, plan, lens)
         self._fns[1](ctypes.addressof(bufs), ctypes.addressof(scalars),
                      ctypes.addressof(sel), outs_mat.ctypes.data,
                      ctypes.addressof(lens), b)
-        for j, ni in enumerate(self.meta["future_nodes"]):
+        oob = meta["oob"]
+        if oob is not None and outs_mat[:, oob].any():
+            raise IndexError(_OOB_MESSAGE)
+        for j, ni in enumerate(meta["future_nodes"]):
             fvals[nodes[ni].future] = outs_mat[:, j].astype(np.int64)
 
 

@@ -172,4 +172,6 @@ class TunePolicy:
             return None
         for nd in nodes:
             nd.lmul = choice
+        # the capture-time key carries the old LMUL
+        plan.invalidate()
         return choice

@@ -5,12 +5,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from perfbench.reference import PIPELINES as REPLAY_PIPELINES
 from repro import SVM
 from repro.engine import PlanBuilder
-from repro.engine.ir import Kind
+from repro.engine.cache import PlanCache
+from repro.engine.ir import Kind, Plan
 from repro.rvv.types import LMUL
+from repro.tune import TunePolicy, TuningDB, n_bucket
+from repro.tune.db import entry_key
 
-from .conftest import make_data
+from .conftest import PIPELINES, make_data
+
+
+def _at_svm_lmul(pipe):
+    return lambda lz, data: pipe(lz, data, lz.svm.lmul)
+
+
+def _first_use(lz, data):
+    """dst, src and operand all first used by one node: slot order."""
+    return lz.p_lt(data, lz.zeros(data.n))
+
+
+#: Every engine-suite pipeline plus the perfbench replay set, as
+#: ``pipe(lz, data)`` at the SVM's LMUL.
+KEY_PIPELINES = {
+    **{f"engine/{name}": _at_svm_lmul(pipe) for name, pipe in PIPELINES.items()},
+    **{f"replay/{name}": pipe for name, pipe in REPLAY_PIPELINES.items()},
+    "first_use": _first_use,
+}
 
 
 @pytest.fixture
@@ -118,6 +140,59 @@ class TestSignature:
                 != base)
         assert (self.capture(svm, 100, 7, dtype=np.uint16).signature(128, "ideal")
                 != base)
+
+    @pytest.mark.parametrize("name", sorted(KEY_PIPELINES))
+    def test_capture_record_matches_walk(self, name):
+        """The key the builder records while capturing is the one a
+        hand-built plan over the same nodes walks for, byte for byte."""
+        for n in (1, 7, 256, 3000):
+            for vlen in (128, 1024):
+                for lmul in (LMUL.M1, LMUL.M4):
+                    svm = SVM(vlen=vlen, lmul=lmul)
+                    lz = PlanBuilder(svm)
+                    KEY_PIPELINES[name](lz, make_data(svm, n))
+                    plan = lz.build()
+                    walked = Plan(dict(plan.buffers), list(plan.nodes))
+                    cell = (n, vlen, int(lmul))
+                    for codegen in ("ideal", "paper"):
+                        assert (repr(plan.signature(vlen, codegen))
+                                == repr(walked.signature(vlen, codegen))), cell
+                    assert plan.fingerprint() == walked.fingerprint(), cell
+                    # the walk is kept: later requests reuse it
+                    assert walked._alpha() is walked._alpha(), cell
+
+    def test_tune_retag_invalidates_capture_key(self, tmp_path):
+        """A policy retag rewrites node LMULs after capture: the plan's
+        key must follow, so the tuned plan hits the entry an SVM pinned
+        to the chosen LMUL compiled."""
+        n = 256
+        svm = SVM(vlen=128)
+        lz = PlanBuilder(svm)
+        PIPELINES["chain_scan"](lz, make_data(svm, n), LMUL.M1)
+        db = TuningDB(tmp_path)
+        db.save(lz.build().fingerprint(), {
+            entry_key(128, svm.machine.codegen.name, n_bucket(n)):
+                {"lmul": 4, "instructions": 1}})
+
+        shared = PlanCache()
+        pinned = SVM(vlen=128, lmul=LMUL.M4, plan_cache=shared)
+        with pinned.lazy() as lz:
+            PIPELINES["chain_scan"](lz, make_data(pinned, n), LMUL.M4)
+        tuned = SVM(vlen=128, tune=TunePolicy(db), plan_cache=shared)
+        lz = PlanBuilder(tuned)
+        PIPELINES["chain_scan"](lz, make_data(tuned, n), LMUL.M1)
+        plan = lz.build()
+        captured = tuned.engine.plan_key(plan)
+        misses = shared.stats.misses
+
+        tuned.engine.fused_for(plan)
+        key = tuned.engine.plan_key(plan)
+        assert key != captured
+        assert {t[-1] for t in key[3]} == {4}
+        assert key == Plan(dict(plan.buffers), list(plan.nodes)).signature(
+            128, tuned.machine.codegen.name)
+        assert key == pinned.engine.plan_key(pinned.engine.last_plan)
+        assert shared.stats.misses == misses
 
     def test_key_distinguishes_vx_from_vv(self, svm):
         a, b = make_data(svm, 32), make_data(svm, 32, seed=1)

@@ -20,7 +20,11 @@ The contracts under test (see ``docs/native.md``):
   with the full identity contract intact;
 * persistence — the ``.c``/``.so`` artifacts land under
   ``<cache_dir>/native/``, and a fresh process over a warm directory
-  binds them without running ``cc`` (the ``disk`` resolution).
+  binds them without running ``cc`` (the ``disk`` resolution);
+* binding — each thread builds a plan's argument tables once per cache
+  entry; a call refreshes only buffer pointers and scalars;
+* bad input — an out-of-range scatter/gather index raises
+  ``IndexError``, as on the codegen tier.
 """
 
 from __future__ import annotations
@@ -521,3 +525,219 @@ def test_concurrent_first_builds_all_bind(tmp_path):
     finally:
         sys.setswitchinterval(interval)
         reset_native_caches()
+
+
+# ---------------------------------------------------------------------------
+# binding: once per cache entry and thread; per call, pointers and scalars
+# ---------------------------------------------------------------------------
+
+def _spy_layouts(monkeypatch) -> list:
+    """Record ``(NativePlan id, thread id)`` per layout build."""
+    built = []
+    orig = NativePlan._layout
+    monkeypatch.setattr(NativePlan, "_layout", lambda self, *a: (
+        built.append((id(self), threading.get_ident())), orig(self, *a))[1])
+    return built
+
+
+def _agree(pipe, calls: int):
+    """Run ``pipe(lz, data, call)`` on fresh captures for each call on
+    codegen and native: bits and counters must match on every call.
+    Returns native's last fused plan."""
+    svms = {b: SVM(vlen=128, mode="fast", backend=b)
+            for b in ("codegen", "native")}
+    for call in range(calls):
+        got = {}
+        for backend, svm in svms.items():
+            out, counts, fused = _observe(
+                svm, lambda api, data, _: pipe(api, data, call), LMUL.M1,
+                seed=call)
+            got[backend] = (out, counts)
+        (ref, ref_counts), (out, counts) = got["codegen"], got["native"]
+        assert np.array_equal(ref, out), call
+        assert counts == ref_counts, call
+    return fused
+
+
+@needs_cc
+def test_layout_built_once_per_cache_entry(monkeypatch):
+    """50 fresh α-equivalent captures with new literals each call build
+    the argument tables once; every call matches codegen."""
+    built = _spy_layouts(monkeypatch)
+
+    def pipe(api, data, call):
+        api.p_add(data, 3 * call + 1)
+        api.p_mul(data, call)
+        api.plus_scan(data)
+        return data
+
+    fused = _agree(pipe, 50)
+    assert isinstance(fused.native, NativePlan)
+    assert fused.native.charge_items is not None
+    assert built == [(id(fused.native), threading.get_ident())]
+
+
+@needs_cc
+def test_literal_and_future_scalar_share_a_layout(monkeypatch):
+    """One key, two routings: ``reduce; p_add(d, 5)`` and ``reduce;
+    p_add(d, total)`` share a cache entry and its layout, and each
+    call routes its scalar afresh."""
+    built = _spy_layouts(monkeypatch)
+
+    def pipe(api, data, call):
+        total = api.reduce(data)
+        api.p_add(data, total if call % 2 else 5)
+        api.plus_scan(data)
+        return data
+
+    _agree(pipe, 8)
+    assert len(built) == 1
+
+
+@needs_cc
+def test_future_from_earlier_block():
+    """A scalar future produced by an earlier lazy block is read per
+    call, never frozen at its first value."""
+    results = {}
+    for backend in ("codegen", "native"):
+        svm = SVM(vlen=128, mode="fast", backend=backend)
+        runs = []
+        for seed in range(4):
+            a, b = make_data(svm, N, seed), make_data(svm, N, seed + 10)
+            with svm.lazy() as lz:
+                total = lz.reduce(a)
+            before = svm.machine.counters.snapshot()
+            with svm.lazy() as lz:
+                lz.p_add(b, total)
+                lz.plus_scan(b)
+            delta = svm.machine.counters.snapshot() - before
+            runs.append((b.to_numpy(), delta.by_category))
+        results[backend] = runs
+    assert isinstance(lz.fused.native, NativePlan)
+    for (ref, ref_counts), (out, counts) in zip(results["codegen"],
+                                                results["native"]):
+        assert np.array_equal(ref, out)
+        assert counts == ref_counts
+
+
+@needs_cc
+def test_replay_loop_rereads_outside_future():
+    """Executing one captured plan over and over skips the pointer and
+    literal refresh, but a future produced outside it is read again on
+    every call."""
+    from repro.engine import execute
+
+    results = {}
+    for backend in ("codegen", "native"):
+        svm = SVM(vlen=128, mode="fast", backend=backend)
+        a, b = make_data(svm, N), make_data(svm, N, seed=1)
+        with svm.lazy() as lz:
+            total = lz.reduce(a)
+        producer = (lz.plan, lz.fused)
+        with svm.lazy() as lz:
+            lz.p_add(b, total)
+            lz.p_xor(b, 7)
+        consumer = (lz.plan, lz.fused)
+        runs = []
+        for seed in range(2, 6):
+            a.view()[:] = make_data(svm, N, seed).to_numpy()
+            execute(svm, *producer, backend=backend)
+            execute(svm, *consumer, backend=backend)
+            runs.append(b.to_numpy())
+        results[backend] = runs
+    assert isinstance(consumer[1].native, NativePlan)
+    for ref, out in zip(results["codegen"], results["native"]):
+        assert np.array_equal(ref, out)
+
+
+@needs_cc
+def test_threads_share_one_plan_cache(monkeypatch):
+    """Four threads, each with its own SVM over one shared PlanCache,
+    replay one cache entry concurrently: each builds its own layout
+    once per NativePlan, and every call matches codegen."""
+    from repro.engine.cache import PlanCache
+
+    built = _spy_layouts(monkeypatch)
+    pipe = PIPELINES["chain_scan"]
+    calls = 20
+    ref_svm = SVM(vlen=128, mode="fast", backend="codegen")
+    refs = [_observe(ref_svm, pipe, LMUL.M1, seed)[:2] for seed in range(calls)]
+    shared = PlanCache()
+    barrier = threading.Barrier(4)
+    failures = []
+
+    def worker():
+        svm = SVM(vlen=128, mode="fast", backend="native", plan_cache=shared)
+        barrier.wait(timeout=60)
+        for seed in range(calls):
+            out, counts, _ = _observe(svm, pipe, LMUL.M1, seed)
+            ref, ref_counts = refs[seed]
+            if not (np.array_equal(ref, out) and counts == ref_counts):
+                failures.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert len(built) == len(set(built))
+    assert len({tid for _, tid in built}) == 4
+
+
+# ---------------------------------------------------------------------------
+# bad input: out-of-range scatter/gather indices raise, as on codegen
+# ---------------------------------------------------------------------------
+
+@needs_cc
+@pytest.mark.parametrize("backend", ["native", "native-speed"])
+@pytest.mark.parametrize("kind", ["permute", "back_permute"])
+def test_out_of_range_index_raises(backend, kind):
+    """After good runs of a compiled plan, index 99 into 8 elements
+    raises IndexError instead of being skipped."""
+    svm = SVM(vlen=128, mode="fast", backend=backend)
+    src = svm.array(np.arange(1, 9, dtype=np.uint32))
+
+    def run(index):
+        idx = svm.array(np.array(index, dtype=np.uint32))
+        with svm.lazy() as lz:
+            out = getattr(lz, kind)(src, idx)
+        return out.to_numpy(), lz.fused
+
+    good = list(range(7, -1, -1))
+    for _ in range(2):   # counters mode: a codegen warm-up, then C
+        out, fused = run(good)
+        assert out.tolist() == [8, 7, 6, 5, 4, 3, 2, 1]
+    assert isinstance(fused.native, NativePlan)
+    assert backend == "native-speed" or fused.native.charge_items is not None
+    with pytest.raises(IndexError):
+        run([99] + good[1:])
+
+
+@needs_cc
+@pytest.mark.parametrize("backend", ["native", "native-speed"])
+def test_batch_out_of_range_index_raises(monkeypatch, backend):
+    """The compiled 2D entry point flags a bad index in any row."""
+    calls = []
+    orig = NativePlan.run2d
+    monkeypatch.setattr(NativePlan, "run2d", lambda self, *a: (
+        calls.append(1), orig(self, *a))[1])
+
+    def pipe(lz, data):
+        return lz.back_permute(lz.index_array(data.n), data)
+
+    rows = [np.arange(8, dtype=np.uint32)[::-1].copy() for _ in range(4)]
+    svm = SVM(vlen=128, mode="fast", backend=backend)
+    for _ in range(2):
+        res = svm.batch(pipe, rows)
+    assert res.buckets[0].path == "2d" and calls
+    assert all(out.tolist() == list(range(7, -1, -1)) for out in res.outputs)
+    rows[2][0] = 99
+    with pytest.raises(IndexError):
+        svm.batch(pipe, rows)
