@@ -126,7 +126,7 @@ def test_native_identity_grid(benchmark):
                     # with a toolchain the second run really was the
                     # compiled replay (charge profile recorded) and
                     # speed mode really bypassed the counters
-                    assert fused.native.charge_items is not None, cell
+                    assert fused.charge_items is not None, cell
                     assert spd_counts == {}, cell
                 cells.append(cell)
                 table_rows.append([

@@ -7,12 +7,14 @@ values. That is what makes batching sound: a cached
 :class:`~repro.engine.fuse.FusedPlan` evaluated over B same-length
 inputs performs B identical instruction streams, so the batch can
 
-* execute the *data* as one 2D NumPy evaluation per execution unit
+* run row 0 through the ordinary single-input engine, then execute the
+  *data* of rows 1+ as one 2D NumPy evaluation per execution unit
   (batch axis × element axis), and
-* charge the *counters* by running row 0 through the ordinary
-  single-input engine and scaling its counter delta by the remaining
-  B-1 rows — exact, because integer scaling of an identical per-row
-  profile is exact.
+* charge the *counters* of rows 1+ as B-1 times the plan-cache entry's
+  one closed-form profile (``FusedPlan.charge_items``, recorded by
+  :func:`~repro.engine.executor.record_charge` on row 0 when missing)
+  — exact, because integer scaling of an identical per-row profile is
+  exact.
 
 The result is bit- and counter-identical to looping the single-input
 path, which stays the definitional semantics:
@@ -29,10 +31,10 @@ path, which stays the definitional semantics:
   length are data-dependent — take the ``"ragged"`` path: still one
   2D evaluation, with a masked compaction kernel
   (:func:`repro.batch.ragged.pack2d`), a per-row-lengths column on the
-  result (:class:`~repro.batch.ragged.RaggedBatch`), and an exact
-  per-row counter charge via ``Counters.add_many`` that swaps row 0's
-  data-dependent pack items for each row's own
-  (:func:`repro.svm.fastpath.pack_variable_items`);
+  result (:class:`~repro.batch.ragged.RaggedBatch`), and each row's
+  own data-dependent pack items
+  (:func:`repro.svm.fastpath.pack_variable_items`) charged on top of
+  the profile;
 * only strict mode, sub-threshold lengths, and plans where a packed
   buffer escapes into a non-prefix-local consumer (or a future feeds a
   consumer the 2D path cannot broadcast) fall back to literally looping
@@ -53,10 +55,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine.capture import PlanBuilder
-from ..engine.executor import execute
+from ..engine.executor import execute, native_for, record_charge
 from ..engine.fuse import GroupSpec
 from ..engine.ir import EngineError, Kind, Plan, ScalarFuture, resolve_scalar
-from ..engine.native import NATIVE_BACKENDS, native_state
 from ..rvv.types import sew_for_dtype
 from ..scalar.kernels import segmented_cumsum, segmented_reduce_numpy
 from ..svm.fastpath import (
@@ -70,7 +71,7 @@ from ..svm.opspec import get_spec
 from ..svm.operators import get_operator
 from .ragged import RaggedBatch, pack2d
 
-__all__ = ["BatchBucket", "BatchResult", "run_batch", "run_bucket"]
+__all__ = ["BatchBucket", "BatchResult", "run_batch"]
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,9 @@ class BatchResult:
     def to_ragged(self) -> RaggedBatch:
         """The result as one :class:`~repro.batch.ragged.RaggedBatch`.
 
-        Requires all outputs to share one length (one bucket — the
-        :func:`run_bucket` shape). Rows without a lengths entry are
-        fully defined."""
+        Requires all outputs to share one length (one bucket, as in a
+        serve flush). Rows without a lengths entry are fully
+        defined."""
         if not self.outputs:
             return RaggedBatch(np.empty((0, 0)), np.empty(0, dtype=np.int64))
         n = self.outputs[0].size
@@ -138,17 +139,11 @@ class BatchResult:
                            np.asarray(lengths, dtype=np.int64))
 
 
-def _freed_bids(plan: Plan) -> set[int]:
-    return {node.dst for node in plan.nodes if node.kind is Kind.FREE}
-
-
-def _release(svm, plan: Plan, input_addr: int, executed: bool = True) -> None:
+def _release(svm, plan: Plan, input_addr: int) -> None:
     """Free the buffers one single-input run would not leave behind:
     plan temporaries and the input we allocated, minus anything the
-    plan already freed. External (non-temp) arrays are left alone.
-    A never-executed probe capture (``executed=False``) still holds
-    everything, including buffers its FREE nodes would have freed."""
-    freed = _freed_bids(plan) if executed else set()
+    plan already freed. External (non-temp) arrays are left alone."""
+    freed = {node.dst for node in plan.nodes if node.kind is Kind.FREE}
     for bid, buf in plan.buffers.items():
         if bid in freed:
             continue
@@ -284,16 +279,8 @@ def _bid_of(plan: Plan, array) -> int:
     )
 
 
-def _out_lengths_future(plan: Plan, out_bid: int):
-    """The ``pack.kept`` future bounding the output's defined prefix,
-    or None when the output is fully defined (or the plan's ragged
-    flow is untrackable)."""
-    ok, tags = _ragged_tags(plan)
-    return tags.get(out_bid) if ok else None
-
-
 # ---------------------------------------------------------------------------
-# 2D evaluation of one plan over the trailing B-1 rows
+# 2D evaluation of one plan over rows 1+
 # ---------------------------------------------------------------------------
 
 def _mat_getter(plan: Plan, init: dict[int, np.ndarray], b1: int):
@@ -431,148 +418,59 @@ def _node_2d(plan: Plan, node, mats, get, fvals, m=None, pack_sws=None) -> None:
         raise EngineError(f"cannot batch node kind {kind}")
 
 
-def _run_bucket_2d(svm, plan: Plan, fused, data, out, rows,
-                   ragged: bool = False, out_tag=None):
-    """Fast path for one bucket: single-input semantics for row 0 (the
-    counter oracle), one 2D NumPy evaluation for the rest.
-
-    Closed-form plans (``ragged=False``) evaluate rows 1+ only and
-    charge counters as row 0's delta scaled by the remaining rows. A
-    ragged plan (contains pack) evaluates the matrix over *all* rows —
-    the masked pack kernel then yields every row's kept count and
-    strips-with-survivors in the same pass — and charges rows 1+ as
-    the closed-form part of the delta scaled, plus each row's own
-    data-dependent pack items, in one ``Counters.add_many`` call.
-    Returns ``(outputs, lengths)`` with lengths None for fully-defined
-    outputs."""
-    m = svm.machine
+def _run_rest_2d(svm, plan: Plan, fused, init: dict, input_bid: int,
+                 out_bid: int, rows, native, out_tag):
+    """Rows 1+ of a matrix bucket as one 2D evaluation over ``[B-1, n]``
+    matrices seeded from ``init`` (every buffer's pre-execution
+    contents). Returns ``(outputs, kept counts of out_tag or None,
+    total pack strips with survivors)``."""
     b = len(rows)
-    b1 = b - 1
-
-    input_bid = _bid_of(plan, data)
-    out_bid = _bid_of(plan, out)
-    # pre-execution contents of every buffer: temporaries replay from
-    # these in rows 1+, exactly as fresh allocations would per loop
-    # iteration (captured before row 0 mutates anything)
-    init = {
-        bid: buf.array.to_numpy()
-        for bid, buf in plan.buffers.items()
-        if bid != input_bid
-    }
-
-    # row 0: the ordinary engine — its counter delta is the per-row
-    # closed-form profile of this plan (plus, for ragged plans, row
-    # 0's own data-dependent pack items, subtracted again below)
-    backend = svm.engine.backend
-    before = m.counters.snapshot()
-    execute(svm, plan, fused, backend=backend)
-    delta = m.counters.snapshot() - before
-    outputs = [out.to_numpy()]
-    lengths = None
-
-    if b1:
-        # native backends fall back to the codegen 2D kernels per unit
-        # when the whole plan does not lower; ragged plans always take
-        # them, since pack has no 2D C kernel (pack2d is not lowered)
-        native = (native_state(svm, plan, fused)
-                  if backend in NATIVE_BACKENDS and not ragged else None)
-        b_mat = b if ragged else b1
-        mats, get = _mat_getter(plan, init, b_mat)
-        # rows share (length, dtype): one concatenate is the stack,
-        # at a third of np.stack's per-row cost
-        mats[input_bid] = np.concatenate(
-            rows if ragged else rows[1:]).reshape(b_mat, data.n)
-        fvals: dict = {}  # ScalarFuture -> per-row int64 values
-        pack_sws: list[np.ndarray] = []  # per pack node: [b] survivor strips
-        if native is not None:
-            # whole-bucket compiled call: the C kernel loops rows over
-            # the same [b, n] matrices the per-unit path would build
-            native.run2d(svm, plan, mats, get, fvals, b_mat)
-        else:
-            for unit in fused.units:
-                if isinstance(unit, GroupSpec):
-                    fused.compiled.groups[unit].fn2d(
-                        plan.nodes, plan.buffers, mats, get)
-                else:
-                    _node_2d(plan, plan.nodes[unit], mats, get, fvals,
-                             m=m, pack_sws=pack_sws)
-        out_mat = get(out_bid)
-        # ragged matrices carry all b rows (row 0 feeds the charge
-        # correction); closed-form matrices carry only rows 1+
-        outputs.extend(out_mat[1:] if ragged else out_mat)
-        if not ragged:
-            for cat, count in delta.by_category.items():
-                if count:
-                    m.count(cat, count * b1)
-        else:
-            # exact per-row charge: rows 1+ each owe row 0's delta
-            # minus row 0's data-dependent pack items plus their own
-            row0_var: dict = {}
-            rest_var: dict = {}
-            for sws in pack_sws:
-                for cat, count in pack_variable_items(sws[0]):
-                    row0_var[cat] = row0_var.get(cat, 0) + count
-                for cat, count in pack_variable_items(np.sum(sws[1:])):
-                    rest_var[cat] = rest_var.get(cat, 0) + count
-            items = []
-            for cat, count in delta.by_category.items():
-                base = count - row0_var.get(cat, 0)
-                if base:
-                    items.append((cat, base * b1))
-            for cat, count in rest_var.items():
-                if count:
-                    items.append((cat, count))
-            m.counters.add_many(items)
-            if out_tag is not None:
-                kept = fvals[out_tag]
-                lengths = [int(out_tag.value)] + [int(v) for v in kept[1:]]
-    elif ragged and out_tag is not None:  # pragma: no cover - rows > 1
-        lengths = [int(out_tag.value)]
-
-    _release(svm, plan, data.ptr.addr)
-    return outputs, lengths
-
-
-def _run_bucket_loop(svm, pipe, rows, want_lengths: bool = False):
-    """Fallback: literally the loop of single-input calls (the
-    definitional semantics) — used for strict mode, single rows,
-    sub-threshold lengths, and ragged flows no 2D evaluation can
-    track. When ``want_lengths``, each row's defined-prefix length is
-    read off its plan's resolved ``pack.kept`` future."""
-    outputs = []
-    lengths: list | None = [] if want_lengths else None
-    for row in rows:
-        plan, data, out = _capture(svm, pipe, row)
-        svm.engine.run(plan)
-        outputs.append(out.to_numpy())
-        if want_lengths:
-            tag = _out_lengths_future(plan, _bid_of(plan, out))
-            lengths.append(int(tag.value) if tag is not None else None)
-        _release(svm, plan, data.ptr.addr)
-    if want_lengths and all(k is None for k in lengths):
-        lengths = None
-    return outputs, lengths
+    mats, get = _mat_getter(plan, init, b)
+    # rows share (length, dtype): one concatenate is the stack, at a
+    # third of np.stack's per-row cost
+    mats[input_bid] = np.concatenate(rows).reshape(b, rows[0].size)
+    fvals: dict = {}  # ScalarFuture -> per-row int64 values
+    pack_sws: list[np.ndarray] = []  # per pack node: [b] survivor strips
+    if native is not None:
+        # whole-bucket compiled call: the C kernel loops rows over the
+        # same [b, n] matrices the per-unit path would build
+        native.run2d(svm, plan, mats, get, fvals, b)
+    else:
+        for unit in fused.units:
+            if isinstance(unit, GroupSpec):
+                fused.compiled.groups[unit].fn2d(
+                    plan.nodes, plan.buffers, mats, get)
+            else:
+                _node_2d(plan, plan.nodes[unit], mats, get, fvals,
+                         m=svm.machine, pack_sws=pack_sws)
+    kept = None if out_tag is None else [int(v) for v in fvals[out_tag]]
+    return list(get(out_bid)), kept, int(sum(s.sum() for s in pack_sws))
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# entry point
 # ---------------------------------------------------------------------------
 
 def _dispatch_bucket(svm, pipe, rows):
-    """Run one pre-grouped bucket (all rows share (length, dtype));
-    returns (outputs in row order, per-row lengths or None, dispatch
-    path). The shared body of :func:`run_batch` and
-    :func:`run_bucket`.
+    """Run one bucket (all rows share (length, dtype)); returns
+    (outputs in row order, per-row lengths or None, dispatch path).
 
-    Path choice: plans without pack take ``"2d"``; plans with pack
-    take ``"ragged"`` when the registry declares the recipe
+    Row 0 is the probe on every path: captured once, resolved through
+    the plan cache once and executed once by the ordinary engine. Rows
+    1+ then take one of three paths. Plans without pack take ``"2d"``
+    and plans with pack take ``"ragged"`` — one 2D evaluation, charged
+    the cache entry's closed-form profile (``fused.charge_items``,
+    recorded on row 0 when missing) per row plus pack's own
+    survivor-strip items — when the registry declares the ragged recipe
     (``get_spec("pack").ragged2d``) and every packed buffer stays in
-    prefix-local flow; everything else — strict mode, single rows,
+    prefix-local flow. Everything else — strict mode, single rows,
     sub-threshold lengths, future operands :func:`_batchable` rejects,
-    untrackable ragged flow — takes ``"loop"``."""
+    untrackable ragged flow — takes ``"loop"``: one single-input call
+    per row."""
     n = rows[0].size
     plan, data, out = _capture(svm, pipe, rows[0])
     fused = svm.engine.fused_for(plan)
+    input_bid = _bid_of(plan, data)
     out_bid = _bid_of(plan, out)
     has_pack = any(node.kind is Kind.PACK for node in plan.nodes)
     ragged_ok = False
@@ -584,6 +482,10 @@ def _dispatch_bucket(svm, pipe, rows):
     use_mat = (len(rows) > 1 and svm._fast(n) and _batchable(plan, fused)
                and (not has_pack or ragged_ok))
     path = ("ragged" if has_pack else "2d") if use_mat else "loop"
+    backend = svm.engine.backend
+    native = native_for(svm, plan, fused, backend)
+    # a native-speed row that runs native charges nothing
+    charged = native is None or backend != "native-speed"
     col = getattr(svm.machine, "collector", None)
     ctx = col.span("batch_bucket", rows=len(rows), n=int(n), path=path) \
         if col is not None else nullcontext()
@@ -591,55 +493,46 @@ def _dispatch_bucket(svm, pipe, rows):
         if col is not None:
             col.batch_event(len(rows), int(n), path)
         if use_mat:
-            outputs, lengths = _run_bucket_2d(
-                svm, plan, fused, data, out, rows,
-                ragged=has_pack, out_tag=out_tag,
-            )
+            # pre-execution contents of every buffer: the matrices of
+            # rows 1+ replay from these, exactly as fresh allocations
+            # would per loop iteration
+            init = {bid: buf.array.to_numpy()
+                    for bid, buf in plan.buffers.items() if bid != input_bid}
+        if use_mat and charged and fused.charge_items is None:
+            record_charge(svm, plan, fused)
         else:
-            # release the probe capture's buffers and replay the
-            # definitional loop from scratch for every row
-            _release(svm, plan, data.ptr.addr, executed=False)
-            outputs, lengths = _run_bucket_loop(
-                svm, pipe, rows, want_lengths=has_pack)
+            execute(svm, plan, fused, backend=backend)
+        outputs = [out.to_numpy()]
+        lengths = None if out_tag is None else [int(out_tag.value)]
+        # free row 0 before rows 1+ allocate, as a loop of single
+        # calls would
+        _release(svm, plan, data.ptr.addr)
+        if use_mat:
+            rest, kept, sws = _run_rest_2d(
+                svm, plan, fused, init, input_bid, out_bid, rows[1:],
+                # pack has no 2D C kernel: ragged plans run the NumPy
+                # evaluation on every backend
+                None if has_pack else native, out_tag)
+            outputs += rest
+            if lengths is not None:
+                lengths += kept
+            if charged:
+                b = len(rest)
+                svm.machine.counters.add_many(
+                    [(cat, k * b) for cat, k in fused.charge_items]
+                    + list(pack_variable_items(sws)))
+        else:
+            tag_node = None if out_tag is None else next(
+                i for i, node in enumerate(plan.nodes)
+                if node.future is out_tag)
+            for row in rows[1:]:
+                plan, data, out = _capture(svm, pipe, row)
+                svm.engine.run(plan)
+                outputs.append(out.to_numpy())
+                if tag_node is not None:
+                    lengths.append(int(plan.nodes[tag_node].future.value))
+                _release(svm, plan, data.ptr.addr)
     return outputs, lengths, path
-
-
-def run_bucket(svm, pipe, rows, *, dtype=np.uint32) -> BatchResult:
-    """Run ``pipe`` over rows that are *already grouped*: every row
-    must share one (length, dtype) pair, so no bucketing pass runs.
-
-    This is the serving daemon's entry point: its coalescer groups
-    concurrent requests by (pipeline, n, dtype) up front, so each
-    flush maps to exactly one bucket dispatch. Semantics are those of
-    :func:`run_batch` restricted to a single bucket — results and
-    per-category counters identical to looping single calls.
-    """
-    arrays = [
-        x if isinstance(x, np.ndarray) else np.asarray(x, dtype=dtype)
-        for x in rows
-    ]
-    result = BatchResult()
-    if not arrays:
-        return result
-    n, dt = arrays[0].size, arrays[0].dtype
-    for arr in arrays:
-        if arr.ndim != 1:
-            raise EngineError(f"batch inputs are 1-D, got shape {arr.shape}")
-        if arr.size != n or arr.dtype != dt:
-            raise EngineError(
-                "run_bucket rows must share one (length, dtype): "
-                f"expected ({n}, {dt}), got ({arr.size}, {arr.dtype})"
-            )
-    outputs, lengths, path = _dispatch_bucket(svm, pipe, arrays)
-    result.outputs = outputs
-    result.lengths = list(lengths) if lengths is not None \
-        else [None] * len(outputs)
-    result.buckets.append(
-        BatchBucket(int(n), np.dtype(dt).name, len(arrays), path,
-                    tuple(range(len(arrays))),
-                    tuple(lengths) if lengths is not None else None)
-    )
-    return result
 
 
 def run_batch(svm, pipe, inputs, *, dtype=np.uint32) -> BatchResult:
@@ -651,10 +544,11 @@ def run_batch(svm, pipe, inputs, *, dtype=np.uint32) -> BatchResult:
     array (returning ``data`` for in-place pipelines is fine). Inputs
     are bucketed by ``(length, dtype)`` — the vl strip sequence, and
     with it the whole instruction profile, depends only on those — and
-    each bucket runs the 2D fast path when the captured plan is fully
-    closed-form and the fast path applies at its length, else the
-    per-row loop. Results and per-category counters are identical to
-    looping single calls either way.
+    each bucket runs the 2D fast path when the captured plan batches and
+    the fast path applies at its length, else the per-row loop (see
+    :func:`_dispatch_bucket`). Results and per-category counters are
+    identical to looping single calls either way. The serving daemon's
+    flushes arrive pre-grouped, so each is exactly one bucket.
     """
     arrays = [
         x if isinstance(x, np.ndarray) else np.asarray(x, dtype=dtype)

@@ -194,7 +194,7 @@ class CompiledGroup:
     ``fn(svm, nodes, buffers)`` is the single-call kernel (computes the
     group and applies its precomputed charge); ``fn2d(nodes, buffers,
     mats, get)`` is the batch kernel over ``[b1, n]`` matrices (no
-    charging — the batch runner scales row 0's counter delta). ``n``
+    charging — the batch runner scales the plan's recorded profile). ``n``
     is the group length the executor gates the fast path on.
     """
 

@@ -63,6 +63,8 @@ from .nodes import run_node_eager
 __all__ = [
     "Engine",
     "execute",
+    "native_for",
+    "record_charge",
     "run_group_strict",
     "BACKENDS",
     "DEFAULT_BACKEND",
@@ -196,14 +198,14 @@ def execute(svm, plan: Plan, fused: FusedPlan,
     compiled C call (:mod:`repro.engine.native`) when the plan lowers,
     a toolchain is present, and the execution is all-fast; otherwise
     they degrade to exactly the codegen tier. ``"native"`` keeps the
-    counter contract by replaying its *first* execution of each plan
-    through codegen while recording the counter delta, then charging
-    that delta on every native run; ``"native-speed"`` skips counter
-    bookkeeping entirely (results-identical only). ``pack``'s one
-    data-dependent term is split off: the recording run subtracts its
-    own :func:`~repro.svm.fastpath.pack_variable_items`, and every
-    native run adds them back for the survivor strips its kernel
-    counted.
+    counter contract by charging the cache entry's recorded profile
+    (``fused.charge_items``, see :func:`record_charge`) on every native
+    run, recording it on the first run that finds it missing;
+    ``"native-speed"`` skips counter bookkeeping entirely
+    (results-identical only). ``pack``'s one data-dependent term is
+    not in the profile: every native run adds
+    :func:`~repro.svm.fastpath.pack_variable_items` for the survivor
+    strips its kernel counted.
 
     With a profiler installed each fused group gets its own span
     (``fused_scan``/``fused_ew`` with {n, nodes, path} metadata, plus
@@ -213,36 +215,56 @@ def execute(svm, plan: Plan, fused: FusedPlan,
     primitive names as in eager mode.
     """
     col = getattr(svm.machine, "collector", None)
-    if backend in NATIVE_BACKENDS:
-        native = native_state(svm, plan, fused)
-        if native is not None and svm._fast(native.min_n):
-            if backend == "native-speed":
-                with _native_span(col, native, backend):
-                    native.run(svm, plan)
-                return
-            if native.charge_items is None:
-                # first counters-mode execution: replay through codegen
-                # and record the closed-form per-category delta (sound
-                # because the all-fast gate makes charges data-blind,
-                # once pack's survivor-strip term is taken out)
-                sws = [] if native.meta["pack_nodes"] else None
-                before = svm.machine.counters.snapshot()
-                _execute_units(svm, plan, fused, col, sws)
-                delta = svm.machine.counters.snapshot() - before
-                items = dict(delta.by_category)
-                for cat, k in pack_variable_items(sum(sws or ())):
-                    items[cat] = items.get(cat, 0) - k
-                native.charge_items = tuple(
-                    (cat, k) for cat, k in items.items() if k)
-                return
-            with _native_span(col, native, backend):
-                sws = native.run(svm, plan)
-                counters = svm.machine.counters
-                counters.add_many(native.charge_items)
-                if sws:
-                    counters.add_many(pack_variable_items(sws))
-            return
-    _execute_units(svm, plan, fused, col)
+    native = native_for(svm, plan, fused, backend)
+    if native is None:
+        _execute_units(svm, plan, fused, col)
+        return
+    if backend == "native-speed":
+        with _native_span(col, native, backend):
+            native.run(svm, plan)
+        return
+    if fused.charge_items is None:
+        record_charge(svm, plan, fused)
+        return
+    with _native_span(col, native, backend):
+        sws = native.run(svm, plan)
+        counters = svm.machine.counters
+        counters.add_many(fused.charge_items)
+        if sws:
+            counters.add_many(pack_variable_items(sws))
+
+
+def native_for(svm, plan: Plan, fused: FusedPlan, backend: str):
+    """The :class:`~repro.engine.native.NativePlan` :func:`execute`
+    runs ``plan`` through on ``backend``, or None when it runs the
+    Python tier (codegen backend, plan does not lower, no toolchain, or
+    an execution that is not all-fast)."""
+    if backend not in NATIVE_BACKENDS:
+        return None
+    native = native_state(svm, plan, fused)
+    if native is None or not svm._fast(native.min_n):
+        return None
+    return native
+
+
+def record_charge(svm, plan: Plan, fused: FusedPlan) -> None:
+    """Execute ``plan`` through the Python tier and record its
+    closed-form per-category counter profile on ``fused.charge_items``:
+    the run's delta minus pack's data-dependent survivor-strip items.
+
+    The profile is a constant of the plan-cache entry — the charges
+    are data-blind once pack's term is taken out — so native
+    counters-mode calls and batch rows 1+ both charge it, adding back
+    pack's items for their own survivor strips."""
+    sws: list = []
+    before = svm.machine.counters.snapshot()
+    _execute_units(svm, plan, fused,
+                   getattr(svm.machine, "collector", None), sws)
+    delta = svm.machine.counters.snapshot() - before
+    items = dict(delta.by_category)
+    for cat, k in pack_variable_items(sum(sws)):
+        items[cat] -= k
+    fused.charge_items = tuple((cat, k) for cat, k in items.items() if k)
 
 
 def _native_span(col, native, backend: str):

@@ -253,6 +253,12 @@ class FusedPlan:
     #: = not yet attempted, ``"unavailable"`` = structurally
     #: ineligible). Derived state, like ``compiled``.
     native: object | None = field(default=None, compare=False, repr=False)
+    #: ``((Cat, count), ...)``: one execution's closed-form counter
+    #: profile, pack's survivor-strip items excluded, recorded by
+    #: :func:`repro.engine.executor.record_charge`; None until then.
+    #: Native counters-mode calls and batch rows 1+ charge it.
+    charge_items: tuple | None = field(default=None, compare=False,
+                                       repr=False)
 
     @property
     def n_groups(self) -> int:

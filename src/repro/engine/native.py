@@ -15,18 +15,19 @@ Two contracts, selected through the backend seam
 (``SVM(backend=...)`` / ``REPRO_BACKEND``):
 
 ``"native"`` (counters mode)
-    Bit- **and counter-identical** to the codegen tier. The first
-    execution of a plan replays through the codegen tier while the
-    counter delta is recorded; every subsequent execution runs the C
-    kernel and charges the recorded delta via
-    :meth:`~repro.rvv.counters.Counters.add_many`. This is sound
-    because the native tier only engages on all-fast executions
-    (``svm._fast``), whose charges are closed-form in the plan shape —
-    the same property the 2D batch runner already relies on. The one
-    data-dependent term, ``pack``'s
+    Bit- **and counter-identical** to the codegen tier. Each C call
+    charges the plan-cache entry's closed-form counter profile
+    (``FusedPlan.charge_items``) via
+    :meth:`~repro.rvv.counters.Counters.add_many`; when the profile is
+    missing, the call replays through the codegen tier instead and
+    records it (:func:`~repro.engine.executor.record_charge` — the
+    same profile the 2D batch runner charges rows 1+ with). This is
+    sound because the native tier only engages on all-fast executions
+    (``svm._fast``), whose charges are closed-form in the plan shape.
+    The one data-dependent term, ``pack``'s
     :data:`~repro.svm.fastpath.PACK_VARIABLE` per strip holding a
-    survivor, is split off the recorded delta and re-charged per run
-    from the survivor-strip count the kernel itself reports.
+    survivor, is left out of the profile and charged per run from the
+    survivor-strip count the kernel itself reports.
 
 ``"native-speed"`` (speed mode)
     Results-identical only; counter bookkeeping is compiled out
@@ -46,8 +47,8 @@ operands); scalar futures *produced by the plan itself* (reduce /
 enumerate / pack) are threaded through the kernel's ``outs`` table so
 split pipelines compile whole.
 
-The C entry points are ``plan_run(bufs, scalars, sel, outs, lens)``
-and ``plan_run2d(..., lens, rows)``. ``lens`` holds one length per
+The one C entry point is ``plan_run2d(bufs, scalars, sel, outs, lens,
+rows)``; a single call passes ``rows=1``. ``lens`` holds one length per
 buffer slot followed by one strip length per ``pack`` node; ``outs``
 holds one value per produced future, then one survivor-strip count per
 ``pack`` node, then — when the plan scatters or gathers — the
@@ -121,7 +122,7 @@ __all__ = [
 
 #: Bumped on any change to the generated C or the meta layout; part of
 #: the artifact digest, so stale ``.so`` files are never rebound.
-NATIVE_VERSION = 3
+NATIVE_VERSION = 4
 
 #: The backend names this module serves (counters mode, speed mode).
 NATIVE_BACKENDS = ("native", "native-speed")
@@ -234,10 +235,10 @@ def reset_native_caches() -> None:
 # build + bind cache
 # ---------------------------------------------------------------------------
 
-#: (artifact dir, source digest) → (plan_run, plan_run2d) ctypes
-#: functions, or None when the build failed / no toolchain (memoized
+#: (artifact dir, source digest) → the ``plan_run2d`` ctypes
+#: function, or None when the build failed / no toolchain (memoized
 #: per process; dir None is the per-process temporary directory).
-_SO_CACHE: dict[tuple, tuple | None] = {}
+_SO_CACHE: dict[tuple, object] = {}
 #: Serializes the check-build-memoize step: serve workers share one
 #: fused plan, and two threads building one digest would race on its
 #: temporary artifact path (one build fails and memoizes None).
@@ -280,21 +281,17 @@ def _default_artifact_dir() -> Path:
     return _TMP_DIR[0]
 
 
-def _bind(so: Path) -> tuple:
-    lib = ctypes.CDLL(str(so))
-    run = lib.plan_run
-    run.argtypes = [ctypes.c_void_p] * 5
-    run.restype = None
-    run2d = lib.plan_run2d
+def _bind(so: Path):
+    run2d = ctypes.CDLL(str(so)).plan_run2d
     run2d.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong]
     run2d.restype = None
-    return (run, run2d)
+    return run2d
 
 
-def _build(source: str, digest: str, art_dir) -> tuple[tuple | None, bool]:
+def _build(source: str, digest: str, art_dir) -> tuple[object, bool]:
     """Bind ``<art_dir>/<digest>.so``, compiling ``source`` into it
-    first unless a loadable artifact is already there. Returns the two
-    entry points — None on any failure, which the caller treats as
+    first unless a loadable artifact is already there. Returns the
+    entry point — None on any failure, which the caller treats as
     "tier unavailable" — and whether ``cc`` ran.
 
     An existing artifact that fails to load (truncated, corrupt) is a
@@ -726,13 +723,6 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
         src += [f"    {l}" for l in block]
     src.append("}")
     src.append("")
-    src.append("void plan_run(uint8_t **bufs, const uint64_t *scalars,")
-    src.append("              const int64_t *sel, uint64_t *outs,"
-               " const int64_t *lens)")
-    src.append("{")
-    src.append("    plan_body(bufs, scalars, sel, outs, lens);")
-    src.append("}")
-    src.append("")
     src.append("void plan_run2d(uint8_t **bufs, const uint64_t *scalars,")
     src.append("                const int64_t *sel, uint64_t *outs,"
                " const int64_t *lens, int64_t b)")
@@ -766,21 +756,18 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
 
 class NativePlan:
     """One plan-cache entry's native artifact: the generated C source
-    plus the call-time binding tables. The ``.so`` binding and the
-    recorded counters-mode charge profile are per-process; the argument
-    tables (:meth:`_layout`) are per thread."""
+    plus the call-time binding tables. The ``.so`` binding is
+    per-process; the argument tables (:meth:`_layout`) are per
+    thread."""
 
     def __init__(self, source: str, meta: dict) -> None:
         self.source = source
         self.meta = meta
         self.min_n: int = meta["min_n"]
-        #: ``((Cat, count), ...)`` recorded on the first counters-mode
-        #: execution (a codegen replay); None until then.
-        self.charge_items: tuple | None = None
         self.digest = hashlib.sha256(
             (f"v{NATIVE_VERSION}\n" + source).encode()
         ).hexdigest()[:16]
-        self._fns: tuple | None = None
+        self._fn = None
         #: Whether :meth:`ensure` ran ``cc`` for this plan (False when
         #: it bound an artifact already on disk or in this process).
         self.built = False
@@ -789,19 +776,19 @@ class NativePlan:
     # -- binding -----------------------------------------------------------
 
     def ensure(self, art_dir=None) -> bool:
-        """Bind the compiled entry points, building the artifact in
+        """Bind the compiled entry point, building the artifact in
         ``art_dir`` (a per-process temporary directory when None) on
         first use. False (never an exception) when no toolchain is
         available or the build fails."""
-        if self._fns is not None:
+        if self._fn is not None:
             return True
         key = (art_dir, self.digest)
         with _SO_LOCK:
             if key not in _SO_CACHE:
                 _SO_CACHE[key], self.built = _build(
                     self.source, self.digest, art_dir)
-            self._fns = _SO_CACHE[key]
-        return self._fns is not None
+            self._fn = _SO_CACHE[key]
+        return self._fn is not None
 
     def _layout(self, machine, plan: Plan) -> tuple:
         """This thread's argument tables, built on its first call.
@@ -834,7 +821,7 @@ class NativePlan:
         nf = len(meta["future_nodes"])
         args = (ctypes.addressof(bufs), ctypes.addressof(scalars),
                 ctypes.addressof(sel), ctypes.addressof(outs),
-                ctypes.addressof(lens))
+                ctypes.addressof(lens), 1)
         # [memory, host address of its byte 0] of the last buffer
         # bound: Memory never reallocates its bytes
         base = [None, 0]
@@ -871,11 +858,12 @@ class NativePlan:
     # -- execution ---------------------------------------------------------
 
     def run(self, svm, plan: Plan) -> int:
-        """Execute the whole plan as one compiled call against the
-        machine's flat memory (zero-copy: buffer pointers are computed
-        from the simulated heap addresses). Returns the total count of
-        pack strips that held a survivor (0 for pack-free plans) — the
-        multiplier of the run's data-dependent charge."""
+        """Execute the whole plan as one compiled call (``plan_run2d``
+        over one row) against the machine's flat memory (zero-copy:
+        buffer pointers are computed from the simulated heap
+        addresses). Returns the total count of pack strips that held a
+        survivor (0 for pack-free plans) — the multiplier of the run's
+        data-dependent charge."""
         loc = self._local
         layout = (getattr(loc, "layout", None)
                   or self._layout(svm.machine, plan))
@@ -897,7 +885,7 @@ class NativePlan:
             # loop): its pointers and literals are already in place
             for k, sc in loc.outside:
                 scalars[k] = sc.value & _U64
-        self._fns[0](*args)
+        self._fn(*args)
         meta = self.meta
         oob = meta["oob"]
         if oob is not None and outs[oob]:
@@ -934,9 +922,9 @@ class NativePlan:
         outs_mat = np.zeros((b, max(meta["nout"], 1)), dtype=np.uint64)
         nodes = plan.nodes
         self._fill_scalars(nodes, scalars, sel)
-        self._fns[1](ctypes.addressof(bufs), ctypes.addressof(scalars),
-                     ctypes.addressof(sel), outs_mat.ctypes.data,
-                     ctypes.addressof(lens), b)
+        self._fn(ctypes.addressof(bufs), ctypes.addressof(scalars),
+                 ctypes.addressof(sel), outs_mat.ctypes.data,
+                 ctypes.addressof(lens), b)
         oob = meta["oob"]
         if oob is not None and outs_mat[:, oob].any():
             raise IndexError(_OOB_MESSAGE)
@@ -960,7 +948,7 @@ def native_state(svm, plan: Plan, fused: FusedPlan) -> NativePlan | None:
         state = fused.native
     if not isinstance(state, NativePlan):
         return None
-    if state._fns is not None:  # hot path: already bound
+    if state._fn is not None:  # hot path: already bound
         return state
     if not state.ensure(artifact_dir(svm.cache_dir)):
         return None

@@ -7,7 +7,7 @@ service (``repro serve``) accepts plan-execution requests — NDJSON
 over TCP / unix socket, or the in-process async API — and coalesces
 same-``(pipeline, n, dtype, mode)`` requests on a deadline window
 (flush every ``flush_ms`` or ``max_rows``, whichever first) into
-single :func:`repro.batch.run_bucket` evaluations. A worker pool
+single-bucket :func:`repro.batch.run_batch` evaluations. A worker pool
 shares one warm :class:`~repro.engine.cache.PlanCache` (and, on a
 native backend with a cache directory, its compiled C artifacts), so a
 plan compiles once per shape for the whole service.

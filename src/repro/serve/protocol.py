@@ -50,7 +50,7 @@ with ``code`` in
 
 Pipelines are *named server-side*, never shipped as code: the registry
 below maps names to ``pipe(lz, data)`` capture functions (the exact
-shape :func:`repro.batch.run_bucket` executes). The defaults cover
+shape :func:`repro.batch.run_batch` executes). The defaults cover
 every dispatch regime — fused 2D chains, structured permutation
 plans, and ``pack``-terminated pipelines on the masked ragged path.
 """

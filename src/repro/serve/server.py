@@ -14,8 +14,9 @@ One :class:`Server` owns:
   (:mod:`repro.serve.protocol`), plus the in-process async
   :meth:`Server.submit` API used by tests and benchmarks.
 
-Each flush executes through :func:`repro.batch.run_bucket` — the
-pre-grouped 2D batch entry point — in a thread-pool executor so the
+Each flush executes through :func:`repro.batch.run_batch` — one
+bucket, since the coalescer key fixes ``(n, dtype)`` — in a
+thread-pool executor so the
 event loop keeps accepting while NumPy crunches. Backpressure is a
 bounded in-flight count: past ``queue_limit`` requests are rejected
 with :class:`~repro.errors.ServeOverloadedError` before any work
@@ -326,7 +327,7 @@ class Server:
         if tel.enabled:
             # the request's life split at the flush boundaries:
             # window wait (admit -> flush pop), queue wait (pop ->
-            # worker starts), execute (run_bucket), total (admit ->
+            # worker starts), execute (run_batch), total (admit ->
             # result)
             timing = {
                 "coalesce_ms": round(
@@ -371,13 +372,13 @@ class Server:
 
     def _execute_flush(self, svm: SVM, flush: Flush):
         """Thread-pool body: one coalesced bucket through the batch
-        runner's pre-grouped entry point on this worker's machine.
+        runner on this worker's machine.
 
         Also returns the flush's plan resolutions by tier: the delta
-        of the worker engine's tally across ``run_bucket``. It is exact
+        of the worker engine's tally across ``run_batch``. It is exact
         because the engine belongs to this worker alone, and a worker
         runs one flush at a time."""
-        from ..batch import run_bucket  # local: batch depends on svm
+        from ..batch import run_batch  # local: batch depends on svm
 
         key = flush.key
         svm.mode = key.mode
@@ -386,9 +387,9 @@ class Server:
                    - min(r.enqueued_at for r in flush.requests)) * 1e3
         tally = svm.engine.resolutions
         before = dict(tally)
-        res = run_bucket(svm, protocol.PIPELINES[key.pipeline],
-                         [r.data for r in flush.requests],
-                         dtype=protocol.DTYPES[key.dtype])
+        res = run_batch(svm, protocol.PIPELINES[key.pipeline],
+                        [r.data for r in flush.requests],
+                        dtype=protocol.DTYPES[key.dtype])
         execute_ms = (self._clock() - exec_start) * 1e3
         sources = {tier: k - before[tier] for tier, k in tally.items()
                    if k != before[tier]}

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from repro import SVM
-from repro.batch import run_batch
+from repro.batch import run_batch, runner
+from repro.engine import executor
 from repro.engine.ir import EngineError
+from repro.engine.native import native_available
 
 from .conftest import make_rows
 
@@ -107,3 +109,67 @@ def test_sim_memory_is_reclaimed():
     for _ in range(3):
         svm.batch(_pipe, rows)
     assert svm.machine.heap.live_bytes == used_after_first
+
+
+def _pack_pipe(lz, data):
+    flags = lz.p_lt(data, 2**15)
+    out, _kept = lz.pack(data, flags)
+    lz.free(flags)
+    return out
+
+
+@pytest.mark.parametrize("mode,lengths,captures", [
+    ("strict", (300,) * 3, 3),  # loop: one capture per row
+    ("fast", (4096,), 1),       # 1-row loop: the probe is the row
+    ("fast", (4096,) * 3, 1),   # matrix: only row 0 is captured
+])
+def test_rows_capture_and_resolve_once(monkeypatch, mode, lengths,
+                                       captures):
+    """Row 0 is the probe on every path: a loop bucket captures and
+    resolves each row exactly once, a matrix bucket only row 0."""
+    calls = []
+    capture = runner._capture
+
+    def spy(*args):
+        calls.append(args)
+        return capture(*args)
+
+    monkeypatch.setattr(runner, "_capture", spy)
+    svm = SVM(vlen=128, mode=mode)
+    before = sum(svm.engine.resolutions.values())
+    svm.batch(_pipe, make_rows(lengths, seed=9))
+    assert len(calls) == captures
+    assert sum(svm.engine.resolutions.values()) - before == captures
+
+
+@pytest.mark.parametrize("pipe", [_pipe, _pack_pipe])
+@pytest.mark.parametrize("backend", ["codegen", "native", "native-speed"])
+def test_charge_profile_recorded_once_per_cache_entry(monkeypatch, backend,
+                                                      pipe):
+    """The closed-form profile is recorded once per plan-cache entry,
+    whichever of matrix buckets, loop buckets and single calls needs it
+    first — and never under native-speed when the plan lowers, where
+    no row is charged at all."""
+    recorded = []
+    record = executor.record_charge
+
+    def spy(svm, plan, fused):
+        recorded.append(fused)
+        record(svm, plan, fused)
+
+    monkeypatch.setattr(executor, "record_charge", spy)
+    monkeypatch.setattr(runner, "record_charge", spy)
+    svm = SVM(vlen=128, mode="fast", backend=backend)
+    rows = make_rows((4096, 300, 4096, 300), seed=12)
+    for _ in range(2):
+        svm.batch(pipe, rows)        # two matrix buckets
+        svm.batch(pipe, rows[:2])    # two 1-row loop buckets
+        data = svm.array(rows[0])
+        with svm.lazy() as lz:       # a single call
+            out = pipe(lz, data)
+        svm.free(data)
+        if out.ptr.addr != data.ptr.addr:
+            svm.free(out)
+    lowers = backend == "native-speed" and native_available()
+    assert len(recorded) == (0 if lowers else 2)
+    assert len({id(f) for f in recorded}) == len(recorded)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import SVM
-from repro.batch import RaggedBatch, pack2d, run_bucket
+from repro.batch import RaggedBatch, pack2d, run_batch
 from repro.rvv.types import LMUL
 from repro.svm.opspec import get_spec
 
@@ -107,11 +107,23 @@ def test_grid(name, vlen, lmul, codegen):
     assert {b.path for b in result.buckets} == {"ragged"}
 
 
-@pytest.mark.parametrize("name", sorted(RAGGED_PIPELINES))
-def test_empty_and_full_survivor_rows(name):
+#: (pipeline, backend) pairs; the codegen case keeps the bare name.
+SURVIVOR_CASES = [
+    pytest.param(name, backend,
+                 id=name if backend == "codegen" else f"{name}-{backend}")
+    for backend in ("codegen", "native", "native-speed")
+    for name in sorted(RAGGED_PIPELINES)
+]
+
+
+@pytest.mark.parametrize("name,backend", SURVIVOR_CASES)
+def test_empty_and_full_survivor_rows(name, backend):
     """Rows whose predicate keeps nothing (length 0) and everything
     (length n) bracket the ragged charge: zero strips-with-survivors
-    on one end, every strip on the other."""
+    on one end, every strip on the other. Row 0's survivor count
+    differs from the other rows', so a charge derived from row 0's own
+    counters would drift — including under ``native-speed``, where a
+    native row charges nothing."""
     rng = np.random.default_rng(31)
     n = 300
     mixed = rng.integers(0, 2**16, n, dtype=np.uint32)
@@ -119,19 +131,21 @@ def test_empty_and_full_survivor_rows(name):
     none_kept = np.full(n, 60_000, dtype=np.uint32)
     all_kept = rng.integers(2**14, THRESH, n, dtype=np.uint32)
     rows = [mixed, none_kept, all_kept, mixed]
-    result = assert_ragged_equivalent(name, rows, vlen=128, mode="fast")
+    result = assert_ragged_equivalent(name, rows, vlen=128, mode="fast",
+                                      backend=backend)
     assert {b.path for b in result.buckets} == {"ragged"}
     _, kept_of = RAGGED_PIPELINES[name]
     assert result.lengths[1] == kept_of(none_kept) == 0
     assert result.lengths[2] == kept_of(all_kept) == n
 
 
-def test_run_bucket_entry_point_and_to_ragged():
-    """The serving entry point reports per-row lengths and converts to
-    a RaggedBatch whose mask/rows agree with them."""
+def test_run_batch_single_bucket_and_to_ragged():
+    """A one-bucket batch (the serving daemon's flush shape) reports
+    per-row lengths and converts to a RaggedBatch whose mask/rows agree
+    with them."""
     rows = make_rows((2600,) * 3, seed=37)
     svm = SVM(vlen=512, mode="fast")
-    result = run_bucket(svm, pipe_pack, rows)
+    result = run_batch(svm, pipe_pack, rows)
     assert {b.path for b in result.buckets} == {"ragged"}
     assert result.buckets[0].lengths == tuple(result.lengths)
     ragged = result.to_ragged()

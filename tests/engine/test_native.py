@@ -84,7 +84,7 @@ def test_warm_run_counter_identity(name):
     # the tier really engaged: the plan lowered and, after the warm-up,
     # recorded the charge profile the compiled replays re-apply
     assert isinstance(fused.native, NativePlan), name
-    assert fused.native.charge_items is not None, name
+    assert fused.charge_items is not None, name
 
 
 @needs_cc
@@ -338,7 +338,7 @@ def test_pack_native_grid(vlen, lmul, record):
             assert np.array_equal(ref, got) and kept == ref_kept, cell
             assert counts == ref_counts, cell
             assert isinstance(fused.native, NativePlan), cell
-            assert fused.native.charge_items is not None, cell
+            assert fused.charge_items is not None, cell
             spd, spd_kept, spd_counts, _ = _pack_once(
                 svms["native-speed"], x, flags, LMUL(lmul))
             assert np.array_equal(ref, spd) and spd_kept == ref_kept, cell
@@ -458,7 +458,7 @@ def test_plan_store_persists_native_source(tmp_path, monkeypatch):
         assert counts == ref_counts, run
     assert isinstance(fused2.native, NativePlan)
     assert fused2.native.digest == digest
-    assert fused2.native._fns is not None
+    assert fused2.native._fn is not None
     assert svm2.engine.resolutions == {"memory": 1, "disk": 1, "compile": 0}
 
 
@@ -573,7 +573,7 @@ def test_layout_built_once_per_cache_entry(monkeypatch):
 
     fused = _agree(pipe, 50)
     assert isinstance(fused.native, NativePlan)
-    assert fused.native.charge_items is not None
+    assert fused.charge_items is not None
     assert built == [(id(fused.native), threading.get_ident())]
 
 
@@ -715,7 +715,7 @@ def test_out_of_range_index_raises(backend, kind):
         out, fused = run(good)
         assert out.tolist() == [8, 7, 6, 5, 4, 3, 2, 1]
     assert isinstance(fused.native, NativePlan)
-    assert backend == "native-speed" or fused.native.charge_items is not None
+    assert backend == "native-speed" or fused.charge_items is not None
     with pytest.raises(IndexError):
         run([99] + good[1:])
 

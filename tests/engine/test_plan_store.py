@@ -97,7 +97,7 @@ def test_corrupted_entry_recompiles(tmp_path):
         got, counts, svm = _run(tmp_path)
         assert np.array_equal(got, ref) and counts == ref_counts
         native = svm.engine.last_fused.native
-        assert isinstance(native, NativePlan) and native._fns is not None
+        assert isinstance(native, NativePlan) and native._fn is not None
     assert native.digest == digest
     assert so.read_bytes() != b"not an ELF object"
     assert [p.name for p in artifacts(tmp_path)] == [f"{digest}.c",

@@ -50,7 +50,7 @@ def _worker(cache_dir: str, barrier, out_q) -> None:
         barrier.wait(timeout=120)
         runs = [_pipeline(svm) for _ in range(2)]  # run 2 is the C kernel
         native = svm.engine.last_fused.native
-        bound = getattr(native, "_fns", None) is not None
+        bound = getattr(native, "_fn", None) is not None
         out_q.put(("ok", runs, bound))
     except BaseException as exc:  # noqa: BLE001 - ship it to the parent
         out_q.put(("error", repr(exc), False))
