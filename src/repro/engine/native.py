@@ -8,8 +8,15 @@ dispatch dominates the arithmetic by an order of magnitude. This
 module closes the gap the way the RVV hardware papers do: lower the
 *entire* plan to one C translation unit built from a small macro
 vector library, compile it once with the system toolchain
-(``cc -O2 -shared -fPIC``), and replay it as a single ``ctypes`` call
+(``cc`` with :data:`CFLAGS`), and replay it as a single ``ctypes`` call
 into the simulated machine's flat memory.
+
+The element loops carry no branch on lane data, so the compiler can
+vectorize them: ``p_select`` is the paper's masked merge (Listing 7's
+``vmsne`` + ``vmerge``, then an unconditional store), compares and
+counts are 0/1 arithmetic, and the segmented scans pick through lane
+masks. The one ``if`` left inside an element loop is scatter/gather's
+bounds guard, which keeps an out-of-range index off host memory.
 
 Two contracts, selected through the backend seam
 (``SVM(backend=...)`` / ``REPRO_BACKEND``):
@@ -55,8 +62,8 @@ holds one value per produced future, then one survivor-strip count per
 out-of-range index flag.
 
 Artifacts are content-addressed: ``<digest>.c`` / ``<digest>.so``
-pairs, the digest a hash of the generated source (and
-:data:`NATIVE_VERSION`). With a cache directory configured
+pairs, the digest a hash of the generated source, :data:`CFLAGS` and
+:data:`NATIVE_VERSION`. With a cache directory configured
 (``SVM(cache_dir=...)`` / ``REPRO_CACHE_DIR``) they live under
 :func:`artifact_dir`, so a fresh process binds an existing ``.so``
 without running ``cc``; otherwise they go to a per-process temporary
@@ -107,6 +114,7 @@ from .ir import Kind, Plan, ScalarFuture, resolve_scalar
 
 __all__ = [
     "NATIVE_VERSION",
+    "CFLAGS",
     "NATIVE_BACKENDS",
     "NATIVE_KINDS",
     "NativePlan",
@@ -122,7 +130,12 @@ __all__ = [
 
 #: Bumped on any change to the generated C or the meta layout; part of
 #: the artifact digest, so stale ``.so`` files are never rebound.
-NATIVE_VERSION = 4
+NATIVE_VERSION = 5
+
+#: The compiler flags every artifact builds with; part of the artifact
+#: digest, so a flag change never rebinds a ``.so`` built under the old
+#: flags. ``-O3`` vectorizes the runtime-trip-count element loops.
+CFLAGS = ("-O3", "-shared", "-fPIC")
 
 #: The backend names this module serves (counters mode, speed mode).
 NATIVE_BACKENDS = ("native", "native-speed")
@@ -175,9 +188,10 @@ _HEADER = """\
 #define R_SLL(T, a, b)  ((T)((uint64_t)(a) << ((unsigned)(b) & (8u * (unsigned)sizeof(T) - 1u))))
 #define R_RSUB(T, a, b) ((T)((uint64_t)(b) - (uint64_t)(a)))
 
-/* Branchless select: a where the lane mask m is all ones, else b. The
- * segmented scans use it so no compiler turns a random head-flag test
- * into a mispredicted branch. */
+/* Branchless select: a where the lane mask m is all ones, else b.
+ * p_select (Listing 7's vmsne + vmerge) and the segmented scans use
+ * it, so no compiler turns a random flag test into a mispredicted
+ * branch and every such loop can vectorize. */
 #define R_MASK(T, c)       ((T)((T)0 - (T)((c) != 0)))
 #define R_PICK(T, m, a, b) ((T)(((a) & (m)) | ((b) & (T)~(m))))
 
@@ -315,7 +329,7 @@ def _build(source: str, digest: str, art_dir) -> tuple[object, bool]:
         root.mkdir(parents=True, exist_ok=True)
         csrc.write_text(source)
         subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(csrc)],
+            [cc, *CFLAGS, "-o", str(tmp), str(csrc)],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(csrc, root / f"{digest}.c")
@@ -430,11 +444,10 @@ def _emit_group(g: _Gen, spec: GroupSpec) -> None:
                 ops.append(f"acc = {_EW_MACRO[op]}({T}, acc, {oname}[i]);")
             elif lane_kind == "cmp_vx":
                 x = f"({T}){g.scalar(ni, pre)}"
-                ops.append(f"acc = (acc {_CMP_C[op]} {x}) ? ({T})1 : ({T})0;")
+                ops.append(f"acc = ({T})(acc {_CMP_C[op]} {x});")
             elif lane_kind == "cmp_vv":
                 oname, _, _ = g.buf(ni, "operand", want=dtype)
-                ops.append(
-                    f"acc = (acc {_CMP_C[op]} {oname}[i]) ? ({T})1 : ({T})0;")
+                ops.append(f"acc = ({T})(acc {_CMP_C[op]} {oname}[i]);")
             else:  # pragma: no cover - registry and this table move together
                 raise _Ineligible(f"unknown lane kind {lane_kind!r}")
     out = [f"{{ /* fused group: nodes {list(idxs)} */"]
@@ -488,14 +501,12 @@ def _emit_node(g: _Gen, ni: int) -> None:
         d, TD, n = g.buf(ni, "dst")
         s, TS, _ = g.buf(ni, "src")
         x = g.scalar(ni, pre)
-        loop(n, f"{d}[i] = ({s}[i] {_CMP_C[node.op]} ({TS}){x})"
-                f" ? ({TD})1 : ({TD})0;")
+        loop(n, f"{d}[i] = ({TD})({s}[i] {_CMP_C[node.op]} ({TS}){x});")
     elif kind is Kind.CMP_VV:
         d, TD, n = g.buf(ni, "dst")
         s, TS, _ = g.buf(ni, "src")
         o, _, _ = g.buf(ni, "operand", want=plan.buffers[node.src].dtype)
-        loop(n, f"{d}[i] = ({s}[i] {_CMP_C[node.op]} {o}[i])"
-                f" ? ({TD})1 : ({TD})0;")
+        loop(n, f"{d}[i] = ({TD})({s}[i] {_CMP_C[node.op]} {o}[i]);")
     elif kind is Kind.GET_FLAGS:
         d, TD, n = g.buf(ni, "dst")
         s, TS, _ = g.buf(ni, "src")
@@ -538,7 +549,11 @@ def _emit_node(g: _Gen, ni: int) -> None:
         d, TD, n = g.buf(ni, "dst")
         s, _, _ = g.buf(ni, "src")
         f, _, _ = g.buf(ni, "operand")
-        loop(n, f"if ({f}[i] != 0) {d}[i] = ({TD}){s}[i];")
+        # Listing 7's masked merge: the mask comes from the flag in
+        # its own type (a wider flag never truncates to zero), and the
+        # store is unconditional
+        loop(n, f"{d}[i] = R_PICK({TD}, R_MASK({TD}, {f}[i]),"
+                f" ({TD}){s}[i], {d}[i]);")
     elif kind is Kind.PERMUTE:
         if node.dst in (node.src, node.operand):
             raise _Ineligible("in-place scatter")
@@ -604,7 +619,7 @@ def _emit_node(g: _Gen, ni: int) -> None:
         # read the flag before writing the rank: enumerate may run
         # in place over its own flag vector
         loop(n, f"{TF} fv = {f}[i];", f"{d}[i] = ({TD})cnt;",
-             "if (fv == want) cnt++;")
+             "cnt += fv == want;")
         out.append(f"    outs[{j}] = cnt;")
     elif kind is Kind.REDUCE:
         s, TS, n = g.buf(ni, "src")
@@ -700,7 +715,9 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
         size = plan.buffers[getattr(plan.nodes[ni], fld)].dtype.itemsize
         T = _CTYPE[size]
         decls.append(f"    {T} *b{s} = ({T} *)bufs[{s}];")
-        decls.append(f"    const int64_t n{s} = lens[{s}];")
+        # (void): a slot read only as an operand leaves its length
+        # unused, and the source must compile -Wall -Wextra clean
+        decls.append(f"    const int64_t n{s} = lens[{s}]; (void)n{s};")
         sizes.append(size)
     # the tables' tails: pack strip lengths follow the buffer lengths,
     # survivor-strip counts follow the produced futures
@@ -765,7 +782,7 @@ class NativePlan:
         self.meta = meta
         self.min_n: int = meta["min_n"]
         self.digest = hashlib.sha256(
-            (f"v{NATIVE_VERSION}\n" + source).encode()
+            f"v{NATIVE_VERSION}\n{' '.join(CFLAGS)}\n{source}".encode()
         ).hexdigest()[:16]
         self._fn = None
         #: Whether :meth:`ensure` ran ``cc`` for this plan (False when

@@ -24,11 +24,16 @@ The contracts under test (see ``docs/native.md``):
 * binding — each thread builds a plan's argument tables once per cache
   entry; a call refreshes only buffer pointers and scalars;
 * bad input — an out-of-range scatter/gather index raises
-  ``IndexError``, as on the codegen tier.
+  ``IndexError``, as on the codegen tier;
+* emitted C — no element loop branches on lane data (``p_select`` is
+  the paper's masked merge), the source compiles warning-clean, and the
+  compiler flags are part of the artifact digest.
 """
 
 from __future__ import annotations
 
+import re
+import subprocess
 import sys
 import threading
 
@@ -39,10 +44,12 @@ from repro import SVM
 from repro.engine import native as native_mod
 from repro.engine.native import (
     NativePlan,
+    find_compiler,
+    lower_plan,
     native_available,
     reset_native_caches,
 )
-from repro.rvv.types import LMUL, SEW, vlmax_for
+from repro.rvv.types import LMUL, SEW, sew_for_dtype, vlmax_for
 
 from .conftest import PIPELINES, make_data
 
@@ -741,3 +748,197 @@ def test_batch_out_of_range_index_raises(monkeypatch, backend):
     rows[2][0] = 99
     with pytest.raises(IndexError):
         svm.batch(pipe, rows)
+
+
+# ---------------------------------------------------------------------------
+# emitted C: branch-free lanes, warning-clean, flags in the digest
+# ---------------------------------------------------------------------------
+
+def pipe_split(api, data, lmul):
+    """get_flags + split: enumerate twice, p_select, permute."""
+    flags = api.get_flags(data, 0, lmul=lmul)
+    out, _ = api.split(data, flags, lmul=lmul)
+    api.free(flags)
+    return out
+
+
+def pipe_select(api, data, lmul):
+    """A compare's flags choose between two vectors (p_select)."""
+    flags = api.p_lt(data, 2**15, lmul=lmul)
+    other = api.copy(data, lmul=lmul)
+    api.p_mul(other, 3, lmul=lmul)
+    api.p_select(flags, other, data, lmul=lmul)
+    api.free(other)
+    api.free(flags)
+    return data
+
+
+#: The conftest pipelines plus the structured kinds they leave out.
+EMITTED = {
+    **PIPELINES,
+    "reverse": lambda api, data, lmul: api.reverse(data, lmul=lmul),
+    "split": pipe_split,
+    "pack": lambda api, data, lmul: api.pack(
+        data, api.p_lt(data, 2**15, lmul=lmul), lmul=lmul)[0],
+    "select": pipe_select,
+}
+
+#: Scatter/gather's bounds guard: the one ``if`` an element loop keeps.
+_BOUNDS_GUARD = re.compile(r"if \(t < \(uint64_t\)n\d+\) ")
+
+
+def _lowered(pipe) -> NativePlan:
+    svm = SVM(vlen=128, mode="fast", backend="codegen")
+    data = make_data(svm, N)
+    with svm.lazy() as lz:
+        pipe(lz, data, LMUL.M1)
+    plan = lower_plan(lz.plan, lz.fused)
+    assert plan is not None
+    return plan
+
+
+def _loop_bodies(source: str) -> list[str]:
+    """The body of every ``for`` statement in ``source``: the braced
+    block, or the single statement up to its ``;``."""
+    bodies = []
+    for m in re.finditer(r"\bfor \(", source):
+        depth, i = 1, m.end()
+        while depth:            # skip the loop header's parentheses
+            depth += {"(": 1, ")": -1}.get(source[i], 0)
+            i += 1
+        rest = source[i:].lstrip()
+        if not rest.startswith("{"):
+            bodies.append(rest[:rest.index(";") + 1])
+            continue
+        depth, j = 1, 1
+        while depth:
+            depth += {"{": 1, "}": -1}.get(rest[j], 0)
+            j += 1
+        bodies.append(rest[:j])
+    return bodies
+
+
+@pytest.mark.parametrize("name", sorted(EMITTED))
+def test_no_branch_on_lane_data(name):
+    """No element loop branches on lane data, so the compiler can
+    vectorize it: the only ``if`` inside a ``for`` is the scatter/gather
+    bounds guard (pack's spare-lane restore and shift1up's ``n > 0``
+    sit outside every loop)."""
+    source = _lowered(EMITTED[name]).source
+    bodies = _loop_bodies(source)
+    assert bodies, name
+    for body in bodies:
+        assert "if (" not in _BOUNDS_GUARD.sub("", body), (name, body)
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(EMITTED))
+def test_emitted_source_is_warning_clean(name, tmp_path):
+    """The generated C compiles under ``-Wall -Wextra -Werror``: no
+    unused length, no sign-compare slip."""
+    csrc = tmp_path / f"{name}.c"
+    csrc.write_text(_lowered(EMITTED[name]).source)
+    res = subprocess.run(
+        [find_compiler(), *native_mod.CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / f"{name}.so"), str(csrc)],
+        capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_compiler_flags_join_the_digest(monkeypatch):
+    """A flag change is a new artifact: the same source under other
+    ``CFLAGS`` hashes to another digest, so a warm cache directory never
+    rebinds a ``.so`` built under the old flags."""
+    plan = _lowered(PIPELINES["chain_scan"])
+    monkeypatch.setattr(native_mod, "CFLAGS", ("-O2", "-shared", "-fPIC"))
+    again = NativePlan(plan.source, plan.meta)
+    assert again.digest != plan.digest
+
+
+# ---------------------------------------------------------------------------
+# p_select: the masked merge across dtypes, flag patterns and aliasing
+# ---------------------------------------------------------------------------
+
+_UINTS = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+#: (flags, a, b) dtypes: every combination, then the two aliasings,
+#: where the shared operand's dtype fixes the other.
+SELECT_CASES = (
+    [(tf, ta, tb, None) for tf in _UINTS for ta in _UINTS for tb in _UINTS]
+    + [(t, ta, t, "b_is_flags") for t in _UINTS for ta in _UINTS]
+    + [(tf, t, t, "a_is_b") for tf in _UINTS for t in _UINTS]
+)
+
+
+def _select_flags(rng, n, tf, tb) -> dict:
+    """Flag patterns: all zero, all one, 50% random nonzero values and,
+    when the flags are wider than ``b``, 50% lanes whose only set bit
+    lies above ``b``'s width (uint16 bit 8 over uint8): nonzero flags
+    that a mask built from a flag truncated to ``b``'s type would drop."""
+    half = rng.random(n) < 0.5
+    pats = {
+        "zero": np.zeros(n, tf),
+        "one": np.ones(n, tf),
+        "random": (rng.integers(1, np.iinfo(tf).max, n, dtype=tf,
+                                endpoint=True) * half).astype(tf),
+    }
+    wb = 8 * np.dtype(tb).itemsize
+    if 8 * np.dtype(tf).itemsize > wb:
+        pats["above_b"] = (half * (1 << wb)).astype(tf)
+    return pats
+
+
+def _select_once(svm, flags, x, y, alias):
+    """One captured p_select: (b's bits, nonzero counters)."""
+    f = svm.array(flags, flags.dtype)
+    a = svm.array(x, x.dtype)
+    if alias == "b_is_flags":
+        b = f
+    elif alias == "a_is_b":
+        b = a
+    else:
+        b = svm.array(y, y.dtype)
+    svm.machine.counters.reset()
+    with svm.lazy() as lz:
+        lz.p_select(f, a, b)
+    counts = {cat: k for cat, k in
+              svm.machine.counters.snapshot().by_category.items() if k}
+    got = (b.to_numpy(), counts, lz.fused)
+    for arr in {id(v): v for v in (f, a, b)}.values():
+        svm.free(arr)
+    return got
+
+
+@needs_cc
+@pytest.mark.parametrize("tf,ta,tb,alias", SELECT_CASES, ids=lambda v: (
+    np.dtype(v).name if isinstance(v, type) else str(v)))
+def test_select_native_grid(tf, ta, tb, alias):
+    """p_select lowers to Listing 7's masked merge for every dtype mix:
+    on ``native`` bits and counters equal codegen's, on
+    ``native-speed`` the bits do — at strip boundaries, for all-zero,
+    all-one and random flags, and when ``b`` aliases the flags or
+    ``a``."""
+    vlmax = vlmax_for(128, sew_for_dtype(np.dtype(ta)), LMUL.M1)
+    svms = {b: SVM(vlen=128, mode="fast", backend=b)
+            for b in ("codegen", "native", "native-speed")}
+    rng = np.random.default_rng(21)
+    for n in sorted({1, max(vlmax - 1, 1), vlmax + 1, 3000}):
+        x = rng.integers(0, np.iinfo(ta).max, n, dtype=ta, endpoint=True)
+        y = rng.integers(0, np.iinfo(tb).max, n, dtype=tb, endpoint=True)
+        pats = _select_flags(rng, n, tf, tb)
+        # the first run records the charge profile on codegen; every
+        # pattern after it replays the C kernel
+        for pat in ["random", *pats]:
+            flags = pats[pat]
+            ref, ref_counts, _ = _select_once(svms["codegen"], flags, x, y,
+                                              alias)
+            got, counts, fused = _select_once(svms["native"], flags, x, y,
+                                              alias)
+            cell = (n, pat)
+            assert ref.dtype == tb and np.array_equal(ref, got), cell
+            assert counts == ref_counts, cell
+            assert isinstance(fused.native, NativePlan), cell
+            spd, spd_counts, _ = _select_once(svms["native-speed"], flags,
+                                              x, y, alias)
+            assert np.array_equal(ref, spd), cell
+            assert spd_counts == {}, cell
