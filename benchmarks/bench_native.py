@@ -123,9 +123,9 @@ def test_native_identity_grid(benchmark):
                 assert cell["identical_counters"], cell
                 assert cell["speed_identical_results"], cell
                 if native_available():
-                    # with a toolchain the second run really was the
-                    # compiled replay (charge profile recorded) and
-                    # speed mode really bypassed the counters
+                    # with a toolchain the runs really were compiled
+                    # replays of the static charge profile and speed
+                    # mode really bypassed the counters
                     assert fused.charge_items is not None, cell
                     assert spd_counts == {}, cell
                 cells.append(cell)
@@ -171,10 +171,11 @@ def test_native_identity_grid(benchmark):
         "(warm replay) vs strict reference",
         ["VLEN", "LMUL", "n", "strict instr", "native instr"],
         table_rows,
-        notes=["the native tier replays the counter-charge profile its"
-               " codegen warm-up recorded, so both columns are equal by"
-               " construction — the grid locks that invariant, with or"
-               " without a host C toolchain."],
+        notes=["the native tier charges the static counter profile the"
+               " plan's compile summed from the registry's charge"
+               " functions, so both columns are equal by construction —"
+               " the grid locks that invariant, with or without a host C"
+               " toolchain."],
     ))
 
     out = Path(__file__).resolve().parent.parent / "BENCH_native.json"

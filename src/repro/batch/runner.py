@@ -10,11 +10,10 @@ inputs performs B identical instruction streams, so the batch can
 * run row 0 through the ordinary single-input engine, then execute the
   *data* of rows 1+ as one 2D NumPy evaluation per execution unit
   (batch axis × element axis), and
-* charge the *counters* of rows 1+ as B-1 times the plan-cache entry's
-  one closed-form profile (``FusedPlan.charge_items``, recorded by
-  :func:`~repro.engine.executor.record_charge` on row 0 when missing)
-  — exact, because integer scaling of an identical per-row profile is
-  exact.
+* charge the *counters* of rows 1+ as B-1 times the plan's static
+  closed-form profile (``FusedPlan.charge_items``, computed when the
+  plan compiles) — exact, because integer scaling of an identical
+  per-row profile is exact.
 
 The result is bit- and counter-identical to looping the single-input
 path, which stays the definitional semantics:
@@ -55,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine.capture import PlanBuilder
-from ..engine.executor import execute, native_for, record_charge
+from ..engine.executor import execute, native_for
 from ..engine.fuse import GroupSpec
 from ..engine.ir import EngineError, Kind, Plan, ScalarFuture, resolve_scalar
 from ..rvv.types import sew_for_dtype
@@ -459,14 +458,13 @@ def _dispatch_bucket(svm, pipe, rows):
     the plan cache once and executed once by the ordinary engine. Rows
     1+ then take one of three paths. Plans without pack take ``"2d"``
     and plans with pack take ``"ragged"`` — one 2D evaluation, charged
-    the cache entry's closed-form profile (``fused.charge_items``,
-    recorded on row 0 when missing) per row plus pack's own
-    survivor-strip items — when the registry declares the ragged recipe
-    (``get_spec("pack").ragged2d``) and every packed buffer stays in
-    prefix-local flow. Everything else — strict mode, single rows,
-    sub-threshold lengths, future operands :func:`_batchable` rejects,
-    untrackable ragged flow — takes ``"loop"``: one single-input call
-    per row."""
+    the plan's static profile (``fused.charge_items``) per row plus
+    pack's own survivor-strip items — when the registry declares the
+    ragged recipe (``get_spec("pack").ragged2d``) and every packed
+    buffer stays in prefix-local flow. Everything else — strict mode,
+    single rows, sub-threshold lengths, future operands
+    :func:`_batchable` rejects, untrackable ragged flow — takes
+    ``"loop"``: one single-input call per row."""
     n = rows[0].size
     plan, data, out = _capture(svm, pipe, rows[0])
     fused = svm.engine.fused_for(plan)
@@ -498,10 +496,7 @@ def _dispatch_bucket(svm, pipe, rows):
             # would per loop iteration
             init = {bid: buf.array.to_numpy()
                     for bid, buf in plan.buffers.items() if bid != input_bid}
-        if use_mat and charged and fused.charge_items is None:
-            record_charge(svm, plan, fused)
-        else:
-            execute(svm, plan, fused, backend=backend)
+        execute(svm, plan, fused, backend=backend)
         outputs = [out.to_numpy()]
         lengths = None if out_tag is None else [int(out_tag.value)]
         # free row 0 before rows 1+ allocate, as a loop of single

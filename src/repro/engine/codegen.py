@@ -54,12 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rvv.allocation import plan_allocation
 from ..rvv.counters import Cat
-from ..svm.fastpath import _wrap, strip_shape
+from ..svm.fastpath import _flat_spill, _items, _n_strips, _scan_shape, _wrap
 from ..svm.opspec import LANE_RECIPES, lane_ufunc
 from ..svm.operators import get_operator
-from ..svm.scan import inner_scan_steps
 from .fuse import (
     KERNEL_EW,
     KERNEL_SCAN,
@@ -136,52 +134,34 @@ def group_charge_items(m, group: FusedGroup) -> tuple[tuple[Cat, int], ...]:
     Depends only on the vl sequence (n, VLEN, SEW, LMUL) and the
     codegen preset, never on the data.
     """
-    sew = group.sew
-    lmul = group.lmul
     scan = group.scan_op is not None
     kernel = KERNEL_SCAN if scan else KERNEL_EW
     cg = m.codegen
-    vlmax = m.vlmax(sew, lmul)
-    full, rem = strip_shape(group.n, vlmax)
-    n_strips = full + (1 if rem else 0)
-    alloc = plan_allocation(group_profile(group), lmul)
-
-    items: dict[Cat, int] = {}
-
-    def add(cat: Cat, k: int) -> None:
-        if k:
-            items[cat] = items.get(cat, 0) + k
-
-    add(Cat.SCALAR, cg.prologue(kernel))
-    if alloc.has_spills:
-        spill = alloc.frame_setup
-        if scan:
-            spill += full * alloc.strip_cost(inner_scan_steps(vlmax))
-            if rem:
-                spill += alloc.strip_cost(inner_scan_steps(rem))
-        else:
-            spill += n_strips * alloc.strip_cost(0)
-        add(Cat.SPILL, spill)
-    # one-time constant setup
-    if scan or group.needs_zero:
-        add(Cat.VCONFIG, 1)
-        add(Cat.VPERM, ((1 if scan else 0) + (1 if group.needs_zero else 0)) * cg.op_cost())
-    # per strip
-    add(Cat.VCONFIG, n_strips)
-    add(Cat.VMEM, n_strips * (group.n_loads + 1))
-    if group.n_varith:
-        add(Cat.VARITH, n_strips * group.n_varith * cg.op_cost())
-    if group.n_mask:
-        add(Cat.VMASK, n_strips * group.n_mask * cg.op_cost())
+    op = cg.op_cost()
+    profile = group_profile(group)
     if scan:
-        total_steps = full * inner_scan_steps(vlmax) + inner_scan_steps(rem)
-        add(Cat.VPERM, total_steps * cg.op_cost(dest_undisturbed=True))
-        add(Cat.VARITH, total_steps * cg.op_cost())
-        add(Cat.SCALAR, total_steps * cg.inner_overhead(kernel))
-        add(Cat.VARITH, n_strips * cg.op_cost())  # carry apply
-        add(Cat.SCALAR, n_strips * 2)  # carry reload
-    add(Cat.SCALAR, n_strips * cg.strip_overhead(kernel, group.n_arrays))
-    return tuple(items.items())
+        s, steps, spill = _scan_shape(m.vlen, group.n, group.sew, group.lmul,
+                                      profile)
+    else:
+        s = _n_strips(m.vlen, group.n, group.sew, group.lmul)
+        steps, spill = 0, _flat_spill(profile, group.lmul, s)
+    # one-time constant setup: one vsetvlmax covers every broadcast
+    consts = (1 if scan else 0) + (1 if group.needs_zero else 0)
+    return _items(
+        (Cat.SCALAR, cg.prologue(kernel)),
+        (Cat.SPILL, spill),
+        (Cat.VCONFIG, (1 if consts else 0) + s),
+        (Cat.VPERM, consts * op),
+        # per strip
+        (Cat.VMEM, s * (group.n_loads + 1)),
+        (Cat.VARITH, s * group.n_varith * op),
+        (Cat.VMASK, s * group.n_mask * op),
+        # scan tail: inner slideup + combine, carry apply and reload
+        (Cat.VPERM, steps * cg.op_cost(dest_undisturbed=True)),
+        (Cat.VARITH, steps * op + (s * op if scan else 0)),
+        (Cat.SCALAR, steps * cg.inner_overhead(kernel) + (2 * s if scan else 0)),
+        (Cat.SCALAR, s * cg.strip_overhead(kernel, group.n_arrays)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +174,20 @@ class CompiledGroup:
     ``fn(svm, nodes, buffers)`` is the single-call kernel (computes the
     group and applies its precomputed charge); ``fn2d(nodes, buffers,
     mats, get)`` is the batch kernel over ``[b1, n]`` matrices (no
-    charging — the batch runner scales the plan's recorded profile). ``n``
-    is the group length the executor gates the fast path on.
+    charging — the batch runner scales the plan's static profile). ``n``
+    is the group length the executor gates the fast path on; ``charge``
+    is the group's :func:`group_charge_items`, the term it adds to the
+    plan's static profile.
     """
 
-    __slots__ = ("fn", "fn2d", "name", "n")
+    __slots__ = ("fn", "fn2d", "name", "n", "charge")
 
-    def __init__(self, fn, fn2d, name: str, n: int) -> None:
+    def __init__(self, fn, fn2d, name: str, n: int, charge: tuple) -> None:
         self.fn = fn
         self.fn2d = fn2d
         self.name = name
         self.n = n
+        self.charge = charge
 
 
 class CompiledPlan:
@@ -223,16 +206,16 @@ class CompiledPlan:
     def __init__(self, source: str, consts: dict, group_meta: dict) -> None:
         self.source = source
         self.consts = consts
-        self.group_meta = group_meta  # {GroupSpec: ("_g0", n), ...}
-        self.min_n = min(n for _, n in group_meta.values())
+        self.group_meta = group_meta  # {GroupSpec: ("_g0", n, charge), ...}
+        self.min_n = min(n for _, n, _ in group_meta.values())
         ns = dict(consts)
         ns["_np"] = np
         ns["_wrap"] = _wrap
         ns["_rs"] = resolve_scalar
         exec(compile(source, "<repro.engine.codegen>", "exec"), ns)
         self.groups = {
-            spec: CompiledGroup(ns[name], ns[name + "_2d"], name, n)
-            for spec, (name, n) in group_meta.items()
+            spec: CompiledGroup(ns[name], ns[name + "_2d"], name, n, charge)
+            for spec, (name, n, charge) in group_meta.items()
         }
         self.plan_fn = ns[_PLAN_KERNEL]
 
@@ -290,10 +273,10 @@ def _operand_expr(step, view: str) -> str:
 
 
 def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
-                gi: int) -> tuple[str, int]:
+                gi: int) -> tuple[str, int, tuple]:
     """Emit ``_g{gi}`` (single-call) and ``_g{gi}_2d`` (batch) for one
-    fused group; returns the single-call function name and the group
-    length."""
+    fused group; returns the single-call function name, the group
+    length and its closed-form charge."""
     group = materialize(plan, spec)
     steps = _group_steps(plan, spec)
     charge = group_charge_items(machine, group)
@@ -385,7 +368,7 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
     # function of the cache key, so it is prebound as one tuple and
     # applied in a single batched call
     if charge:
-        chg = e.bind(f"_chg{g}", tuple((cat, int(k)) for cat, k in charge))
+        chg = e.bind(f"_chg{g}", charge)
         e.emit(f"    svm.machine.counters.add_many({chg})")
     elif not n:
         e.emit("    pass")
@@ -431,7 +414,7 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
         e.emit("    pass")
     e.emit("    mats[_h.dst] = acc")
     e.emit()
-    return name, n
+    return name, n, charge
 
 
 def compile_fused(plan: Plan, fused: FusedPlan, machine) -> CompiledPlan | None:

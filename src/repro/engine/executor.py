@@ -22,6 +22,13 @@ results and per-category counts agree exactly — the invariant
 ``tests/engine`` asserts across modes, sizes, and presets. The native
 backends (:mod:`repro.engine.native`) sit on top: one compiled C call
 per plan when it lowers, the generated kernels otherwise.
+
+Because every count is closed-form, :meth:`Engine.compile_plan` also
+computes the plan's whole counter profile once
+(``FusedPlan.charge_items``): the groups' precomputed tuples plus each
+replayed node's registry charge (``OpSpec.charge``). Native calls and
+batch rows 1+ charge that profile instead of running Python, adding
+pack's survivor-strip term per run.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from ..rvv.counters import Cat
 from ..rvv.intrinsics import arith, compare, loadstore, mask as maskops, move, permutation
 from ..rvv.value import VReg
 from ..svm import elementwise as ew
-from ..svm.fastpath import pack_variable_items
+from ..svm.fastpath import _items, pack_variable_items
 from ..svm.operators import get_operator
 from ..svm.scan import inner_scan_steps
 from .cache import PlanCache
@@ -51,20 +58,13 @@ from .fuse import (
     materialize,
 )
 from .ir import EngineError, Kind, Plan, resolve_scalar
-from .native import (
-    NATIVE_BACKENDS,
-    artifact_dir,
-    lower_plan,
-    native_state,
-    pack_survivor_strips,
-)
-from .nodes import run_node_eager
+from .native import NATIVE_BACKENDS, artifact_dir, lower_plan, native_state
+from .nodes import node_charge, run_node_eager
 
 __all__ = [
     "Engine",
     "execute",
     "native_for",
-    "record_charge",
     "run_group_strict",
     "BACKENDS",
     "DEFAULT_BACKEND",
@@ -198,14 +198,13 @@ def execute(svm, plan: Plan, fused: FusedPlan,
     compiled C call (:mod:`repro.engine.native`) when the plan lowers,
     a toolchain is present, and the execution is all-fast; otherwise
     they degrade to exactly the codegen tier. ``"native"`` keeps the
-    counter contract by charging the cache entry's recorded profile
-    (``fused.charge_items``, see :func:`record_charge`) on every native
-    run, recording it on the first run that finds it missing;
-    ``"native-speed"`` skips counter bookkeeping entirely
-    (results-identical only). ``pack``'s one data-dependent term is
-    not in the profile: every native run adds
-    :func:`~repro.svm.fastpath.pack_variable_items` for the survivor
-    strips its kernel counted.
+    counter contract by charging the plan's static profile
+    (``fused.charge_items``, computed by :meth:`Engine.compile_plan`)
+    on every native run, the first included; ``"native-speed"`` skips
+    counter bookkeeping entirely (results-identical only). ``pack``'s
+    one data-dependent term is not in the profile: every native run
+    adds :func:`~repro.svm.fastpath.pack_variable_items` for the
+    survivor strips its kernel counted.
 
     With a profiler installed each fused group gets its own span
     (``fused_scan``/``fused_ew`` with {n, nodes, path} metadata, plus
@@ -219,19 +218,13 @@ def execute(svm, plan: Plan, fused: FusedPlan,
     if native is None:
         _execute_units(svm, plan, fused, col)
         return
-    if backend == "native-speed":
-        with _native_span(col, native, backend):
-            native.run(svm, plan)
-        return
-    if fused.charge_items is None:
-        record_charge(svm, plan, fused)
-        return
     with _native_span(col, native, backend):
         sws = native.run(svm, plan)
-        counters = svm.machine.counters
-        counters.add_many(fused.charge_items)
-        if sws:
-            counters.add_many(pack_variable_items(sws))
+        if backend == "native":
+            counters = svm.machine.counters
+            counters.add_many(fused.charge_items)
+            if sws:
+                counters.add_many(pack_variable_items(sws))
 
 
 def native_for(svm, plan: Plan, fused: FusedPlan, backend: str):
@@ -247,24 +240,18 @@ def native_for(svm, plan: Plan, fused: FusedPlan, backend: str):
     return native
 
 
-def record_charge(svm, plan: Plan, fused: FusedPlan) -> None:
-    """Execute ``plan`` through the Python tier and record its
-    closed-form per-category counter profile on ``fused.charge_items``:
-    the run's delta minus pack's data-dependent survivor-strip items.
-
-    The profile is a constant of the plan-cache entry — the charges
-    are data-blind once pack's term is taken out — so native
-    counters-mode calls and batch rows 1+ both charge it, adding back
-    pack's items for their own survivor strips."""
-    sws: list = []
-    before = svm.machine.counters.snapshot()
-    _execute_units(svm, plan, fused,
-                   getattr(svm.machine, "collector", None), sws)
-    delta = svm.machine.counters.snapshot() - before
-    items = dict(delta.by_category)
-    for cat, k in pack_variable_items(sum(sws)):
-        items[cat] -= k
-    fused.charge_items = tuple((cat, k) for cat, k in items.items() if k)
+def _static_charge(plan: Plan, fused: FusedPlan, m) -> tuple:
+    """One execution's closed-form counter profile: each fused group's
+    precomputed tuple plus the registry charge of every replayed node,
+    pack's survivor-strip term excluded and zero counts dropped."""
+    groups = fused.compiled.groups if fused.compiled is not None else {}
+    items: list = []
+    for unit in fused.units:
+        if isinstance(unit, GroupSpec):
+            items += groups[unit].charge
+        elif plan.nodes[unit].kind is not Kind.FREE:
+            items += node_charge(m, plan, plan.nodes[unit])
+    return _items(*items)
 
 
 def _native_span(col, native, backend: str):
@@ -276,16 +263,13 @@ def _native_span(col, native, backend: str):
     return col.span("native_plan", n=native.min_n, backend=backend)
 
 
-def _execute_units(svm, plan: Plan, fused: FusedPlan, col,
-                   sws: list | None = None) -> None:
+def _execute_units(svm, plan: Plan, fused: FusedPlan, col) -> None:
     """The Python-tier unit loop: generated kernels on the fast path,
-    the strict reference loop otherwise. With ``sws`` given, each pack
-    node's survivor-strip count is appended to it just before the node
-    runs (the whole-plan flat kernel is skipped to expose the units)."""
+    the strict reference loop otherwise."""
     compiled = fused.compiled
     if compiled is None:
         groups = {}
-    elif col is None and sws is None and svm._fast(compiled.min_n):
+    elif col is None and svm._fast(compiled.min_n):
         # whole-plan flat kernel: the fast path applies to every
         # group — skip the unit loop entirely (profiled runs keep
         # per-group spans)
@@ -295,10 +279,7 @@ def _execute_units(svm, plan: Plan, fused: FusedPlan, col,
         groups = compiled.groups
     for unit in fused.units:
         if not isinstance(unit, GroupSpec):
-            node = plan.nodes[unit]
-            if sws is not None and node.kind is Kind.PACK:
-                sws.append(pack_survivor_strips(svm, plan, node))
-            run_node_eager(svm, plan, node)
+            run_node_eager(svm, plan, plan.nodes[unit])
             continue
         name = KERNEL_SCAN if unit.scan else KERNEL_EW
         cg = groups.get(unit)
@@ -368,15 +349,18 @@ class Engine:
         return plan.signature(m.vlen, m.codegen.name)
 
     def compile_plan(self, plan: Plan) -> FusedPlan:
-        """Fuse + generate code for ``plan`` (a cache miss's work),
-        with one ``plan.compile`` span when profiling."""
-        col = getattr(self.svm.machine, "collector", None)
+        """Fuse + generate code for ``plan`` (a cache miss's work) and
+        compute its static counter profile, with one ``plan.compile``
+        span when profiling."""
+        m = self.svm.machine
+        col = getattr(m, "collector", None)
         t0 = time.perf_counter()
         ctx = col.span("plan.compile", nodes=len(plan.nodes)) \
             if col is not None else nullcontext()
         with ctx:
             fused = fuse_plan(plan)
-            fused.compiled = compile_fused(plan, fused, self.svm.machine)
+            fused.compiled = compile_fused(plan, fused, m)
+            fused.charge_items = _static_charge(plan, fused, m)
         if col is not None:
             groups = len(fused.compiled.groups) if fused.compiled else 0
             col.codegen_event(groups, time.perf_counter() - t0)
@@ -429,12 +413,15 @@ class Engine:
 
     def run(self, plan: Plan, fuse: bool = True) -> FusedPlan:
         """Execute ``plan``; with ``fuse=False`` every node replays
-        eagerly (bit- and counter-identical to not using the engine)."""
+        eagerly through the unit loop on every backend (bit- and
+        counter-identical to not using the engine)."""
         if fuse:
             fused = self.fused_for(plan)
+            execute(self.svm, plan, fused, backend=self.backend)
         else:
             fused = FusedPlan(units=list(range(len(plan.nodes))))
-        execute(self.svm, plan, fused, backend=self.backend)
+            _execute_units(self.svm, plan, fused,
+                           getattr(self.svm.machine, "collector", None))
         self.last_plan = plan
         self.last_fused = fused
         return fused

@@ -254,9 +254,10 @@ class FusedPlan:
     #: ineligible). Derived state, like ``compiled``.
     native: object | None = field(default=None, compare=False, repr=False)
     #: ``((Cat, count), ...)``: one execution's closed-form counter
-    #: profile, pack's survivor-strip items excluded, recorded by
-    #: :func:`repro.engine.executor.record_charge`; None until then.
-    #: Native counters-mode calls and batch rows 1+ charge it.
+    #: profile, pack's survivor-strip items excluded, computed by
+    #: :meth:`repro.engine.executor.Engine.compile_plan` (None on a
+    #: plan that was not compiled). Native counters-mode calls and
+    #: batch rows 1+ charge it.
     charge_items: tuple | None = field(default=None, compare=False,
                                        repr=False)
 

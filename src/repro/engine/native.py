@@ -22,15 +22,13 @@ Two contracts, selected through the backend seam
 (``SVM(backend=...)`` / ``REPRO_BACKEND``):
 
 ``"native"`` (counters mode)
-    Bit- **and counter-identical** to the codegen tier. Each C call
-    charges the plan-cache entry's closed-form counter profile
-    (``FusedPlan.charge_items``) via
-    :meth:`~repro.rvv.counters.Counters.add_many`; when the profile is
-    missing, the call replays through the codegen tier instead and
-    records it (:func:`~repro.engine.executor.record_charge` — the
-    same profile the 2D batch runner charges rows 1+ with). This is
-    sound because the native tier only engages on all-fast executions
-    (``svm._fast``), whose charges are closed-form in the plan shape.
+    Bit- **and counter-identical** to the codegen tier. Each C call,
+    the first included, charges the plan's static counter profile
+    (``FusedPlan.charge_items``, summed from the registry's pure charge
+    functions when the plan compiles — the same profile the 2D batch
+    runner charges rows 1+ with) via
+    :meth:`~repro.rvv.counters.Counters.add_many`. This is sound
+    because the primitives' counts are closed-form in the plan shape.
     The one data-dependent term, ``pack``'s
     :data:`~repro.svm.fastpath.PACK_VARIABLE` per strip holding a
     survivor, is left out of the profile and charged per run from the
@@ -106,7 +104,6 @@ import numpy as np
 
 from ..config import native_toolchain_env
 from ..rvv.types import sew_for_dtype
-from ..svm.fastpath import pack_strip_survivors
 from ..svm.operators import get_operator
 from ..svm.opspec import LANE_RECIPES
 from .fuse import FusedPlan, GroupSpec
@@ -122,7 +119,6 @@ __all__ = [
     "native_available",
     "lower_plan",
     "native_state",
-    "pack_survivor_strips",
     "artifact_dir",
     "artifact_stats",
     "artifacts",
@@ -659,15 +655,6 @@ def _pack_vlmax(machine, plan: Plan, node) -> int:
     LMUL, exactly what the vcompress kernel strips by."""
     return machine.vlmax(sew_for_dtype(plan.buffers[node.src].dtype),
                          node.lmul)
-
-
-def pack_survivor_strips(svm, plan: Plan, node) -> int:
-    """Strips of a pack node that hold at least one survivor, read off
-    its flags as they stand — call it just before the node executes."""
-    flags = plan.buffers[node.operand].array
-    keep = flags.ptr.view(flags.n) != 0
-    return int(pack_strip_survivors(keep, _pack_vlmax(svm.machine, plan,
-                                                      node)))
 
 
 def _unit_n(plan: Plan, unit) -> int | None:

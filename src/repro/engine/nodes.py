@@ -14,9 +14,35 @@ constant shared by every compiled plan.
 
 from __future__ import annotations
 
+from ..rvv.types import sew_for_dtype
+from ..svm.opspec import OPSPECS, iter_specs
 from .ir import EngineError, Kind, OpNode, Plan, resolve_scalar
 
-__all__ = ["run_node_eager"]
+__all__ = ["node_charge", "run_node_eager"]
+
+#: Kind -> the op that records it; the elementwise and compare kinds
+#: several ops share resolve through ``node.op`` instead.
+_SPEC_OF_KIND = {Kind(kind): spec for spec in iter_specs()
+                 for kind in spec.node_kinds.values()}
+
+
+def node_charge(machine, plan: Plan, node: OpNode) -> tuple:
+    """The closed-form ``(category, count)`` charge of replaying
+    ``node`` on ``machine``, pack's survivor-strip term excluded: the
+    ``OpSpec.charge`` of the op and variant capture recorded it from,
+    at the node's length and LMUL and at the SEW its kernel strip-mines
+    by (the source's; the destination's for nodes without one)."""
+    kind = node.kind
+    if kind in (Kind.EW_VX, Kind.EW_VV, Kind.CMP_VX, Kind.CMP_VV):
+        ew = kind in (Kind.EW_VX, Kind.EW_VV)
+        spec, variant = OPSPECS[node.op if ew else f"p_{node.op}"], kind.value[-2:]
+    else:
+        spec = _SPEC_OF_KIND[kind]
+        variant = "" if "incl" not in spec.node_kinds \
+            else "incl" if node.inclusive else "excl"
+    buf = plan.buffers[node.src if node.src is not None else node.dst]
+    return spec.charge[variant](machine.codegen, machine.vlen, buf.n,
+                                sew_for_dtype(buf.dtype), node.lmul)
 
 
 def run_node_eager(svm, plan: Plan, node: OpNode) -> None:

@@ -24,9 +24,13 @@ from . import calibration as cal
 __all__ = ["CodegenModel", "IDEAL", "PAPER", "get_preset", "PRESETS"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodegenModel:
     """A named cost model consulted by the machine and the fast path.
+
+    Compared and hashed by identity (the presets are singletons), so a
+    model can key the memoized charge functions of
+    :mod:`repro.svm.fastpath`.
 
     Attributes
     ----------

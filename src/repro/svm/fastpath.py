@@ -12,6 +12,15 @@ kernel, ``pack``, is handled explicitly). So each primitive here:
 2. charges the machine counters with the *identical per-category
    counts* the strict kernel would produce.
 
+The counts come from one pure charge function per kernel
+(``charge_*``): ``(codegen preset, VLEN, n, SEW, LMUL)`` plus at most
+one op-specific fact in, ``((Cat, count), ...)`` out, no side effects
+(so each is memoized). The fast kernel applies the result with one
+``counters.add_many``; the :mod:`repro.svm.opspec` registry publishes
+the same functions as ``OpSpec.charge``, and the engine sums them into
+each plan's static counter profile at compile time. Pack's survivor-strip term
+(:data:`PACK_VARIABLE`) is the one runtime charge.
+
 ``tests/integration/test_strict_vs_fast.py`` asserts exact equality of
 both results and per-category counts across n, VLEN, LMUL, operators
 and codegen presets — the fast path is not an approximation.
@@ -34,7 +43,7 @@ from ..rvv.allocation import (
 from ..rvv.counters import Cat
 from ..rvv.machine import RVVMachine
 from ..rvv.memory import Pointer
-from ..rvv.types import LMUL, sew_for_dtype
+from ..rvv.types import LMUL, sew_for_dtype, vlmax_for
 from ..scalar.kernels import segmented_cumsum, segmented_reduce_numpy
 from .operators import PLUS, BinaryOp, get_operator
 from .scan import inner_scan_steps
@@ -55,6 +64,10 @@ __all__ = [
     "fast_pack",
     "fast_cmp_vv", "fast_cmp_vx", "fast_index", "fast_rsub",
     "fast_reduce", "fast_shift1up", "fast_copy",
+    "charge_vx", "charge_vv", "charge_p_select", "charge_get_flags",
+    "charge_scan", "charge_seg_scan", "charge_enumerate",
+    "charge_permute", "charge_pack", "charge_cmp_vv", "charge_cmp_vx",
+    "charge_index", "charge_reduce", "charge_shift1up", "charge_copy",
 ]
 
 def _srl(view, x, out):
@@ -102,27 +115,236 @@ def _wrap(x: int, dtype: np.dtype):
 
 
 # ---------------------------------------------------------------------------
-# elementwise
+# pure charge functions: (cg, vlen, n, sew, lmul[, fact]) -> ((Cat, k), ...)
 # ---------------------------------------------------------------------------
 
-def _charge_elementwise(m: RVVMachine, kernel: str, n: int, lmul: LMUL,
-                        n_arrays: int, n_loads: int, sew, extra_cats=()) -> None:
-    """Counts of a one-op-per-strip elementwise kernel: vsetvl, loads,
-    one compute op, a store, bookkeeping — times the strip count."""
-    vlmax = m.vlmax(sew=sew, lmul=lmul)
-    full, rem = strip_shape(n, vlmax)
-    n_strips = full + (1 if rem else 0)
-    plan = plan_allocation(ELEMENTWISE_PROFILE, lmul)
-    m.count(Cat.SCALAR, m.codegen.prologue(kernel))
-    if plan.has_spills:
-        m.count(Cat.SPILL, plan.frame_setup + n_strips * plan.strip_cost(0))
-    m.count(Cat.VCONFIG, n_strips)
-    m.count(Cat.VMEM, n_strips * (n_loads + 1))  # loads + one store
-    m.count(Cat.VARITH, n_strips * m.codegen.op_cost())
-    for cat, per_strip in extra_cats:
-        m.count(cat, n_strips * per_strip)
-    m.count(Cat.SCALAR, n_strips * m.codegen.strip_overhead(kernel, n_arrays))
+def _items(*pairs) -> tuple[tuple[Cat, int], ...]:
+    """``(category, count)`` pairs summed per category, zero counts
+    dropped — the shape every charge function returns."""
+    acc: dict[Cat, int] = {}
+    for cat, k in pairs:
+        if k:
+            acc[cat] = acc.get(cat, 0) + k
+    return tuple(acc.items())
 
+
+def _n_strips(vlen: int, n: int, sew, lmul: LMUL) -> int:
+    full, rem = strip_shape(n, vlmax_for(vlen, sew, lmul))
+    return full + (1 if rem else 0)
+
+
+def _flat_spill(profile, lmul: LMUL, n_strips: int) -> int:
+    """SPILL of a kernel without an inner loop: frame setup plus one
+    strip cost per strip, 0 when nothing spills."""
+    plan = plan_allocation(profile, lmul)
+    if not plan.has_spills:
+        return 0
+    return plan.frame_setup + n_strips * plan.strip_cost(0)
+
+
+def _flat(cg, vlen, n, sew, lmul, kernel: str, profile, n_arrays: int,
+          per_strip, scalar=0, once=()):
+    """A strip-mined loop without an inner loop: ``kernel``'s prologue,
+    the ``once`` setup, then per strip one vsetvl, the ``per_strip``
+    vector instructions, ``scalar`` extra scalar ops and ``kernel``'s
+    bookkeeping over ``n_arrays`` pointers. ``profile`` None: no spill
+    accounting."""
+    s = _n_strips(vlen, n, sew, lmul)
+    return _items(
+        (Cat.SCALAR, cg.prologue(kernel)),
+        (Cat.SPILL, _flat_spill(profile, lmul, s) if profile else 0),
+        *once, (Cat.VCONFIG, s), *((cat, s * k) for cat, k in per_strip),
+        (Cat.SCALAR, s * (scalar + cg.strip_overhead(kernel, n_arrays))),
+    )
+
+
+@lru_cache(maxsize=4096)
+def charge_vx(cg, vlen, n, sew, lmul, kernel: str):
+    """Vector-scalar elementwise ``kernel``: load, op, store."""
+    return _flat(cg, vlen, n, sew, lmul, kernel, ELEMENTWISE_PROFILE, 1,
+                 ((Cat.VMEM, 2), (Cat.VARITH, cg.op_cost())))
+
+
+@lru_cache(maxsize=4096)
+def charge_vv(cg, vlen, n, sew, lmul, kernel: str):
+    """Vector-vector elementwise ``kernel``: 2 loads, op, store."""
+    return _flat(cg, vlen, n, sew, lmul, kernel, ELEMENTWISE_PROFILE, 2,
+                 ((Cat.VMEM, 3), (Cat.VARITH, cg.op_cost())))
+
+
+@lru_cache(maxsize=4096)
+def charge_get_flags(cg, vlen, n, sew, lmul):
+    """get_flags: load, vsrl, vand, store."""
+    return _flat(cg, vlen, n, sew, lmul, "get_flags", ELEMENTWISE_PROFILE, 2,
+                 ((Cat.VMEM, 2), (Cat.VARITH, 2 * cg.op_cost())))
+
+
+@lru_cache(maxsize=4096)
+def charge_p_select(cg, vlen, n, sew, lmul):
+    """p_select: 3 loads, vmsne, vmerge, store."""
+    op = cg.op_cost()
+    return _flat(cg, vlen, n, sew, lmul, "p_select", ELEMENTWISE_PROFILE, 3,
+                 ((Cat.VMEM, 4), (Cat.VMASK, op), (Cat.VARITH, op)))
+
+
+def _scan_shape(vlen, n, sew, lmul, profile):
+    """(strips, total inner scan steps, SPILL) of a Listing 6/10 loop."""
+    vlmax = vlmax_for(vlen, sew, lmul)
+    full, rem = strip_shape(n, vlmax)
+    steps_full = inner_scan_steps(vlmax)
+    steps_rem = inner_scan_steps(rem)
+    plan = plan_allocation(profile, lmul)
+    spill = 0
+    if plan.has_spills:
+        spill = plan.frame_setup + full * plan.strip_cost(steps_full)
+        if rem:
+            spill += plan.strip_cost(steps_rem)
+    return full + (1 if rem else 0), full * steps_full + steps_rem, spill
+
+
+@lru_cache(maxsize=4096)
+def charge_scan(cg, vlen, n, sew, lmul, exclusive: bool):
+    """The unsegmented scan kernel (Listing 6 structure)."""
+    kernel = "plus_scan"
+    s, steps, spill = _scan_shape(vlen, n, sew, lmul, PLUS_SCAN_PROFILE)
+    op = cg.op_cost()
+    if exclusive:
+        # vslidedown + vmv.x.s + vslide1up, carry combine applied to all
+        tail = ((Cat.VPERM, s * 3), (Cat.VARITH, s * op), (Cat.SCALAR, s))
+    else:
+        # carry apply + carry reload
+        tail = ((Cat.VARITH, s * op), (Cat.SCALAR, s * 2))
+    return _items(
+        (Cat.SCALAR, cg.prologue(kernel)),
+        (Cat.SPILL, spill),
+        # one-time vsetvlmax + identity broadcast; per strip vle + vse
+        (Cat.VCONFIG, 1 + s), (Cat.VPERM, op), (Cat.VMEM, s * 2),
+        # inner: slideup (undisturbed dest) + combine
+        (Cat.VPERM, steps * cg.op_cost(dest_undisturbed=True)),
+        (Cat.VARITH, steps * op),
+        (Cat.SCALAR, steps * cg.inner_overhead(kernel)),
+        *tail,
+        (Cat.SCALAR, s * cg.strip_overhead(kernel, 1)),
+    )
+
+
+@lru_cache(maxsize=4096)
+def charge_seg_scan(cg, vlen, n, sew, lmul, exclusive: bool):
+    """The segmented scan kernel (Listing 10 structure)."""
+    kernel = "seg_plus_scan"
+    s, steps, spill = _scan_shape(vlen, n, sew, lmul, SEG_SCAN_PROFILE)
+    op = cg.op_cost()
+    undisturbed = cg.op_cost(dest_undisturbed=True)
+    if exclusive:
+        # vslidedown + vmv.x.s + vslide1up, vmerge with identity
+        tail = ((Cat.VPERM, s * 3), (Cat.VARITH, s), (Cat.SCALAR, s))
+    else:
+        tail = ((Cat.SCALAR, s * 2),)
+    return _items(
+        (Cat.SCALAR, cg.prologue(kernel)),
+        (Cat.SPILL, spill),
+        # one-time vsetvlmax + two broadcasts (identity, ones)
+        (Cat.VCONFIG, 1 + s), (Cat.VPERM, 2 * op),
+        # per strip: two loads + store, vmsne + vmsbf, vmv.s.x
+        (Cat.VMEM, s * 3), (Cat.VMASK, s * 2), (Cat.VPERM, s * undisturbed),
+        # inner: vmsne + slideup(x) + masked combine + slideup(flags) + vor
+        (Cat.VMASK, steps * op),
+        (Cat.VPERM, steps * 2 * undisturbed),
+        (Cat.VARITH, steps * (cg.op_cost(masked=True) + op)),
+        (Cat.SCALAR, steps * cg.inner_overhead(kernel)),
+        # masked carry apply, then carry reload / exclusive post-pass
+        (Cat.VARITH, s * cg.op_cost(masked=True)),
+        *tail,
+        (Cat.SCALAR, s * cg.strip_overhead(kernel, 2)),
+    )
+
+
+@lru_cache(maxsize=4096)
+def charge_enumerate(cg, vlen, n, sew, lmul):
+    """Enumerate (Listing 8): vle, vmseq, viota, vadd, vse, vcpop."""
+    return _flat(cg, vlen, n, sew, lmul, "enumerate", ENUMERATE_PROFILE, 2,
+                 ((Cat.VMEM, 2), (Cat.VMASK, 3), (Cat.VARITH, cg.op_cost())),
+                 scalar=1)
+
+
+@lru_cache(maxsize=4096)
+def charge_permute(cg, vlen, n, sew, lmul):
+    """Permute and back-permute (Listing 5): index load, index shift,
+    indexed store or load, unit-stride data access."""
+    return _flat(cg, vlen, n, sew, lmul, "permute", PERMUTE_PROFILE, 2,
+                 ((Cat.VMEM, 2), (Cat.VMEM_INDEXED, 1),
+                  (Cat.VARITH, cg.op_cost())))
+
+
+@lru_cache(maxsize=4096)
+def charge_pack(cg, vlen, n, sew, lmul):
+    """Pack's closed-form part: 2 loads, vmsne, vcompress, vcpop;
+    :data:`PACK_VARIABLE` per strip holding a survivor comes on top."""
+    return _flat(cg, vlen, n, sew, lmul, "permute", PERMUTE_PROFILE, 3,
+                 ((Cat.VMEM, 2), (Cat.VMASK, 2), (Cat.VPERM, 1)), scalar=1)
+
+
+def _compare(cg, vlen, n, sew, lmul, n_loads: int, n_mask: int):
+    """A flag compare: zero broadcast once, then loads, ``n_mask`` mask
+    ops, vmerge and store per strip."""
+    return _flat(cg, vlen, n, sew, lmul, "p_cmp", ELEMENTWISE_PROFILE,
+                 n_loads + 1,
+                 ((Cat.VMEM, n_loads + 1), (Cat.VMASK, n_mask), (Cat.VARITH, 1)),
+                 once=((Cat.VCONFIG, 1), (Cat.VPERM, cg.op_cost())))
+
+
+@lru_cache(maxsize=4096)
+def charge_cmp_vv(cg, vlen, n, sew, lmul):
+    """Vector-vector flag compare."""
+    return _compare(cg, vlen, n, sew, lmul, 2, 1)
+
+
+@lru_cache(maxsize=4096)
+def charge_cmp_vx(cg, vlen, n, sew, lmul, ge: bool):
+    """Vector-scalar flag compare; ``ge`` is vmsltu + vmnot (one extra
+    mask op per strip)."""
+    return _compare(cg, vlen, n, sew, lmul, 1, 2 if ge else 1)
+
+
+@lru_cache(maxsize=4096)
+def charge_index(cg, vlen, n, sew, lmul):
+    """p_index: vid, vadd, store."""
+    return _flat(cg, vlen, n, sew, lmul, "p_index", ELEMENTWISE_PROFILE, 1,
+                 ((Cat.VMASK, 1), (Cat.VARITH, 1), (Cat.VMEM, 1)), scalar=1)
+
+
+@lru_cache(maxsize=4096)
+def charge_reduce(cg, vlen, n, sew, lmul):
+    """Reduce: load, vredop."""
+    return _flat(cg, vlen, n, sew, lmul, "p_reduce", ELEMENTWISE_PROFILE, 1,
+                 ((Cat.VMEM, 1), (Cat.VREDUCE, 1)))
+
+
+@lru_cache(maxsize=4096)
+def charge_shift1up(cg, vlen, n, sew, lmul):
+    """shift1up: load, vslide1up, store (p_add's loop)."""
+    return _flat(cg, vlen, n, sew, lmul, "p_add", ELEMENTWISE_PROFILE, 2,
+                 ((Cat.VMEM, 2), (Cat.VPERM, 1)), scalar=2)
+
+
+@lru_cache(maxsize=4096)
+def charge_copy(cg, vlen, n, sew, lmul):
+    """Copy: load, store — p_add's loop without the op, and without
+    spill accounting, like the strict loop."""
+    return _flat(cg, vlen, n, sew, lmul, "p_add", None, 2, ((Cat.VMEM, 2),))
+
+
+def _charge(m: RVVMachine, fn, n: int, dtype, lmul: LMUL, **fact) -> None:
+    """Apply charge function ``fn`` for a length-``n`` call strip-mined
+    at ``dtype``'s SEW. The op-specific fact goes by keyword, as the
+    registry's ``partial`` passes it, so both share one memo entry."""
+    m.counters.add_many(fn(m.codegen, m.vlen, n, sew_for_dtype(dtype), lmul,
+                           **fact))
+
+
+# ---------------------------------------------------------------------------
+# elementwise
+# ---------------------------------------------------------------------------
 
 def fast_elementwise_vx(m: RVVMachine, kernel: str, n: int, a: Pointer, x: int,
                         lmul: LMUL = LMUL.M1) -> None:
@@ -132,8 +354,7 @@ def fast_elementwise_vx(m: RVVMachine, kernel: str, n: int, a: Pointer, x: int,
         view = a.view(n)
         ufunc = _UFUNC_VX[kernel]
         ufunc(view, _wrap(x, a.dtype), out=view)
-    _charge_elementwise(m, kernel, n, lmul, n_arrays=1, n_loads=1,
-                        sew=sew_for_dtype(a.dtype))
+    _charge(m, charge_vx, n, a.dtype, lmul, kernel=kernel)
 
 
 def fast_elementwise_vv(m: RVVMachine, kernel: str, n: int, a: Pointer, b: Pointer,
@@ -144,92 +365,32 @@ def fast_elementwise_vv(m: RVVMachine, kernel: str, n: int, a: Pointer, b: Point
         va = a.view(n)
         ufunc = _UFUNC_VX[kernel]
         ufunc(va, b.view(n), out=va)
-    _charge_elementwise(m, kernel, n, lmul, n_arrays=2, n_loads=2,
-                        sew=sew_for_dtype(a.dtype))
+    _charge(m, charge_vv, n, a.dtype, lmul, kernel=kernel)
 
 
 def fast_p_select(m: RVVMachine, n: int, flags: Pointer, a: Pointer, b: Pointer,
                   lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of p_select: ``b[i] = a[i] where flags[i]``.
-
-    Strict counts per strip: vsetvl + 3 loads + vmsne + vmerge + store.
-    """
+    """Fast path of p_select: ``b[i] = a[i] where flags[i]``."""
     n = int(n)
     if n:
         vb = b.view(n)
         np.copyto(vb, a.view(n), where=flags.view(n).astype(bool))
-    vlmax = m.vlmax(sew=sew_for_dtype(a.dtype), lmul=lmul)
-    full, rem = strip_shape(n, vlmax)
-    n_strips = full + (1 if rem else 0)
-    plan = plan_allocation(ELEMENTWISE_PROFILE, lmul)
-    m.count(Cat.SCALAR, m.codegen.prologue("p_select"))
-    if plan.has_spills:
-        m.count(Cat.SPILL, plan.frame_setup + n_strips * plan.strip_cost(0))
-    m.count(Cat.VCONFIG, n_strips)
-    m.count(Cat.VMEM, n_strips * 4)
-    m.count(Cat.VMASK, n_strips * m.codegen.op_cost())
-    m.count(Cat.VARITH, n_strips * m.codegen.op_cost())
-    m.count(Cat.SCALAR, n_strips * m.codegen.strip_overhead("p_select", 3))
+    _charge(m, charge_p_select, n, a.dtype, lmul)
 
 
 def fast_get_flags(m: RVVMachine, n: int, src: Pointer, flags: Pointer, bit: int,
                    lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of get_flags: strict is vsetvl + load + vsrl + vand +
-    store per strip."""
+    """Fast path of get_flags."""
     n = int(n)
     if n:
         s = src.view(n)
         flags.view(n)[:] = (s >> s.dtype.type(bit)) & s.dtype.type(1)
-    _charge_elementwise(
-        m, "get_flags", n, lmul, n_arrays=2, n_loads=1,
-        sew=sew_for_dtype(src.dtype),
-        extra_cats=((Cat.VARITH, m.codegen.op_cost()),),  # the second shift/and op
-    )
+    _charge(m, charge_get_flags, n, src.dtype, lmul)
 
 
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------
-
-def _charge_scan(m: RVVMachine, n: int, lmul: LMUL, exclusive: bool, sew) -> None:
-    """Counts of the unsegmented scan kernel (Listing 6 structure)."""
-    kernel = "plus_scan"
-    vlmax = m.vlmax(sew=sew, lmul=lmul)
-    full, rem = strip_shape(n, vlmax)
-    n_strips = full + (1 if rem else 0)
-    steps_full = inner_scan_steps(vlmax)
-    steps_rem = inner_scan_steps(rem)
-    total_steps = full * steps_full + steps_rem
-    cg = m.codegen
-    plan = plan_allocation(PLUS_SCAN_PROFILE, lmul)
-
-    m.count(Cat.SCALAR, cg.prologue(kernel))
-    if plan.has_spills:
-        spill = plan.frame_setup
-        spill += full * plan.strip_cost(steps_full)
-        if rem:
-            spill += plan.strip_cost(steps_rem)
-        m.count(Cat.SPILL, spill)
-    # one-time: vsetvlmax + identity broadcast
-    m.count(Cat.VCONFIG, 1)
-    m.count(Cat.VPERM, cg.op_cost())
-    # per strip
-    m.count(Cat.VCONFIG, n_strips)
-    m.count(Cat.VMEM, n_strips * 2)  # vle + vse
-    # inner: slideup (undisturbed dest) + combine
-    m.count(Cat.VPERM, total_steps * cg.op_cost(dest_undisturbed=True))
-    m.count(Cat.VARITH, total_steps * cg.op_cost())
-    m.count(Cat.SCALAR, total_steps * cg.inner_overhead(kernel))
-    if exclusive:
-        # vslidedown + vmv.x.s + vslide1up, carry combine applied to all
-        m.count(Cat.VPERM, n_strips * 3)
-        m.count(Cat.VARITH, n_strips * cg.op_cost())
-        m.count(Cat.SCALAR, n_strips * 1)
-    else:
-        m.count(Cat.VARITH, n_strips * cg.op_cost())  # carry apply
-        m.count(Cat.SCALAR, n_strips * 2)  # carry reload
-    m.count(Cat.SCALAR, n_strips * cg.strip_overhead(kernel, 1))
-
 
 def fast_scan(m: RVVMachine, n: int, src: Pointer, op: str | BinaryOp = PLUS,
               lmul: LMUL = LMUL.M1) -> None:
@@ -239,7 +400,7 @@ def fast_scan(m: RVVMachine, n: int, src: Pointer, op: str | BinaryOp = PLUS,
     if n:
         view = src.view(n)
         op.ufunc.accumulate(view, out=view)
-    _charge_scan(m, n, lmul, exclusive=False, sew=sew_for_dtype(src.dtype))
+    _charge(m, charge_scan, n, src.dtype, lmul, exclusive=False)
 
 
 def fast_scan_exclusive(m: RVVMachine, n: int, src: Pointer,
@@ -252,50 +413,7 @@ def fast_scan_exclusive(m: RVVMachine, n: int, src: Pointer,
         incl = op.ufunc.accumulate(view)
         view[1:] = incl[:-1]
         view[0] = _wrap(op.identity(src.dtype), src.dtype)
-    _charge_scan(m, n, lmul, exclusive=True, sew=sew_for_dtype(src.dtype))
-
-
-def _charge_seg_scan(m: RVVMachine, n: int, lmul: LMUL, exclusive: bool, sew) -> None:
-    """Counts of the segmented scan kernel (Listing 10 structure)."""
-    kernel = "seg_plus_scan"
-    vlmax = m.vlmax(sew=sew, lmul=lmul)
-    full, rem = strip_shape(n, vlmax)
-    n_strips = full + (1 if rem else 0)
-    steps_full = inner_scan_steps(vlmax)
-    steps_rem = inner_scan_steps(rem)
-    total_steps = full * steps_full + steps_rem
-    cg = m.codegen
-    plan = plan_allocation(SEG_SCAN_PROFILE, lmul)
-
-    m.count(Cat.SCALAR, cg.prologue(kernel))
-    if plan.has_spills:
-        spill = plan.frame_setup
-        spill += full * plan.strip_cost(steps_full)
-        if rem:
-            spill += plan.strip_cost(steps_rem)
-        m.count(Cat.SPILL, spill)
-    # one-time: vsetvlmax + two broadcasts (identity, ones)
-    m.count(Cat.VCONFIG, 1)
-    m.count(Cat.VPERM, 2 * cg.op_cost())
-    # per strip outer
-    m.count(Cat.VCONFIG, n_strips)
-    m.count(Cat.VMEM, n_strips * 3)  # two loads + store
-    m.count(Cat.VMASK, n_strips * 2)  # vmsne + vmsbf
-    m.count(Cat.VPERM, n_strips * cg.op_cost(dest_undisturbed=True))  # vmv.s.x
-    # inner: vmsne + slideup(x) + masked combine + slideup(flags) + vor
-    m.count(Cat.VMASK, total_steps * cg.op_cost())
-    m.count(Cat.VPERM, total_steps * 2 * cg.op_cost(dest_undisturbed=True))
-    m.count(Cat.VARITH, total_steps * (cg.op_cost(masked=True) + cg.op_cost()))
-    m.count(Cat.SCALAR, total_steps * cg.inner_overhead(kernel))
-    # carry apply (masked) + carry reload / exclusive post-pass
-    m.count(Cat.VARITH, n_strips * cg.op_cost(masked=True))
-    if exclusive:
-        m.count(Cat.VPERM, n_strips * 3)  # vslidedown + vmv.x.s + vslide1up
-        m.count(Cat.VARITH, n_strips * 1)  # vmerge with identity
-        m.count(Cat.SCALAR, n_strips * 1)
-    else:
-        m.count(Cat.SCALAR, n_strips * 2)
-    m.count(Cat.SCALAR, n_strips * cg.strip_overhead(kernel, 2))
+    _charge(m, charge_scan, n, src.dtype, lmul, exclusive=True)
 
 
 def fast_seg_scan(m: RVVMachine, n: int, src: Pointer, head_flags: Pointer,
@@ -310,7 +428,7 @@ def fast_seg_scan(m: RVVMachine, n: int, src: Pointer, head_flags: Pointer,
             view[:] = segmented_cumsum(view, flags)
         else:
             view[:] = segmented_reduce_numpy(view, flags, op.ufunc)
-    _charge_seg_scan(m, n, lmul, exclusive=False, sew=sew_for_dtype(src.dtype))
+    _charge(m, charge_seg_scan, n, src.dtype, lmul, exclusive=False)
 
 
 def fast_seg_scan_exclusive(m: RVVMachine, n: int, src: Pointer, head_flags: Pointer,
@@ -329,7 +447,7 @@ def fast_seg_scan_exclusive(m: RVVMachine, n: int, src: Pointer, head_flags: Poi
         heads[0] = True
         view[1:] = incl[:-1]
         view[heads] = _wrap(op.identity(src.dtype), src.dtype)
-    _charge_seg_scan(m, n, lmul, exclusive=True, sew=sew_for_dtype(src.dtype))
+    _charge(m, charge_seg_scan, n, src.dtype, lmul, exclusive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +456,7 @@ def fast_seg_scan_exclusive(m: RVVMachine, n: int, src: Pointer, head_flags: Poi
 
 def fast_enumerate(m: RVVMachine, n: int, flags: Pointer, dst: Pointer,
                    set_bit: bool, lmul: LMUL = LMUL.M1) -> int:
-    """Fast path of enumerate (Listing 8 structure: vsetvl, vle, vmseq,
-    viota, vadd, vse, vcpop per strip)."""
+    """Fast path of enumerate."""
     n = int(n)
     count = 0
     if n:
@@ -349,39 +466,8 @@ def fast_enumerate(m: RVVMachine, n: int, flags: Pointer, dst: Pointer,
             np.cumsum(match[:-1], out=excl[1:])
         dst.view(n)[:] = excl.astype(dst.dtype)
         count = int(np.count_nonzero(match))
-    vlmax = m.vlmax(sew=sew_for_dtype(flags.dtype), lmul=lmul)
-    full, rem = strip_shape(n, vlmax)
-    n_strips = full + (1 if rem else 0)
-    plan = plan_allocation(ENUMERATE_PROFILE, lmul)
-    cg = m.codegen
-    m.count(Cat.SCALAR, cg.prologue("enumerate"))
-    if plan.has_spills:
-        m.count(Cat.SPILL, plan.frame_setup + n_strips * plan.strip_cost(0))
-    m.count(Cat.VCONFIG, n_strips)
-    m.count(Cat.VMEM, n_strips * 2)
-    m.count(Cat.VMASK, n_strips * 3)  # vmseq + viota + vcpop
-    m.count(Cat.VARITH, n_strips * cg.op_cost())
-    m.count(Cat.SCALAR, n_strips * (1 + cg.strip_overhead("enumerate", 2)))
+    _charge(m, charge_enumerate, n, flags.dtype, lmul)
     return count
-
-
-def _charge_permute(m: RVVMachine, n: int, lmul: LMUL, gather: bool,
-                    sew=None) -> None:
-    if sew is None:
-        sew = sew_for_dtype(np.uint32)
-    vlmax = m.vlmax(sew=sew, lmul=lmul)
-    full, rem = strip_shape(n, vlmax)
-    n_strips = full + (1 if rem else 0)
-    plan = plan_allocation(PERMUTE_PROFILE, lmul)
-    cg = m.codegen
-    m.count(Cat.SCALAR, cg.prologue("permute"))
-    if plan.has_spills:
-        m.count(Cat.SPILL, plan.frame_setup + n_strips * plan.strip_cost(0))
-    m.count(Cat.VCONFIG, n_strips)
-    m.count(Cat.VMEM, n_strips * 2)  # index load + (data load | data store)
-    m.count(Cat.VMEM_INDEXED, n_strips)
-    m.count(Cat.VARITH, n_strips * cg.op_cost())  # index shift
-    m.count(Cat.SCALAR, n_strips * cg.strip_overhead("permute", 2))
 
 
 def fast_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer, index: Pointer,
@@ -390,7 +476,7 @@ def fast_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer, index: Point
     n = int(n)
     if n:
         dst.view(n)[index.view(n).astype(np.int64)] = src.view(n)
-    _charge_permute(m, n, lmul, gather=False, sew=sew_for_dtype(src.dtype))
+    _charge(m, charge_permute, n, src.dtype, lmul)
 
 
 def fast_back_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
@@ -399,15 +485,16 @@ def fast_back_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
     n = int(n)
     if n:
         dst.view(n)[:] = src.view(n)[index.view(n).astype(np.int64)]
-    _charge_permute(m, n, lmul, gather=True, sew=sew_for_dtype(src.dtype))
+    _charge(m, charge_permute, n, src.dtype, lmul)
 
 
 #: Pack's data-dependent charge, per strip that holds at least one
 #: survivor: the strict kernel re-narrows vl to the survivor count and
 #: back (2 extra vsetvls) and issues the compacted store (1 extra
-#: vse). Everything else in pack's profile is closed-form. This is the
-#: single source for the variable term — shared by :func:`fast_pack`
-#: and the ragged 2D batch path (via :func:`pack_variable_items`).
+#: vse). Everything else in pack's profile is closed-form
+#: (:func:`charge_pack`). This is the single source for the variable
+#: term — shared by :func:`fast_pack`, the native tier and the ragged
+#: 2D batch path (via :func:`pack_variable_items`).
 PACK_VARIABLE = ((Cat.VCONFIG, 2), (Cat.VMEM, 1))
 
 
@@ -449,29 +536,15 @@ def fast_pack(m: RVVMachine, n: int, src: Pointer, dst: Pointer, flags: Pointer,
     ``reduceat``."""
     n = int(n)
     kept = 0
-    vlmax = m.vlmax(sew=sew_for_dtype(src.dtype), lmul=lmul)
-    full, rem = strip_shape(n, vlmax)
-    n_strips = full + (1 if rem else 0)
-    strips_with_survivors = 0
     if n:
         keep = flags.view(n).astype(bool)
         packed = src.view(n)[keep]
         kept = packed.size
         if kept:
             dst.view(kept)[:] = packed
-        strips_with_survivors = int(pack_strip_survivors(keep, vlmax))
-    plan = plan_allocation(PERMUTE_PROFILE, lmul)
-    cg = m.codegen
-    m.count(Cat.SCALAR, cg.prologue("permute"))
-    if plan.has_spills:
-        m.count(Cat.SPILL, plan.frame_setup + n_strips * plan.strip_cost(0))
-    m.count(Cat.VCONFIG, n_strips)
-    m.count(Cat.VMEM, n_strips * 2)
-    m.count(Cat.VMASK, n_strips * 2)  # vmsne + vcpop
-    m.count(Cat.VPERM, n_strips)  # vcompress
-    m.count(Cat.SCALAR, n_strips * (1 + cg.strip_overhead("permute", 3)))
-    for cat, weight in PACK_VARIABLE:
-        m.count(cat, weight * strips_with_survivors)
+        vlmax = m.vlmax(sew=sew_for_dtype(src.dtype), lmul=lmul)
+        m.counters.add_many(pack_variable_items(pack_strip_survivors(keep, vlmax)))
+    _charge(m, charge_pack, n, src.dtype, lmul)
     return kept
 
 
@@ -485,57 +558,22 @@ _NP_CMP = {
 }
 
 
-@lru_cache(maxsize=4096)
-def _strip_count(n: int, vlmax: int) -> int:
-    full, rem = strip_shape(n, vlmax)
-    return full + (1 if rem else 0)
-
-
-def _strips(m: RVVMachine, n: int, lmul: LMUL, dtype=np.uint32) -> int:
-    # cache on the (n, vlmax) ints only — machine objects never enter
-    # the key
-    return _strip_count(int(n), m.vlmax(sew=sew_for_dtype(dtype), lmul=lmul))
-
-
-def _spill(m: RVVMachine, n_strips: int, lmul: LMUL) -> None:
-    plan = plan_allocation(ELEMENTWISE_PROFILE, lmul)
-    if plan.has_spills:
-        m.count(Cat.SPILL, plan.frame_setup + n_strips * plan.strip_cost(0))
-
-
 def fast_cmp_vv(m: RVVMachine, which: str, n: int, a: Pointer, b: Pointer,
                 out: Pointer, lmul: LMUL = LMUL.M1) -> None:
     """Fast path of the vector-vector flag compares."""
     n = int(n)
     if n:
         out.view(n)[:] = _NP_CMP[which](a.view(n), b.view(n)).astype(out.dtype)
-    s = _strips(m, n, lmul, a.dtype)
-    _spill(m, s, lmul)
-    m.count(Cat.SCALAR, m.codegen.prologue("p_cmp"))
-    m.count(Cat.VCONFIG, 1 + s)  # vsetvlmax + per strip
-    m.count(Cat.VPERM, m.codegen.op_cost())  # zero broadcast
-    m.count(Cat.VMEM, s * 3)
-    m.count(Cat.VMASK, s)
-    m.count(Cat.VARITH, s)  # vmerge
-    m.count(Cat.SCALAR, s * m.codegen.strip_overhead("p_cmp", 3))
+    _charge(m, charge_cmp_vv, n, a.dtype, lmul)
 
 
 def fast_cmp_vx(m: RVVMachine, which: str, n: int, a: Pointer, x: int,
                 out: Pointer, lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of the vector-scalar flag compares (``ge`` uses the
-    vmsltu+vmnot idiom and costs one extra mask op per strip)."""
+    """Fast path of the vector-scalar flag compares."""
     n = int(n)
     if n:
         out.view(n)[:] = _NP_CMP[which](a.view(n), _wrap(x, a.dtype)).astype(out.dtype)
-    s = _strips(m, n, lmul, a.dtype)
-    _spill(m, s, lmul)
-    m.count(Cat.SCALAR, m.codegen.prologue("p_cmp"))
-    m.count(Cat.VCONFIG, 1 + s)
-    m.count(Cat.VPERM, m.codegen.op_cost())
-    m.count(Cat.VMEM, s * 2)
-    m.count(Cat.VMASK, s * (2 if which == "ge" else 1))
-    m.count(Cat.VARITH, s)
-    m.count(Cat.SCALAR, s * m.codegen.strip_overhead("p_cmp", 2))
+    _charge(m, charge_cmp_vx, n, a.dtype, lmul, ge=which == "ge")
 
 
 def fast_index(m: RVVMachine, n: int, out: Pointer, lmul: LMUL = LMUL.M1) -> None:
@@ -543,29 +581,17 @@ def fast_index(m: RVVMachine, n: int, out: Pointer, lmul: LMUL = LMUL.M1) -> Non
     n = int(n)
     if n:
         out.view(n)[:] = np.arange(n, dtype=np.uint64).astype(out.dtype)
-    s = _strips(m, n, lmul, out.dtype)
-    _spill(m, s, lmul)
-    m.count(Cat.SCALAR, m.codegen.prologue("p_index"))
-    m.count(Cat.VCONFIG, s)
-    m.count(Cat.VMASK, s)  # vid
-    m.count(Cat.VARITH, s)
-    m.count(Cat.VMEM, s)
-    m.count(Cat.SCALAR, s * (1 + m.codegen.strip_overhead("p_index", 1)))
+    _charge(m, charge_index, n, out.dtype, lmul)
 
 
 def fast_rsub(m: RVVMachine, n: int, a: Pointer, x: int, lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of p_rsub."""
+    """Fast path of p_rsub (charged as p_add: the strict loop is
+    p_add's)."""
     n = int(n)
     if n:
         view = a.view(n)
         np.subtract(_wrap(x, a.dtype), view, out=view)
-    s = _strips(m, n, lmul, a.dtype)
-    _spill(m, s, lmul)
-    m.count(Cat.SCALAR, m.codegen.prologue("p_add"))
-    m.count(Cat.VCONFIG, s)
-    m.count(Cat.VMEM, s * 2)
-    m.count(Cat.VARITH, s)
-    m.count(Cat.SCALAR, s * m.codegen.strip_overhead("p_add", 1))
+    _charge(m, charge_vx, n, a.dtype, lmul, kernel="p_add")
 
 
 def fast_reduce(m: RVVMachine, n: int, a: Pointer, op: str | BinaryOp = PLUS,
@@ -576,13 +602,7 @@ def fast_reduce(m: RVVMachine, n: int, a: Pointer, op: str | BinaryOp = PLUS,
     acc = op.identity(a.dtype)
     if n:
         acc = int(op.ufunc.reduce(a.view(n), initial=_wrap(acc, a.dtype), dtype=a.dtype))
-    s = _strips(m, n, lmul, a.dtype)
-    _spill(m, s, lmul)
-    m.count(Cat.SCALAR, m.codegen.prologue("p_reduce"))
-    m.count(Cat.VCONFIG, s)
-    m.count(Cat.VMEM, s)
-    m.count(Cat.VREDUCE, s)
-    m.count(Cat.SCALAR, s * m.codegen.strip_overhead("p_reduce", 1))
+    _charge(m, charge_reduce, n, a.dtype, lmul)
     return acc
 
 
@@ -597,24 +617,13 @@ def fast_shift1up(m: RVVMachine, n: int, src: Pointer, dst: Pointer, fill: int,
         tail = s_view[:-1].copy()
         d_view[1:] = tail
         d_view[0] = _wrap(fill, dst.dtype)
-    s = _strips(m, n, lmul, src.dtype)
-    _spill(m, s, lmul)
-    m.count(Cat.SCALAR, m.codegen.prologue("p_add"))
-    m.count(Cat.VCONFIG, s)
-    m.count(Cat.VMEM, s * 2)
-    m.count(Cat.VPERM, s)
-    m.count(Cat.SCALAR, s * (2 + m.codegen.strip_overhead("p_add", 2)))
+    _charge(m, charge_shift1up, n, src.dtype, lmul)
 
 
 def fast_copy(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
               lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of copy (a two-array elementwise pass without the
-    compute op; no spill accounting, like the strict loop)."""
+    """Fast path of copy."""
     n = int(n)
-    m.count(Cat.SCALAR, m.codegen.prologue("p_add"))
     if n:
         dst.view(n)[:] = src.view(n)
-    s = _strips(m, n, lmul, src.dtype)
-    m.count(Cat.VCONFIG, s)
-    m.count(Cat.VMEM, s * 2)
-    m.count(Cat.SCALAR, s * m.codegen.strip_overhead("p_add", 2))
+    _charge(m, charge_copy, n, src.dtype, lmul)

@@ -32,9 +32,10 @@ def gather_any(svm: SVM, src: SVMArray, index: SVMArray,
     if svm._fast(index.n):
         if index.n:
             dst.view()[:] = src.view()[index.view().astype(np.int64)]
-        fp._charge_permute(svm.machine, index.n, lmul, gather=True)
+        fp._charge(svm.machine, fp.charge_permute, index.n, np.uint32, lmul)
     else:
-        pm.back_permute(svm.machine, index.n, src.ptr, dst.ptr, index.ptr, lmul)
+        pm.back_permute(svm.machine, index.n, src.ptr, dst.ptr, index.ptr, lmul,
+                        bound=src.n)
     return dst
 
 
@@ -47,6 +48,7 @@ def scatter_any(svm: SVM, src: SVMArray, index: SVMArray, dst: SVMArray,
     if svm._fast(src.n):
         if src.n:
             dst.view()[index.view().astype(np.int64)[: src.n]] = src.view()[: src.n]
-        fp._charge_permute(svm.machine, src.n, lmul, gather=False)
+        fp._charge(svm.machine, fp.charge_permute, src.n, np.uint32, lmul)
     else:
-        pm.permute(svm.machine, src.n, src.ptr, dst.ptr, index.ptr, lmul)
+        pm.permute(svm.machine, src.n, src.ptr, dst.ptr, index.ptr, lmul,
+                   bound=dst.n)

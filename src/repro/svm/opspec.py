@@ -16,6 +16,9 @@ every layer consumes the spec:
   an engine node kind no op records);
 * the fuser and the code generator derive lane recipes from
   :data:`LANE_RECIPES` instead of per-kind if-ladders;
+* :meth:`repro.engine.executor.Engine.compile_plan` sums
+  ``spec.charge`` over a plan's replayed nodes into its static counter
+  profile;
 * the batch runner consults ``spec.batch2d`` / ``spec.data_dependent``
   / ``spec.ragged2d`` to pick the ``2d`` / ``ragged`` / ``loop`` path;
 * ``repro ops`` prints the registry as a tier-support matrix and
@@ -23,9 +26,9 @@ every layer consumes the spec:
   the registry or a spec is missing a kernel or charge profile.
 
 Adding a primitive is now a one-file change: write the strict and fast
-kernels, register an :class:`OpSpec`, and every tier — eager, capture,
-fusion, codegen, batch — picks it up (see
-``docs/opspec.md`` for the recipe).
+kernels and the fast kernel's pure charge function, register an
+:class:`OpSpec`, and every tier — eager, capture, fusion, codegen,
+batch — picks it up (see ``docs/opspec.md`` for the recipe).
 
 This module must stay **engine-free**: the engine imports the registry
 (for :data:`LANE_RECIPES` and batch metadata), so node kinds are plain
@@ -49,6 +52,7 @@ variant      kernel signature
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 from ..rvv.types import LMUL
@@ -80,8 +84,12 @@ class OpSpec:
     ``node_kinds`` maps a dispatch variant (``"vx"``, ``"vv"``,
     ``"incl"``, ``"excl"`` or ``""`` for single-variant ops) to the
     capture node kind's string value; ``strict``/``fast`` map the same
-    variants to kernels. ``profile`` names the register-pressure charge
-    profile in :data:`repro.rvv.allocation.PROFILES`. ``fuse_role`` is
+    variants to kernels, and ``charge`` maps them to the fast kernel's
+    pure counter charge ``fn(codegen, vlen, n, sew, lmul) -> ((Cat,
+    count), ...)`` (pack's survivor-strip term excluded), which the
+    engine sums into a plan's static counter profile at compile time.
+    ``profile`` names the register-pressure charge profile in
+    :data:`repro.rvv.allocation.PROFILES`. ``fuse_role`` is
     ``"lane"`` (strip-fusable elementwise work), ``"tail"`` (an
     inclusive scan that may close a fused group) or ``""`` (replayed
     eagerly between groups). ``batch2d`` marks ops the batch runner can
@@ -113,6 +121,7 @@ class OpSpec:
     node_kinds: Mapping[str, str] = field(default_factory=dict)
     strict: Mapping[str, Callable] = field(default_factory=dict)
     fast: Mapping[str, Callable] = field(default_factory=dict)
+    charge: Mapping[str, Callable] = field(default_factory=dict)
     profile: str = ""
     fuse_role: str = ""
     codegen: bool = True
@@ -238,6 +247,8 @@ for _name, _doc in _EW_DOCS.items():
         node_kinds={"vx": "ew_vx", "vv": "ew_vv"},
         strict={"vx": getattr(ew, _name), "vv": getattr(ew, f"{_name}_vv")},
         fast={"vx": _fast_vx(_name), "vv": _fast_vv(_name)},
+        charge={"vx": partial(fp.charge_vx, kernel=_name),
+                "vv": partial(fp.charge_vv, kernel=_name)},
         profile="elementwise",
         fuse_role="lane",
         doc=_doc,
@@ -254,6 +265,7 @@ for _name, _doc in (
         node_kinds={"vx": "ew_vx"},
         strict={"vx": getattr(ew, _name)},
         fast={"vx": _fast_vx(_name)},
+        charge={"vx": partial(fp.charge_vx, kernel=_name)},
         profile="elementwise",
         fuse_role="lane",
         doc=_doc,
@@ -266,6 +278,7 @@ _register(OpSpec(
     node_kinds={"": "select"},
     strict={"": ew.p_select},
     fast={"": fp.fast_p_select},
+    charge={"": fp.charge_p_select},
     profile="elementwise",
     doc="p-select: ``b[i] = a[i] where flags[i] else b[i]``.",
 ))
@@ -276,6 +289,7 @@ _register(OpSpec(
     node_kinds={"": "get_flags"},
     strict={"": ew.get_flags},
     fast={"": fp.fast_get_flags},
+    charge={"": fp.charge_get_flags},
     profile="elementwise",
     fuse_role="lane",
     doc="Extract bit ``bit`` of each element into a 0/1 flag vector.",
@@ -298,6 +312,8 @@ for _which, _doc in _CMP_DOCS.items():
         strict={"vv": getattr(ew, f"p_{_which}"),
                 "vx": getattr(ew, f"p_{_which}_vx")},
         fast={"vv": _fast_cmp_vv(_which), "vx": _fast_cmp_vx(_which)},
+        charge={"vv": fp.charge_cmp_vv,
+                "vx": partial(fp.charge_cmp_vx, ge=_which == "ge")},
         profile="elementwise",
         fuse_role="lane",
         doc=_doc,
@@ -310,6 +326,8 @@ _register(OpSpec(
     node_kinds={"incl": "scan", "excl": "scan"},
     strict={"incl": sc.scan, "excl": sc.scan_exclusive},
     fast={"incl": fp.fast_scan, "excl": fp.fast_scan_exclusive},
+    charge={"incl": partial(fp.charge_scan, exclusive=False),
+            "excl": partial(fp.charge_scan, exclusive=True)},
     profile="plus_scan",
     fuse_role="tail",  # inclusive scans close a fused group; exclusive replays
     aliases=("plus_scan", "scan_exclusive"),
@@ -322,6 +340,8 @@ _register(OpSpec(
     node_kinds={"incl": "seg_scan", "excl": "seg_scan"},
     strict={"incl": sg.seg_scan, "excl": sg.seg_scan_exclusive},
     fast={"incl": fp.fast_seg_scan, "excl": fp.fast_seg_scan_exclusive},
+    charge={"incl": partial(fp.charge_seg_scan, exclusive=False),
+            "excl": partial(fp.charge_seg_scan, exclusive=True)},
     profile="seg_scan",
     aliases=("seg_plus_scan",),
     doc="Segmented ⊕-scan of ``a`` under ``head_flags``, in place.",
@@ -333,6 +353,7 @@ _register(OpSpec(
     node_kinds={"": "permute"},
     strict={"": pm.permute},
     fast={"": fp.fast_permute},
+    charge={"": fp.charge_permute},
     profile="permute",
     doc="Out-of-place permute: ``out[index[i]] = src[i]`` (Listing 5).",
 ))
@@ -343,6 +364,7 @@ _register(OpSpec(
     node_kinds={"": "back_permute"},
     strict={"": pm.back_permute},
     fast={"": fp.fast_back_permute},
+    charge={"": fp.charge_permute},
     profile="permute",
     doc="Gather: ``out[i] = src[index[i]]``.",
 ))
@@ -353,6 +375,7 @@ _register(OpSpec(
     node_kinds={"": "pack"},
     strict={"": pm.pack},
     fast={"": fp.fast_pack},
+    charge={"": fp.charge_pack},  # + PACK_VARIABLE per survivor strip
     profile="permute",
     batch2d=False,        # charge depends on the survivor distribution
     data_dependent=True,
@@ -367,6 +390,7 @@ _register(OpSpec(
     node_kinds={"": "enumerate"},
     strict={"": en.enumerate_op},
     fast={"": fp.fast_enumerate},
+    charge={"": fp.charge_enumerate},
     profile="enumerate",
     future="enumerate.count",
     doc="Enumerate (Listing 8): rank positions whose flag equals "
@@ -379,6 +403,7 @@ _register(OpSpec(
     node_kinds={"": "index"},
     strict={"": ew.p_index},
     fast={"": fp.fast_index},
+    charge={"": fp.charge_index},
     profile="elementwise",
     doc="Blelloch's index primitive: the vector ``[0, 1, ..., n-1]``.",
 ))
@@ -389,6 +414,7 @@ _register(OpSpec(
     node_kinds={"vx": "ew_vx"},
     strict={"vx": ew.p_rsub},
     fast={"vx": fp.fast_rsub},
+    charge={"vx": partial(fp.charge_vx, kernel="p_add")},  # p_add's loop
     profile="elementwise",
     fuse_role="lane",
     doc="Reverse subtract in place: ``a[i] = x - a[i]``.",
@@ -400,6 +426,7 @@ _register(OpSpec(
     node_kinds={"": "reduce"},
     strict={"": ew.reduce},
     fast={"": fp.fast_reduce},
+    charge={"": fp.charge_reduce},
     profile="elementwise",
     future="reduce",
     doc="Full ⊕-reduction of ``a`` to a scalar.",
@@ -411,6 +438,7 @@ _register(OpSpec(
     node_kinds={"": "shift1up"},
     strict={"": ew.shift1up},
     fast={"": fp.fast_shift1up},
+    charge={"": fp.charge_shift1up},
     profile="elementwise",
     doc="Whole-array shift by one lane: ``out[0] = fill``, "
         "``out[i] = src[i-1]``.",
@@ -422,6 +450,7 @@ _register(OpSpec(
     node_kinds={"": "copy"},
     strict={"": ew.copy},
     fast={"": fp.fast_copy},
+    charge={"": fp.charge_copy},
     profile="elementwise",
     doc="Vector memcpy: a strip-mined vle/vse loop.",
 ))

@@ -8,6 +8,10 @@ data dependencies between lanes) via RVV's indexed unordered store
 
 ``back_permute`` (Blelloch's inverse form, a gather) and ``pack`` (a
 masked compress to the front) complete the permutation class.
+
+An index outside the indexed array is an access fault on hardware; the
+kernels check the whole index vector up front and raise
+:class:`IndexError` before any store, like every other tier.
 """
 
 from __future__ import annotations
@@ -23,19 +27,29 @@ from ..rvv.types import LMUL, sew_for_dtype
 __all__ = ["permute", "back_permute", "pack"]
 
 
+def _check_index(index: Pointer, n: int, bound: int) -> None:
+    """Raise :class:`IndexError` when one of the first ``n`` indices
+    addresses past ``bound`` elements (the access fault of
+    ``vsuxei``/``vluxei``), before the kernel stores anything."""
+    if n and int(index.view(n).max()) >= bound:
+        raise IndexError(f"permute index out of range for {bound} elements")
+
+
 def _index_shift(dtype) -> int:
     """lg2 of the element size: index -> byte offset shift amount."""
     return {1: 0, 2: 1, 4: 2, 8: 3}[dtype.itemsize]
 
 
 def permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer, index: Pointer,
-            lmul: LMUL = LMUL.M1) -> None:
+            lmul: LMUL = LMUL.M1, bound: int | None = None) -> None:
     """Out-of-place permute (Listing 5): ``dst[index[i]] = src[i]``.
 
     ``index`` must be a permutation of ``[0, n)`` for a meaningful
     result; duplicate destinations follow ``vsuxei``'s unordered-store
-    semantics (one of the writers wins).
+    semantics (one of the writers wins). Every index must lie below
+    ``bound`` (``dst``'s length, ``n`` by default).
     """
+    _check_index(index, int(n), n if bound is None else bound)
     sew = sew_for_dtype(src.dtype)
     plan = plan_allocation(PERMUTE_PROFILE, lmul)
     m.prologue("permute")
@@ -57,9 +71,11 @@ def permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer, index: Pointer,
 
 
 def back_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer, index: Pointer,
-                 lmul: LMUL = LMUL.M1) -> None:
+                 lmul: LMUL = LMUL.M1, bound: int | None = None) -> None:
     """Inverse permute (gather): ``dst[i] = src[index[i]]`` via the
-    indexed load ``vluxei``."""
+    indexed load ``vluxei``. Every index must lie below ``bound``
+    (``src``'s length, ``n`` by default)."""
+    _check_index(index, int(n), n if bound is None else bound)
     sew = sew_for_dtype(src.dtype)
     plan = plan_allocation(PERMUTE_PROFILE, lmul)
     m.prologue("permute")

@@ -19,30 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..rvv.allocation import RegisterProfile, SEG_SCAN_PROFILE, PLUS_SCAN_PROFILE, plan_allocation
+from ..rvv.allocation import SEG_SCAN_PROFILE, PLUS_SCAN_PROFILE, plan_allocation
 from ..rvv.codegen import CodegenModel, get_preset
-from ..rvv.machine import RVVMachine
-from ..rvv.types import LMUL, SEW, vlmax_for
-from ..svm.scan import inner_scan_steps
+from ..rvv.types import LMUL, SEW
+from ..svm.fastpath import charge_scan, charge_seg_scan
 
 __all__ = ["LmulPrediction", "predict_scan_count", "choose_lmul"]
 
-_PROFILES = {
-    "plus_scan": PLUS_SCAN_PROFILE,
-    "seg_plus_scan": SEG_SCAN_PROFILE,
-}
-
-# vector-instruction cost structure of the two scan kernels, in terms
-# of the codegen model's expansions (mirrors fastpath's charge helpers)
-_KERNEL_SHAPE = {
-    # (one_time_ops, outer_plain, outer_dest, outer_masked, inner_plain,
-    #  inner_dest, inner_masked, outer_scalar_fixed)
-    "plus_scan": dict(one_plain=1, one_dest=0, outer_plain=3, outer_dest=0,
-                      outer_masked=0, inner_plain=1, inner_dest=1,
-                      inner_masked=0, outer_scalar=2),
-    "seg_plus_scan": dict(one_plain=2, one_dest=0, outer_plain=5, outer_dest=1,
-                          outer_masked=1, inner_plain=2, inner_dest=2,
-                          inner_masked=1, outer_scalar=2),
+#: kernel -> (the fast path's pure charge function, register profile)
+_KERNELS = {
+    "plus_scan": (charge_scan, PLUS_SCAN_PROFILE),
+    "seg_plus_scan": (charge_seg_scan, SEG_SCAN_PROFILE),
 }
 
 
@@ -64,45 +51,12 @@ def predict_scan_count(kernel: str, n: int, vlen: int, lmul: LMUL,
                        sew: SEW = SEW.E32) -> LmulPrediction:
     """Closed-form dynamic count of ``kernel`` ('plus_scan' or
     'seg_plus_scan') for ``n`` elements at the given configuration —
-    the same arithmetic the fast path charges, packaged for planning."""
-    cg = get_preset(codegen)
-    shape = _KERNEL_SHAPE[kernel]
-    profile = _PROFILES[kernel]
-    plan = plan_allocation(profile, lmul)
-
-    vlmax = vlmax_for(vlen, sew, lmul)
-    full, rem = divmod(int(n), vlmax)
-    n_strips = full + (1 if rem else 0)
-    steps_full = inner_scan_steps(vlmax)
-    steps_rem = inner_scan_steps(rem)
-    total_steps = full * steps_full + steps_rem
-
-    plain = cg.op_cost()
-    dest = cg.op_cost(dest_undisturbed=True)
-    masked = cg.op_cost(masked=True)
-
-    count = cg.prologue(kernel)
-    count += 1 + shape["one_plain"] * plain + shape["one_dest"] * dest  # vsetvlmax + setup
-    per_strip_vec = (
-        1  # vsetvl
-        + shape["outer_plain"] * plain
-        + shape["outer_dest"] * dest
-        + shape["outer_masked"] * masked
-    )
-    per_inner_vec = (
-        shape["inner_plain"] * plain
-        + shape["inner_dest"] * dest
-        + shape["inner_masked"] * masked
-    )
-    count += n_strips * (per_strip_vec + shape["outer_scalar"]
-                         + cg.strip_overhead(kernel, 2 if kernel == "seg_plus_scan" else 1))
-    count += total_steps * (per_inner_vec + cg.inner_overhead(kernel))
-    if plan.has_spills:
-        count += plan.frame_setup
-        count += full * plan.strip_cost(steps_full)
-        if rem:
-            count += plan.strip_cost(steps_rem)
-    return LmulPrediction(LMUL(lmul), count, plan.spilled)
+    the fast path's own pure charge function, summed over categories."""
+    charge, profile = _KERNELS[kernel]
+    items = charge(get_preset(codegen), vlen, int(n), sew, LMUL(lmul),
+                   exclusive=False)
+    return LmulPrediction(LMUL(lmul), sum(k for _, k in items),
+                          plan_allocation(profile, lmul).spilled)
 
 
 def choose_lmul(kernel: str, n: int, vlen: int,

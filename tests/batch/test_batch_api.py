@@ -146,19 +146,25 @@ def test_rows_capture_and_resolve_once(monkeypatch, mode, lengths,
 @pytest.mark.parametrize("backend", ["codegen", "native", "native-speed"])
 def test_charge_profile_recorded_once_per_cache_entry(monkeypatch, backend,
                                                       pipe):
-    """The closed-form profile is recorded once per plan-cache entry,
-    whichever of matrix buckets, loop buckets and single calls needs it
-    first — and never under native-speed when the plan lowers, where
-    no row is charged at all."""
-    recorded = []
-    record = executor.record_charge
+    """The closed-form profile is a static fact of the plan-cache entry:
+    it is set as soon as ``fused_for`` returns, once per entry, and
+    matrix buckets, loop buckets and single calls all use it without a
+    Python recording run — on a native backend with a toolchain no call
+    runs the Python unit loop at all."""
+    units = []
+    run_units = executor._execute_units
+    monkeypatch.setattr(executor, "_execute_units", lambda *a: (
+        units.append(a[2]), run_units(*a))[1])
+    profiles = {}
+    fused_for = executor.Engine.fused_for
 
-    def spy(svm, plan, fused):
-        recorded.append(fused)
-        record(svm, plan, fused)
+    def spy(self, plan):
+        fused = fused_for(self, plan)
+        assert fused.charge_items
+        profiles[id(fused)] = fused.charge_items
+        return fused
 
-    monkeypatch.setattr(executor, "record_charge", spy)
-    monkeypatch.setattr(runner, "record_charge", spy)
+    monkeypatch.setattr(executor.Engine, "fused_for", spy)
     svm = SVM(vlen=128, mode="fast", backend=backend)
     rows = make_rows((4096, 300, 4096, 300), seed=12)
     for _ in range(2):
@@ -170,6 +176,6 @@ def test_charge_profile_recorded_once_per_cache_entry(monkeypatch, backend,
         svm.free(data)
         if out.ptr.addr != data.ptr.addr:
             svm.free(out)
-    lowers = backend == "native-speed" and native_available()
-    assert len(recorded) == (0 if lowers else 2)
-    assert len({id(f) for f in recorded}) == len(recorded)
+    assert len(profiles) == svm.engine.resolutions["compile"] == 2
+    if backend != "codegen" and native_available():
+        assert units == []

@@ -36,6 +36,38 @@ class TestUnfusedIsIdentity:
         assert lazy.by_category == eager.by_category
 
 
+@pytest.mark.parametrize("backend", ["codegen", "native", "native-speed"])
+def test_unfused_replays_python_on_every_backend(monkeypatch, backend):
+    """fuse=False is the eager program on every backend: counters equal
+    eager's (native-speed used to charge nothing) and no NativePlan is
+    lowered, so nothing is bound or compiled per call."""
+    from repro import SVM
+    from repro.engine.native import NativePlan
+
+    built = []
+    init = NativePlan.__init__
+    monkeypatch.setattr(NativePlan, "__init__", lambda self, *a: (
+        built.append(1), init(self, *a))[1])
+    data = np.arange(3000, dtype=np.uint32)
+    counts = {}
+    for lazy in (False, True):
+        svm = SVM(vlen=256, mode="fast", backend=backend)
+        a = svm.array(data)
+        svm.reset()
+        if lazy:
+            with svm.lazy(fuse=False) as lz:
+                lz.p_add(a, 7)
+                lz.plus_scan(a)
+            assert lz.fused.native is None
+        else:
+            svm.p_add(a, 7)
+            svm.plus_scan(a)
+        counts[lazy] = (a.to_numpy(), svm.counters.snapshot().by_category)
+    assert np.array_equal(counts[False][0], counts[True][0])
+    assert counts[False][1] == counts[True][1]
+    assert built == []
+
+
 class TestFusedParity:
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("codegen", ["ideal", "paper"])

@@ -2,11 +2,10 @@
 
 The contracts under test (see ``docs/native.md``):
 
-* ``backend="native"`` — the warm-run counter contract: the first
-  execution of a plan replays through codegen while recording its
-  counter-charge profile; every later execution runs the compiled C
-  kernel and replays that profile, so results AND per-category
-  counters stay bit-identical to the strict reference forever;
+* ``backend="native"`` — the counter contract: every execution of a
+  plan, the first included, runs the compiled C kernel and charges the
+  static counter profile computed when the plan compiled, so results
+  AND per-category counters stay bit-identical to the strict reference;
 * ``backend="native-speed"`` — results stay bit-identical, counters
   are compiled out entirely (zero bookkeeping);
 * pack — lowered like every other kind: its kernel reports the
@@ -77,7 +76,7 @@ def _observe(svm, pipe, lmul, seed=0, n=N):
 @pytest.mark.parametrize("name", LOWERABLE)
 @needs_cc
 def test_warm_run_counter_identity(name):
-    """Runs 2..k replay the C kernel; results and counters must stay
+    """Every run replays the C kernel; results and counters must stay
     identical to the strict reference on every one of them."""
     pipe = PIPELINES[name]
     ref_svm = SVM(vlen=128, mode="strict")
@@ -88,26 +87,31 @@ def test_warm_run_counter_identity(name):
         got, counts, fused = _observe(svm, pipe, LMUL.M1)
         assert np.array_equal(ref, got), (name, run)
         assert counts == ref_counts, (name, run)
-    # the tier really engaged: the plan lowered and, after the warm-up,
-    # recorded the charge profile the compiled replays re-apply
+    # the tier really engaged: the plan lowered, and its compile
+    # computed the charge profile the compiled runs apply
     assert isinstance(fused.native, NativePlan), name
     assert fused.charge_items is not None, name
 
 
 @needs_cc
 def test_compiled_replay_actually_runs(monkeypatch):
-    """The second execution goes through NativePlan.run, not codegen."""
+    """Every execution, the first included, goes through NativePlan.run
+    and never through the Python unit loop."""
+    from repro.engine import executor
+
     calls = []
     orig = NativePlan.run
     monkeypatch.setattr(NativePlan, "run",
                         lambda self, svm, plan: (calls.append(1),
                                                  orig(self, svm, plan))[1])
+    monkeypatch.setattr(executor, "_execute_units",
+                        lambda *a: calls.append("python"))
     svm = SVM(vlen=128, mode="fast", backend="native")
     pipe = PIPELINES["chain_scan"]
     _observe(svm, pipe, LMUL.M1)
-    assert calls == []          # warm-up replays codegen
+    assert calls == [1]         # the first call runs C
     _observe(svm, pipe, LMUL.M1)
-    assert calls == [1]         # replay compiled
+    assert calls == [1, 1]
 
 
 @needs_cc
@@ -394,7 +398,7 @@ def test_one_build_serves_every_length(monkeypatch):
         digests.add(fused.native.digest)
     assert len(builds) == 1
     assert len(digests) == 1
-    assert len(runs) == 4   # runs 2 and 3 of each length were compiled
+    assert len(runs) == 6   # every run of each length was compiled
     assert {p.buffers[p.nodes[0].dst].n for p in runs} == {97, 300}
 
 
@@ -471,9 +475,9 @@ def test_plan_store_persists_native_source(tmp_path, monkeypatch):
 
 @needs_cc
 def test_profiled_runs_stay_native():
-    """A profiler no longer forces the codegen tier: after the codegen
-    warm-up every run is one ``native_plan`` span carrying the plan's
-    counter delta, and results and counts match the unprofiled runs."""
+    """A profiler does not force the codegen tier: every run is one
+    ``native_plan`` span carrying the plan's counter delta, and results
+    and counts match the unprofiled runs."""
 
     def runs(profile):
         svm = SVM(vlen=128, mode="fast", backend="native", profile=profile)
@@ -496,8 +500,7 @@ def test_profiled_runs_stay_native():
         assert ka == kb
     spans = [s for s in svm.profiler.root.walk()
              if s.name in ("fused_scan", "fused_ew", "native_plan")]
-    assert [s.name for s in spans] == ["fused_scan", "native_plan",
-                                       "native_plan"]
+    assert [s.name for s in spans] == ["native_plan"] * 3
     assert spans[1].meta == {"n": 256, "backend": "native"}
     assert [s.total for s in spans] == [k for _, k in profiled]
 
@@ -718,7 +721,7 @@ def test_out_of_range_index_raises(backend, kind):
         return out.to_numpy(), lz.fused
 
     good = list(range(7, -1, -1))
-    for _ in range(2):   # counters mode: a codegen warm-up, then C
+    for _ in range(2):   # both calls run C
         out, fused = run(good)
         assert out.tolist() == [8, 7, 6, 5, 4, 3, 2, 1]
     assert isinstance(fused.native, NativePlan)
@@ -926,8 +929,7 @@ def test_select_native_grid(tf, ta, tb, alias):
         x = rng.integers(0, np.iinfo(ta).max, n, dtype=ta, endpoint=True)
         y = rng.integers(0, np.iinfo(tb).max, n, dtype=tb, endpoint=True)
         pats = _select_flags(rng, n, tf, tb)
-        # the first run records the charge profile on codegen; every
-        # pattern after it replays the C kernel
+        # every pattern, the first included, runs the C kernel
         for pat in ["random", *pats]:
             flags = pats[pat]
             ref, ref_counts, _ = _select_once(svms["codegen"], flags, x, y,

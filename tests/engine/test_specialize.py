@@ -8,13 +8,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from perfbench.reference import PIPELINES as REPLAY_PIPELINES
 from repro import SVM
 from repro.engine.capture import PlanBuilder
 from repro.engine.codegen import group_charge_items
 from repro.engine.executor import execute, run_group_strict
 from repro.engine.fuse import GroupSpec, fuse, materialize
 from repro.engine.ir import EngineError
-from repro.rvv.types import LMUL
+from repro.rvv.types import LMUL, SEW, sew_for_dtype, vlmax_for
+from repro.svm import opspec
+from repro.svm.fastpath import pack_strip_survivors, pack_variable_items
 
 from .conftest import PIPELINES, make_data
 
@@ -59,6 +62,116 @@ def test_charge_items_equal_strict_delta():
                 assert dict(group_charge_items(svm.machine, group)) == observed
                 checked += 1
     assert checked
+
+
+#: The static-profile grid: (VLEN, LMUL) pairs; each cell also runs
+#: n in {1, VLMAX-1, VLMAX+1, 3000} (uint32 VLMAX) under both presets.
+GRID = [(vlen, lmul) for vlen in (128, 1024)
+        for lmul in (LMUL.M1, LMUL.M2, LMUL.M4, LMUL.M8)]
+
+#: Every engine-suite pipeline plus the perfbench replay set (its
+#: ``reverse`` and ``radix_pack`` carry the reverse/split lowerings),
+#: as ``pipe(lz, data, lmul)``.
+STATIC_PIPELINES = {
+    **{f"engine/{name}": pipe for name, pipe in PIPELINES.items()},
+    **{f"replay/{name}": (lambda pipe: lambda lz, data, _: pipe(lz, data)[0])(pipe)
+       for name, pipe in REPLAY_PIPELINES.items()},
+}
+
+
+def _grid_sizes(vlen, lmul, big):
+    vlmax = vlmax_for(vlen, SEW.E32, lmul)
+    return sorted({1, vlmax - 1, vlmax + 1, big})
+
+
+def _spy_pack_strips(monkeypatch) -> list:
+    """Collect each strict pack call's survivor-strip count, read off
+    its flags just before the kernel runs."""
+    strips = []
+    spec = opspec.OPSPECS["pack"]
+    strict = spec.strict[""]
+
+    def spy(m, n, src, dst, flags, lmul=LMUL.M1):
+        keep = flags.view(n) != 0
+        vlmax = m.vlmax(sew_for_dtype(src.dtype), lmul)
+        strips.append(int(pack_strip_survivors(keep, vlmax)))
+        return strict(m, n, src, dst, flags, lmul)
+
+    monkeypatch.setitem(spec.strict, "", spy)
+    return strips
+
+
+@pytest.mark.parametrize("codegen", ["ideal", "paper"])
+@pytest.mark.parametrize("name", sorted(STATIC_PIPELINES))
+def test_static_profile_equals_strict_counts(monkeypatch, name, codegen):
+    """The profile ``compile_plan`` sums from the registry's charge
+    functions is the strict tier's counter delta minus pack's
+    survivor-strip items, over VLEN × LMUL × n at strip boundaries."""
+    strips = _spy_pack_strips(monkeypatch)
+    pipe = STATIC_PIPELINES[name]
+    for vlen, lmul in GRID:
+        for n in _grid_sizes(vlen, lmul, 3000):
+            svm = SVM(vlen=vlen, mode="strict", codegen=codegen, lmul=lmul,
+                      backend="codegen")
+            plan, _ = _capture(svm, pipe, n, lmul=lmul, seed=n)
+            fused = svm.engine.fused_for(plan)
+            static = dict(fused.charge_items)
+            strips.clear()
+            svm.reset()
+            execute(svm, plan, fused)
+            observed = dict(svm.counters.snapshot().by_category)
+            for cat, k in pack_variable_items(sum(strips)):
+                observed[cat] -= k
+            observed = {cat: k for cat, k in observed.items() if k}
+            assert static == observed, (vlen, lmul, n)
+
+
+def _drive(svm, spec, variant, a, b, flags, index):
+    """One call of ``spec``'s ``variant`` through the SVM surface."""
+    inclusive = variant == "incl"
+    calls = {
+        "scan": lambda: svm.scan(a, inclusive=inclusive),
+        "seg_scan": lambda: svm.seg_scan(a, flags, inclusive=inclusive),
+        "p_select": lambda: svm.p_select(flags, a, b),
+        "get_flags": lambda: svm.get_flags(a, 3),
+        "permute": lambda: svm.permute(a, index),
+        "back_permute": lambda: svm.back_permute(a, index),
+        "pack": lambda: svm.pack(a, svm.zeros(a.n)),  # no survivor strips
+        "enumerate": lambda: svm.enumerate(flags),
+        "index_array": lambda: svm.index_array(a.n),
+        "reduce": lambda: svm.reduce(a),
+        "shift1up": lambda: svm.shift1up(a, 0),
+        "copy": lambda: svm.copy(a),
+    }
+    if spec.name in calls:
+        calls[spec.name]()
+    else:  # elementwise and compares: vector or scalar operand
+        getattr(svm, spec.name)(a, b if variant == "vv" else 3)
+
+
+@pytest.mark.parametrize("codegen", ["ideal", "paper"])
+@pytest.mark.parametrize(
+    "spec,variant",
+    [(spec, v) for spec in opspec.iter_specs() for v in spec.charge],
+    ids=lambda x: getattr(x, "name", x))
+def test_opspec_charge_equals_strict_kernel(spec, variant, codegen):
+    """Every ``OpSpec.charge`` variant is its strict kernel's counter
+    delta, over VLEN × LMUL × n at strip boundaries."""
+    rng = np.random.default_rng(5)
+    for vlen, lmul in GRID:
+        for n in _grid_sizes(vlen, lmul, 1000):
+            svm = SVM(vlen=vlen, mode="strict", codegen=codegen, lmul=lmul)
+            a = svm.array(rng.integers(0, 2**16, n, dtype=np.uint32))
+            b = svm.array(rng.integers(0, 2**16, n, dtype=np.uint32))
+            flags = svm.array(rng.integers(0, 2, n, dtype=np.uint32))
+            index = svm.array(rng.permutation(n).astype(np.uint32))
+            svm.reset()
+            _drive(svm, spec, variant, a, b, flags, index)
+            observed = {cat: k for cat, k in
+                        svm.counters.snapshot().by_category.items() if k}
+            charge = spec.charge[variant](svm.machine.codegen, vlen, n,
+                                          SEW.E32, lmul)
+            assert dict(charge) == observed, (vlen, lmul, n)
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINES))

@@ -61,6 +61,25 @@ class TestBackPermute:
         assert np.array_equal(back.to_numpy(), data)
 
 
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("kind", ["permute", "back_permute"])
+def test_out_of_range_index_raises(svm, kind, lazy):
+    """An index past the array is an access fault: IndexError in both
+    modes, eager and captured, where the strict kernel used to store
+    silently. The strict kernel checks up front and stores nothing."""
+    src = svm.array(np.arange(8, dtype=np.uint32))
+    idx = svm.array([7, 6, 5, 4, 3, 2, 1, 99])
+    out = svm.zeros(8)
+    with pytest.raises(IndexError):
+        if lazy:
+            with svm.lazy() as lz:
+                getattr(lz, kind)(src, idx, out=out)
+        else:
+            getattr(svm, kind)(src, idx, out=out)
+    if svm.mode == "strict":
+        assert not out.to_numpy().any()
+
+
 class TestPack:
     def test_compaction(self, svm):
         src = svm.array([1, 2, 3, 4, 5, 6])

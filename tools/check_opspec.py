@@ -10,8 +10,11 @@ Fails (exit 1) when the "declared exactly once" invariant is violated:
    every engine node ``Kind`` but ``FREE`` is recorded by some
    registered op (a kind no op records is dead IR);
 2. every registered non-composite op must carry a strict kernel, a
-   fast kernel (same variant keys), and a counter-charge profile that
-   exists in ``repro.rvv.allocation.PROFILES``;
+   fast kernel and a pure charge function (``charge``), all three under
+   the same variant keys, and a register-pressure profile that exists
+   in ``repro.rvv.allocation.PROFILES`` — the engine sums ``charge``
+   into each plan's static counter profile, so an op without one could
+   not be charged;
 3. ``repro/svm/context.py`` must not import any kernel module — the
    registry is the only kernel supplier for the dispatch layer (AST
    check, so a sneaky ``from . import elementwise`` fails even if
@@ -102,10 +105,10 @@ def check_specs() -> list[str]:
     errors = []
     for spec in opspec.iter_specs():
         if spec.composite:
-            if spec.strict or spec.fast:
+            if spec.strict or spec.fast or spec.charge:
                 errors.append(
-                    f"composite {spec.name!r} must not carry kernels "
-                    "(it lowers to other primitives)"
+                    f"composite {spec.name!r} must not carry kernels or "
+                    "charges (it lowers to other primitives)"
                 )
             continue
         if not spec.strict:
@@ -116,6 +119,12 @@ def check_specs() -> list[str]:
             errors.append(
                 f"op {spec.name!r}: strict variants {sorted(spec.strict)} "
                 f"!= fast variants {sorted(spec.fast)}"
+            )
+        if set(spec.charge) != set(spec.strict):
+            errors.append(
+                f"op {spec.name!r}: charge variants {sorted(spec.charge)} "
+                f"!= strict variants {sorted(spec.strict)} — every variant "
+                "needs the pure charge function its fast kernel applies"
             )
         if not spec.profile:
             errors.append(f"op {spec.name!r} lacks a counter-charge profile")
