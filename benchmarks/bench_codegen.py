@@ -107,7 +107,8 @@ def test_codegen_identity_grid(benchmark):
                " construction — the grid locks that invariant."],
     ))
 
-    # batched (2D) execution: the generated fn2d kernels must match
+    # batched (2D) execution: each group's generated lane chain, run
+    # over [B-1, n] matrices through its fn2d entry point, must match
     # looped single calls bit-for-bit and counter-for-counter
     batch = []
     g = rng(SEED)

@@ -12,11 +12,12 @@ logical per-row lengths as a first-class column.
   plus a ``[B]`` lengths vector, with a derived validity mask. Lanes
   at or beyond a row's length are *undefined* (malloc residue under
   the single-row semantics), never compared, never charged.
-* :func:`pack2d` is the masked ``axis=1`` kernel the batch runner uses
-  on the ``"ragged"`` path: one vectorized compaction over the whole
-  batch, writing each row's survivor prefix and returning the per-row
-  kept counts (the vectorized form of the ``pack.kept``
-  :class:`~repro.engine.ir.ScalarFuture`).
+* :func:`pack2d` is pack's compaction kernel,
+  :func:`repro.svm.fastpath.np_pack` — the one function the eager fast
+  path runs on a single row. On a ``[B, n]`` matrix (the ``"ragged"``
+  path) it compacts every row at once, writing each row's survivor
+  prefix and returning the per-row kept counts (the vectorized form of
+  the ``pack.kept`` :class:`~repro.engine.ir.ScalarFuture`).
 
 The per-row *charge* correction is
 :func:`repro.svm.fastpath.pack_variable_items`, next to the
@@ -32,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..svm.fastpath import np_pack as pack2d
 
 __all__ = ["RaggedBatch", "pack2d"]
 
@@ -85,25 +88,3 @@ class RaggedBatch:
     def to_list(self) -> list[np.ndarray]:
         """The defined prefixes as a plain list of 1-D arrays."""
         return list(self)
-
-
-def pack2d(src: np.ndarray, flags: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Masked ``axis=1`` stream compaction: the batch-of-``pack``
-    kernel.
-
-    For every row, the flagged lanes of ``src`` are written in order
-    to the front of ``dst``; lanes past the row's survivor count keep
-    whatever ``dst`` held (the undefined-tail contract of the
-    single-row kernel). Returns the per-row kept counts as int64 —
-    exactly the vector the ``pack.kept`` future resolves to row by
-    row. In-place compaction (``dst is src``) is safe: the gather of
-    survivors completes before the scatter writes, and every
-    destination index is ≤ its source index.
-    """
-    keep = flags != 0
-    kept = keep.sum(axis=1, dtype=np.int64)
-    if kept.any():
-        pos = np.cumsum(keep, axis=1)
-        r, c = np.nonzero(keep)
-        dst[r, pos[r, c] - 1] = src[r, c]
-    return kept

@@ -21,14 +21,15 @@ path, which stays the definitional semantics:
 * variable-length batches are split into length buckets first (the vl
   sequence depends only on n, so only same-(n, dtype) rows may share a
   plan);
-* every structured node kind batches — permute, enumerate, segmented
-  scans, select, reduce and friends all have ``axis=1`` evaluations,
-  and :class:`~repro.engine.ir.ScalarFuture` values produced inside
-  the plan (enumerate counts, reductions, pack's kept count) thread
+* every structured node kind batches: a node runs the NumPy body its
+  eager fast kernel runs (``repro.svm.fastpath.np_*``, written over the
+  trailing axis) on the matrices, and
+  :class:`~repro.engine.ir.ScalarFuture` values produced inside the
+  plan (enumerate counts, reductions, pack's kept count) thread
   through as per-row vectors;
 * plans containing ``pack`` — the one op whose charge and output
   length are data-dependent — take the ``"ragged"`` path: still one
-  2D evaluation, with a masked compaction kernel
+  2D evaluation, with pack's compaction kernel compacting every row
   (:func:`repro.batch.ragged.pack2d`), a per-row-lengths column on the
   result (:class:`~repro.batch.ragged.RaggedBatch`), and each row's
   own data-dependent pack items
@@ -38,9 +39,9 @@ path, which stays the definitional semantics:
   buffer escapes into a non-prefix-local consumer (or a future feeds a
   consumer the 2D path cannot broadcast) fall back to literally looping
   the single-input path;
-* fused groups run the batch kernels
-  :func:`~repro.engine.codegen.compile_fused` generated next to the
-  single-call ones, with ``axis=1`` scan tails.
+* fused groups run the lane chain
+  :func:`~repro.engine.codegen.compile_fused` generated for them,
+  through its batch entry point.
 
 See ``docs/batching.md`` for the API, the bucketing rule, and the
 ragged representation.
@@ -58,17 +59,11 @@ from ..engine.executor import execute, native_for
 from ..engine.fuse import GroupSpec
 from ..engine.ir import EngineError, Kind, Plan, ScalarFuture, resolve_scalar
 from ..rvv.types import sew_for_dtype
-from ..scalar.kernels import segmented_cumsum, segmented_reduce_numpy
-from ..svm.fastpath import (
-    _NP_CMP,
-    _UFUNC_VX,
-    _wrap,
-    pack_strip_survivors,
-    pack_variable_items,
-)
+from ..svm import fastpath as fp
+from ..svm.fastpath import _wrap, pack_variable_items
 from ..svm.opspec import get_spec
 from ..svm.operators import get_operator
-from .ragged import RaggedBatch, pack2d
+from .ragged import RaggedBatch
 
 __all__ = ["BatchBucket", "BatchResult", "run_batch"]
 
@@ -140,13 +135,13 @@ class BatchResult:
 
 def _release(svm, plan: Plan, input_addr: int) -> None:
     """Free the buffers one single-input run would not leave behind:
-    plan temporaries and the input we allocated, minus anything the
-    plan already freed. External (non-temp) arrays are left alone."""
-    freed = {node.dst for node in plan.nodes if node.kind is Kind.FREE}
-    for bid, buf in plan.buffers.items():
-        if bid in freed:
-            continue
-        if buf.temp or buf.array.ptr.addr == input_addr:
+    the plan's temporaries and the input we allocated that are still
+    live — all but those its FREE nodes released, or, after a run that
+    raised, all it left. External (non-temp) arrays are left alone."""
+    heap = svm.machine.heap
+    for buf in plan.buffers.values():
+        addr = buf.array.ptr.addr
+        if (buf.temp or addr == input_addr) and heap.is_live(addr):
             svm.free(buf.array)
 
 
@@ -285,7 +280,8 @@ def _bid_of(plan: Plan, array) -> int:
 def _mat_getter(plan: Plan, init: dict[int, np.ndarray], b1: int):
     """Lazy [b1, n] matrices per buffer id: the input matrix is
     pre-seeded by the caller; temporaries materialize from their
-    pre-execution contents on first touch."""
+    pre-execution contents on first touch (``get``), or uninitialized
+    for a node that overwrites every lane (``fresh``)."""
     mats: dict[int, np.ndarray] = {}
 
     def get(bid: int) -> np.ndarray:
@@ -295,7 +291,12 @@ def _mat_getter(plan: Plan, init: dict[int, np.ndarray], b1: int):
             mats[bid] = mat
         return mat
 
-    return mats, get
+    def fresh(bid: int) -> np.ndarray:
+        buf = plan.buffers[bid]
+        mats[bid] = mat = np.empty((b1, buf.n), buf.dtype)
+        return mat
+
+    return mats, get, fresh
 
 
 def _scalar_2d(node, dtype, fvals):
@@ -307,110 +308,58 @@ def _scalar_2d(node, dtype, fvals):
     return _wrap(resolve_scalar(node.scalar), dtype)
 
 
-def _node_2d(plan: Plan, node, mats, get, fvals, m=None, pack_sws=None) -> None:
-    """One eager (non-fused) node on a [b, n] matrix.
-
-    ``fvals`` maps each :class:`ScalarFuture` produced by the plan
-    (enumerate counts, reductions, pack kept counts) to its per-row
-    int64 vector. ``m`` (the machine) and ``pack_sws`` (a list
-    collecting each pack node's per-row strips-with-survivors vector
-    for the charge correction) are only needed on the ragged path."""
+def _node_2d(plan: Plan, node, mats, get, fresh, fvals, m, pack_sws) -> None:
+    """One eager (non-fused) node on [b, n] matrices: fetch the
+    operands (before a full writer's fresh destination replaces one),
+    run the NumPy body the node's fast kernel runs, store. ``fvals``
+    maps each :class:`ScalarFuture` the plan produces to its per-row
+    int64 vector; ``pack_sws`` collects each pack node's per-row
+    strips-with-survivors vector for the charge correction."""
     kind = node.kind
     if kind is Kind.EW_VX:
-        view = get(node.dst)
-        _UFUNC_VX[node.op](view, _scalar_2d(node, view.dtype, fvals), out=view)
+        a = get(node.dst)
+        fp.np_elementwise(node.op, a, _scalar_2d(node, a.dtype, fvals))
     elif kind is Kind.EW_VV:
-        view = get(node.dst)
-        _UFUNC_VX[node.op](view, get(node.operand), out=view)
+        fp.np_elementwise(node.op, get(node.dst), get(node.operand))
     elif kind is Kind.CMP_VX:
-        src = get(node.src)
-        out_dtype = plan.buffers[node.dst].dtype
-        mats[node.dst] = _NP_CMP[node.op](
-            src, _scalar_2d(node, src.dtype, fvals)
-        ).astype(out_dtype)
+        a = get(node.src)
+        fp.np_compare(node.op, a, _scalar_2d(node, a.dtype, fvals),
+                      fresh(node.dst))
     elif kind is Kind.CMP_VV:
-        out_dtype = plan.buffers[node.dst].dtype
-        mats[node.dst] = _NP_CMP[node.op](
-            get(node.src), get(node.operand)
-        ).astype(out_dtype)
+        fp.np_compare(node.op, get(node.src), get(node.operand),
+                      fresh(node.dst))
     elif kind is Kind.GET_FLAGS:
-        src = get(node.src)
-        bit = src.dtype.type(resolve_scalar(node.scalar))
-        out_dtype = plan.buffers[node.dst].dtype
-        mats[node.dst] = ((src >> bit) & src.dtype.type(1)).astype(out_dtype)
+        fp.np_get_flags(get(node.src), resolve_scalar(node.scalar),
+                        fresh(node.dst))
     elif kind is Kind.SCAN:
-        view = get(node.dst)
-        op = get_operator(node.op)
-        if node.inclusive:
-            op.ufunc.accumulate(view, axis=1, out=view)
-        else:
-            incl = op.ufunc.accumulate(view, axis=1)
-            view[:, 1:] = incl[:, :-1]
-            view[:, 0] = _wrap(op.identity(view.dtype), view.dtype)
+        fp.np_scan(get(node.dst), get_operator(node.op), node.inclusive)
     elif kind is Kind.SELECT:
-        view = get(node.dst)
-        np.copyto(view, get(node.src), where=get(node.operand).astype(bool))
+        fp.np_select(get(node.operand), get(node.src), get(node.dst))
     elif kind is Kind.SEG_SCAN:
-        # flatten trick: forcing a segment head at every row start makes
-        # one 1D segmented pass over the flattened matrix exact — no
-        # carry crosses a row boundary (mirror of fast_seg_scan[_exclusive])
-        view = get(node.dst)
-        op = get_operator(node.op)
-        flags = get(node.operand).copy()
-        flags[:, 0] = 1
-        flat = view.reshape(-1)
-        flags_flat = flags.reshape(-1)
-        if op.name == "plus":
-            incl = segmented_cumsum(flat, flags_flat)
-        else:
-            incl = segmented_reduce_numpy(flat, flags_flat, op.ufunc)
-        if node.inclusive:
-            flat[:] = incl
-        else:
-            heads = flags_flat.astype(bool)
-            flat[1:] = incl[:-1]
-            flat[heads] = _wrap(op.identity(view.dtype), view.dtype)
+        fp.np_seg_scan(get(node.dst), get(node.operand),
+                       get_operator(node.op), node.inclusive)
     elif kind is Kind.ENUMERATE:
-        flags = get(node.src)
-        match = flags == flags.dtype.type(1 if node.scalar else 0)
-        excl = np.zeros(match.shape, dtype=np.int64)
-        if match.shape[1] > 1:
-            np.cumsum(match[:, :-1], axis=1, out=excl[:, 1:])
-        mats[node.dst] = excl.astype(plan.buffers[node.dst].dtype)
-        fvals[node.future] = match.sum(axis=1, dtype=np.int64)
+        fvals[node.future] = fp.np_enumerate(
+            get(node.src), node.scalar, fresh(node.dst)).astype(np.int64)
     elif kind is Kind.REDUCE:
-        view = get(node.src)
-        op = get_operator(node.op)
-        init = _wrap(op.identity(view.dtype), view.dtype)
-        fvals[node.future] = op.ufunc.reduce(
-            view, axis=1, initial=init, dtype=view.dtype
-        ).astype(np.int64)
+        fvals[node.future] = fp.np_reduce(
+            get(node.src), get_operator(node.op)).astype(np.int64)
     elif kind is Kind.PERMUTE:
-        np.put_along_axis(get(node.dst), get(node.operand).astype(np.int64),
-                          get(node.src), axis=1)
+        fp.np_permute(get(node.src), get(node.operand), get(node.dst))
     elif kind is Kind.BACK_PERMUTE:
-        view = get(node.dst)
-        view[:] = np.take_along_axis(
-            get(node.src), get(node.operand).astype(np.int64), axis=1
-        )
+        fp.np_back_permute(get(node.src), get(node.operand), fresh(node.dst))
     elif kind is Kind.SHIFT1UP:
-        src = get(node.src)
-        view = get(node.dst)
-        tail = src[:, :-1].copy()  # src and dst may share a matrix
-        view[:, 1:] = tail
-        view[:, 0] = _wrap(resolve_scalar(node.scalar), view.dtype)
+        src, dst = get(node.src), fresh(node.dst)
+        fp.np_shift1up(src, _wrap(resolve_scalar(node.scalar), dst.dtype), dst)
     elif kind is Kind.COPY:
-        view = get(node.dst)
-        view[:] = get(node.src)
+        fp.np_copy(get(node.src), fresh(node.dst))
     elif kind is Kind.INDEX:
-        view = get(node.dst)
-        view[:] = np.arange(view.shape[1], dtype=np.uint64).astype(view.dtype)
+        fp.np_index(fresh(node.dst))
     elif kind is Kind.PACK:
-        src = get(node.src)
-        keep = get(node.operand) != 0
-        fvals[node.future] = pack2d(src, keep, get(node.dst))
+        src, keep = get(node.src), get(node.operand) != 0
+        fvals[node.future] = fp.np_pack(src, keep, get(node.dst))
         vlmax = m.vlmax(sew=sew_for_dtype(src.dtype), lmul=node.lmul)
-        pack_sws.append(pack_strip_survivors(keep, vlmax))
+        pack_sws.append(fp.pack_strip_survivors(keep, vlmax))
     elif kind is Kind.FREE:
         mats.pop(node.dst, None)
     else:  # pragma: no cover - exhaustive over Kind
@@ -424,7 +373,7 @@ def _run_rest_2d(svm, plan: Plan, fused, init: dict, input_bid: int,
     contents). Returns ``(outputs, kept counts of out_tag or None,
     total pack strips with survivors)``."""
     b = len(rows)
-    mats, get = _mat_getter(plan, init, b)
+    mats, get, fresh = _mat_getter(plan, init, b)
     # rows share (length, dtype): one concatenate is the stack, at a
     # third of np.stack's per-row cost
     mats[input_bid] = np.concatenate(rows).reshape(b, rows[0].size)
@@ -437,11 +386,10 @@ def _run_rest_2d(svm, plan: Plan, fused, init: dict, input_bid: int,
     else:
         for unit in fused.units:
             if isinstance(unit, GroupSpec):
-                fused.compiled.groups[unit].fn2d(
-                    plan.nodes, plan.buffers, mats, get)
+                fused.compiled.groups[unit].fn2d(plan.nodes, mats, get)
             else:
-                _node_2d(plan, plan.nodes[unit], mats, get, fvals,
-                         m=svm.machine, pack_sws=pack_sws)
+                _node_2d(plan, plan.nodes[unit], mats, get, fresh, fvals,
+                         svm.machine, pack_sws)
     kept = None if out_tag is None else [int(v) for v in fvals[out_tag]]
     return list(get(out_bid)), kept, int(sum(s.sum() for s in pack_sws))
 
@@ -496,12 +444,14 @@ def _dispatch_bucket(svm, pipe, rows):
             # would per loop iteration
             init = {bid: buf.array.to_numpy()
                     for bid, buf in plan.buffers.items() if bid != input_bid}
-        execute(svm, plan, fused, backend=backend)
-        outputs = [out.to_numpy()]
-        lengths = None if out_tag is None else [int(out_tag.value)]
-        # free row 0 before rows 1+ allocate, as a loop of single
-        # calls would
-        _release(svm, plan, data.ptr.addr)
+        try:
+            execute(svm, plan, fused, backend=backend)
+            outputs = [out.to_numpy()]
+            lengths = None if out_tag is None else [int(out_tag.value)]
+        finally:
+            # free row 0 before rows 1+ allocate, as a loop of single
+            # calls would, and when it raises
+            _release(svm, plan, data.ptr.addr)
         if use_mat:
             rest, kept, sws = _run_rest_2d(
                 svm, plan, fused, init, input_bid, out_bid, rows[1:],
@@ -522,11 +472,13 @@ def _dispatch_bucket(svm, pipe, rows):
                 if node.future is out_tag)
             for row in rows[1:]:
                 plan, data, out = _capture(svm, pipe, row)
-                svm.engine.run(plan)
-                outputs.append(out.to_numpy())
-                if tag_node is not None:
-                    lengths.append(int(plan.nodes[tag_node].future.value))
-                _release(svm, plan, data.ptr.addr)
+                try:
+                    svm.engine.run(plan)
+                    outputs.append(out.to_numpy())
+                    if tag_node is not None:
+                        lengths.append(int(plan.nodes[tag_node].future.value))
+                finally:
+                    _release(svm, plan, data.ptr.addr)
     return outputs, lengths, path
 
 

@@ -11,8 +11,11 @@ a :class:`~repro.engine.fuse.FusedPlan` and, for every fused group,
 2. precomputes the closed-form counter profile of the strict strip
    loop (:func:`group_charge_items`) — a function of the vl sequence
    and the codegen preset only, never of the data;
-3. emits one flat kernel function per group, plus a batch variant,
-   and a whole-plan kernel when every unit allows it.
+3. emits one lane chain per group — NumPy over the trailing axis —
+   with two entry points that differ only in where the arrays come
+   from and where the result goes (memory views, or the batch runner's
+   ``[B-1, n]`` matrices) and in the charge on the single call, plus a
+   whole-plan kernel when every unit allows it.
 
 The generated source has
 
@@ -26,7 +29,7 @@ The generated source has
   (bounds and alignment were validated at buffer allocation);
 * the closed-form counter charge prebound as one ``(category, count)``
   tuple and applied in a single ``counters.add_many`` call;
-* axis-aware scan tails (``axis=1`` in the batch variant);
+* scan tails along the trailing axis (one row or a batch of rows);
 * copy elision where the *structure* proves it safe: aliasing between
   a group's head, destination, and operands is α-stable (buffer slot
   relations are part of :meth:`~repro.engine.ir.Plan.signature`), so
@@ -171,10 +174,11 @@ def group_charge_items(m, group: FusedGroup) -> tuple[tuple[Cat, int], ...]:
 class CompiledGroup:
     """The two generated entry points of one fused group.
 
-    ``fn(svm, nodes, buffers)`` is the single-call kernel (computes the
-    group and applies its precomputed charge); ``fn2d(nodes, buffers,
-    mats, get)`` is the batch kernel over ``[b1, n]`` matrices (no
-    charging — the batch runner scales the plan's static profile). ``n``
+    ``fn(svm, nodes, buffers)`` is the single-call kernel (runs the
+    group's lane chain on memory views and applies its precomputed
+    charge); ``fn2d(nodes, mats, get)`` runs the same chain over
+    ``[b1, n]`` matrices (no charging — the batch runner scales the
+    plan's static profile). ``n``
     is the group length the executor gates the fast path on; ``charge``
     is the group's :func:`group_charge_items`, the term it adds to the
     plan's static profile.
@@ -266,17 +270,13 @@ def _scalar_expr(e: _Emitter, g: str, si: int, step, dtype: np.dtype,
     return f"_wrap(_rs(nodes[{step.node_index}].scalar), {dt_name})"
 
 
-def _operand_expr(step, view: str) -> str:
-    """Runtime view of a vv/cmp_vv step's operand buffer."""
-    return (f"buffers[nodes[{step.node_index}].operand]"
-            f".array.ptr.view({view})")
-
-
 def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
                 gi: int) -> tuple[str, int, tuple]:
-    """Emit ``_g{gi}`` (single-call) and ``_g{gi}_2d`` (batch) for one
-    fused group; returns the single-call function name, the group
-    length and its closed-form charge."""
+    """Emit one fused group: its lane chain ``_g{gi}_lanes`` (NumPy over
+    the trailing axis) and the two entry points that call it —
+    ``_g{gi}`` on memory views, which also charges, and ``_g{gi}_2d``
+    on ``[b1, n]`` matrices. Returns the single-call function name,
+    the group length and its closed-form charge."""
     group = materialize(plan, spec)
     steps = _group_steps(plan, spec)
     charge = group_charge_items(machine, group)
@@ -298,15 +298,45 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
     sc = e.bind(f"_sc{g}", get_operator(group.scan_op).ufunc) \
         if group.scan_op is not None else None
     fns = [e.bind(f"_f{g}_{si}", st.fn) for si, st in enumerate(steps)]
+    # one argument per vector operand, fetched by the entry points
+    operands = [(si, st.node_index) for si, st in enumerate(steps)
+                if st.kind in ("vv", "cmp_vv")]
+    params = "".join(f", _o{si}" for si, _ in operands)
 
-    def step_rhs(si: int, st, acc_src: str, view: str) -> str:
+    # ---- the lane chain ----------------------------------------------
+    # `acc` enters as the head (the destination, or the source of an
+    # out-of-place compare/get_flags head). It is updated in place only
+    # while it is the destination and no operand re-reads it; otherwise
+    # the first in-place step lands in a fresh array, and an operand
+    # re-reading the destination gets a copy of the head up front, so
+    # it sees pre-group memory. `in_place` tells the entry points
+    # whether the chain returns its head, already updated.
+    e.emit(f"def {name}_lanes(nodes, acc{params}):")
+    owned = head_is_dst and not alias_dst
+    in_place = owned
+    if head_is_dst and alias_dst:
+        e.emit("    acc = _np.array(acc, copy=True)")
+        owned = True
+    for si, st in enumerate(steps):
         if st.kind in ("vx", "cmp_vx"):
             x = _scalar_expr(e, g, si, st, dtype, dt)
         else:
-            x = _operand_expr(st, view)
-        return f"{fns[si]}({acc_src}, {x})"
+            x = f"_o{si}"
+        if st.kind in ("vv", "vx") and owned:
+            e.emit(f"    {fns[si]}(acc, {x}, out=acc)")
+        elif st.kind in ("vv", "vx"):
+            e.emit(f"    acc = {fns[si]}(acc, {x}, out=_np.empty_like(acc))")
+        else:
+            e.emit(f"    acc = {fns[si]}(acc, {x}).astype({dt})")
+            in_place = False
+        owned = True
+    if sc is not None:
+        out = "acc" if owned else "_np.empty_like(acc)"
+        e.emit(f"    acc = {sc}.accumulate(acc, axis=-1, out={out})")
+    e.emit("    return acc")
+    e.emit()
 
-    # ---- single-call kernel ------------------------------------------
+    # ---- single call: memory views in, writeback, charge -------------
     # views are sliced straight off the backing byte array: bounds and
     # alignment were validated when the buffers were allocated at
     # capture time, so the generated tier skips Memory.view's re-checks
@@ -316,54 +346,16 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
         e.emit(f"    _p = buffers[nodes[{head_index}].dst].array.ptr")
         e.emit(f"    dv = _p.mem._bytes[_p.addr:_p.addr + {nbytes}]"
                f".view({dt})")
-        if head_is_dst and not alias_dst:
-            # in-place: operate directly on the destination view; a
-            # compare rebinds acc to a fresh array and forces the
-            # final writeback the view path skips
-            e.emit("    acc = dv")
-            acc_is_view = True
-            for si, st in enumerate(steps):
-                if st.kind in ("vx", "vv"):
-                    e.emit(f"    {step_rhs(si, st, 'acc', n)[:-1]}, out=acc)")
-                else:
-                    e.emit(f"    acc = {step_rhs(si, st, 'acc', n)}"
-                           f".astype({dt})")
-                    acc_is_view = False
-        elif head_is_dst:
-            # an operand re-reads dst: copy, then write back, so the
-            # operand sees pre-group memory
-            e.emit("    acc = _np.array(dv, copy=True)")
-            acc_is_view = False
-            for si, st in enumerate(steps):
-                if st.kind in ("vx", "vv"):
-                    e.emit(f"    {step_rhs(si, st, 'acc', n)[:-1]}, out=acc)")
-                else:
-                    e.emit(f"    acc = {step_rhs(si, st, 'acc', n)}"
-                           f".astype({dt})")
-        else:
-            # out-of-place head (compare/get_flags reading src): the
-            # first step lands straight into a fresh array, no head copy
+        head = "dv"
+        if not head_is_dst:
             e.emit(f"    _q = buffers[nodes[{head_index}].src].array.ptr")
             e.emit(f"    hv = _q.mem._bytes[_q.addr:_q.addr + {nbytes}]"
                    f".view({dt})")
-            acc_is_view = False
-            first, rest = steps[0], list(enumerate(steps))[1:]
-            if first.kind in ("vx", "vv"):
-                e.emit(f"    acc = _np.empty({n}, {dt})")
-                e.emit(f"    {step_rhs(0, first, 'hv', n)[:-1]}, out=acc)")
-            else:
-                e.emit(f"    acc = {step_rhs(0, first, 'hv', n)}"
-                       f".astype({dt})")
-            for si, st in rest:
-                if st.kind in ("vx", "vv"):
-                    e.emit(f"    {step_rhs(si, st, 'acc', n)[:-1]}, out=acc)")
-                else:
-                    e.emit(f"    acc = {step_rhs(si, st, 'acc', n)}"
-                           f".astype({dt})")
-        if sc is not None:
-            e.emit(f"    {sc}.accumulate(acc, out=acc)")
-        if not acc_is_view:
-            e.emit("    dv[:] = acc")
+            head = "hv"
+        args = "".join(f", buffers[nodes[{ni}].operand].array.ptr.view({n})"
+                       for _, ni in operands)
+        call = f"{name}_lanes(nodes, {head}{args})"
+        e.emit(f"    {call}" if in_place else f"    dv[:] = {call}")
     # closed-form charge: the whole (category, count) profile is a
     # function of the cache key, so it is prebound as one tuple and
     # applied in a single batched call
@@ -374,45 +366,13 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
         e.emit("    pass")
     e.emit()
 
-    # ---- batch (2D) kernel -------------------------------------------
-    # the head is copied only when it must survive (head != dst) or an
-    # operand re-reads dst; `owned` is resolved statically because it
-    # depends only on the aliasing structure
-    e.emit(f"def {name}_2d(nodes, buffers, mats, get):")
+    # ---- batch: matrices in, matrix out, no charge -------------------
+    # the batch runner charges rows 1+ from the plan's static profile
+    head = "_h.dst" if head_is_dst else "_h.src"
+    args = "".join(f", get(nodes[{ni}].operand)" for _, ni in operands)
+    e.emit(f"def {name}_2d(nodes, mats, get):")
     e.emit(f"    _h = nodes[{head_index}]")
-    if head_is_dst:
-        e.emit("    acc = get(_h.dst)")
-    else:
-        e.emit("    acc = get(_h.src)")
-    owned = head_is_dst and not alias_dst
-    emitted_any = False
-    for si, st in enumerate(steps):
-        if st.kind in ("vx", "vv"):
-            if not owned:
-                e.emit("    acc = acc.copy()")
-                owned = True
-            if st.kind == "vx":
-                x = _scalar_expr(e, g, si, st, dtype, dt)
-            else:
-                x = f"get(nodes[{st.node_index}].operand)"
-            e.emit(f"    {fns[si]}(acc, {x}, out=acc)")
-        else:
-            if st.kind == "cmp_vx":
-                x = _scalar_expr(e, g, si, st, dtype, dt)
-            else:
-                x = f"get(nodes[{st.node_index}].operand)"
-            e.emit(f"    acc = {fns[si]}(acc, {x}).astype({dt})")
-            owned = True
-        emitted_any = True
-    if sc is not None:
-        if not owned:
-            e.emit("    acc = acc.copy()")
-            owned = True
-        e.emit(f"    {sc}.accumulate(acc, axis=1, out=acc)")
-        emitted_any = True
-    if not emitted_any:
-        e.emit("    pass")
-    e.emit("    mats[_h.dst] = acc")
+    e.emit(f"    mats[_h.dst] = {name}_lanes(nodes, get({head}){args})")
     e.emit()
     return name, n, charge
 

@@ -221,6 +221,10 @@ class Allocator:
         addr = self.malloc(count * dtype.itemsize)
         return Pointer(self.mem, addr, dtype)
 
+    def is_live(self, addr: int) -> bool:
+        """Whether ``addr`` is an allocated block."""
+        return addr in self._live
+
     @property
     def live_bytes(self) -> int:
         """Total bytes currently allocated (leak checking in tests)."""

@@ -331,13 +331,13 @@ class SVM:
         return (spec.fast if self._fast(n) else spec.strict)[variant]
 
     @staticmethod
-    def _check_equal_len(*arrays: SVMArray) -> int:
+    def _check_equal_len(*arrays: SVMArray | None) -> int:
+        """The common length of ``arrays``, skipping a None (an ``out``
+        not given): checked before the output is allocated."""
         n = arrays[0].n
         for a in arrays[1:]:
-            if a.n != n:
-                raise VectorLengthError(
-                    f"operand lengths differ: {[a.n for a in arrays]}"
-                )
+            if a is not None and a.n != n:
+                raise VectorLengthError(f"operand lengths differ: {n} != {a.n}")
         return n
 
     # ------------------------------------------------------------------
@@ -355,8 +355,8 @@ class SVM:
     def get_flags(self, src: SVMArray, bit: int, out: SVMArray | None = None,
                   lmul: LMUL | None = None) -> SVMArray:
         """Extract bit ``bit`` of each element into a 0/1 flag vector."""
+        self._check_equal_len(src, out)
         flags = self.empty(src.n, src.dtype) if out is None else out
-        self._check_equal_len(src, flags)
         self._impl("get_flags", "", src.n)(
             self.machine, src.n, src.ptr, flags.ptr, bit, self._lmul(lmul))
         return flags
@@ -398,27 +398,33 @@ class SVM:
     def permute(self, src: SVMArray, index: SVMArray, out: SVMArray | None = None,
                 lmul: LMUL | None = None) -> SVMArray:
         """Out-of-place permute: ``out[index[i]] = src[i]`` (Listing 5)."""
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        n = self._check_equal_len(src, index, dst)
-        self._impl("permute", "", n)(
-            self.machine, n, src.ptr, dst.ptr, index.ptr, self._lmul(lmul))
-        return dst
+        return self._permute("permute", src, index, out, lmul)
 
     def back_permute(self, src: SVMArray, index: SVMArray,
                      out: SVMArray | None = None, lmul: LMUL | None = None) -> SVMArray:
         """Gather: ``out[i] = src[index[i]]``."""
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        n = self._check_equal_len(src, index, dst)
-        self._impl("back_permute", "", n)(
-            self.machine, n, src.ptr, dst.ptr, index.ptr, self._lmul(lmul))
+        return self._permute("back_permute", src, index, out, lmul)
+
+    def _permute(self, name: str, src: SVMArray, index: SVMArray,
+                 out: SVMArray | None, lmul: LMUL | None) -> SVMArray:
+        """Run ``name``, freeing the output it allocated on an error."""
+        n = self._check_equal_len(src, index, out)
+        dst = self.empty(n, src.dtype) if out is None else out
+        try:
+            self._impl(name, "", n)(
+                self.machine, n, src.ptr, dst.ptr, index.ptr, self._lmul(lmul))
+        except BaseException:
+            if out is None:
+                self.free(dst)
+            raise
         return dst
 
     def pack(self, src: SVMArray, flags: SVMArray, out: SVMArray | None = None,
              lmul: LMUL | None = None) -> tuple[SVMArray, int]:
         """Stream compaction: keep flagged elements, preserving order.
         Returns (destination array, number kept)."""
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        n = self._check_equal_len(src, flags, dst)
+        n = self._check_equal_len(src, flags, out)
+        dst = self.empty(n, src.dtype) if out is None else out
         kept = self._impl("pack", "", n)(
             self.machine, n, src.ptr, dst.ptr, flags.ptr, self._lmul(lmul))
         return dst, kept
@@ -428,8 +434,8 @@ class SVM:
                   ) -> tuple[SVMArray, int]:
         """Enumerate (Listing 8): rank each position among those whose
         flag equals ``set_bit``. Returns (ranks array, total count)."""
-        dst = self.empty(flags.n, np.uint32) if out is None else out
-        n = self._check_equal_len(flags, dst)
+        n = self._check_equal_len(flags, out)
+        dst = self.empty(n, np.uint32) if out is None else out
         count = self._impl("enumerate", "", n)(
             self.machine, n, flags.ptr, dst.ptr, set_bit, self._lmul(lmul))
         return dst, count
@@ -455,8 +461,8 @@ class SVM:
                  lmul: LMUL | None = None) -> SVMArray:
         """Whole-array shift by one lane: ``out[0] = fill``,
         ``out[i] = src[i-1]`` (in place when ``out is src``)."""
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        n = self._check_equal_len(src, dst)
+        n = self._check_equal_len(src, out)
+        dst = self.empty(n, src.dtype) if out is None else out
         self._impl("shift1up", "", n)(
             self.machine, n, src.ptr, dst.ptr, fill, self._lmul(lmul))
         return dst
@@ -465,8 +471,8 @@ class SVM:
              lmul: LMUL | None = None) -> SVMArray:
         """Vector memcpy: a strip-mined vle/vse loop (charged like a
         two-array elementwise pass without the compute op)."""
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        n = self._check_equal_len(src, dst)
+        n = self._check_equal_len(src, out)
+        dst = self.empty(n, src.dtype) if out is None else out
         self._impl("copy", "", n)(
             self.machine, n, src.ptr, dst.ptr, self._lmul(lmul))
         return dst
@@ -488,8 +494,8 @@ class SVM:
         (0-flag elements first). Returns (destination, #zeros)."""
         from .split_op import split as _split  # local import: split composes SVM methods
 
+        self._check_equal_len(src, flags, out)
         dst = self.empty(src.n, src.dtype) if out is None else out
-        self._check_equal_len(src, flags, dst)
         count = _split(self, src, dst, flags, lmul=self._lmul(lmul))
         return dst, count
 
@@ -527,15 +533,12 @@ def _make_compare(spec: opspec.OpSpec):
 
     def method(self, a: SVMArray, b, out: SVMArray | None = None,
                lmul: LMUL | None = None) -> SVMArray:
+        vv = isinstance(b, SVMArray)
+        self._check_equal_len(a, b if vv else None, out)
         dst = self.empty(a.n, np.uint32) if out is None else out
-        if isinstance(b, SVMArray):
-            self._check_equal_len(a, b, dst)
-            self._impl(name, "vv", a.n)(
-                self.machine, a.n, a.ptr, b.ptr, dst.ptr, self._lmul(lmul))
-        else:
-            self._check_equal_len(a, dst)
-            self._impl(name, "vx", a.n)(
-                self.machine, a.n, a.ptr, b, dst.ptr, self._lmul(lmul))
+        self._impl(name, "vv" if vv else "vx", a.n)(
+            self.machine, a.n, a.ptr, b.ptr if vv else b, dst.ptr,
+            self._lmul(lmul))
         return dst
 
     method.__name__ = name

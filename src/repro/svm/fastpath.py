@@ -7,8 +7,9 @@ Every kernel's dynamic instruction count, however, depends only on the
 (the kernels are branch-free at the lane level; the one data-dependent
 kernel, ``pack``, is handled explicitly). So each primitive here:
 
-1. computes its result with one vectorized NumPy expression over the
-   memory view, and
+1. computes its result with its NumPy body (``np_*``): one vectorized
+   expression over the trailing axis, which the batch runner applies
+   unchanged to a ``[B-1, n]`` matrix of rows, and
 2. charges the machine counters with the *identical per-category
    counts* the strict kernel would produce.
 
@@ -55,9 +56,7 @@ __all__ = [
     "fast_p_select",
     "fast_get_flags",
     "fast_scan",
-    "fast_scan_exclusive",
     "fast_seg_scan",
-    "fast_seg_scan_exclusive",
     "fast_enumerate",
     "fast_permute",
     "fast_back_permute",
@@ -68,20 +67,23 @@ __all__ = [
     "charge_scan", "charge_seg_scan", "charge_enumerate",
     "charge_permute", "charge_pack", "charge_cmp_vv", "charge_cmp_vx",
     "charge_index", "charge_reduce", "charge_shift1up", "charge_copy",
+    "np_elementwise", "np_select", "np_get_flags", "np_scan", "np_seg_scan",
+    "np_enumerate", "np_permute", "np_back_permute", "np_pack",
+    "np_compare", "np_index", "np_reduce", "np_shift1up", "np_copy",
 ]
 
 def _srl(view, x, out):
-    np.right_shift(view, view.dtype.type(int(x) & (view.dtype.itemsize * 8 - 1)),
-                   out=out)
+    return np.right_shift(
+        view, view.dtype.type(int(x) & (view.dtype.itemsize * 8 - 1)), out=out)
 
 
 def _sll(view, x, out):
-    np.left_shift(view, view.dtype.type(int(x) & (view.dtype.itemsize * 8 - 1)),
-                  out=out)
+    return np.left_shift(
+        view, view.dtype.type(int(x) & (view.dtype.itemsize * 8 - 1)), out=out)
 
 
 def _rsub(view, x, out):
-    np.subtract(x, view, out=out)
+    return np.subtract(x, view, out=out)
 
 
 _UFUNC_VX = {
@@ -342,18 +344,27 @@ def _charge(m: RVVMachine, fn, n: int, dtype, lmul: LMUL, **fact) -> None:
                            **fact))
 
 
+
+
 # ---------------------------------------------------------------------------
-# elementwise
+# NumPy bodies and the fast kernels that charge around them
 # ---------------------------------------------------------------------------
+# An ``np_*`` body runs on ``[n]`` memory views here and on the batch
+# runner's ``[B-1, n]`` matrices, and never charges. Scalars arrive
+# wrapped to the element dtype (in a batch possibly as a ``[B-1, 1]``
+# column of per-row values); per-row results come back as vectors.
+
+def np_elementwise(kernel: str, a: np.ndarray, x) -> None:
+    """``a = a ⊙ x`` in place; ``x`` is a wrapped scalar or an array."""
+    _UFUNC_VX[kernel](a, x, out=a)
+
 
 def fast_elementwise_vx(m: RVVMachine, kernel: str, n: int, a: Pointer, x: int,
                         lmul: LMUL = LMUL.M1) -> None:
     """Fast path of the vector-scalar elementwise kernels (p_add etc.)."""
     n = int(n)
     if n:
-        view = a.view(n)
-        ufunc = _UFUNC_VX[kernel]
-        ufunc(view, _wrap(x, a.dtype), out=view)
+        np_elementwise(kernel, a.view(n), _wrap(x, a.dtype))
     _charge(m, charge_vx, n, a.dtype, lmul, kernel=kernel)
 
 
@@ -362,10 +373,13 @@ def fast_elementwise_vv(m: RVVMachine, kernel: str, n: int, a: Pointer, b: Point
     """Fast path of the vector-vector elementwise kernels."""
     n = int(n)
     if n:
-        va = a.view(n)
-        ufunc = _UFUNC_VX[kernel]
-        ufunc(va, b.view(n), out=va)
+        np_elementwise(kernel, a.view(n), b.view(n))
     _charge(m, charge_vv, n, a.dtype, lmul, kernel=kernel)
+
+
+def np_select(flags: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``b = a where flags``, in place."""
+    np.copyto(b, a, where=flags.astype(bool))
 
 
 def fast_p_select(m: RVVMachine, n: int, flags: Pointer, a: Pointer, b: Pointer,
@@ -373,9 +387,13 @@ def fast_p_select(m: RVVMachine, n: int, flags: Pointer, a: Pointer, b: Pointer,
     """Fast path of p_select: ``b[i] = a[i] where flags[i]``."""
     n = int(n)
     if n:
-        vb = b.view(n)
-        np.copyto(vb, a.view(n), where=flags.view(n).astype(bool))
+        np_select(flags.view(n), a.view(n), b.view(n))
     _charge(m, charge_p_select, n, a.dtype, lmul)
+
+
+def np_get_flags(src: np.ndarray, bit: int, out: np.ndarray) -> None:
+    """Bit ``bit`` of every lane of ``src`` into ``out``."""
+    out[...] = (src >> src.dtype.type(bit)) & src.dtype.type(1)
 
 
 def fast_get_flags(m: RVVMachine, n: int, src: Pointer, flags: Pointer, bit: int,
@@ -383,8 +401,7 @@ def fast_get_flags(m: RVVMachine, n: int, src: Pointer, flags: Pointer, bit: int
     """Fast path of get_flags."""
     n = int(n)
     if n:
-        s = src.view(n)
-        flags.view(n)[:] = (s >> s.dtype.type(bit)) & s.dtype.type(1)
+        np_get_flags(src.view(n), bit, flags.view(n))
     _charge(m, charge_get_flags, n, src.dtype, lmul)
 
 
@@ -392,67 +409,76 @@ def fast_get_flags(m: RVVMachine, n: int, src: Pointer, flags: Pointer, bit: int
 # scans
 # ---------------------------------------------------------------------------
 
+def np_scan(a: np.ndarray, op: BinaryOp, inclusive: bool) -> None:
+    """⊕-scan of ``a`` in place."""
+    if inclusive:
+        op.ufunc.accumulate(a, axis=-1, out=a)
+    else:
+        incl = op.ufunc.accumulate(a, axis=-1)
+        a[..., 1:] = incl[..., :-1]
+        a[..., 0] = _wrap(op.identity(a.dtype), a.dtype)
+
+
 def fast_scan(m: RVVMachine, n: int, src: Pointer, op: str | BinaryOp = PLUS,
-              lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of the inclusive ⊕-scan."""
+              lmul: LMUL = LMUL.M1, *, inclusive: bool = True) -> None:
+    """Fast path of the ⊕-scan (inclusive by default)."""
     op = get_operator(op)
     n = int(n)
     if n:
-        view = src.view(n)
-        op.ufunc.accumulate(view, out=view)
-    _charge(m, charge_scan, n, src.dtype, lmul, exclusive=False)
+        np_scan(src.view(n), op, inclusive)
+    _charge(m, charge_scan, n, src.dtype, lmul, exclusive=not inclusive)
 
 
-def fast_scan_exclusive(m: RVVMachine, n: int, src: Pointer,
-                        op: str | BinaryOp = PLUS, lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of the exclusive ⊕-scan."""
-    op = get_operator(op)
-    n = int(n)
-    if n:
-        view = src.view(n)
-        incl = op.ufunc.accumulate(view)
-        view[1:] = incl[:-1]
-        view[0] = _wrap(op.identity(src.dtype), src.dtype)
-    _charge(m, charge_scan, n, src.dtype, lmul, exclusive=True)
+def np_seg_scan(a: np.ndarray, head_flags: np.ndarray, op: BinaryOp,
+                inclusive: bool) -> None:
+    """Segmented ⊕-scan of ``a`` under ``head_flags``, in place. A
+    batch forces a head at every row start, so one segmented pass over
+    the flattened matrix is exact: no carry crosses a row boundary."""
+    if a.ndim > 1:
+        head_flags = head_flags.copy()
+        head_flags[..., 0] = 1
+    flat, flags = a.reshape(-1), head_flags.reshape(-1)
+    if op.name == "plus":
+        incl = segmented_cumsum(flat, flags)
+    else:
+        incl = segmented_reduce_numpy(flat, flags, op.ufunc)
+    if inclusive:
+        flat[:] = incl
+    else:
+        heads = flags.astype(bool)
+        heads[0] = True
+        flat[1:] = incl[:-1]
+        flat[heads] = _wrap(op.identity(a.dtype), a.dtype)
 
 
 def fast_seg_scan(m: RVVMachine, n: int, src: Pointer, head_flags: Pointer,
-                  op: str | BinaryOp = PLUS, lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of the inclusive segmented ⊕-scan."""
+                  op: str | BinaryOp = PLUS, lmul: LMUL = LMUL.M1, *,
+                  inclusive: bool = True) -> None:
+    """Fast path of the segmented ⊕-scan (inclusive by default)."""
     op = get_operator(op)
     n = int(n)
     if n:
-        view = src.view(n)
-        flags = head_flags.view(n)
-        if op.name == "plus":
-            view[:] = segmented_cumsum(view, flags)
-        else:
-            view[:] = segmented_reduce_numpy(view, flags, op.ufunc)
-    _charge(m, charge_seg_scan, n, src.dtype, lmul, exclusive=False)
-
-
-def fast_seg_scan_exclusive(m: RVVMachine, n: int, src: Pointer, head_flags: Pointer,
-                            op: str | BinaryOp = PLUS, lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of the exclusive segmented ⊕-scan."""
-    op = get_operator(op)
-    n = int(n)
-    if n:
-        view = src.view(n)
-        flags = head_flags.view(n)
-        if op.name == "plus":
-            incl = segmented_cumsum(view, flags)
-        else:
-            incl = segmented_reduce_numpy(view, flags, op.ufunc)
-        heads = flags.astype(bool).copy()
-        heads[0] = True
-        view[1:] = incl[:-1]
-        view[heads] = _wrap(op.identity(src.dtype), src.dtype)
-    _charge(m, charge_seg_scan, n, src.dtype, lmul, exclusive=True)
+        np_seg_scan(src.view(n), head_flags.view(n), op, inclusive)
+    _charge(m, charge_seg_scan, n, src.dtype, lmul, exclusive=not inclusive)
 
 
 # ---------------------------------------------------------------------------
 # enumerate / permute / pack
 # ---------------------------------------------------------------------------
+
+def np_enumerate(flags: np.ndarray, set_bit: bool, out: np.ndarray):
+    """Rank of every lane among the earlier lanes whose flag equals
+    ``set_bit``, into ``out``; returns the number of matching lanes
+    (int64), read off the last lane's rank."""
+    match = flags == flags.dtype.type(1 if set_bit else 0)
+    excl = np.zeros(match.shape, dtype=np.int64)
+    if match.shape[-1] > 1:
+        np.cumsum(match[..., :-1], axis=-1, out=excl[..., 1:])
+    out[...] = excl
+    if not match.shape[-1]:
+        return np.zeros(match.shape[:-1], dtype=np.int64)
+    return excl[..., -1] + match[..., -1]
+
 
 def fast_enumerate(m: RVVMachine, n: int, flags: Pointer, dst: Pointer,
                    set_bit: bool, lmul: LMUL = LMUL.M1) -> int:
@@ -460,14 +486,19 @@ def fast_enumerate(m: RVVMachine, n: int, flags: Pointer, dst: Pointer,
     n = int(n)
     count = 0
     if n:
-        match = (flags.view(n) == flags.dtype.type(1 if set_bit else 0))
-        excl = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(match[:-1], out=excl[1:])
-        dst.view(n)[:] = excl.astype(dst.dtype)
-        count = int(np.count_nonzero(match))
+        count = int(np_enumerate(flags.view(n), set_bit, dst.view(n)))
     _charge(m, charge_enumerate, n, flags.dtype, lmul)
     return count
+
+
+def np_permute(src: np.ndarray, index: np.ndarray, dst: np.ndarray) -> None:
+    """Scatter: ``dst[index[i]] = src[i]``. One row indexes directly,
+    twice as fast as ``put_along_axis`` at a few hundred lanes."""
+    index = index.astype(np.int64)
+    if dst.ndim == 1:
+        dst[index] = src
+    else:
+        np.put_along_axis(dst, index, src, axis=-1)
 
 
 def fast_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer, index: Pointer,
@@ -475,8 +506,15 @@ def fast_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer, index: Point
     """Fast path of permute: ``dst[index[i]] = src[i]``."""
     n = int(n)
     if n:
-        dst.view(n)[index.view(n).astype(np.int64)] = src.view(n)
+        np_permute(src.view(n), index.view(n), dst.view(n))
     _charge(m, charge_permute, n, src.dtype, lmul)
+
+
+def np_back_permute(src: np.ndarray, index: np.ndarray, dst: np.ndarray) -> None:
+    """Gather: ``dst[i] = src[index[i]]``, one row indexed directly as
+    in :func:`np_permute`."""
+    index = index.astype(np.int64)
+    dst[...] = src[index] if src.ndim == 1 else np.take_along_axis(src, index, axis=-1)
 
 
 def fast_back_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
@@ -484,7 +522,7 @@ def fast_back_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
     """Fast path of back-permute: ``dst[i] = src[index[i]]``."""
     n = int(n)
     if n:
-        dst.view(n)[:] = src.view(n)[index.view(n).astype(np.int64)]
+        np_back_permute(src.view(n), index.view(n), dst.view(n))
     _charge(m, charge_permute, n, src.dtype, lmul)
 
 
@@ -528,6 +566,30 @@ def pack_strip_survivors(keep: np.ndarray, vlmax: int) -> np.ndarray:
     return np.count_nonzero(per_strip, axis=-1)
 
 
+def np_pack(src: np.ndarray, keep: np.ndarray, dst: np.ndarray):
+    """Stream compaction, the kernel of ``pack`` for one row and for a
+    batch (exported as :func:`repro.batch.pack2d`).
+
+    The lanes of ``src`` where ``keep`` is nonzero are written in order
+    to the front of ``dst``; lanes past the kept count keep whatever
+    ``dst`` held (the undefined tail of the single-row kernel). Returns
+    the kept count, per row as int64 for a matrix. One row gathers
+    with a boolean index; a matrix scatters every survivor to its
+    running position, which is never past its source lane, so
+    compacting in place (``dst is src``) is safe."""
+    keep = keep.astype(bool, copy=False)
+    if keep.ndim == 1:
+        packed = src[keep]
+        dst[:packed.size] = packed
+        return packed.size
+    kept = keep.sum(axis=-1, dtype=np.int64)
+    if kept.any():
+        pos = np.cumsum(keep, axis=-1)
+        r, c = np.nonzero(keep)
+        dst[r, pos[r, c] - 1] = src[r, c]
+    return kept
+
+
 def fast_pack(m: RVVMachine, n: int, src: Pointer, dst: Pointer, flags: Pointer,
               lmul: LMUL = LMUL.M1) -> int:
     """Fast path of pack. The strict kernel's count is data-dependent
@@ -538,10 +600,7 @@ def fast_pack(m: RVVMachine, n: int, src: Pointer, dst: Pointer, flags: Pointer,
     kept = 0
     if n:
         keep = flags.view(n).astype(bool)
-        packed = src.view(n)[keep]
-        kept = packed.size
-        if kept:
-            dst.view(kept)[:] = packed
+        kept = np_pack(src.view(n), keep, dst.view(n))
         vlmax = m.vlmax(sew=sew_for_dtype(src.dtype), lmul=lmul)
         m.counters.add_many(pack_variable_items(pack_strip_survivors(keep, vlmax)))
     _charge(m, charge_pack, n, src.dtype, lmul)
@@ -558,12 +617,17 @@ _NP_CMP = {
 }
 
 
+def np_compare(which: str, a: np.ndarray, b, out: np.ndarray) -> None:
+    """0/1 flags of ``a <which> b`` into ``out``."""
+    out[...] = _NP_CMP[which](a, b)
+
+
 def fast_cmp_vv(m: RVVMachine, which: str, n: int, a: Pointer, b: Pointer,
                 out: Pointer, lmul: LMUL = LMUL.M1) -> None:
     """Fast path of the vector-vector flag compares."""
     n = int(n)
     if n:
-        out.view(n)[:] = _NP_CMP[which](a.view(n), b.view(n)).astype(out.dtype)
+        np_compare(which, a.view(n), b.view(n), out.view(n))
     _charge(m, charge_cmp_vv, n, a.dtype, lmul)
 
 
@@ -572,15 +636,20 @@ def fast_cmp_vx(m: RVVMachine, which: str, n: int, a: Pointer, x: int,
     """Fast path of the vector-scalar flag compares."""
     n = int(n)
     if n:
-        out.view(n)[:] = _NP_CMP[which](a.view(n), _wrap(x, a.dtype)).astype(out.dtype)
+        np_compare(which, a.view(n), _wrap(x, a.dtype), out.view(n))
     _charge(m, charge_cmp_vx, n, a.dtype, lmul, ge=which == "ge")
+
+
+def np_index(out: np.ndarray) -> None:
+    """``out[i] = i``."""
+    out[...] = np.arange(out.shape[-1], dtype=np.uint64).astype(out.dtype)
 
 
 def fast_index(m: RVVMachine, n: int, out: Pointer, lmul: LMUL = LMUL.M1) -> None:
     """Fast path of p_index."""
     n = int(n)
     if n:
-        out.view(n)[:] = np.arange(n, dtype=np.uint64).astype(out.dtype)
+        np_index(out.view(n))
     _charge(m, charge_index, n, out.dtype, lmul)
 
 
@@ -589,9 +658,14 @@ def fast_rsub(m: RVVMachine, n: int, a: Pointer, x: int, lmul: LMUL = LMUL.M1) -
     p_add's)."""
     n = int(n)
     if n:
-        view = a.view(n)
-        np.subtract(_wrap(x, a.dtype), view, out=view)
+        np_elementwise("p_rsub", a.view(n), _wrap(x, a.dtype))
     _charge(m, charge_vx, n, a.dtype, lmul, kernel="p_add")
+
+
+def np_reduce(a: np.ndarray, op: BinaryOp):
+    """⊕-reduction of ``a`` (per row of a matrix), in ``a``'s dtype."""
+    return op.ufunc.reduce(a, axis=-1, initial=_wrap(op.identity(a.dtype), a.dtype),
+                           dtype=a.dtype)
 
 
 def fast_reduce(m: RVVMachine, n: int, a: Pointer, op: str | BinaryOp = PLUS,
@@ -601,9 +675,16 @@ def fast_reduce(m: RVVMachine, n: int, a: Pointer, op: str | BinaryOp = PLUS,
     n = int(n)
     acc = op.identity(a.dtype)
     if n:
-        acc = int(op.ufunc.reduce(a.view(n), initial=_wrap(acc, a.dtype), dtype=a.dtype))
+        acc = int(np_reduce(a.view(n), op))
     _charge(m, charge_reduce, n, a.dtype, lmul)
     return acc
+
+
+def np_shift1up(src: np.ndarray, fill, dst: np.ndarray) -> None:
+    """``dst[0] = fill``, ``dst[i] = src[i-1]``; ``fill`` is wrapped."""
+    tail = src[..., :-1].copy()  # src and dst may alias
+    dst[..., 1:] = tail
+    dst[..., 0] = fill
 
 
 def fast_shift1up(m: RVVMachine, n: int, src: Pointer, dst: Pointer, fill: int,
@@ -611,13 +692,13 @@ def fast_shift1up(m: RVVMachine, n: int, src: Pointer, dst: Pointer, fill: int,
     """Fast path of shift1up."""
     n = int(n)
     if n:
-        s_view = src.view(n)
-        d_view = dst.view(n)
-        # src and dst may alias; copy the source tail first
-        tail = s_view[:-1].copy()
-        d_view[1:] = tail
-        d_view[0] = _wrap(fill, dst.dtype)
+        np_shift1up(src.view(n), _wrap(fill, dst.dtype), dst.view(n))
     _charge(m, charge_shift1up, n, src.dtype, lmul)
+
+
+def np_copy(src: np.ndarray, dst: np.ndarray) -> None:
+    """``dst = src``."""
+    dst[...] = src
 
 
 def fast_copy(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
@@ -625,5 +706,5 @@ def fast_copy(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
     """Fast path of copy."""
     n = int(n)
     if n:
-        dst.view(n)[:] = src.view(n)
+        np_copy(src.view(n), dst.view(n))
     _charge(m, charge_copy, n, src.dtype, lmul)

@@ -12,8 +12,6 @@ permute/back_permute.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..rvv.types import LMUL
 from . import fastpath as fp
 from . import permute_ops as pm
@@ -26,16 +24,21 @@ def gather_any(svm: SVM, src: SVMArray, index: SVMArray,
                lmul: LMUL | None = None) -> SVMArray:
     """``out[i] = src[index[i]]`` for ``i < len(index)`` — src and
     index may have different lengths. Indices must lie in
-    ``[0, len(src))``."""
+    ``[0, len(src))``; an index past it raises :class:`IndexError`
+    and frees the output."""
     lmul = svm._lmul(lmul)
     dst = svm.empty(index.n, src.dtype)
-    if svm._fast(index.n):
-        if index.n:
-            dst.view()[:] = src.view()[index.view().astype(np.int64)]
-        fp._charge(svm.machine, fp.charge_permute, index.n, np.uint32, lmul)
-    else:
-        pm.back_permute(svm.machine, index.n, src.ptr, dst.ptr, index.ptr, lmul,
-                        bound=src.n)
+    try:
+        if svm._fast(index.n):
+            if index.n:
+                fp.np_back_permute(src.view(), index.view(), dst.view())
+            fp._charge(svm.machine, fp.charge_permute, index.n, src.dtype, lmul)
+        else:
+            pm.back_permute(svm.machine, index.n, src.ptr, dst.ptr, index.ptr,
+                            lmul, bound=src.n)
+    except BaseException:
+        svm.free(dst)
+        raise
     return dst
 
 
@@ -47,8 +50,8 @@ def scatter_any(svm: SVM, src: SVMArray, index: SVMArray, dst: SVMArray,
     lmul = svm._lmul(lmul)
     if svm._fast(src.n):
         if src.n:
-            dst.view()[index.view().astype(np.int64)[: src.n]] = src.view()[: src.n]
-        fp._charge(svm.machine, fp.charge_permute, src.n, np.uint32, lmul)
+            fp.np_permute(src.view(), index.view()[: src.n], dst.view())
+        fp._charge(svm.machine, fp.charge_permute, src.n, src.dtype, lmul)
     else:
         pm.permute(svm.machine, src.n, src.ptr, dst.ptr, index.ptr, lmul,
                    bound=dst.n)

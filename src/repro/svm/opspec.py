@@ -19,8 +19,8 @@ every layer consumes the spec:
 * :meth:`repro.engine.executor.Engine.compile_plan` sums
   ``spec.charge`` over a plan's replayed nodes into its static counter
   profile;
-* the batch runner consults ``spec.batch2d`` / ``spec.data_dependent``
-  / ``spec.ragged2d`` to pick the ``2d`` / ``ragged`` / ``loop`` path;
+* the batch runner consults ``spec.ragged2d`` (derived from
+  ``spec.data_dependent``) to pick the ``ragged`` path;
 * ``repro ops`` prints the registry as a tier-support matrix and
   ``tools/check_opspec.py`` fails CI when a public primitive bypasses
   the registry or a spec is missing a kernel or charge profile.
@@ -92,16 +92,12 @@ class OpSpec:
     :data:`repro.rvv.allocation.PROFILES`. ``fuse_role`` is
     ``"lane"`` (strip-fusable elementwise work), ``"tail"`` (an
     inclusive scan that may close a fused group) or ``""`` (replayed
-    eagerly between groups). ``batch2d`` marks ops the batch runner can
-    vectorize across rows with one closed-form charge; ``data_dependent``
-    marks charges that depend on values (pack's survivor count), which
-    excludes the op from the plain 2D path. A data-dependent op must
-    then declare one of two escape hatches: ``ragged2d=True`` (the
-    batch runner has a masked ``axis=1`` kernel plus a per-row charge
-    correction, so batches still execute as one 2D evaluation on the
-    ``"ragged"`` path) or a non-empty ``loop_only`` sentence justifying
-    why the per-row loop is the only sound execution
-    (``tools/check_opspec.py`` gates this).
+    eagerly between groups). ``data_dependent`` marks charges that
+    depend on values (pack's survivor count); the batch flags follow
+    from it: a data-oblivious op batches on the plain 2D path
+    (``batch2d``), a data-dependent one on the ``"ragged"`` path
+    (``ragged2d``: its NumPy body compacts every row of the matrix and
+    the runner adds each row's own charge items).
     ``future`` is the label of the :class:`ScalarFuture` the op returns
     under capture, ``composite`` marks derived ops that lower to other
     registered primitives (no kernels of their own), and ``profiled``
@@ -125,10 +121,7 @@ class OpSpec:
     profile: str = ""
     fuse_role: str = ""
     codegen: bool = True
-    batch2d: bool = True
     data_dependent: bool = False
-    ragged2d: bool = False
-    loop_only: str = ""
     future: str | None = None
     native: bool = True
     composite: bool = False
@@ -139,6 +132,18 @@ class OpSpec:
     @property
     def fusable(self) -> bool:
         return self.fuse_role in ("lane", "tail")
+
+    @property
+    def batch2d(self) -> bool:
+        """Rows batch on the plain 2D path, charged one closed-form
+        profile per row."""
+        return not self.data_dependent
+
+    @property
+    def ragged2d(self) -> bool:
+        """Rows batch on the ``"ragged"`` path: one 2D evaluation plus
+        each row's own data-dependent charge items."""
+        return self.data_dependent
 
 
 #: name → spec, in declaration order (the order drives ``repro ops``
@@ -325,7 +330,8 @@ _register(OpSpec(
     category="scan",
     node_kinds={"incl": "scan", "excl": "scan"},
     strict={"incl": sc.scan, "excl": sc.scan_exclusive},
-    fast={"incl": fp.fast_scan, "excl": fp.fast_scan_exclusive},
+    fast={"incl": fp.fast_scan,
+          "excl": partial(fp.fast_scan, inclusive=False)},
     charge={"incl": partial(fp.charge_scan, exclusive=False),
             "excl": partial(fp.charge_scan, exclusive=True)},
     profile="plus_scan",
@@ -339,7 +345,8 @@ _register(OpSpec(
     category="scan",
     node_kinds={"incl": "seg_scan", "excl": "seg_scan"},
     strict={"incl": sg.seg_scan, "excl": sg.seg_scan_exclusive},
-    fast={"incl": fp.fast_seg_scan, "excl": fp.fast_seg_scan_exclusive},
+    fast={"incl": fp.fast_seg_scan,
+          "excl": partial(fp.fast_seg_scan, inclusive=False)},
     charge={"incl": partial(fp.charge_seg_scan, exclusive=False),
             "excl": partial(fp.charge_seg_scan, exclusive=True)},
     profile="seg_scan",
@@ -377,9 +384,7 @@ _register(OpSpec(
     fast={"": fp.fast_pack},
     charge={"": fp.charge_pack},  # + PACK_VARIABLE per survivor strip
     profile="permute",
-    batch2d=False,        # charge depends on the survivor distribution
-    data_dependent=True,
-    ragged2d=True,        # masked axis=1 kernel + per-row charge items
+    data_dependent=True,  # charge depends on the survivor distribution
     future="pack.kept",
     doc="Stream compaction: keep flagged elements, preserving order.",
 ))

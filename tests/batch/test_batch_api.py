@@ -179,3 +179,45 @@ def test_charge_profile_recorded_once_per_cache_entry(monkeypatch, backend,
     assert len(profiles) == svm.engine.resolutions["compile"] == 2
     if backend != "codegen" and native_available():
         assert units == []
+
+
+def _gather_2d(lz, data):
+    # each row is the index vector of a gather from [0, 1, ..., n-1]
+    return lz.back_permute(lz.index_array(data.n), data)
+
+
+def _gather_ragged(lz, data):
+    vals = _gather_2d(lz, data)
+    out, _ = lz.pack(vals, lz.p_lt(vals, 4))
+    return out
+
+
+def _gather_loop(lz, data):
+    vals = _gather_2d(lz, data)
+    lz.p_srl(vals, lz.reduce(vals))  # a future shift: per-row loop
+    return vals
+
+
+@pytest.mark.parametrize("backend", [
+    "codegen",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not native_available(), reason="no C toolchain on this host")),
+])
+@pytest.mark.parametrize("bad_row", [0, 1])
+@pytest.mark.parametrize("path, pipe", [
+    ("2d", _gather_2d), ("ragged", _gather_ragged), ("loop", _gather_loop),
+], ids=["2d", "ragged", "loop"])
+def test_out_of_range_index_raises_on_every_path(path, pipe, bad_row,
+                                                 backend):
+    """An index past the gathered array raises IndexError whichever row
+    holds it and whichever path the bucket takes, and leaves the heap
+    as it was."""
+    rows = [np.arange(8, dtype=np.uint32)[::-1].copy() for _ in range(4)]
+    svm = SVM(vlen=128, mode="fast", backend=backend)
+    assert svm.batch(pipe, rows).buckets[0].path == path
+    live = svm.machine.heap.live_bytes
+    for bad in (999, 5000):
+        rows[bad_row][3] = bad
+        with pytest.raises(IndexError):
+            svm.batch(pipe, rows)
+        assert svm.machine.heap.live_bytes == live

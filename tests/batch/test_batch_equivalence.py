@@ -72,6 +72,73 @@ def test_scan_variants():
     assert_equivalent(pipe, rows, vlen=512, mode="fast")
 
 
+def _seg_max(lz, data):
+    flags = lz.get_flags(data, 4)
+    lz.seg_scan(data, flags, "max")
+    lz.free(flags)
+    return data
+
+
+def _seg_exclusive(lz, data):
+    flags = lz.get_flags(data, 2)
+    lz.seg_scan(data, flags, inclusive=False)
+    lz.free(flags)
+    return data
+
+
+def _shift1up(lz, data):
+    return lz.shift1up(data, 7)
+
+
+def _copy(lz, data):
+    out = lz.copy(data)
+    lz.p_add(data, 1)          # the copy keeps the pre-add values
+    lz.p_sub(out, data)
+    return out
+
+
+def _reduce_column(lz, data):
+    total = lz.reduce(data, "max")
+    lz.p_add(data, total)      # a [B-1, 1] column of per-row maxima
+    return data
+
+
+def _enumerate_zeros(lz, data):
+    flags = lz.get_flags(data, 0)
+    ranks, count = lz.enumerate(flags, set_bit=False)
+    lz.p_add(ranks, count)
+    lz.free(flags)
+    return ranks
+
+
+def _permute(lz, data):
+    # a per-row permutation: the lanes ordered by their low bit
+    flags = lz.get_flags(data, 0)
+    perm, _ = lz.split(lz.index_array(data.n), flags)
+    return lz.permute(data, perm)
+
+
+def _cmp_vv_select(lz, data):
+    other = lz.shift1up(data, 0)
+    flags = lz.p_lt(data, other)   # unfused: between structured nodes
+    lz.p_select(flags, other, data)
+    lz.free(other)
+    lz.free(flags)
+    return data
+
+
+@pytest.mark.parametrize("pipe", [
+    _seg_max, _seg_exclusive, _shift1up, _copy, _reduce_column,
+    _enumerate_zeros, _permute, _cmp_vv_select,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_structured_kinds_on_2d_path(pipe):
+    """Every structured node kind the 2D path evaluates matches the
+    loop of single calls, on the 2D path itself."""
+    rows = make_rows((300,) * 6, seed=29)
+    result = assert_equivalent(pipe, rows, vlen=256, fast_threshold=0)
+    assert [b.path for b in result.buckets] == ["2d"]
+
+
 def test_pack_ragged_interleaved_buckets():
     """Mixed-length batches reorder rows by bucket, so pack's
     undefined tail lanes see different heap garbage than the

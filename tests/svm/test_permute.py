@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import VectorLengthError
 from repro.rvv.counters import Cat
 
 
@@ -122,3 +123,31 @@ class TestReverse:
         data = rng.integers(0, 100, 11, dtype=np.uint32)
         a = svm.array(data)
         assert np.array_equal(svm.reverse(svm.reverse(a)).to_numpy(), data)
+
+
+
+def _gather_any(svm, src, idx, short):
+    from repro.svm import gather_any
+    return gather_any(svm, src, idx)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda svm, src, idx, short: svm.permute(src, idx),
+                 id="permute"),
+    pytest.param(lambda svm, src, idx, short: svm.back_permute(src, idx),
+                 id="back_permute"),
+    pytest.param(_gather_any, id="gather_any"),
+    pytest.param(lambda svm, src, idx, short: svm.back_permute(src, short),
+                 id="length_check"),
+])
+def test_failed_call_frees_its_output(svm, call):
+    """A call that allocates its output and then raises — a bad index
+    or a length mismatch — leaves the heap as it found it."""
+    src = svm.array(np.arange(8, dtype=np.uint32))
+    idx = svm.array([7, 6, 5, 4, 3, 2, 1, 99])
+    short = svm.array([0, 1])
+    before = svm.machine.heap.live_bytes
+    for _ in range(3):
+        with pytest.raises((IndexError, VectorLengthError)):
+            call(svm, src, idx, short)
+    assert svm.machine.heap.live_bytes == before

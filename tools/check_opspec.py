@@ -19,11 +19,7 @@ Fails (exit 1) when the "declared exactly once" invariant is violated:
    registry is the only kernel supplier for the dispatch layer (AST
    check, so a sneaky ``from . import elementwise`` fails even if
    unused);
-4. registry self-consistency: fusable ops need a lane recipe, ops with
-   data-dependent charges must opt out of the 2D batch path AND pick
-   an explicit batch escape hatch — a ragged recipe (``ragged2d``) or
-   a ``loop_only`` justification sentence, never both — futures only
-   on the ops that produce scalars;
+4. registry self-consistency: fusable ops need a lane recipe;
 5. native-tier coverage: every non-composite op with codegen metadata
    must either capture to node kinds the native backend can emit
    (``repro.engine.native.NATIVE_KINDS``) or declare ``native=False``
@@ -140,29 +136,6 @@ def check_specs() -> list[str]:
                         f"lane op {spec.name!r}: node kind {kind!r} has no "
                         "entry in LANE_RECIPES"
                     )
-        if spec.data_dependent and spec.batch2d:
-            errors.append(
-                f"op {spec.name!r} has a data-dependent charge but claims "
-                "the 2D batch path"
-            )
-        if spec.data_dependent and not spec.ragged2d and not spec.loop_only:
-            errors.append(
-                f"op {spec.name!r} has a data-dependent charge but declares "
-                "neither a ragged recipe (ragged2d=True) nor a loop_only "
-                "justification — every data-dependent op must pick its "
-                "batch escape hatch explicitly"
-            )
-        if spec.ragged2d and spec.loop_only:
-            errors.append(
-                f"op {spec.name!r} declares both ragged2d and loop_only — "
-                "the escape hatches are mutually exclusive"
-            )
-        if spec.ragged2d and not spec.data_dependent:
-            errors.append(
-                f"op {spec.name!r} declares ragged2d without a "
-                "data-dependent charge — data-oblivious ops take the "
-                "plain 2D path"
-            )
     return errors
 
 
