@@ -107,9 +107,9 @@ def test_codegen_identity_grid(benchmark):
                " construction — the grid locks that invariant."],
     ))
 
-    # batched (2D) execution: each group's generated lane chain, run
-    # over [B-1, n] matrices through its fn2d entry point, must match
-    # looped single calls bit-for-bit and counter-for-counter
+    # batched (2D) execution: each group's generated function, run by
+    # the fast evaluator over [B-1, n] matrices, must match looped
+    # single calls bit-for-bit and counter-for-counter
     batch = []
     g = rng(SEED)
     data_rows = [g.integers(0, 2**16, 512, dtype=np.uint32)

@@ -8,40 +8,38 @@ values. That is what makes batching sound: a cached
 inputs performs B identical instruction streams, so the batch can
 
 * run row 0 through the ordinary single-input engine, then execute the
-  *data* of rows 1+ as one 2D NumPy evaluation per execution unit
-  (batch axis × element axis), and
+  *data* of rows 1+ through the engine's one fast evaluator
+  (:func:`repro.engine.executor.run_units`, the unit loop an all-fast
+  single call runs on memory views) on ``[B-1, n]`` matrices (batch
+  axis × element axis), and
 * charge the *counters* of rows 1+ as B-1 times the plan's static
   closed-form profile (``FusedPlan.charge_items``, computed when the
   plan compiles) — exact, because integer scaling of an identical
   per-row profile is exact.
 
 The result is bit- and counter-identical to looping the single-input
-path, which stays the definitional semantics:
+path, which stays the definitional semantics. This module keeps only
+what is batch-specific:
 
-* variable-length batches are split into length buckets first (the vl
-  sequence depends only on n, so only same-(n, dtype) rows may share a
-  plan);
-* every structured node kind batches: a node runs the NumPy body its
-  eager fast kernel runs (``repro.svm.fastpath.np_*``, written over the
-  trailing axis) on the matrices, and
+* bucketing: variable-length batches are split into length buckets
+  first (the vl sequence depends only on n, so only same-(n, dtype)
+  rows may share a plan);
+* seeding the matrices (:class:`Rows`): the input matrix, every other
+  buffer's pre-execution contents, and
   :class:`~repro.engine.ir.ScalarFuture` values produced inside the
-  plan (enumerate counts, reductions, pack's kept count) thread
+  plan (enumerate counts, reductions, pack's kept count) threaded
   through as per-row vectors;
-* plans containing ``pack`` — the one op whose charge and output
-  length are data-dependent — take the ``"ragged"`` path: still one
-  2D evaluation, with pack's compaction kernel compacting every row
-  (:func:`repro.batch.ragged.pack2d`), a per-row-lengths column on the
-  result (:class:`~repro.batch.ragged.RaggedBatch`), and each row's
-  own data-dependent pack items
-  (:func:`repro.svm.fastpath.pack_variable_items`) charged on top of
-  the profile;
-* only strict mode, sub-threshold lengths, and plans where a packed
-  buffer escapes into a non-prefix-local consumer (or a future feeds a
-  consumer the 2D path cannot broadcast) fall back to literally looping
-  the single-input path;
-* fused groups run the lane chain
-  :func:`~repro.engine.codegen.compile_fused` generated for them,
-  through its batch entry point.
+* the screens: plans containing ``pack`` — the one op whose charge and
+  output length are data-dependent — take the ``"ragged"`` path when
+  every packed buffer stays in prefix-local flow (:func:`_ragged_tags`):
+  still one 2D evaluation, with pack's body compacting every row, a
+  per-row-lengths column on the result
+  (:class:`~repro.batch.ragged.RaggedBatch`), and each row's own
+  data-dependent pack items charged on top of the profile; strict
+  mode, sub-threshold lengths, plans :func:`_batchable` rejects (a
+  future feeding a consumer the 2D path cannot broadcast) and
+  untrackable ragged flow fall back to literally looping the
+  single-input path.
 
 See ``docs/batching.md`` for the API, the bucketing rule, and the
 ragged representation.
@@ -55,17 +53,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine.capture import PlanBuilder
-from ..engine.executor import execute, native_for
+from ..engine.executor import (
+    all_fast,
+    charge_runs,
+    execute,
+    free_live,
+    native_for,
+    run_units,
+)
 from ..engine.fuse import GroupSpec
 from ..engine.ir import EngineError, Kind, Plan, ScalarFuture, resolve_scalar
-from ..rvv.types import sew_for_dtype
-from ..svm import fastpath as fp
-from ..svm.fastpath import _wrap, pack_variable_items
+from ..svm.fastpath import _wrap
 from ..svm.opspec import get_spec
-from ..svm.operators import get_operator
 from .ragged import RaggedBatch
 
-__all__ = ["BatchBucket", "BatchResult", "run_batch"]
+__all__ = ["BatchBucket", "BatchResult", "Rows", "run_batch"]
 
 
 @dataclass(frozen=True)
@@ -136,13 +138,10 @@ class BatchResult:
 def _release(svm, plan: Plan, input_addr: int) -> None:
     """Free the buffers one single-input run would not leave behind:
     the plan's temporaries and the input we allocated that are still
-    live — all but those its FREE nodes released, or, after a run that
-    raised, all it left. External (non-temp) arrays are left alone."""
-    heap = svm.machine.heap
-    for buf in plan.buffers.values():
-        addr = buf.array.ptr.addr
-        if (buf.temp or addr == input_addr) and heap.is_live(addr):
-            svm.free(buf.array)
+    live — all but those its FREE nodes released. External (non-temp)
+    arrays are left alone."""
+    free_live(svm, plan, [bid for bid, buf in plan.buffers.items()
+                          if buf.temp or buf.array.ptr.addr == input_addr])
 
 
 def _capture(svm, pipe, row: np.ndarray):
@@ -274,124 +273,52 @@ def _bid_of(plan: Plan, array) -> int:
 
 
 # ---------------------------------------------------------------------------
-# 2D evaluation of one plan over rows 1+
+# the matrices of rows 1+
 # ---------------------------------------------------------------------------
 
-def _mat_getter(plan: Plan, init: dict[int, np.ndarray], b1: int):
-    """Lazy [b1, n] matrices per buffer id: the input matrix is
-    pre-seeded by the caller; temporaries materialize from their
-    pre-execution contents on first touch (``get``), or uninitialized
-    for a node that overwrites every lane (``fresh``)."""
-    mats: dict[int, np.ndarray] = {}
+class Rows(dict):
+    """Buffer id -> ``[b, n]`` matrix of a bucket's rows 1+: the fast
+    evaluator's arrays (:func:`repro.engine.executor.run_units`) for a
+    batch. The caller seeds the input matrix; every other buffer
+    materializes on first touch from its pre-execution contents
+    ``init``, or uninitialized for a node that overwrites every lane
+    (``fresh``). A future a node produces becomes a per-row int64
+    vector in ``fvals`` and reads back as a ``[b, 1]`` column that
+    broadcasts per row."""
 
-    def get(bid: int) -> np.ndarray:
-        mat = mats.get(bid)
-        if mat is None:
-            mat = np.broadcast_to(init[bid], (b1, init[bid].size)).copy()
-            mats[bid] = mat
+    __slots__ = ("buffers", "init", "b", "fvals", "sws")
+
+    def __init__(self, buffers: dict, init: dict, b: int) -> None:
+        super().__init__()
+        self.buffers = buffers
+        self.init = init
+        self.b = b
+        self.fvals: dict = {}
+        #: Pack strips that held a survivor, summed over the rows.
+        self.sws = 0
+
+    def __missing__(self, bid: int) -> np.ndarray:
+        init = self.init[bid]
+        mat = self[bid] = np.broadcast_to(init, (self.b, init.size)).copy()
         return mat
 
-    def fresh(bid: int) -> np.ndarray:
-        buf = plan.buffers[bid]
-        mats[bid] = mat = np.empty((b1, buf.n), buf.dtype)
+    def fresh(self, bid: int) -> np.ndarray:
+        buf = self.buffers[bid]
+        mat = self[bid] = np.empty((self.b, buf.n), buf.dtype)
         return mat
 
-    return mats, get, fresh
+    store = dict.__setitem__
 
+    def free(self, bid: int) -> None:
+        self.pop(bid, None)
 
-def _scalar_2d(node, dtype, fvals):
-    """A node's scalar operand for the 2D evaluation: a plain wrapped
-    scalar, or — when it is a future produced earlier in the plan — a
-    ``[b1, 1]`` column of per-row values that broadcasts per row."""
-    if isinstance(node.scalar, ScalarFuture):
-        return fvals[node.scalar].astype(dtype)[:, None]
-    return _wrap(resolve_scalar(node.scalar), dtype)
+    def scalar(self, node, dtype):
+        if isinstance(node.scalar, ScalarFuture):
+            return self.fvals[node.scalar].astype(dtype)[:, None]
+        return _wrap(resolve_scalar(node.scalar), dtype)
 
-
-def _node_2d(plan: Plan, node, mats, get, fresh, fvals, m, pack_sws) -> None:
-    """One eager (non-fused) node on [b, n] matrices: fetch the
-    operands (before a full writer's fresh destination replaces one),
-    run the NumPy body the node's fast kernel runs, store. ``fvals``
-    maps each :class:`ScalarFuture` the plan produces to its per-row
-    int64 vector; ``pack_sws`` collects each pack node's per-row
-    strips-with-survivors vector for the charge correction."""
-    kind = node.kind
-    if kind is Kind.EW_VX:
-        a = get(node.dst)
-        fp.np_elementwise(node.op, a, _scalar_2d(node, a.dtype, fvals))
-    elif kind is Kind.EW_VV:
-        fp.np_elementwise(node.op, get(node.dst), get(node.operand))
-    elif kind is Kind.CMP_VX:
-        a = get(node.src)
-        fp.np_compare(node.op, a, _scalar_2d(node, a.dtype, fvals),
-                      fresh(node.dst))
-    elif kind is Kind.CMP_VV:
-        fp.np_compare(node.op, get(node.src), get(node.operand),
-                      fresh(node.dst))
-    elif kind is Kind.GET_FLAGS:
-        fp.np_get_flags(get(node.src), resolve_scalar(node.scalar),
-                        fresh(node.dst))
-    elif kind is Kind.SCAN:
-        fp.np_scan(get(node.dst), get_operator(node.op), node.inclusive)
-    elif kind is Kind.SELECT:
-        fp.np_select(get(node.operand), get(node.src), get(node.dst))
-    elif kind is Kind.SEG_SCAN:
-        fp.np_seg_scan(get(node.dst), get(node.operand),
-                       get_operator(node.op), node.inclusive)
-    elif kind is Kind.ENUMERATE:
-        fvals[node.future] = fp.np_enumerate(
-            get(node.src), node.scalar, fresh(node.dst)).astype(np.int64)
-    elif kind is Kind.REDUCE:
-        fvals[node.future] = fp.np_reduce(
-            get(node.src), get_operator(node.op)).astype(np.int64)
-    elif kind is Kind.PERMUTE:
-        fp.np_permute(get(node.src), get(node.operand), get(node.dst))
-    elif kind is Kind.BACK_PERMUTE:
-        fp.np_back_permute(get(node.src), get(node.operand), fresh(node.dst))
-    elif kind is Kind.SHIFT1UP:
-        src, dst = get(node.src), fresh(node.dst)
-        fp.np_shift1up(src, _wrap(resolve_scalar(node.scalar), dst.dtype), dst)
-    elif kind is Kind.COPY:
-        fp.np_copy(get(node.src), fresh(node.dst))
-    elif kind is Kind.INDEX:
-        fp.np_index(fresh(node.dst))
-    elif kind is Kind.PACK:
-        src, keep = get(node.src), get(node.operand) != 0
-        fvals[node.future] = fp.np_pack(src, keep, get(node.dst))
-        vlmax = m.vlmax(sew=sew_for_dtype(src.dtype), lmul=node.lmul)
-        pack_sws.append(fp.pack_strip_survivors(keep, vlmax))
-    elif kind is Kind.FREE:
-        mats.pop(node.dst, None)
-    else:  # pragma: no cover - exhaustive over Kind
-        raise EngineError(f"cannot batch node kind {kind}")
-
-
-def _run_rest_2d(svm, plan: Plan, fused, init: dict, input_bid: int,
-                 out_bid: int, rows, native, out_tag):
-    """Rows 1+ of a matrix bucket as one 2D evaluation over ``[B-1, n]``
-    matrices seeded from ``init`` (every buffer's pre-execution
-    contents). Returns ``(outputs, kept counts of out_tag or None,
-    total pack strips with survivors)``."""
-    b = len(rows)
-    mats, get, fresh = _mat_getter(plan, init, b)
-    # rows share (length, dtype): one concatenate is the stack, at a
-    # third of np.stack's per-row cost
-    mats[input_bid] = np.concatenate(rows).reshape(b, rows[0].size)
-    fvals: dict = {}  # ScalarFuture -> per-row int64 values
-    pack_sws: list[np.ndarray] = []  # per pack node: [b] survivor strips
-    if native is not None:
-        # whole-bucket compiled call: the C kernel loops rows over the
-        # same [b, n] matrices the per-unit path would build
-        native.run2d(svm, plan, mats, get, fvals, b)
-    else:
-        for unit in fused.units:
-            if isinstance(unit, GroupSpec):
-                fused.compiled.groups[unit].fn2d(plan.nodes, mats, get)
-            else:
-                _node_2d(plan, plan.nodes[unit], mats, get, fresh, fvals,
-                         svm.machine, pack_sws)
-    kept = None if out_tag is None else [int(v) for v in fvals[out_tag]]
-    return list(get(out_bid)), kept, int(sum(s.sum() for s in pack_sws))
+    def produce(self, node, value) -> None:
+        self.fvals[node.future] = np.asarray(value).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +352,8 @@ def _dispatch_bucket(svm, pipe, rows):
         ok, tags = _ragged_tags(plan)
         ragged_ok = ok and get_spec("pack").ragged2d
         out_tag = tags.get(out_bid) if ok else None
-    use_mat = (len(rows) > 1 and svm._fast(n) and _batchable(plan, fused)
-               and (not has_pack or ragged_ok))
+    use_mat = (len(rows) > 1 and all_fast(svm, fused)
+               and _batchable(plan, fused) and (not has_pack or ragged_ok))
     path = ("ragged" if has_pack else "2d") if use_mat else "loop"
     backend = svm.engine.backend
     native = native_for(svm, plan, fused, backend)
@@ -453,19 +380,23 @@ def _dispatch_bucket(svm, pipe, rows):
             # calls would, and when it raises
             _release(svm, plan, data.ptr.addr)
         if use_mat:
-            rest, kept, sws = _run_rest_2d(
-                svm, plan, fused, init, input_bid, out_bid, rows[1:],
-                # pack has no 2D C kernel: ragged plans run the NumPy
-                # evaluation on every backend
-                None if has_pack else native, out_tag)
-            outputs += rest
+            # rows share (length, dtype): one concatenate is the stack,
+            # at a third of np.stack's per-row cost
+            b = len(rows) - 1
+            mats = Rows(plan.buffers, init, b)
+            mats[input_bid] = np.concatenate(rows[1:]).reshape(b, n)
+            if native is not None and not has_pack:
+                # whole-bucket compiled call: the C kernel loops rows
+                # over the same matrices (pack has no 2D C kernel, so
+                # ragged plans run the NumPy evaluation on every backend)
+                native.run2d(svm, plan, mats)
+            else:
+                run_units(plan, fused, mats, svm.machine)
+            outputs += list(mats[out_bid])
             if lengths is not None:
-                lengths += kept
+                lengths += [int(v) for v in mats.fvals[out_tag]]
             if charged:
-                b = len(rest)
-                svm.machine.counters.add_many(
-                    [(cat, k * b) for cat, k in fused.charge_items]
-                    + list(pack_variable_items(sws)))
+                charge_runs(svm.machine, fused, b, mats.sws)
         else:
             tag_node = None if out_tag is None else next(
                 i for i, node in enumerate(plan.nodes)

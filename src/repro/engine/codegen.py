@@ -1,7 +1,7 @@
 """Compile fused groups to Python source, once, at cache-insert time.
 
-This is the engine's one Python fast path. :func:`compile_fused` takes
-a :class:`~repro.engine.fuse.FusedPlan` and, for every fused group,
+:func:`compile_fused` takes a :class:`~repro.engine.fuse.FusedPlan`
+and, for every fused group,
 
 1. derives the group's lane chain from the registry's lane recipes
    (:data:`~repro.svm.opspec.LANE_RECIPES`): one :class:`LaneStep` per
@@ -10,12 +10,16 @@ a :class:`~repro.engine.fuse.FusedPlan` and, for every fused group,
    scalar or operand;
 2. precomputes the closed-form counter profile of the strict strip
    loop (:func:`group_charge_items`) — a function of the vl sequence
-   and the codegen preset only, never of the data;
-3. emits one lane chain per group — NumPy over the trailing axis —
-   with two entry points that differ only in where the arrays come
-   from and where the result goes (memory views, or the batch runner's
-   ``[B-1, n]`` matrices) and in the charge on the single call, plus a
-   whole-plan kernel when every unit allows it.
+   and the codegen preset only, never of the data — which
+   :meth:`~repro.engine.executor.Engine.compile_plan` sums into the
+   plan's static profile;
+3. emits one function per group, ``_g{i}(nodes, mats)``: the lane
+   chain, NumPy over the trailing axis, reading its head and operands
+   from ``mats`` and leaving its result there. The engine's fast
+   evaluator (:func:`~repro.engine.executor.run_units`) calls it on
+   the 1-D memory views of a single call and on the ``[B-1, n]``
+   matrices of batch rows 1+; the unit loop calls it on memory views
+   for a group on the fast path. The generated source never charges.
 
 The generated source has
 
@@ -25,10 +29,6 @@ The generated source has
   the plan signature, so the mask is a literal and the masked python
   int feeds the ufunc directly — NEP 50 weak-scalar promotion keeps
   the array dtype, so no np scalar is constructed per call);
-* destination/head views sliced straight off the backing byte array
-  (bounds and alignment were validated at buffer allocation);
-* the closed-form counter charge prebound as one ``(category, count)``
-  tuple and applied in a single ``counters.add_many`` call;
 * scan tails along the trailing axis (one row or a batch of rows);
 * copy elision where the *structure* proves it safe: aliasing between
   a group's head, destination, and operands is α-stable (buffer slot
@@ -45,8 +45,8 @@ through node indices at call time (``nodes[i].scalar`` via
 straight into the code objects.
 
 The reference semantics is the strict per-strip loop
-(:func:`repro.engine.executor.run_group_strict`): results and
-per-category counters of the generated kernels are identical to it —
+(:func:`repro.engine.executor.run_group_strict`): results of the
+generated functions and their closed-form charges are identical to it —
 asserted across the full VLEN×LMUL grid in
 ``tests/engine/test_codegen.py`` and locked in ``BENCH_codegen.json``.
 """
@@ -70,8 +70,7 @@ from .fuse import (
     group_profile,
     materialize,
 )
-from .ir import EngineError, Kind, Plan, resolve_scalar
-from .nodes import run_node_eager
+from .ir import EngineError, Plan, resolve_scalar
 
 __all__ = [
     "CompiledGroup",
@@ -79,10 +78,6 @@ __all__ = [
     "compile_fused",
     "group_charge_items",
 ]
-
-#: Name of the generated whole-plan kernel (``CompiledPlan.plan_fn``).
-_PLAN_KERNEL = "_plan_kernel"
-
 
 # ---------------------------------------------------------------------------
 # front end: lane chains and closed-form charges
@@ -131,8 +126,8 @@ def _group_steps(plan: Plan, spec: GroupSpec) -> tuple[LaneStep, ...]:
 
 def group_charge_items(m, group: FusedGroup) -> tuple[tuple[Cat, int], ...]:
     """The closed-form per-category counts of ``run_group_strict`` as
-    ``(category, count)`` pairs, collected once so the generated kernel
-    can apply them in one call.
+    ``(category, count)`` pairs, collected once: the group's term in the
+    plan's static profile.
 
     Depends only on the vl sequence (n, VLEN, SEW, LMUL) and the
     codegen preset, never on the data.
@@ -172,23 +167,22 @@ def group_charge_items(m, group: FusedGroup) -> tuple[tuple[Cat, int], ...]:
 # ---------------------------------------------------------------------------
 
 class CompiledGroup:
-    """The two generated entry points of one fused group.
+    """The generated entry point of one fused group.
 
-    ``fn(svm, nodes, buffers)`` is the single-call kernel (runs the
-    group's lane chain on memory views and applies its precomputed
-    charge); ``fn2d(nodes, mats, get)`` runs the same chain over
-    ``[b1, n]`` matrices (no charging — the batch runner scales the
-    plan's static profile). ``n``
-    is the group length the executor gates the fast path on; ``charge``
-    is the group's :func:`group_charge_items`, the term it adds to the
-    plan's static profile.
+    ``run(nodes, mats)`` runs the group's lane chain on the fast
+    evaluator's arrays — the 1-D memory views of one call or the
+    ``[B-1, n]`` matrices of batch rows 1+ (see
+    :func:`repro.engine.executor.run_units`) — and charges nothing.
+    ``n`` is the group length the unit loop gates the fast path on;
+    ``charge`` is the group's :func:`group_charge_items`, the term it
+    adds to the plan's static profile (and what the unit loop charges
+    after a fast ``run``).
     """
 
-    __slots__ = ("fn", "fn2d", "name", "n", "charge")
+    __slots__ = ("run", "name", "n", "charge")
 
-    def __init__(self, fn, fn2d, name: str, n: int, charge: tuple) -> None:
-        self.fn = fn
-        self.fn2d = fn2d
+    def __init__(self, run, name: str, n: int, charge: tuple) -> None:
+        self.run = run
         self.name = name
         self.n = n
         self.charge = charge
@@ -198,33 +192,25 @@ class CompiledPlan:
     """Generated source + bound code objects for one fused plan.
 
     ``groups`` maps each :class:`GroupSpec` to its
-    :class:`CompiledGroup`; ``plan_fn(svm, plan)`` runs the *entire*
-    plan as one flat call — fused groups through their kernels, FREE
-    and structured replay units through the SVM surface. ``min_n`` is
-    the smallest group length — ``svm._fast(min_n)`` implies the fast path
-    applies to every group, which gates the whole-plan kernel;
-    structured replay units inside it dispatch per their own length
-    through the SVM surface, exactly like the unit loop.
+    :class:`CompiledGroup`.
     """
 
     def __init__(self, source: str, consts: dict, group_meta: dict) -> None:
+        # group_meta: {GroupSpec: ("_g0", n, charge), ...}
         self.source = source
         self.consts = consts
-        self.group_meta = group_meta  # {GroupSpec: ("_g0", n, charge), ...}
-        self.min_n = min(n for _, n, _ in group_meta.values())
         ns = dict(consts)
         ns["_np"] = np
         ns["_wrap"] = _wrap
         ns["_rs"] = resolve_scalar
         exec(compile(source, "<repro.engine.codegen>", "exec"), ns)
         self.groups = {
-            spec: CompiledGroup(ns[name], ns[name + "_2d"], name, n, charge)
+            spec: CompiledGroup(ns[name], name, n, charge)
             for spec, (name, n, charge) in group_meta.items()
         }
-        self.plan_fn = ns[_PLAN_KERNEL]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CompiledPlan({len(self.group_meta)} groups)"
+        return f"CompiledPlan({len(self.groups)} groups)"
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +258,16 @@ def _scalar_expr(e: _Emitter, g: str, si: int, step, dtype: np.dtype,
 
 def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
                 gi: int) -> tuple[str, int, tuple]:
-    """Emit one fused group: its lane chain ``_g{gi}_lanes`` (NumPy over
-    the trailing axis) and the two entry points that call it —
-    ``_g{gi}`` on memory views, which also charges, and ``_g{gi}_2d``
-    on ``[b1, n]`` matrices. Returns the single-call function name,
-    the group length and its closed-form charge."""
+    """Emit one fused group as ``_g{gi}(nodes, mats)``: its lane chain,
+    NumPy over the trailing axis, reading the head and operands from
+    ``mats`` and leaving the result in ``mats`` (in place on the head,
+    or through ``mats.store``). Returns the function name, the group
+    length and its closed-form charge."""
     group = materialize(plan, spec)
     steps = _group_steps(plan, spec)
     charge = group_charge_items(machine, group)
     g = str(gi)
     name = f"_g{gi}"
-    n = int(group.n)
     dtype = np.dtype(group.dtype)
     head_index = spec.node_indices[0]
     head_node = plan.nodes[head_index]
@@ -298,20 +283,20 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
     sc = e.bind(f"_sc{g}", get_operator(group.scan_op).ufunc) \
         if group.scan_op is not None else None
     fns = [e.bind(f"_f{g}_{si}", st.fn) for si, st in enumerate(steps)]
-    # one argument per vector operand, fetched by the entry points
-    operands = [(si, st.node_index) for si, st in enumerate(steps)
-                if st.kind in ("vv", "cmp_vv")]
-    params = "".join(f", _o{si}" for si, _ in operands)
 
-    # ---- the lane chain ----------------------------------------------
     # `acc` enters as the head (the destination, or the source of an
     # out-of-place compare/get_flags head). It is updated in place only
     # while it is the destination and no operand re-reads it; otherwise
     # the first in-place step lands in a fresh array, and an operand
     # re-reading the destination gets a copy of the head up front, so
-    # it sees pre-group memory. `in_place` tells the entry points
-    # whether the chain returns its head, already updated.
-    e.emit(f"def {name}_lanes(nodes, acc{params}):")
+    # it sees pre-group memory. `in_place` records whether the chain
+    # ends on its head, already updated; else the result is stored.
+    e.emit(f"def {name}(nodes, mats):")
+    e.emit(f"    _h = nodes[{head_index}]")
+    e.emit(f"    acc = mats[_h.{'dst' if head_is_dst else 'src'}]")
+    for si, st in enumerate(steps):
+        if st.kind in ("vv", "cmp_vv"):
+            e.emit(f"    _o{si} = mats[nodes[{st.node_index}].operand]")
     owned = head_is_dst and not alias_dst
     in_place = owned
     if head_is_dst and alias_dst:
@@ -333,52 +318,14 @@ def _emit_group(e: _Emitter, plan: Plan, spec: GroupSpec, machine,
     if sc is not None:
         out = "acc" if owned else "_np.empty_like(acc)"
         e.emit(f"    acc = {sc}.accumulate(acc, axis=-1, out={out})")
-    e.emit("    return acc")
+    if not in_place:
+        e.emit("    mats.store(_h.dst, acc)")
     e.emit()
-
-    # ---- single call: memory views in, writeback, charge -------------
-    # views are sliced straight off the backing byte array: bounds and
-    # alignment were validated when the buffers were allocated at
-    # capture time, so the generated tier skips Memory.view's re-checks
-    nbytes = n * dtype.itemsize
-    e.emit(f"def {name}(svm, nodes, buffers):")
-    if n:
-        e.emit(f"    _p = buffers[nodes[{head_index}].dst].array.ptr")
-        e.emit(f"    dv = _p.mem._bytes[_p.addr:_p.addr + {nbytes}]"
-               f".view({dt})")
-        head = "dv"
-        if not head_is_dst:
-            e.emit(f"    _q = buffers[nodes[{head_index}].src].array.ptr")
-            e.emit(f"    hv = _q.mem._bytes[_q.addr:_q.addr + {nbytes}]"
-                   f".view({dt})")
-            head = "hv"
-        args = "".join(f", buffers[nodes[{ni}].operand].array.ptr.view({n})"
-                       for _, ni in operands)
-        call = f"{name}_lanes(nodes, {head}{args})"
-        e.emit(f"    {call}" if in_place else f"    dv[:] = {call}")
-    # closed-form charge: the whole (category, count) profile is a
-    # function of the cache key, so it is prebound as one tuple and
-    # applied in a single batched call
-    if charge:
-        chg = e.bind(f"_chg{g}", charge)
-        e.emit(f"    svm.machine.counters.add_many({chg})")
-    elif not n:
-        e.emit("    pass")
-    e.emit()
-
-    # ---- batch: matrices in, matrix out, no charge -------------------
-    # the batch runner charges rows 1+ from the plan's static profile
-    head = "_h.dst" if head_is_dst else "_h.src"
-    args = "".join(f", get(nodes[{ni}].operand)" for _, ni in operands)
-    e.emit(f"def {name}_2d(nodes, mats, get):")
-    e.emit(f"    _h = nodes[{head_index}]")
-    e.emit(f"    mats[_h.dst] = {name}_lanes(nodes, get({head}){args})")
-    e.emit()
-    return name, n, charge
+    return name, int(group.n), charge
 
 
 def compile_fused(plan: Plan, fused: FusedPlan, machine) -> CompiledPlan | None:
-    """Generate, compile and bind the kernels for every fused group of
+    """Generate, compile and bind the entry point of every fused group of
     ``fused`` against ``machine``'s configuration (VLEN and codegen
     preset fix the closed-form charges); returns None when there is
     nothing to compile (no fused groups).
@@ -395,22 +342,5 @@ def compile_fused(plan: Plan, fused: FusedPlan, machine) -> CompiledPlan | None:
         spec: _emit_group(e, plan, spec, machine, gi)
         for gi, spec in enumerate(order)
     }
-
-    # whole-plan kernel: every unit is a compiled group, a FREE, or a
-    # structured replay node
-    e.emit(f"def {_PLAN_KERNEL}(svm, plan):")
-    e.emit("    nodes = plan.nodes")
-    e.emit("    buffers = plan.buffers")
-    for u in fused.units:
-        if isinstance(u, GroupSpec):
-            e.emit(f"    {group_meta[u][0]}(svm, nodes, buffers)")
-        elif plan.nodes[u].kind is Kind.FREE:
-            e.emit(f"    svm.free(buffers[nodes[{u}].dst].array)")
-        else:
-            # structured replay (permute/pack/seg_scan/...) through
-            # the SVM surface; _rn is run_node_eager, prebound
-            e.bind("_rn", run_node_eager)
-            e.emit(f"    _rn(svm, plan, nodes[{u}])")
-    e.emit()
 
     return CompiledPlan(e.source(), e.consts, group_meta)

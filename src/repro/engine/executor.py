@@ -1,34 +1,28 @@
-"""Execute a fused plan: the strict reference loop or generated kernels.
+"""Execute a fused plan: the fast evaluator, the unit loop, or native C.
 
-Non-fused units replay the recorded :class:`~repro.svm.context.SVM`
-method call verbatim, so their results *and* counters are exactly what
-eager execution would have produced — ``svm.lazy(fuse=False)`` is a
-bit- and counter-identical spelling of the eager program.
+:meth:`Engine.compile_plan` fixes a plan's closed-form counter profile
+(``FusedPlan.charge_items``: the fused groups' tuples plus every other
+node's ``OpSpec.charge``) and its shortest unit (``FusedPlan.min_n``).
+A run is *all-fast* when the fast path applies at that length; it then
+runs as one native C call (:mod:`repro.engine.native`) or through the
+Python tier's one fast evaluator, :func:`run_units` — generated group
+functions and NumPy node bodies on memory views (:class:`Views`), the
+same loop ``svm.batch`` runs on the ``[B-1, n]`` matrices of rows 1+ —
+and charges the profile once (:func:`charge_runs`).
 
-Fused groups run one of two ways, mirroring the repo's strict/fast
-contract:
+Any other run — strict, mixed-threshold, profiled or unfused — takes
+the unit loop. Its fused groups run :func:`run_group_strict`, the
+reference semantics (one strip loop on the machine intrinsics: load
+the head, apply every lane op in registers, the optional scan tail,
+store once), or their generated function plus its own charge where
+the fast path applies; other nodes replay their recorded
+:class:`~repro.svm.context.SVM` call
+(:func:`~repro.engine.nodes.run_node_eager`), so ``svm.lazy(fuse=False)``
+is a bit- and counter-identical spelling of the eager program.
 
-* :func:`run_group_strict` is the reference semantics: it drives the
-  machine intrinsic-by-intrinsic — one strip loop that loads the head
-  value, applies every lane op in registers, runs the optional
-  in-register scan tail, and stores once;
-* on the fast path the group runs the kernel
-  :func:`~repro.engine.codegen.compile_fused` generated for it at
-  plan-cache insert — NumPy over the whole group plus one precomputed
-  closed-form charge of the strict loop's counters.
-
-Both share the vl sequence (``n``, VLEN, SEW, LMUL determine it), so
-results and per-category counts agree exactly — the invariant
-``tests/engine`` asserts across modes, sizes, and presets. The native
-backends (:mod:`repro.engine.native`) sit on top: one compiled C call
-per plan when it lowers, the generated kernels otherwise.
-
-Because every count is closed-form, :meth:`Engine.compile_plan` also
-computes the plan's whole counter profile once
-(``FusedPlan.charge_items``): the groups' precomputed tuples plus each
-replayed node's registry charge (``OpSpec.charge``). Native calls and
-batch rows 1+ charge that profile instead of running Python, adding
-pack's survivor-strip term per run.
+Every path shares the vl sequence (``n``, VLEN, SEW, LMUL determine
+it), so results and per-category counts agree exactly — the invariant
+``tests/engine`` asserts across modes, sizes, and presets.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from ..rvv.counters import Cat
 from ..rvv.intrinsics import arith, compare, loadstore, mask as maskops, move, permutation
 from ..rvv.value import VReg
 from ..svm import elementwise as ew
-from ..svm.fastpath import _items, pack_variable_items
+from ..svm.fastpath import _items, _wrap, pack_variable_items
 from ..svm.operators import get_operator
 from ..svm.scan import inner_scan_steps
 from .cache import PlanCache
@@ -59,13 +53,18 @@ from .fuse import (
 )
 from .ir import EngineError, Kind, Plan, resolve_scalar
 from .native import NATIVE_BACKENDS, artifact_dir, lower_plan, native_state
-from .nodes import node_charge, run_node_eager
+from .nodes import node_charge, run_node_eager, run_node_np
 
 __all__ = [
     "Engine",
+    "Views",
+    "all_fast",
+    "charge_runs",
     "execute",
+    "free_live",
     "native_for",
     "run_group_strict",
+    "run_units",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "resolve_backend",
@@ -178,6 +177,102 @@ _SCAN_EW = {
 
 
 # ---------------------------------------------------------------------------
+# the fast evaluator
+# ---------------------------------------------------------------------------
+
+class Views(dict):
+    """Buffer id -> 1-D view of the buffer in simulated memory, sliced
+    on first touch: the fast evaluator's arrays for one call. Writes
+    land in memory, a produced future resolves at once, so the units
+    after it (fused groups, shifts) read it in program order, and a
+    FREE node frees its buffer."""
+
+    __slots__ = ("svm", "buffers", "sws")
+
+    def __init__(self, svm, buffers: dict) -> None:
+        super().__init__()
+        self.svm = svm
+        self.buffers = buffers
+        #: Pack strips that held a survivor, summed over the run.
+        self.sws = 0
+
+    def __missing__(self, bid: int):
+        # bounds and alignment were validated when the buffer was
+        # allocated at capture time, so skip Memory.view's re-checks
+        buf = self.buffers[bid]
+        p = buf.array.ptr
+        view = self[bid] = p.mem._bytes[
+            p.addr:p.addr + buf.n * p.dtype.itemsize].view(p.dtype)
+        return view
+
+    #: A node that overwrites a buffer writes its memory view.
+    fresh = dict.__getitem__
+
+    def store(self, bid: int, arr) -> None:
+        self[bid][...] = arr
+
+    @staticmethod
+    def scalar(node, dtype):
+        return _wrap(resolve_scalar(node.scalar), dtype)
+
+    @staticmethod
+    def produce(node, value) -> None:
+        node.future.resolve(value)
+
+    def free(self, bid: int) -> None:
+        self.pop(bid, None)
+        self.svm.free(self.buffers[bid].array)
+
+
+def run_units(plan: Plan, fused: FusedPlan, mats, m) -> None:
+    """The Python tier's one fast evaluator: every unit of a compiled
+    plan in program order on ``mats`` — the :class:`Views` of a single
+    call, or the :class:`~repro.batch.runner.Rows` matrices of batch
+    rows 1+. Fused groups run their generated entry point, other nodes
+    their NumPy body (:func:`~repro.engine.nodes.run_node_np`). Charges
+    nothing: the caller charges the static profile once
+    (:func:`charge_runs`), with ``mats.sws`` for pack's term."""
+    nodes = plan.nodes
+    groups = fused.compiled.groups if fused.compiled is not None else {}
+    for unit in fused.units:
+        if isinstance(unit, GroupSpec):
+            groups[unit].run(nodes, mats)
+        else:
+            run_node_np(nodes[unit], mats, m)
+
+
+def charge_runs(m, fused: FusedPlan, rows: int = 1, sws: int = 0) -> None:
+    """Charge ``rows`` all-fast runs of ``fused``: its static profile
+    (``fused.charge_items``) per row, plus pack's survivor-strip term
+    for ``sws`` strips over all rows. The one charge of every all-fast
+    run — fast evaluator or native, one row or B."""
+    items = fused.charge_items
+    if rows != 1:
+        items = [(cat, k * rows) for cat, k in items]
+    m.counters.add_many(items)
+    if sws:
+        m.counters.add_many(pack_variable_items(sws))
+
+
+def free_live(svm, plan: Plan, bids) -> None:
+    """Free each buffer of ``bids`` that is still allocated: after a
+    run that raised, the buffers its FREE nodes name; after a batch
+    row, its temporaries and input."""
+    heap = svm.machine.heap
+    for bid in bids:
+        arr = plan.buffers[bid].array
+        if heap.is_live(arr.ptr.addr):
+            svm.free(arr)
+
+
+def all_fast(svm, fused: FusedPlan) -> bool:
+    """Whether every unit of ``fused`` takes the fast path: its
+    shortest unit does (False for a plan :meth:`Engine.compile_plan`
+    did not build)."""
+    return fused.min_n is not None and svm._fast(fused.min_n)
+
+
+# ---------------------------------------------------------------------------
 # plan execution + the Engine facade
 # ---------------------------------------------------------------------------
 
@@ -185,26 +280,14 @@ def execute(svm, plan: Plan, fused: FusedPlan,
             backend: str = DEFAULT_BACKEND) -> None:
     """Run a fused plan's units in program order against ``svm``.
 
-    ``fused`` must come from :meth:`Engine.compile_plan` (directly or
-    through the plan cache): on the fast path every fused group runs
-    the kernel generated for it in ``fused.compiled``, and there is no
-    other fast-path implementation to fall back to. Strict execution
-    materializes each group and drives :func:`run_group_strict`.
-
-    ``"codegen"`` (the default) runs the generated kernels — the whole
-    plan as one call (``fused.compiled.plan_fn``) when the fast path
-    applies to every group, else unit by unit.
-    ``"native"`` / ``"native-speed"`` run the whole plan as one
-    compiled C call (:mod:`repro.engine.native`) when the plan lowers,
-    a toolchain is present, and the execution is all-fast; otherwise
-    they degrade to exactly the codegen tier. ``"native"`` keeps the
-    counter contract by charging the plan's static profile
-    (``fused.charge_items``, computed by :meth:`Engine.compile_plan`)
-    on every native run, the first included; ``"native-speed"`` skips
-    counter bookkeeping entirely (results-identical only). ``pack``'s
-    one data-dependent term is not in the profile: every native run
-    adds :func:`~repro.svm.fastpath.pack_variable_items` for the
-    survivor strips its kernel counted.
+    An all-fast run (see the module docstring) on ``"native"`` /
+    ``"native-speed"`` is one compiled C call when the plan lowers and
+    a toolchain is present; ``"native"`` charges the static profile,
+    ``"native-speed"`` skips counter bookkeeping (results-identical
+    only). Otherwise an unprofiled all-fast run takes the fast
+    evaluator, anything else the unit loop, where a fused group on the
+    fast path needs the function ``Engine.compile_plan`` generated for
+    it. A run that raises still frees the buffers its FREE nodes name.
 
     With a profiler installed each fused group gets its own span
     (``fused_scan``/``fused_ew`` with {n, nodes, path} metadata, plus
@@ -215,68 +298,64 @@ def execute(svm, plan: Plan, fused: FusedPlan,
     """
     col = getattr(svm.machine, "collector", None)
     native = native_for(svm, plan, fused, backend)
-    if native is None:
-        _execute_units(svm, plan, fused, col)
-        return
-    with _native_span(col, native, backend):
-        sws = native.run(svm, plan)
-        if backend == "native":
-            counters = svm.machine.counters
-            counters.add_many(fused.charge_items)
-            if sws:
-                counters.add_many(pack_variable_items(sws))
+    try:
+        if native is None:
+            _execute_units(svm, plan, fused, col)
+        else:
+            # the charge runs inside the span, so it carries the delta
+            with col.span("native_plan", n=fused.min_n, backend=backend) \
+                    if col is not None else nullcontext():
+                sws = native.run(svm, plan)
+                if backend == "native":
+                    charge_runs(svm.machine, fused, 1, sws)
+    except BaseException:
+        # every tier: a plan that raised still frees what it would have
+        free_live(svm, plan, [node.dst for node in plan.nodes
+                              if node.kind is Kind.FREE])
+        raise
 
 
 def native_for(svm, plan: Plan, fused: FusedPlan, backend: str):
     """The :class:`~repro.engine.native.NativePlan` :func:`execute`
     runs ``plan`` through on ``backend``, or None when it runs the
-    Python tier (codegen backend, plan does not lower, no toolchain, or
-    an execution that is not all-fast)."""
-    if backend not in NATIVE_BACKENDS:
+    Python tier (codegen backend, an execution that is not all-fast,
+    plan does not lower, or no toolchain)."""
+    if backend not in NATIVE_BACKENDS or not all_fast(svm, fused):
         return None
-    native = native_state(svm, plan, fused)
-    if native is None or not svm._fast(native.min_n):
-        return None
-    return native
+    return native_state(svm, plan, fused)
 
 
-def _static_charge(plan: Plan, fused: FusedPlan, m) -> tuple:
-    """One execution's closed-form counter profile: each fused group's
-    precomputed tuple plus the registry charge of every replayed node,
-    pack's survivor-strip term excluded and zero counts dropped."""
+def _static_facts(plan: Plan, fused: FusedPlan, m) -> tuple[tuple, int]:
+    """One execution's closed-form counter profile — each fused group's
+    precomputed tuple plus the registry charge of every other node,
+    pack's survivor-strip term excluded and zero counts dropped — and
+    the element count of its shortest unit, FREE excluded (0 when there
+    is none)."""
     groups = fused.compiled.groups if fused.compiled is not None else {}
     items: list = []
+    lengths = []
     for unit in fused.units:
         if isinstance(unit, GroupSpec):
             items += groups[unit].charge
+            lengths.append(groups[unit].n)
         elif plan.nodes[unit].kind is not Kind.FREE:
-            items += node_charge(m, plan, plan.nodes[unit])
-    return _items(*items)
-
-
-def _native_span(col, native, backend: str):
-    """One ``native_plan`` span around a compiled C call when
-    profiling (the charge replay inside it, so the span carries the
-    plan's counter delta)."""
-    if col is None:
-        return nullcontext()
-    return col.span("native_plan", n=native.min_n, backend=backend)
+            node = plan.nodes[unit]
+            items += node_charge(m, plan, node)
+            lengths.append(plan.buffers[
+                node.dst if node.dst is not None else node.src].n)
+    return _items(*items), int(min(lengths, default=0))
 
 
 def _execute_units(svm, plan: Plan, fused: FusedPlan, col) -> None:
-    """The Python-tier unit loop: generated kernels on the fast path,
-    the strict reference loop otherwise."""
-    compiled = fused.compiled
-    if compiled is None:
-        groups = {}
-    elif col is None and svm._fast(compiled.min_n):
-        # whole-plan flat kernel: the fast path applies to every
-        # group — skip the unit loop entirely (profiled runs keep
-        # per-group spans)
-        compiled.plan_fn(svm, plan)
+    """The Python tier: the fast evaluator when the run is all-fast and
+    unprofiled, else the unit loop (see :func:`execute`)."""
+    m = svm.machine
+    views = Views(svm, plan.buffers)
+    if col is None and all_fast(svm, fused):
+        run_units(plan, fused, views, m)
+        charge_runs(m, fused, 1, views.sws)
         return
-    else:
-        groups = compiled.groups
+    groups = fused.compiled.groups if fused.compiled is not None else {}
     for unit in fused.units:
         if not isinstance(unit, GroupSpec):
             run_node_eager(svm, plan, plan.nodes[unit])
@@ -288,7 +367,8 @@ def _execute_units(svm, plan: Plan, fused: FusedPlan, col) -> None:
                            path="fast", backend="codegen") \
                 if col is not None else nullcontext()
             with ctx:
-                cg.fn(svm, plan.nodes, plan.buffers)
+                cg.run(plan.nodes, views)
+                m.counters.add_many(cg.charge)
             continue
         group = materialize(plan, unit)
         if svm._fast(group.n):
@@ -360,7 +440,7 @@ class Engine:
         with ctx:
             fused = fuse_plan(plan)
             fused.compiled = compile_fused(plan, fused, m)
-            fused.charge_items = _static_charge(plan, fused, m)
+            fused.charge_items, fused.min_n = _static_facts(plan, fused, m)
         if col is not None:
             groups = len(fused.compiled.groups) if fused.compiled else 0
             col.codegen_event(groups, time.perf_counter() - t0)
@@ -415,13 +495,9 @@ class Engine:
         """Execute ``plan``; with ``fuse=False`` every node replays
         eagerly through the unit loop on every backend (bit- and
         counter-identical to not using the engine)."""
-        if fuse:
-            fused = self.fused_for(plan)
-            execute(self.svm, plan, fused, backend=self.backend)
-        else:
-            fused = FusedPlan(units=list(range(len(plan.nodes))))
-            _execute_units(self.svm, plan, fused,
-                           getattr(self.svm.machine, "collector", None))
+        fused = self.fused_for(plan) if fuse else \
+            FusedPlan(units=list(range(len(plan.nodes))))
+        execute(self.svm, plan, fused, backend=self.backend)
         self.last_plan = plan
         self.last_fused = fused
         return fused

@@ -657,17 +657,6 @@ def _pack_vlmax(machine, plan: Plan, node) -> int:
                          node.lmul)
 
 
-def _unit_n(plan: Plan, unit) -> int | None:
-    """The element count a unit iterates over (None for FREE)."""
-    if isinstance(unit, GroupSpec):
-        return int(plan.buffers[plan.nodes[unit.node_indices[0]].dst].n)
-    node = plan.nodes[unit]
-    if node.kind is Kind.FREE:
-        return None
-    bid = node.dst if node.dst is not None else node.src
-    return int(plan.buffers[bid].n)
-
-
 def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
     """Lower a fused plan to C source + binding metadata, or None when
     the plan is structurally ineligible. Pure: consumes only
@@ -677,19 +666,15 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
     if not fused.units:
         return None
     g = _Gen(plan)
-    lengths: list[int] = []
     try:
         for unit in fused.units:
             if isinstance(unit, GroupSpec):
                 _emit_group(g, unit)
             else:
                 _emit_node(g, unit)
-            n = _unit_n(plan, unit)
-            if n is not None:
-                lengths.append(n)
     except _Ineligible:
         return None
-    if not lengths or not g.buf_slots:
+    if not g.buf_slots:
         return None
 
     nb = len(g.buf_slots)
@@ -749,7 +734,6 @@ def lower_plan(plan: Plan, fused: FusedPlan) -> "NativePlan | None":
         "pack_nodes": g.pack_nodes,
         "oob": oob,
         "nout": nout,
-        "min_n": min(lengths),
     }
     return NativePlan("\n".join(src) + "\n", meta)
 
@@ -767,7 +751,6 @@ class NativePlan:
     def __init__(self, source: str, meta: dict) -> None:
         self.source = source
         self.meta = meta
-        self.min_n: int = meta["min_n"]
         self.digest = hashlib.sha256(
             f"v{NATIVE_VERSION}\n{' '.join(CFLAGS)}\n{source}".encode()
         ).hexdigest()[:16]
@@ -898,31 +881,30 @@ class NativePlan:
             nodes[ni].future.resolve(int(outs[j]))
         # frees run after the kernel: plans never allocate mid-flight,
         # so deferring them cannot change any address the kernel used
+        # (after a raise, the executor frees them)
         for a in free_alpha:
             svm.free(alpha_bufs[a].array)
         return sum(outs[strip_outs])
 
-    def run2d(self, svm, plan: Plan, mats: dict, get, fvals: dict,
-              b: int) -> None:
+    def run2d(self, svm, plan: Plan, mats) -> None:
         """Batched execution for the 2D bucket runner: every buffer is
-        materialized as a C-contiguous ``[b, n]`` matrix and the kernel
-        loops rows natively; produced futures land in ``fvals`` as
-        per-row int64 columns (the ``_scalar_2d`` convention)."""
+        materialized as a C-contiguous ``[b, n]`` matrix of ``mats``
+        (a :class:`~repro.batch.runner.Rows`) and the kernel loops rows
+        natively; produced futures land in ``mats.fvals`` as per-row
+        int64 vectors."""
         layout = (getattr(self._local, "layout", None)
                   or self._layout(svm.machine, plan))
         bufs, scalars, sel, _, lens, alpha_of = layout[:6]
         self._local.last = None  # the tables get matrix pointers
         alpha_bufs = plan._alpha()[0]
-        hold = []
         for j, a in enumerate(alpha_of):
             bid = alpha_bufs[a].bid
-            mat = get(bid)
+            mat = mats[bid]
             if not mat.flags["C_CONTIGUOUS"]:
-                mat = np.ascontiguousarray(mat)
-                mats[bid] = mat
-            hold.append(mat)
+                mat = mats[bid] = np.ascontiguousarray(mat)
             bufs[j] = mat.ctypes.data
         meta = self.meta
+        b = mats.b
         outs_mat = np.zeros((b, max(meta["nout"], 1)), dtype=np.uint64)
         nodes = plan.nodes
         self._fill_scalars(nodes, scalars, sel)
@@ -933,7 +915,7 @@ class NativePlan:
         if oob is not None and outs_mat[:, oob].any():
             raise IndexError(_OOB_MESSAGE)
         for j, ni in enumerate(meta["future_nodes"]):
-            fvals[nodes[ni].future] = outs_mat[:, j].astype(np.int64)
+            mats.fvals[nodes[ni].future] = outs_mat[:, j].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

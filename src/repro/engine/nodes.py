@@ -1,24 +1,34 @@
-"""Eager replay of a single plan node through the SVM surface.
+"""One plan node, two ways: its SVM call replayed, or its NumPy body.
 
-Non-fused units — structured replay kinds (permute, pack, seg_scan,
-select, ...) and frees — execute by calling the
-:class:`~repro.svm.context.SVM` primitive they were captured from, so
-their results *and* counters are exactly what eager execution would
-have produced. Each kind maps back to its primitive using the
-node-field conventions documented on :class:`~repro.engine.ir.OpNode`.
+Every non-fused unit — a lane op left out of any group, a structured
+kind (permute, pack, seg_scan, select, ...) or a free — has one branch
+per kind in each ladder (``tools/check_opspec.py`` gates both):
 
-:func:`run_node_eager` is a module-level function (not a closure) so
-generated whole-plan kernels can reference it as one pre-bound
-constant shared by every compiled plan.
+* :func:`run_node_eager` replays the :class:`~repro.svm.context.SVM`
+  call the node was captured from (the unit loop), so its results
+  *and* counters are exactly eager execution's; each kind maps back to
+  its primitive by the field conventions on
+  :class:`~repro.engine.ir.OpNode`;
+* :func:`run_node_np` runs the NumPy body of the node's fast kernel
+  (``repro.svm.fastpath.np_*``) and charges nothing — the fast
+  evaluator's path, on a single call's memory views and on batch
+  rows' ``[B-1, n]`` matrices alike.
+
+:func:`node_charge` is a node's registry charge, its term in the
+plan's static profile.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..rvv.types import sew_for_dtype
+from ..svm import fastpath as fp
+from ..svm.operators import get_operator
 from ..svm.opspec import OPSPECS, iter_specs
 from .ir import EngineError, Kind, OpNode, Plan, resolve_scalar
 
-__all__ = ["node_charge", "run_node_eager"]
+__all__ = ["node_charge", "run_node_eager", "run_node_np"]
 
 #: Kind -> the op that records it; the elementwise and compare kinds
 #: several ops share resolve through ``node.op`` instead.
@@ -97,3 +107,63 @@ def run_node_eager(svm, plan: Plan, node: OpNode) -> None:
         svm.free(arr(node.dst))
     else:  # pragma: no cover - exhaustive over Kind
         raise EngineError(f"cannot execute node kind {node.kind}")
+
+
+def run_node_np(node: OpNode, mats, m) -> None:
+    """Execute one node as its NumPy body on ``mats``
+    (:class:`~repro.engine.executor.Views` or
+    :class:`~repro.batch.runner.Rows`): ``mats[bid]`` holds a buffer's
+    contents, ``mats.fresh(bid)`` one the node overwrites in full
+    (fetched after the operands), ``mats.scalar``/``mats.produce`` read
+    a scalar operand and record a produced future, ``mats.free``
+    releases a buffer, and pack adds its strips with survivors to
+    ``mats.sws``."""
+    kind = node.kind
+    if kind is Kind.EW_VX:
+        a = mats[node.dst]
+        fp.np_elementwise(node.op, a, mats.scalar(node, a.dtype))
+    elif kind is Kind.EW_VV:
+        fp.np_elementwise(node.op, mats[node.dst], mats[node.operand])
+    elif kind is Kind.CMP_VX:
+        a = mats[node.src]
+        fp.np_compare(node.op, a, mats.scalar(node, a.dtype),
+                      mats.fresh(node.dst))
+    elif kind is Kind.CMP_VV:
+        fp.np_compare(node.op, mats[node.src], mats[node.operand],
+                      mats.fresh(node.dst))
+    elif kind is Kind.GET_FLAGS:
+        fp.np_get_flags(mats[node.src], resolve_scalar(node.scalar),
+                        mats.fresh(node.dst))
+    elif kind is Kind.SCAN:
+        fp.np_scan(mats[node.dst], get_operator(node.op), node.inclusive)
+    elif kind is Kind.SELECT:
+        fp.np_select(mats[node.operand], mats[node.src], mats[node.dst])
+    elif kind is Kind.SEG_SCAN:
+        fp.np_seg_scan(mats[node.dst], mats[node.operand],
+                       get_operator(node.op), node.inclusive)
+    elif kind is Kind.ENUMERATE:
+        mats.produce(node, fp.np_enumerate(mats[node.src], node.scalar,
+                                           mats.fresh(node.dst)))
+    elif kind is Kind.REDUCE:
+        mats.produce(node, fp.np_reduce(mats[node.src], get_operator(node.op)))
+    elif kind is Kind.PERMUTE:
+        fp.np_permute(mats[node.src], mats[node.operand], mats[node.dst])
+    elif kind is Kind.BACK_PERMUTE:
+        fp.np_back_permute(mats[node.src], mats[node.operand],
+                           mats.fresh(node.dst))
+    elif kind is Kind.SHIFT1UP:
+        src, dst = mats[node.src], mats.fresh(node.dst)
+        fp.np_shift1up(src, mats.scalar(node, dst.dtype), dst)
+    elif kind is Kind.COPY:
+        fp.np_copy(mats[node.src], mats.fresh(node.dst))
+    elif kind is Kind.INDEX:
+        fp.np_index(mats.fresh(node.dst))
+    elif kind is Kind.PACK:
+        src, keep = mats[node.src], mats[node.operand] != 0
+        mats.produce(node, fp.np_pack(src, keep, mats[node.dst]))
+        vlmax = m.vlmax(sew=sew_for_dtype(src.dtype), lmul=node.lmul)
+        mats.sws += int(np.sum(fp.pack_strip_survivors(keep, vlmax)))
+    elif kind is Kind.FREE:
+        mats.free(node.dst)
+    else:  # pragma: no cover - exhaustive over Kind
+        raise EngineError(f"cannot evaluate node kind {kind}")

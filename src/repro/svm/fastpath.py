@@ -8,8 +8,8 @@ Every kernel's dynamic instruction count, however, depends only on the
 kernel, ``pack``, is handled explicitly). So each primitive here:
 
 1. computes its result with its NumPy body (``np_*``): one vectorized
-   expression over the trailing axis, which the batch runner applies
-   unchanged to a ``[B-1, n]`` matrix of rows, and
+   expression over the trailing axis, which the engine's fast
+   evaluator applies unchanged to a ``[B-1, n]`` matrix of rows, and
 2. charges the machine counters with the *identical per-category
    counts* the strict kernel would produce.
 
@@ -349,8 +349,9 @@ def _charge(m: RVVMachine, fn, n: int, dtype, lmul: LMUL, **fact) -> None:
 # ---------------------------------------------------------------------------
 # NumPy bodies and the fast kernels that charge around them
 # ---------------------------------------------------------------------------
-# An ``np_*`` body runs on ``[n]`` memory views here and on the batch
-# runner's ``[B-1, n]`` matrices, and never charges. Scalars arrive
+# An ``np_*`` body runs on ``[n]`` memory views here and in the engine's
+# fast evaluator (a single call's views, batch rows' ``[B-1, n]``
+# matrices), and never charges. Scalars arrive
 # wrapped to the element dtype (in a batch possibly as a ``[B-1, 1]``
 # column of per-row values); per-row results come back as vectors.
 
@@ -363,8 +364,7 @@ def fast_elementwise_vx(m: RVVMachine, kernel: str, n: int, a: Pointer, x: int,
                         lmul: LMUL = LMUL.M1) -> None:
     """Fast path of the vector-scalar elementwise kernels (p_add etc.)."""
     n = int(n)
-    if n:
-        np_elementwise(kernel, a.view(n), _wrap(x, a.dtype))
+    np_elementwise(kernel, a.view(n), _wrap(x, a.dtype))
     _charge(m, charge_vx, n, a.dtype, lmul, kernel=kernel)
 
 
@@ -372,8 +372,7 @@ def fast_elementwise_vv(m: RVVMachine, kernel: str, n: int, a: Pointer, b: Point
                         lmul: LMUL = LMUL.M1) -> None:
     """Fast path of the vector-vector elementwise kernels."""
     n = int(n)
-    if n:
-        np_elementwise(kernel, a.view(n), b.view(n))
+    np_elementwise(kernel, a.view(n), b.view(n))
     _charge(m, charge_vv, n, a.dtype, lmul, kernel=kernel)
 
 
@@ -386,8 +385,7 @@ def fast_p_select(m: RVVMachine, n: int, flags: Pointer, a: Pointer, b: Pointer,
                   lmul: LMUL = LMUL.M1) -> None:
     """Fast path of p_select: ``b[i] = a[i] where flags[i]``."""
     n = int(n)
-    if n:
-        np_select(flags.view(n), a.view(n), b.view(n))
+    np_select(flags.view(n), a.view(n), b.view(n))
     _charge(m, charge_p_select, n, a.dtype, lmul)
 
 
@@ -400,8 +398,7 @@ def fast_get_flags(m: RVVMachine, n: int, src: Pointer, flags: Pointer, bit: int
                    lmul: LMUL = LMUL.M1) -> None:
     """Fast path of get_flags."""
     n = int(n)
-    if n:
-        np_get_flags(src.view(n), bit, flags.view(n))
+    np_get_flags(src.view(n), bit, flags.view(n))
     _charge(m, charge_get_flags, n, src.dtype, lmul)
 
 
@@ -410,7 +407,9 @@ def fast_get_flags(m: RVVMachine, n: int, src: Pointer, flags: Pointer, bit: int
 # ---------------------------------------------------------------------------
 
 def np_scan(a: np.ndarray, op: BinaryOp, inclusive: bool) -> None:
-    """⊕-scan of ``a`` in place."""
+    """⊕-scan of ``a`` in place (a no-op on an empty trailing axis)."""
+    if not a.shape[-1]:
+        return
     if inclusive:
         op.ufunc.accumulate(a, axis=-1, out=a)
     else:
@@ -424,8 +423,7 @@ def fast_scan(m: RVVMachine, n: int, src: Pointer, op: str | BinaryOp = PLUS,
     """Fast path of the ⊕-scan (inclusive by default)."""
     op = get_operator(op)
     n = int(n)
-    if n:
-        np_scan(src.view(n), op, inclusive)
+    np_scan(src.view(n), op, inclusive)
     _charge(m, charge_scan, n, src.dtype, lmul, exclusive=not inclusive)
 
 
@@ -433,7 +431,10 @@ def np_seg_scan(a: np.ndarray, head_flags: np.ndarray, op: BinaryOp,
                 inclusive: bool) -> None:
     """Segmented ⊕-scan of ``a`` under ``head_flags``, in place. A
     batch forces a head at every row start, so one segmented pass over
-    the flattened matrix is exact: no carry crosses a row boundary."""
+    the flattened matrix is exact: no carry crosses a row boundary. A
+    no-op on an empty trailing axis."""
+    if not a.shape[-1]:
+        return
     if a.ndim > 1:
         head_flags = head_flags.copy()
         head_flags[..., 0] = 1
@@ -457,8 +458,7 @@ def fast_seg_scan(m: RVVMachine, n: int, src: Pointer, head_flags: Pointer,
     """Fast path of the segmented ⊕-scan (inclusive by default)."""
     op = get_operator(op)
     n = int(n)
-    if n:
-        np_seg_scan(src.view(n), head_flags.view(n), op, inclusive)
+    np_seg_scan(src.view(n), head_flags.view(n), op, inclusive)
     _charge(m, charge_seg_scan, n, src.dtype, lmul, exclusive=not inclusive)
 
 
@@ -484,9 +484,7 @@ def fast_enumerate(m: RVVMachine, n: int, flags: Pointer, dst: Pointer,
                    set_bit: bool, lmul: LMUL = LMUL.M1) -> int:
     """Fast path of enumerate."""
     n = int(n)
-    count = 0
-    if n:
-        count = int(np_enumerate(flags.view(n), set_bit, dst.view(n)))
+    count = int(np_enumerate(flags.view(n), set_bit, dst.view(n)))
     _charge(m, charge_enumerate, n, flags.dtype, lmul)
     return count
 
@@ -505,8 +503,7 @@ def fast_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer, index: Point
                  lmul: LMUL = LMUL.M1) -> None:
     """Fast path of permute: ``dst[index[i]] = src[i]``."""
     n = int(n)
-    if n:
-        np_permute(src.view(n), index.view(n), dst.view(n))
+    np_permute(src.view(n), index.view(n), dst.view(n))
     _charge(m, charge_permute, n, src.dtype, lmul)
 
 
@@ -521,8 +518,7 @@ def fast_back_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
                       index: Pointer, lmul: LMUL = LMUL.M1) -> None:
     """Fast path of back-permute: ``dst[i] = src[index[i]]``."""
     n = int(n)
-    if n:
-        np_back_permute(src.view(n), index.view(n), dst.view(n))
+    np_back_permute(src.view(n), index.view(n), dst.view(n))
     _charge(m, charge_permute, n, src.dtype, lmul)
 
 
@@ -597,12 +593,10 @@ def fast_pack(m: RVVMachine, n: int, src: Pointer, dst: Pointer, flags: Pointer,
     the per-strip survivor counts are computed here with one
     ``reduceat``."""
     n = int(n)
-    kept = 0
-    if n:
-        keep = flags.view(n).astype(bool)
-        kept = np_pack(src.view(n), keep, dst.view(n))
-        vlmax = m.vlmax(sew=sew_for_dtype(src.dtype), lmul=lmul)
-        m.counters.add_many(pack_variable_items(pack_strip_survivors(keep, vlmax)))
+    keep = flags.view(n).astype(bool)
+    kept = np_pack(src.view(n), keep, dst.view(n))
+    vlmax = m.vlmax(sew=sew_for_dtype(src.dtype), lmul=lmul)
+    m.counters.add_many(pack_variable_items(pack_strip_survivors(keep, vlmax)))
     _charge(m, charge_pack, n, src.dtype, lmul)
     return kept
 
@@ -626,8 +620,7 @@ def fast_cmp_vv(m: RVVMachine, which: str, n: int, a: Pointer, b: Pointer,
                 out: Pointer, lmul: LMUL = LMUL.M1) -> None:
     """Fast path of the vector-vector flag compares."""
     n = int(n)
-    if n:
-        np_compare(which, a.view(n), b.view(n), out.view(n))
+    np_compare(which, a.view(n), b.view(n), out.view(n))
     _charge(m, charge_cmp_vv, n, a.dtype, lmul)
 
 
@@ -635,8 +628,7 @@ def fast_cmp_vx(m: RVVMachine, which: str, n: int, a: Pointer, x: int,
                 out: Pointer, lmul: LMUL = LMUL.M1) -> None:
     """Fast path of the vector-scalar flag compares."""
     n = int(n)
-    if n:
-        np_compare(which, a.view(n), _wrap(x, a.dtype), out.view(n))
+    np_compare(which, a.view(n), _wrap(x, a.dtype), out.view(n))
     _charge(m, charge_cmp_vx, n, a.dtype, lmul, ge=which == "ge")
 
 
@@ -648,8 +640,7 @@ def np_index(out: np.ndarray) -> None:
 def fast_index(m: RVVMachine, n: int, out: Pointer, lmul: LMUL = LMUL.M1) -> None:
     """Fast path of p_index."""
     n = int(n)
-    if n:
-        np_index(out.view(n))
+    np_index(out.view(n))
     _charge(m, charge_index, n, out.dtype, lmul)
 
 
@@ -657,8 +648,7 @@ def fast_rsub(m: RVVMachine, n: int, a: Pointer, x: int, lmul: LMUL = LMUL.M1) -
     """Fast path of p_rsub (charged as p_add: the strict loop is
     p_add's)."""
     n = int(n)
-    if n:
-        np_elementwise("p_rsub", a.view(n), _wrap(x, a.dtype))
+    np_elementwise("p_rsub", a.view(n), _wrap(x, a.dtype))
     _charge(m, charge_vx, n, a.dtype, lmul, kernel="p_add")
 
 
@@ -673,15 +663,16 @@ def fast_reduce(m: RVVMachine, n: int, a: Pointer, op: str | BinaryOp = PLUS,
     """Fast path of reduce."""
     op = get_operator(op)
     n = int(n)
-    acc = op.identity(a.dtype)
-    if n:
-        acc = int(np_reduce(a.view(n), op))
+    acc = int(np_reduce(a.view(n), op))
     _charge(m, charge_reduce, n, a.dtype, lmul)
     return acc
 
 
 def np_shift1up(src: np.ndarray, fill, dst: np.ndarray) -> None:
-    """``dst[0] = fill``, ``dst[i] = src[i-1]``; ``fill`` is wrapped."""
+    """``dst[0] = fill``, ``dst[i] = src[i-1]``; ``fill`` is wrapped.
+    A no-op on an empty trailing axis."""
+    if not dst.shape[-1]:
+        return
     tail = src[..., :-1].copy()  # src and dst may alias
     dst[..., 1:] = tail
     dst[..., 0] = fill
@@ -691,8 +682,7 @@ def fast_shift1up(m: RVVMachine, n: int, src: Pointer, dst: Pointer, fill: int,
                   lmul: LMUL = LMUL.M1) -> None:
     """Fast path of shift1up."""
     n = int(n)
-    if n:
-        np_shift1up(src.view(n), _wrap(fill, dst.dtype), dst.view(n))
+    np_shift1up(src.view(n), _wrap(fill, dst.dtype), dst.view(n))
     _charge(m, charge_shift1up, n, src.dtype, lmul)
 
 
@@ -705,6 +695,5 @@ def fast_copy(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
               lmul: LMUL = LMUL.M1) -> None:
     """Fast path of copy."""
     n = int(n)
-    if n:
-        np_copy(src.view(n), dst.view(n))
+    np_copy(src.view(n), dst.view(n))
     _charge(m, charge_copy, n, src.dtype, lmul)

@@ -120,7 +120,6 @@ class OpSpec:
     charge: Mapping[str, Callable] = field(default_factory=dict)
     profile: str = ""
     fuse_role: str = ""
-    codegen: bool = True
     data_dependent: bool = False
     future: str | None = None
     native: bool = True
@@ -132,6 +131,12 @@ class OpSpec:
     @property
     def fusable(self) -> bool:
         return self.fuse_role in ("lane", "tail")
+
+    @property
+    def codegen(self) -> bool:
+        """The op runs in the Python fast evaluator: every op with
+        kernels of its own does; a composite lowers to other ops."""
+        return not self.composite
 
     @property
     def batch2d(self) -> bool:
@@ -188,7 +193,7 @@ def support_matrix() -> list[dict]:
             "strict": bool(spec.strict),
             "fast": bool(spec.fast),
             "fuse": "lowered" if spec.composite else (spec.fuse_role or None),
-            "codegen": bool(spec.codegen) and not spec.composite,
+            "codegen": spec.codegen,
             "native": bool(spec.native) and not spec.composite,
             "batch2d": bool(spec.batch2d) and not spec.composite,
             "ragged2d": bool(spec.ragged2d) and not spec.composite,
@@ -466,7 +471,6 @@ _register(OpSpec(
     name="reverse",
     category="derived",
     composite=True,
-    codegen=False,
     profiled=False,
     doc="Reverse via index_array + p_rsub + back_permute.",
 ))
@@ -475,7 +479,6 @@ _register(OpSpec(
     name="split",
     category="derived",
     composite=True,
-    codegen=False,
     profiled=False,
     doc="Split (Listing 7): stable partition by flags via enumerate ×2 "
         "+ p_add + p_select + permute.",

@@ -139,6 +139,31 @@ def test_structured_kinds_on_2d_path(pipe):
     assert [b.path for b in result.buckets] == ["2d"]
 
 
+def _scan_exclusive(lz, data):
+    lz.scan_exclusive(data)
+    return data
+
+
+def _seg_inclusive(lz, data):
+    flags = lz.get_flags(data, 1)
+    lz.seg_scan(data, flags)
+    lz.free(flags)
+    return data
+
+
+@pytest.mark.parametrize("pipe", [
+    _scan_exclusive, _seg_inclusive, _seg_exclusive, _shift1up,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_zero_length_rows_on_2d_path(pipe):
+    """Kinds whose NumPy body writes lane 0 are no-ops on an empty
+    trailing axis: zero-length rows batch on the 2D path and match the
+    loop."""
+    rows = [np.zeros(0, np.uint32)] * 3
+    result = assert_equivalent(pipe, rows, vlen=128, mode="fast")
+    assert [b.path for b in result.buckets] == ["2d"]
+    assert all(out.size == 0 for out in result)
+
+
 def test_pack_ragged_interleaved_buckets():
     """Mixed-length batches reorder rows by bucket, so pack's
     undefined tail lanes see different heap garbage than the

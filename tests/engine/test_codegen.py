@@ -72,18 +72,19 @@ def test_whole_plan_kernel_and_copy_elision():
                      n=1000)
     cp = svm.engine.last_fused.compiled
     assert cp is not None
-    # every unit fused -> the whole plan runs as one generated call
-    assert cp.plan_fn is not None
-    assert cp.min_n == 1000
-    # head == dst and no operand re-reads dst: the kernel operates
+    # every unit fused -> one generated entry, which never charges
+    assert [cg.name for cg in cp.groups.values()] == ["_g0"]
+    assert "add_many" not in cp.source
+    # head == dst and no operand re-reads dst: the entry operates
     # in-place on the destination view (no head copy, no writeback)
     assert "copy=True" not in cp.source
+    assert "mats.store" not in cp.source
     assert ".accumulate(" in cp.source
 
 
 def test_alias_keeps_copy_discipline():
     # p_add(data, data): the head's vector operand aliases dst, so the
-    # generated kernel must copy the head and write back at the end
+    # generated function must copy the head and write back at the end
     strict, ref, _ = _run(PIPELINES["alias"], vlen=256, lmul=LMUL.M1,
                           mode="strict")
     codegen, got, svm = _run(PIPELINES["alias"], vlen=256, lmul=LMUL.M1)
@@ -94,8 +95,8 @@ def test_alias_keeps_copy_discipline():
 
 def test_unfused_plan_has_no_compiled_kernels():
     # seg_scan captures as a structured node but never fuses; with no
-    # fused groups there is no whole-plan kernel and the unit loop
-    # replays every node with identical behavior
+    # fused groups nothing is generated and the fast evaluator runs
+    # every node's NumPy body with identical behavior
     def pipe(lz, data, lmul):
         flags = lz.get_flags(data, 0, lmul=lmul)
         lz.seg_plus_scan(data, flags, lmul=lmul)
@@ -107,7 +108,7 @@ def test_unfused_plan_has_no_compiled_kernels():
     assert np.array_equal(ref, got)
     assert strict.by_category == codegen.by_category
     fused = svm.engine.last_fused
-    # no groups compiled, so there is no whole-plan kernel
+    # no groups compiled, so there is no generated source
     assert fused.compiled is None
 
 

@@ -38,9 +38,11 @@ def test_fused_for_attaches_specializations():
     specs = [u for u in fused.units if isinstance(u, GroupSpec)]
     assert specs and set(cp.groups) == set(specs)
     for cg in cp.groups.values():
-        assert cg.n == 4096
-    # the closed-form charge is prebound, one batched call per group
-    assert cp.source.count("counters.add_many(") == len(specs)
+        assert cg.n == 4096 and cg.charge
+    # the closed-form charge is a static fact of each entry, summed
+    # into the plan's profile; the generated source never charges
+    assert "add_many" not in cp.source
+    assert fused.min_n == 4096
 
 
 def test_charge_items_equal_strict_delta():

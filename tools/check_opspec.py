@@ -20,11 +20,17 @@ Fails (exit 1) when the "declared exactly once" invariant is violated:
    check, so a sneaky ``from . import elementwise`` fails even if
    unused);
 4. registry self-consistency: fusable ops need a lane recipe;
-5. native-tier coverage: every non-composite op with codegen metadata
-   must either capture to node kinds the native backend can emit
+5. native-tier coverage: every non-composite op must either capture
+   to node kinds the native backend can emit
    (``repro.engine.native.NATIVE_KINDS``) or declare ``native=False``
    explicitly — an op can never fall out of the compiled tier
-   silently, and a stale ``native=False`` on a lowerable op fails too.
+   silently, and a stale ``native=False`` on a lowerable op fails too;
+6. node-kind coverage: every node ``Kind`` but ``FREE`` has a branch
+   in both node ladders of ``repro.engine.nodes`` — ``run_node_eager``
+   (the unit loop's SVM replay) and ``run_node_np`` (the fast
+   evaluator's NumPy body, which every all-fast single call and batch
+   runs) — so a new kind cannot reach either path unhandled (AST
+   check on the ``Kind.<NAME>`` references each function makes).
 
 Run as ``PYTHONPATH=src python tools/check_opspec.py``.
 """
@@ -149,7 +155,7 @@ def check_native() -> list[str]:
     emittable = {kind.value for kind in NATIVE_KINDS}
     errors = []
     for spec in opspec.iter_specs():
-        if spec.composite or not spec.codegen:
+        if spec.composite:
             continue
         lowerable = (bool(spec.node_kinds)
                      and set(spec.node_kinds.values()) <= emittable)
@@ -166,6 +172,30 @@ def check_native() -> list[str]:
                 f"kind it captures to is native-emittable — drop the stale "
                 "escape hatch"
             )
+    return errors
+
+
+def check_node_ladders() -> list[str]:
+    errors = []
+    path = SRC / "repro" / "engine" / "nodes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    ladders = {"run_node_eager", "run_node_np"}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in ladders:
+            continue
+        ladders.discard(fn.name)
+        named = {node.attr for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "Kind"}
+        for kind in Kind:
+            if kind is not Kind.FREE and kind.name not in named:
+                errors.append(
+                    f"node kind {kind.value!r} has no branch in "
+                    f"engine/nodes.py {fn.name} — add one"
+                )
+    for name in sorted(ladders):
+        errors.append(f"engine/nodes.py defines no {name}")
     return errors
 
 
@@ -194,13 +224,14 @@ def check_context_imports() -> list[str]:
 
 def main() -> int:
     errors = (check_public_surface() + check_specs() + check_native()
-              + check_context_imports())
+              + check_node_ladders() + check_context_imports())
     if errors:
         fail(errors)
     n = sum(1 for s in opspec.iter_specs())
     print(f"check_opspec: OK — {n} registered ops, public surface covered, "
           "every op captures to a structured node kind, "
-          "native flags consistent, context.py imports no kernel modules")
+          "native flags consistent, every node kind has both ladder "
+          "branches, context.py imports no kernel modules")
     return 0
 
 
