@@ -14,10 +14,11 @@ Two claims, two kinds of evidence (the ``bench_batch.py`` pattern):
   wall-clock.
 
 * **Throughput** (asserted here, reported in the summary table): the
-  generated whole-plan kernel replaces one eager primitive call per
-  captured node — the path a user without the engine takes — with a
-  single flat code object over the fused groups. In the
-  dispatch-bound regime (n ≤ 256) it must be ≥ 2x faster than the
+  fast evaluator (:func:`repro.engine.executor.run_units`) replaces
+  one eager primitive call per captured node — the path a user without
+  the engine takes — with one generated function per fused group on
+  memory views and one charge of the plan's static counter profile.
+  In the dispatch-bound regime (n ≤ 256) it must be ≥ 2x faster than the
   unfused replay (``svm.lazy(fuse=False)``) of the same plan; in the
   compute-bound regime (n = 100k) the NumPy work dominates both and
   the floor is parity (no regression).

@@ -4,11 +4,11 @@ strict reference.
 Two claims, two kinds of evidence (the ``bench_codegen.py`` pattern):
 
 * **Identity** (deterministic, CI-gated): the native backend's warm
-  replays — the compiled C kernel plus the recorded counter-charge
-  profile — produce outputs and per-category instruction counters
-  equal to the strict per-strip reference exactly, across a
-  VLEN × LMUL × n grid and the batched (2D) path, and ``native-speed``
-  keeps outputs identical with counters compiled out. These land in
+  replays — the compiled C kernel plus the plan's static counter
+  profile, summed when the plan compiled — produce outputs and
+  per-category instruction counters equal to the strict per-strip
+  reference exactly, across a VLEN × LMUL × n grid and the batched
+  (2D) path. These land in
   ``BENCH_native.json`` which the perf job regenerates and diffs at
   tolerance 0; only deterministic values (counts, booleans) are
   written, never wall-clock. The identity cells hold with or without
@@ -17,12 +17,11 @@ Two claims, two kinds of evidence (the ``bench_codegen.py`` pattern):
 
 * **Throughput** (asserted here, reported in the summary table): one
   compiled C call replaces the whole per-unit Python replay — ufunc
-  dispatch, scalar resolution, charge bookkeeping — so dispatch-bound
-  replays of small-``n`` fused pipelines get dramatically cheaper. In
-  speed mode the compiled kernel must be ≥ 5x faster than the codegen
-  backend at n ≤ 256; counters mode (which still replays the charge
-  profile) carries a conservative ≥ 2x floor. At n = 100k the array
-  work dominates every tier and the honest floor is parity.
+  dispatch and scalar resolution — and charges the static profile
+  once, so dispatch-bound replays of small-``n`` fused pipelines get
+  dramatically cheaper: the native backend must be ≥ 5x faster than
+  the codegen backend at n ≤ 256. At n = 100k the array work
+  dominates every tier and the honest floor is parity.
 
 Both backends replay the *same* warm plan through
 :func:`repro.engine.executor.execute`, so the comparison isolates the
@@ -73,7 +72,7 @@ def _pipe(lz, data):
 def _observe(svm, n, lmul, runs):
     """``runs`` captured executions on identical fresh inputs; returns
     the LAST run's (result, nonzero counters, fused plan) — for the
-    native tier run 2 is the first compiled replay."""
+    native tier run 2 replays the warm plan-cache entry."""
     out = counts = fused = None
     for _ in range(runs):
         data = svm.array(rng(SEED).integers(0, 2**16, n, dtype=np.uint32))
@@ -102,10 +101,6 @@ def test_native_identity_grid(benchmark):
                               lmul=LMUL(lmul), backend="native")
                 got, counts, fused = _observe(nat_svm, n, lmul, runs=2)
 
-                spd_svm = SVM(vlen=vlen, mode="fast", codegen="paper",
-                              lmul=LMUL(lmul), backend="native-speed")
-                spd, spd_counts, _ = _observe(spd_svm, n, lmul, runs=2)
-
                 cell = {
                     "vlen": vlen,
                     "lmul": lmul,
@@ -115,19 +110,14 @@ def test_native_identity_grid(benchmark):
                     "lowered": isinstance(fused.native, NativePlan),
                     "identical_results": bool(np.array_equal(ref, got)),
                     "identical_counters": bool(counts == ref_counts),
-                    "speed_identical_results": bool(
-                        np.array_equal(ref, spd)),
                 }
                 assert cell["lowered"], cell
                 assert cell["identical_results"], cell
                 assert cell["identical_counters"], cell
-                assert cell["speed_identical_results"], cell
                 if native_available():
                     # with a toolchain the runs really were compiled
-                    # replays of the static charge profile and speed
-                    # mode really bypassed the counters
+                    # replays of the static charge profile
                     assert fused.charge_items is not None, cell
-                    assert spd_counts == {}, cell
                 cells.append(cell)
                 table_rows.append([
                     str(vlen), str(lmul), str(n),
@@ -196,14 +186,13 @@ def test_native_identity_grid(benchmark):
                     reason="no C toolchain on this host")
 def test_native_wallclock_speedup():
     table = []
-    # (n, reps, speed_floor, counters_floor): dispatch-bound cells
-    # carry the >=5x speed-mode acceptance; at n=100k the array work
-    # dominates every backend and the honest floor is parity
-    for n, reps, spd_floor, cnt_floor in ((64, 2000, 5.0, 2.0),
-                                          (256, 2000, 5.0, 2.0),
-                                          (100_000, 50, 1.0, 1.0)):
+    # (n, reps, floor): dispatch-bound cells carry the >=5x
+    # acceptance; at n=100k the array work dominates every backend and
+    # the honest floor is parity
+    for n, reps, floor in ((64, 2000, 5.0), (256, 2000, 5.0),
+                           (100_000, 50, 1.0)):
         times = {}
-        for backend in ("codegen", "native", "native-speed"):
+        for backend in ("codegen", "native"):
             svm = SVM(vlen=512, codegen="paper", mode="fast",
                       backend=backend)
             data = svm.array(rng(SEED).integers(0, 2**16, n,
@@ -211,32 +200,24 @@ def test_native_wallclock_speedup():
             with svm.lazy() as lz:  # capture once; replays are measured
                 _pipe(lz, data)
             plan, fused = svm.engine.last_plan, svm.engine.last_fused
-            for _ in range(2):  # warm: lower, compile, record charges
+            for _ in range(2):  # warm: lower and compile
                 execute(svm, plan, fused, backend=backend)
             times[backend] = min(timeit.repeat(
                 lambda: execute(svm, plan, fused, backend=backend),
                 number=reps, repeat=9)) / reps
-        speed_x = times["codegen"] / times["native-speed"]
-        cnt_x = times["codegen"] / times["native"]
+        speedup = times["codegen"] / times["native"]
         table.append([str(n), f"{times['codegen'] * 1e6:.2f} us",
                       f"{times['native'] * 1e6:.2f} us",
-                      f"{times['native-speed'] * 1e6:.2f} us",
-                      fmt_ratio(cnt_x), fmt_ratio(speed_x),
-                      f">= {spd_floor:g}x"])
-        assert speed_x >= spd_floor, (
-            f"n={n}: native-speed {times['native-speed'] * 1e6:.2f} us vs "
-            f"codegen {times['codegen'] * 1e6:.2f} us = {speed_x:.2f}x < "
-            f"floor {spd_floor:g}x")
-        assert cnt_x >= cnt_floor, (
+                      fmt_ratio(speedup), f">= {floor:g}x"])
+        assert speedup >= floor, (
             f"n={n}: native {times['native'] * 1e6:.2f} us vs codegen "
-            f"{times['codegen'] * 1e6:.2f} us = {cnt_x:.2f}x < floor "
-            f"{cnt_floor:g}x")
+            f"{times['codegen'] * 1e6:.2f} us = {speedup:.2f}x < floor "
+            f"{floor:g}x")
     record(ExperimentResult(
         "Native wall-clock",
         f"{ROUNDS}-round chain+scan at VLEN=512, warm-plan replay "
         "(best of 9)",
-        ["n", "codegen", "native", "native-speed", "native x",
-         "speed x", "floor (speed)"], table,
+        ["n", "codegen", "native", "native x", "floor"], table,
         notes=["wall-clock is machine-dependent and intentionally kept"
                " out of BENCH_native.json; the CI gate locks only the"
                " deterministic identity data."],

@@ -357,8 +357,6 @@ def _dispatch_bucket(svm, pipe, rows):
     path = ("ragged" if has_pack else "2d") if use_mat else "loop"
     backend = svm.engine.backend
     native = native_for(svm, plan, fused, backend)
-    # a native-speed row that runs native charges nothing
-    charged = native is None or backend != "native-speed"
     col = getattr(svm.machine, "collector", None)
     ctx = col.span("batch_bucket", rows=len(rows), n=int(n), path=path) \
         if col is not None else nullcontext()
@@ -395,8 +393,7 @@ def _dispatch_bucket(svm, pipe, rows):
             outputs += list(mats[out_bid])
             if lengths is not None:
                 lengths += [int(v) for v in mats.fvals[out_tag]]
-            if charged:
-                charge_runs(svm.machine, fused, b, mats.sws)
+            charge_runs(svm.machine, fused, b, mats.sws)
         else:
             tag_node = None if out_tag is None else next(
                 i for i, node in enumerate(plan.nodes)

@@ -771,9 +771,8 @@ def _add_config_flags(p: argparse.ArgumentParser, *, codegen: bool = False,
         p.add_argument("--backend", choices=list(BACKENDS), default=None,
                        help="fused-plan executor: generated NumPy kernels "
                             "(codegen, the default) or compiled whole-plan "
-                            "C kernels (native keeps counters identical, "
-                            "native-speed compiles them out); default "
-                            "from REPRO_BACKEND")
+                            "C kernels (native, counters identical); "
+                            "default from REPRO_BACKEND")
     if cache_dir:
         p.add_argument("--cache-dir", default=None,
                        help="persistent cache directory: native C "

@@ -69,7 +69,7 @@ __all__ = [
 
 #: Fast-path backends the engine understands (the executor validates
 #: against this; it lives here so config stays import-light).
-BACKENDS = ("codegen", "native", "native-speed")
+BACKENDS = ("codegen", "native")
 
 #: The engine's default fast-path backend.
 DEFAULT_BACKEND = "codegen"

@@ -35,14 +35,13 @@ primitive kernels:
   toolchain (the ``.so`` persists under ``<cache_dir>/native/``
   when ``REPRO_CACHE_DIR`` / ``SVM(cache_dir=...)`` is set, so a warm
   process runs no ``cc``), and replays it as a single ``ctypes`` call
-  — either with
-  the counter contract intact (``backend="native"``) or with counters
-  compiled out (``backend="native-speed"``), falling back to codegen
-  whenever the plan or the environment is ineligible.
+  charged the plan's static counter profile (``backend="native"``),
+  falling back to codegen whenever the plan or the environment is
+  ineligible.
 
 See ``docs/engine.md`` for the IR, fusion legality rules, the cache
 key, and a worked before/after counter example, ``docs/native.md`` for
-the compiled tier's dual contracts, and ``docs/architecture.md`` for
+the compiled tier's contract, and ``docs/architecture.md`` for
 how the execution tiers dispatch.
 """
 
@@ -52,7 +51,7 @@ from .codegen import CompiledPlan, compile_fused
 from .executor import BACKENDS, DEFAULT_BACKEND, Engine, execute, resolve_backend
 from .fuse import FusedGroup, FusedPlan, fuse
 from .ir import OpNode, Plan, ScalarFuture
-from .native import NATIVE_BACKENDS, NativePlan, lower_plan, native_available
+from .native import NativePlan, lower_plan, native_available
 
 __all__ = [
     "Engine",
@@ -71,7 +70,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "resolve_backend",
-    "NATIVE_BACKENDS",
     "NativePlan",
     "lower_plan",
     "native_available",

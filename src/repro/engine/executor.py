@@ -52,7 +52,7 @@ from .fuse import (
     materialize,
 )
 from .ir import EngineError, Kind, Plan, resolve_scalar
-from .native import NATIVE_BACKENDS, artifact_dir, lower_plan, native_state
+from .native import artifact_dir, lower_plan, native_state
 from .nodes import node_charge, run_node_eager, run_node_np
 
 __all__ = [
@@ -280,14 +280,13 @@ def execute(svm, plan: Plan, fused: FusedPlan,
             backend: str = DEFAULT_BACKEND) -> None:
     """Run a fused plan's units in program order against ``svm``.
 
-    An all-fast run (see the module docstring) on ``"native"`` /
-    ``"native-speed"`` is one compiled C call when the plan lowers and
-    a toolchain is present; ``"native"`` charges the static profile,
-    ``"native-speed"`` skips counter bookkeeping (results-identical
-    only). Otherwise an unprofiled all-fast run takes the fast
-    evaluator, anything else the unit loop, where a fused group on the
-    fast path needs the function ``Engine.compile_plan`` generated for
-    it. A run that raises still frees the buffers its FREE nodes name.
+    An all-fast run (see the module docstring) on ``"native"`` is one
+    compiled C call, charged the static profile, when the plan lowers
+    and a toolchain is present. Otherwise an unprofiled all-fast run
+    takes the fast evaluator, anything else the unit loop, where a
+    fused group on the fast path needs the function
+    ``Engine.compile_plan`` generated for it. A run that raises still
+    frees the buffers its FREE nodes name.
 
     With a profiler installed each fused group gets its own span
     (``fused_scan``/``fused_ew`` with {n, nodes, path} metadata, plus
@@ -305,9 +304,7 @@ def execute(svm, plan: Plan, fused: FusedPlan,
             # the charge runs inside the span, so it carries the delta
             with col.span("native_plan", n=fused.min_n, backend=backend) \
                     if col is not None else nullcontext():
-                sws = native.run(svm, plan)
-                if backend == "native":
-                    charge_runs(svm.machine, fused, 1, sws)
+                charge_runs(svm.machine, fused, 1, native.run(svm, plan))
     except BaseException:
         # every tier: a plan that raised still frees what it would have
         free_live(svm, plan, [node.dst for node in plan.nodes
@@ -320,7 +317,7 @@ def native_for(svm, plan: Plan, fused: FusedPlan, backend: str):
     runs ``plan`` through on ``backend``, or None when it runs the
     Python tier (codegen backend, an execution that is not all-fast,
     plan does not lower, or no toolchain)."""
-    if backend not in NATIVE_BACKENDS or not all_fast(svm, fused):
+    if backend != "native" or not all_fast(svm, fused):
         return None
     return native_state(svm, plan, fused)
 
@@ -472,7 +469,7 @@ class Engine:
             fused = self.compile_plan(plan)
             self.cache.put(key, fused)
             source = "compile"
-            if self.backend in NATIVE_BACKENDS:
+            if self.backend == "native":
                 # lower and bind after the put, so concurrent workers
                 # hit the warm entry immediately; codegen-backend
                 # processes never pay for this

@@ -257,7 +257,7 @@ class FusedPlan:
     #: profile, pack's survivor-strip items excluded, computed by
     #: :meth:`repro.engine.executor.Engine.compile_plan` (None on a
     #: plan that was not compiled). Every all-fast run charges it: the
-    #: fast evaluator, native counters mode and batch rows 1+.
+    #: fast evaluator, the native tier and batch rows 1+.
     charge_items: tuple | None = field(default=None, compare=False,
                                        repr=False)
     #: The element count of the shortest unit (FREE excluded), set with

@@ -18,25 +18,18 @@ counts are 0/1 arithmetic, and the segmented scans pick through lane
 masks. The one ``if`` left inside an element loop is scatter/gather's
 bounds guard, which keeps an out-of-range index off host memory.
 
-Two contracts, selected through the backend seam
-(``SVM(backend=...)`` / ``REPRO_BACKEND``):
-
-``"native"`` (counters mode)
-    Bit- **and counter-identical** to the codegen tier. Each C call,
-    the first included, charges the plan's static counter profile
-    (``FusedPlan.charge_items``, summed from the registry's pure charge
-    functions when the plan compiles — the same profile the 2D batch
-    runner charges rows 1+ with) via
-    :meth:`~repro.rvv.counters.Counters.add_many`. This is sound
-    because the primitives' counts are closed-form in the plan shape.
-    The one data-dependent term, ``pack``'s
-    :data:`~repro.svm.fastpath.PACK_VARIABLE` per strip holding a
-    survivor, is left out of the profile and charged per run from the
-    survivor-strip count the kernel itself reports.
-
-``"native-speed"`` (speed mode)
-    Results-identical only; counter bookkeeping is compiled out
-    entirely. This is the production-traffic contract.
+Selected through the backend seam (``SVM(backend="native")`` /
+``REPRO_BACKEND=native``), the tier is bit- **and counter-identical**
+to the codegen tier. Each C call, the first included, charges the
+plan's static counter profile (``FusedPlan.charge_items``, summed from
+the registry's pure charge functions when the plan compiles — the same
+profile the 2D batch runner charges rows 1+ with) via
+:meth:`~repro.rvv.counters.Counters.add_many`. This is sound because
+the primitives' counts are closed-form in the plan shape. The one
+data-dependent term, ``pack``'s
+:data:`~repro.svm.fastpath.PACK_VARIABLE` per strip holding a
+survivor, is left out of the profile and charged per run from the
+survivor-strip count the kernel itself reports.
 
 Lowering is **structural**: :func:`lower_plan` consumes only unit
 kinds, lane recipes from the OpSpec registry and buffer dtypes, so the
@@ -112,7 +105,6 @@ from .ir import Kind, Plan, ScalarFuture, resolve_scalar
 __all__ = [
     "NATIVE_VERSION",
     "CFLAGS",
-    "NATIVE_BACKENDS",
     "NATIVE_KINDS",
     "NativePlan",
     "find_compiler",
@@ -132,9 +124,6 @@ NATIVE_VERSION = 5
 #: digest, so a flag change never rebinds a ``.so`` built under the old
 #: flags. ``-O3`` vectorizes the runtime-trip-count element loops.
 CFLAGS = ("-O3", "-shared", "-fPIC")
-
-#: The backend names this module serves (counters mode, speed mode).
-NATIVE_BACKENDS = ("native", "native-speed")
 
 #: Node kinds the lowering can emit C for: every kind.
 #: ``tools/check_opspec`` gates that every registered op is either

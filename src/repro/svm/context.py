@@ -134,11 +134,10 @@ class SVM:
         self.lmul = cfg.lmul
         #: Fast-path backend for the lazy engine: "codegen" (default)
         #: runs generated kernels, "native" compiled whole-plan C
-        #: kernels with counters kept identical, "native-speed" the
-        #: same kernels with counters compiled out; None defers to
-        #: REPRO_BACKEND / the engine
-        #: default. Native tiers fall back to codegen when the plan is
-        #: ineligible or no C toolchain is present.
+        #: kernels with counters kept identical; None defers to
+        #: REPRO_BACKEND / the engine default. The native tier falls
+        #: back to codegen when the plan is ineligible or no C
+        #: toolchain is present.
         self.backend = cfg.backend
         #: Persistent cache directory (REPRO_CACHE_DIR when not given):
         #: the TuningDB and the native tier's compiled C artifacts

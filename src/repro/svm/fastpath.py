@@ -489,10 +489,20 @@ def fast_enumerate(m: RVVMachine, n: int, flags: Pointer, dst: Pointer,
     return count
 
 
+def _as_int64(index: np.ndarray) -> np.ndarray:
+    """``index`` as NumPy's index dtype. A ``uint64`` index at or above
+    2**63 would wrap negative and address from the end, so it raises
+    :class:`IndexError` here, as on every other tier; narrower index
+    dtypes cannot wrap and pay no extra pass."""
+    if index.dtype == np.uint64 and index.size and int(index.max()) >= 1 << 63:
+        raise IndexError("permute index out of range")
+    return index.astype(np.int64)
+
+
 def np_permute(src: np.ndarray, index: np.ndarray, dst: np.ndarray) -> None:
     """Scatter: ``dst[index[i]] = src[i]``. One row indexes directly,
     twice as fast as ``put_along_axis`` at a few hundred lanes."""
-    index = index.astype(np.int64)
+    index = _as_int64(index)
     if dst.ndim == 1:
         dst[index] = src
     else:
@@ -510,7 +520,7 @@ def fast_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer, index: Point
 def np_back_permute(src: np.ndarray, index: np.ndarray, dst: np.ndarray) -> None:
     """Gather: ``dst[i] = src[index[i]]``, one row indexed directly as
     in :func:`np_permute`."""
-    index = index.astype(np.int64)
+    index = _as_int64(index)
     dst[...] = src[index] if src.ndim == 1 else np.take_along_axis(src, index, axis=-1)
 
 

@@ -143,7 +143,7 @@ def test_rows_capture_and_resolve_once(monkeypatch, mode, lengths,
 
 
 @pytest.mark.parametrize("pipe", [_pipe, _pack_pipe])
-@pytest.mark.parametrize("backend", ["codegen", "native", "native-speed"])
+@pytest.mark.parametrize("backend", ["codegen", "native"])
 def test_charge_profile_recorded_once_per_cache_entry(monkeypatch, backend,
                                                       pipe):
     """The closed-form profile is a static fact of the plan-cache entry:
@@ -210,14 +210,16 @@ def _gather_loop(lz, data):
 def test_out_of_range_index_raises_on_every_path(path, pipe, bad_row,
                                                  backend):
     """An index past the gathered array raises IndexError whichever row
-    holds it and whichever path the bucket takes, and leaves the heap
-    as it was."""
-    rows = [np.arange(8, dtype=np.uint32)[::-1].copy() for _ in range(4)]
+    holds it and whichever path the bucket takes — also a ``uint64``
+    index at 2**64-1, which must not wrap negative — and leaves the
+    heap as it was."""
     svm = SVM(vlen=128, mode="fast", backend=backend)
-    assert svm.batch(pipe, rows).buckets[0].path == path
-    live = svm.machine.heap.live_bytes
-    for bad in (999, 5000):
-        rows[bad_row][3] = bad
-        with pytest.raises(IndexError):
-            svm.batch(pipe, rows)
-        assert svm.machine.heap.live_bytes == live
+    for dtype, bads in ((np.uint32, (999, 5000)), (np.uint64, (2**64 - 1,))):
+        rows = [np.arange(8, dtype=dtype)[::-1].copy() for _ in range(4)]
+        assert svm.batch(pipe, rows).buckets[0].path == path
+        live = svm.machine.heap.live_bytes
+        for bad in bads:
+            rows[bad_row][3] = bad
+            with pytest.raises(IndexError):
+                svm.batch(pipe, rows)
+            assert svm.machine.heap.live_bytes == live

@@ -111,7 +111,7 @@ def test_grid(name, vlen, lmul, codegen):
 SURVIVOR_CASES = [
     pytest.param(name, backend,
                  id=name if backend == "codegen" else f"{name}-{backend}")
-    for backend in ("codegen", "native", "native-speed")
+    for backend in ("codegen", "native")
     for name in sorted(RAGGED_PIPELINES)
 ]
 
@@ -122,8 +122,7 @@ def test_empty_and_full_survivor_rows(name, backend):
     (length n) bracket the ragged charge: zero strips-with-survivors
     on one end, every strip on the other. Row 0's survivor count
     differs from the other rows', so a charge derived from row 0's own
-    counters would drift — including under ``native-speed``, where a
-    native row charges nothing."""
+    counters would drift."""
     rng = np.random.default_rng(31)
     n = 300
     mixed = rng.integers(0, 2**16, n, dtype=np.uint32)

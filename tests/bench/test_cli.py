@@ -69,9 +69,10 @@ class TestCommands:
             assert main(["fuse", "--n", "200", "--vlen", "128",
                          "--backend", backend]) == 0
             assert "bit-identical" in capsys.readouterr().out
-        with pytest.raises(SystemExit) as exc:
-            main(["fuse", "--backend", "interp"])
-        assert exc.value.code == 2
+        for removed in ("interp", "native-speed"):
+            with pytest.raises(SystemExit) as exc:
+                main(["fuse", "--backend", removed])
+            assert exc.value.code == 2
 
     def test_bench_out_merged_grid_jobs1(self, tmp_path, capsys):
         import json

@@ -133,13 +133,14 @@ def test_empty_input_both_backends():
 def test_resolve_backend(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert resolve_backend(None) == DEFAULT_BACKEND
-    assert resolve_backend("native-speed") == "native-speed"
-    monkeypatch.setenv("REPRO_BACKEND", "native-speed")
-    assert resolve_backend(None) == "native-speed"
+    assert resolve_backend("native") == "native"
+    monkeypatch.setenv("REPRO_BACKEND", "native")
+    assert resolve_backend(None) == "native"
     # an unknown env value falls back; an explicit one raises
-    monkeypatch.setenv("REPRO_BACKEND", "interp")
-    assert resolve_backend(None) == DEFAULT_BACKEND
-    with pytest.raises(EngineError):
-        resolve_backend("interp")
+    for removed in ("interp", "native-speed"):
+        monkeypatch.setenv("REPRO_BACKEND", removed)
+        assert resolve_backend(None) == DEFAULT_BACKEND
+        with pytest.raises(EngineError):
+            resolve_backend(removed)
     with pytest.raises(EngineError):
         resolve_backend("jit")

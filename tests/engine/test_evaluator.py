@@ -190,7 +190,8 @@ def test_mixed_threshold_plan_takes_the_unit_loop(monkeypatch):
 @pytest.mark.parametrize("mode,backend", [
     ("fast", "codegen"), ("strict", "codegen"), ("fast", "native")])
 def test_raising_plan_frees_its_free_nodes(monkeypatch, mode, backend):
-    """An out-of-range permute raises IndexError on every tier, and the
+    """An out-of-range permute raises IndexError on every tier — also a
+    ``uint64`` index at 2**64-1, which must not wrap negative — and the
     buffer the plan would have freed after it is freed all the same."""
     if backend == "native" and not native_available():
         pytest.skip("no C toolchain on this host")
@@ -200,12 +201,14 @@ def test_raising_plan_frees_its_free_nodes(monkeypatch, mode, backend):
         ran.append(1), run(self, svm, plan))[1])
     svm = SVM(vlen=128, mode=mode, backend=backend)
     src = svm.array(np.arange(8, dtype=np.uint32))
-    idx = svm.array(np.array([99, 1, 2, 3, 4, 5, 6, 7], dtype=np.uint32))
+    bad = [svm.array(np.array([99, 1, 2, 3, 4, 5, 6, 7], dtype=np.uint32)),
+           svm.array([2**64 - 1, 1, 2, 3, 4, 5, 6, 7], np.uint64)]
     heap = svm.machine.heap
     before = heap.live_bytes
-    with pytest.raises(IndexError):
-        with svm.lazy() as lz:
-            out = lz.permute(src, idx)
-            lz.free(out)
-    assert heap.live_bytes == before
+    for idx in bad:
+        with pytest.raises(IndexError):
+            with svm.lazy() as lz:
+                out = lz.permute(src, idx)
+                lz.free(out)
+        assert heap.live_bytes == before
     assert bool(ran) == (backend == "native")

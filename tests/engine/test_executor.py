@@ -36,11 +36,11 @@ class TestUnfusedIsIdentity:
         assert lazy.by_category == eager.by_category
 
 
-@pytest.mark.parametrize("backend", ["codegen", "native", "native-speed"])
+@pytest.mark.parametrize("backend", ["codegen", "native"])
 def test_unfused_replays_python_on_every_backend(monkeypatch, backend):
     """fuse=False is the eager program on every backend: counters equal
-    eager's (native-speed used to charge nothing) and no NativePlan is
-    lowered, so nothing is bound or compiled per call."""
+    eager's and no NativePlan is lowered, so nothing is bound or
+    compiled per call."""
     from repro import SVM
     from repro.engine.native import NativePlan
 

@@ -6,11 +6,9 @@ The contracts under test (see ``docs/native.md``):
   plan, the first included, runs the compiled C kernel and charges the
   static counter profile computed when the plan compiled, so results
   AND per-category counters stay bit-identical to the strict reference;
-* ``backend="native-speed"`` — results stay bit-identical, counters
-  are compiled out entirely (zero bookkeeping);
 * pack — lowered like every other kind: its kernel reports the
-  survivor-strip count, so counters mode re-charges the one
-  data-dependent term per run and stays counter-identical however the
+  survivor-strip count, so every native run charges the one
+  data-dependent term itself and stays counter-identical however the
   survivors move between runs;
 * one artifact per pipeline structure — every length of a pipeline
   shares one generated source, one digest and one ``.so``;
@@ -136,22 +134,6 @@ def test_future_threading_not_stale():
         ref_out, ref_counts = ref(seed)
         assert np.array_equal(out, ref_out), seed
         assert counts == ref_counts, seed
-
-
-@needs_cc
-@pytest.mark.parametrize("name", LOWERABLE)
-def test_speed_mode_zero_counters(name):
-    """native-speed: bit-identical results, counters compiled out."""
-    pipe = PIPELINES[name]
-    ref_svm = SVM(vlen=128, mode="strict")
-    ref, _, _ = _observe(ref_svm, pipe, LMUL.M1)
-
-    svm = SVM(vlen=128, mode="fast", backend="native-speed")
-    for run in range(2):
-        got, counts, fused = _observe(svm, pipe, LMUL.M1)
-        assert np.array_equal(ref, got), (name, run)
-        assert counts == {}, (name, run)
-    assert isinstance(fused.native, NativePlan), name
 
 
 def test_no_toolchain_falls_back(monkeypatch):
@@ -335,11 +317,10 @@ def _pack_schedule(record, n, seed):
 def test_pack_native_grid(vlen, lmul, record):
     """Pack lowers to C at every strip boundary: on ``native`` bits and
     per-category counters equal codegen's on every run — including runs
-    whose survivors sit in different strips than the recording run's —
-    and on ``native-speed`` the bits do."""
+    whose survivors sit in different strips than the recording run's."""
     for n in _pack_sizes(vlen, lmul):
         svms = {b: SVM(vlen=vlen, mode="fast", lmul=LMUL(lmul), backend=b)
-                for b in ("codegen", "native", "native-speed")}
+                for b in ("codegen", "native")}
         for run, (x, flags) in enumerate(_pack_schedule(record, n, n)):
             ref, ref_kept, ref_counts, _ = _pack_once(
                 svms["codegen"], x, flags, LMUL(lmul))
@@ -350,10 +331,6 @@ def test_pack_native_grid(vlen, lmul, record):
             assert counts == ref_counts, cell
             assert isinstance(fused.native, NativePlan), cell
             assert fused.charge_items is not None, cell
-            spd, spd_kept, spd_counts, _ = _pack_once(
-                svms["native-speed"], x, flags, LMUL(lmul))
-            assert np.array_equal(ref, spd) and spd_kept == ref_kept, cell
-            assert spd_counts == {}, cell
 
 
 @needs_cc
@@ -706,7 +683,7 @@ def test_threads_share_one_plan_cache(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @needs_cc
-@pytest.mark.parametrize("backend", ["native", "native-speed"])
+@pytest.mark.parametrize("backend", ["native"])
 @pytest.mark.parametrize("kind", ["permute", "back_permute"])
 def test_out_of_range_index_raises(backend, kind):
     """After good runs of a compiled plan, index 99 into 8 elements
@@ -725,13 +702,13 @@ def test_out_of_range_index_raises(backend, kind):
         out, fused = run(good)
         assert out.tolist() == [8, 7, 6, 5, 4, 3, 2, 1]
     assert isinstance(fused.native, NativePlan)
-    assert backend == "native-speed" or fused.charge_items is not None
+    assert fused.charge_items is not None
     with pytest.raises(IndexError):
         run([99] + good[1:])
 
 
 @needs_cc
-@pytest.mark.parametrize("backend", ["native", "native-speed"])
+@pytest.mark.parametrize("backend", ["native"])
 def test_batch_out_of_range_index_raises(monkeypatch, backend):
     """The compiled 2D entry point flags a bad index in any row."""
     calls = []
@@ -917,13 +894,13 @@ def _select_once(svm, flags, x, y, alias):
     np.dtype(v).name if isinstance(v, type) else str(v)))
 def test_select_native_grid(tf, ta, tb, alias):
     """p_select lowers to Listing 7's masked merge for every dtype mix:
-    on ``native`` bits and counters equal codegen's, on
-    ``native-speed`` the bits do — at strip boundaries, for all-zero,
+    on ``native`` bits and counters equal codegen's — at strip
+    boundaries, for all-zero,
     all-one and random flags, and when ``b`` aliases the flags or
     ``a``."""
     vlmax = vlmax_for(128, sew_for_dtype(np.dtype(ta)), LMUL.M1)
     svms = {b: SVM(vlen=128, mode="fast", backend=b)
-            for b in ("codegen", "native", "native-speed")}
+            for b in ("codegen", "native")}
     rng = np.random.default_rng(21)
     for n in sorted({1, max(vlmax - 1, 1), vlmax + 1, 3000}):
         x = rng.integers(0, np.iinfo(ta).max, n, dtype=ta, endpoint=True)
@@ -940,7 +917,3 @@ def test_select_native_grid(tf, ta, tb, alias):
             assert ref.dtype == tb and np.array_equal(ref, got), cell
             assert counts == ref_counts, cell
             assert isinstance(fused.native, NativePlan), cell
-            spd, spd_counts, _ = _select_once(svms["native-speed"], flags,
-                                              x, y, alias)
-            assert np.array_equal(ref, spd), cell
-            assert spd_counts == {}, cell

@@ -67,18 +67,21 @@ class TestBackPermute:
 def test_out_of_range_index_raises(svm, kind, lazy):
     """An index past the array is an access fault: IndexError in both
     modes, eager and captured, where the strict kernel used to store
-    silently. The strict kernel checks up front and stores nothing."""
+    silently. The strict kernel checks up front and stores nothing. A
+    ``uint64`` index at 2**64-1 must not wrap to a negative NumPy
+    index on the fast path."""
     src = svm.array(np.arange(8, dtype=np.uint32))
-    idx = svm.array([7, 6, 5, 4, 3, 2, 1, 99])
     out = svm.zeros(8)
-    with pytest.raises(IndexError):
-        if lazy:
-            with svm.lazy() as lz:
-                getattr(lz, kind)(src, idx, out=out)
-        else:
-            getattr(svm, kind)(src, idx, out=out)
-    if svm.mode == "strict":
-        assert not out.to_numpy().any()
+    for idx in (svm.array([7, 6, 5, 4, 3, 2, 1, 99]),
+                svm.array([2**64 - 1, 6, 5, 4, 3, 2, 1, 0], np.uint64)):
+        with pytest.raises(IndexError):
+            if lazy:
+                with svm.lazy() as lz:
+                    getattr(lz, kind)(src, idx, out=out)
+            else:
+                getattr(svm, kind)(src, idx, out=out)
+        if svm.mode == "strict":
+            assert not out.to_numpy().any()
 
 
 class TestPack:

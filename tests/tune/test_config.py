@@ -51,11 +51,11 @@ class TestEnvLayer:
     def test_env_overlays_defaults(self, monkeypatch):
         monkeypatch.setenv(ENV_VARS["vlen"], "256")
         monkeypatch.setenv(ENV_VARS["lmul"], "8")
-        monkeypatch.setenv(ENV_VARS["backend"], "native-speed")
+        monkeypatch.setenv(ENV_VARS["backend"], "native")
         cfg = ExecConfig.from_env()
         assert cfg.vlen == 256
         assert cfg.lmul is LMUL.M8
-        assert cfg.backend == "native-speed"
+        assert cfg.backend == "native"
         assert cfg.digit_bits == 2  # untouched axis keeps its default
 
     def test_env_read_at_resolve_time_not_import_time(self, monkeypatch):
@@ -67,6 +67,7 @@ class TestEnvLayer:
         ("vlen", "banana"),      # not an int
         ("vlen", "8"),           # int but < 32
         ("backend", "turbo"),    # unknown backend
+        ("backend", "native-speed"),  # removed backend
         ("lmul", "3"),           # not a power-of-two LMUL
         ("digit_bits", "99"),    # out of range
         ("bench_jobs", "0"),     # < 1
@@ -78,10 +79,15 @@ class TestEnvLayer:
 
     def test_malformed_env_keeps_good_siblings(self, monkeypatch):
         monkeypatch.setenv(ENV_VARS["vlen"], "nope")
-        monkeypatch.setenv(ENV_VARS["backend"], "native-speed")
+        monkeypatch.setenv(ENV_VARS["backend"], "native")
         cfg = ExecConfig.from_env()
         assert cfg.vlen == 1024              # bad field dropped
-        assert cfg.backend == "native-speed"  # good field survives
+        assert cfg.backend == "native"       # good field survives
+        monkeypatch.setenv(ENV_VARS["vlen"], "256")
+        monkeypatch.setenv(ENV_VARS["backend"], "native-speed")
+        cfg = ExecConfig.from_env()
+        assert cfg.backend is None           # removed backend dropped
+        assert cfg.vlen == 256               # good field survives
 
     def test_removed_interp_backend_env_falls_back(self, monkeypatch):
         monkeypatch.setenv(ENV_VARS["backend"], "interp")
@@ -104,6 +110,10 @@ class TestExplicitLayer:
         with pytest.raises(ConfigurationError):
             ExecConfig(backend="turbo")
         with pytest.raises(ConfigurationError):
+            ExecConfig(backend="native-speed")
+        with pytest.raises(ConfigurationError):
+            SVM(backend="native-speed")
+        with pytest.raises(ConfigurationError):
             ExecConfig(digit_bits=0)
 
     def test_removed_interp_backend_raises(self):
@@ -121,7 +131,7 @@ class TestExplicitLayer:
         assert cfg.override(vlen=None) is cfg
 
     def test_roundtrip_dict(self):
-        cfg = ExecConfig(vlen=256, lmul=LMUL.M4, backend="native-speed")
+        cfg = ExecConfig(vlen=256, lmul=LMUL.M4, backend="native")
         assert ExecConfig.from_dict(cfg.as_dict()) == cfg
 
     def test_as_dict_is_json_plain(self):
@@ -164,8 +174,8 @@ class TestCallTimeHelpers:
         # hermetic under the CI native job, which exports REPRO_BACKEND
         monkeypatch.delenv(ENV_VARS["backend"], raising=False)
         assert env_backend() is None
-        monkeypatch.setenv(ENV_VARS["backend"], "native-speed")
-        assert env_backend() == "native-speed"
+        monkeypatch.setenv(ENV_VARS["backend"], "native")
+        assert env_backend() == "native"
 
     def test_env_bench_jobs_clamped(self, monkeypatch):
         monkeypatch.setenv(ENV_VARS["bench_jobs"], "-3")

@@ -5,8 +5,8 @@ Run with ``REPRO_CACHE_DIR`` set and a C toolchain present. Phase
 compiling its ``<digest>.c`` / ``<digest>.so`` pair under
 ``<cache_dir>/native/`` — and saves the result bits. Phase ``warm``
 re-runs the identical pipeline in a *fresh process* and asserts that
-(a) the output is bit-identical (and, on ``native``, the per-category
-counters equal the codegen tier's), (b) the plan resolved ``disk``:
+(a) the output is bit-identical and the per-category counters equal
+the codegen tier's, (b) the plan resolved ``disk``:
 its ``.so`` was bound from the cache directory without running
 ``cc``, (c) nothing under ``native/`` is new or rewritten (same file
 names, same ``.so`` mtimes), and (d) the same pipeline at a second
@@ -34,7 +34,7 @@ N = 5000
 N2 = 3001
 
 
-def _pipeline(backend: str, n: int = N):
+def _pipeline(backend: str = "native", n: int = N):
     svm = SVM(vlen=512, codegen="paper", mode="fast", backend=backend)
     data = svm.array(np.arange(n, dtype=np.uint32))
     svm.reset()
@@ -60,9 +60,6 @@ def main() -> int:
     parser.add_argument("phase", choices=["cold", "warm"])
     parser.add_argument("--ref", required=True,
                         help="path of the .npy reference written by cold")
-    parser.add_argument("--backend", default="native",
-                        choices=["native", "native-speed"],
-                        help="native execution backend")
     args = parser.parse_args()
 
     root = env_cache_dir()
@@ -72,7 +69,7 @@ def main() -> int:
     assert native_available(), "no C toolchain found"
 
     if args.phase == "cold":
-        out, svm = _pipeline(args.backend)
+        out, svm = _pipeline()
         assert svm.engine.resolutions["compile"] == 1, svm.engine.resolutions
         kinds = sorted(p.suffix for p in artifacts(root))
         assert kinds == [".c", ".so"], (
@@ -83,20 +80,19 @@ def main() -> int:
 
     ref = np.load(args.ref)
     before = _snapshot(root)
-    out, svm = _pipeline(args.backend)
+    out, svm = _pipeline()
     assert np.array_equal(out, ref), "warm run is not bit-identical"
     assert svm.engine.resolutions == {"memory": 0, "disk": 1, "compile": 0}, (
         f"expected a disk resolution, got {svm.engine.resolutions}")
     native = svm.engine.last_fused.native
     assert isinstance(native, NativePlan) and not native.built, (
         "warm run did not bind the persisted artifact")
-    if args.backend == "native":
-        _, ref_svm = _pipeline("codegen")
-        assert _counts(svm) == _counts(ref_svm), "counters differ from codegen"
+    _, ref_svm = _pipeline("codegen")
+    assert _counts(svm) == _counts(ref_svm), "counters differ from codegen"
     assert _snapshot(root) == before, "warm run wrote under native/"
 
     # a new length compiles a new plan but reuses the C artifact
-    _, svm2 = _pipeline(args.backend, n=N2)
+    _, svm2 = _pipeline(n=N2)
     assert svm2.engine.resolutions["disk"] == 1, svm2.engine.resolutions
     assert _snapshot(root) == before, "a second length built a new artifact"
     print("warm: bit-identical, .so bound from disk, no cc, no new files")
