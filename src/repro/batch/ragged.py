@@ -15,7 +15,7 @@ logical per-row lengths as a first-class column.
 * :func:`pack2d` is pack's compaction kernel,
   :func:`repro.svm.fastpath.np_pack` — the one function the eager fast
   path runs on a single row. On a ``[B, n]`` matrix (the ``"ragged"``
-  path) it compacts every row at once, writing each row's survivor
+  path) it compacts every row in one call, writing each row's survivor
   prefix and returning the per-row kept counts (the vectorized form of
   the ``pack.kept`` :class:`~repro.engine.ir.ScalarFuture`).
 

@@ -135,13 +135,17 @@ class BatchResult:
                            np.asarray(lengths, dtype=np.int64))
 
 
-def _release(svm, plan: Plan, input_addr: int) -> None:
+def _release(svm, plan: Plan, data) -> None:
     """Free the buffers one single-input run would not leave behind:
     the plan's temporaries and the input we allocated that are still
-    live — all but those its FREE nodes released. External (non-temp)
-    arrays are left alone."""
+    live — all but those its FREE nodes released — and the input when
+    the plan holds no buffer for it (a pipeline that records no node
+    on its input). External (non-temp) arrays are left alone."""
+    input_bid = _bid_of(plan, data)
     free_live(svm, plan, [bid for bid, buf in plan.buffers.items()
-                          if buf.temp or buf.array.ptr.addr == input_addr])
+                          if buf.temp or bid == input_bid])
+    if input_bid is None:
+        svm.free(data)
 
 
 def _capture(svm, pipe, row: np.ndarray):
@@ -264,12 +268,11 @@ def _ragged_tags(plan: Plan) -> tuple[bool, dict]:
     return True, tags
 
 
-def _bid_of(plan: Plan, array) -> int:
-    """The plan buffer id backed by ``array``'s heap address."""
-    return next(
-        bid for bid, buf in plan.buffers.items()
-        if buf.array.ptr.addr == array.ptr.addr
-    )
+def _bid_of(plan: Plan, array) -> int | None:
+    """The plan buffer id backed by ``array``'s heap address, or None
+    when no node of the plan touches ``array``."""
+    return next((bid for bid, buf in plan.buffers.items()
+                 if buf.array.ptr.addr == array.ptr.addr), None)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +341,8 @@ def _dispatch_bucket(svm, pipe, rows):
     ragged recipe (``get_spec("pack").ragged2d``) and every packed
     buffer stays in prefix-local flow. Everything else — strict mode,
     single rows, sub-threshold lengths, future operands
-    :func:`_batchable` rejects, untrackable ragged flow — takes
+    :func:`_batchable` rejects, untrackable ragged flow, a plan that
+    holds no buffer for the input or the output — takes
     ``"loop"``: one single-input call per row."""
     n = rows[0].size
     plan, data, out = _capture(svm, pipe, rows[0])
@@ -352,7 +356,8 @@ def _dispatch_bucket(svm, pipe, rows):
         ok, tags = _ragged_tags(plan)
         ragged_ok = ok and get_spec("pack").ragged2d
         out_tag = tags.get(out_bid) if ok else None
-    use_mat = (len(rows) > 1 and all_fast(svm, fused)
+    use_mat = (len(rows) > 1 and input_bid is not None and out_bid is not None
+               and all_fast(svm, fused)
                and _batchable(plan, fused) and (not has_pack or ragged_ok))
     path = ("ragged" if has_pack else "2d") if use_mat else "loop"
     backend = svm.engine.backend
@@ -376,7 +381,7 @@ def _dispatch_bucket(svm, pipe, rows):
         finally:
             # free row 0 before rows 1+ allocate, as a loop of single
             # calls would, and when it raises
-            _release(svm, plan, data.ptr.addr)
+            _release(svm, plan, data)
         if use_mat:
             # rows share (length, dtype): one concatenate is the stack,
             # at a third of np.stack's per-row cost
@@ -406,7 +411,7 @@ def _dispatch_bucket(svm, pipe, rows):
                     if tag_node is not None:
                         lengths.append(int(plan.nodes[tag_node].future.value))
                 finally:
-                    _release(svm, plan, data.ptr.addr)
+                    _release(svm, plan, data)
     return outputs, lengths, path
 
 

@@ -98,9 +98,13 @@ def segmented_cumsum(a: np.ndarray, head_flags: np.ndarray) -> np.ndarray:
     """Reference segmented inclusive plus-scan (pure NumPy, no costs).
 
     Standard trick: take the global cumsum, then subtract, within each
-    segment, the global prefix up to the segment's head. Used by both
-    the scalar baseline and the vector fast path, and property-tested
-    against a per-element oracle.
+    segment, the global prefix just before the segment's head. The
+    cumsum runs in the element dtype: the machine wraps mod 2**SEW, and
+    so does every term here, so the result is exact without a 64-bit
+    accumulator and a cast back. Each lane finds its head by
+    forward-filling the head indices with ``np.maximum.accumulate``.
+    Used by both the scalar baseline and the vector fast path, and
+    property-tested against a per-element oracle.
     """
     a = np.asarray(a)
     flags = np.asarray(head_flags)
@@ -108,15 +112,16 @@ def segmented_cumsum(a: np.ndarray, head_flags: np.ndarray) -> np.ndarray:
         raise VectorLengthError("data and head-flags must have equal length")
     if a.size == 0:
         return a.copy()
-    total = np.cumsum(a)
-    starts = flags.astype(bool).copy()
-    starts[0] = True
-    # value of the global cumsum just before each segment head,
-    # broadcast forward over the segment
-    seg_id = np.cumsum(starts) - 1
-    head_idx = np.flatnonzero(starts)
-    prior = np.where(head_idx > 0, total[head_idx - 1], 0)
-    return (total - prior[seg_id]).astype(a.dtype)
+    total = np.cumsum(a, dtype=a.dtype)
+    # the global prefix just before each lane
+    before = total - a
+    # each lane's segment head: the head indices, forward-filled (a
+    # multiply, unlike np.where, does not branch on dense flags)
+    head = np.arange(a.size)
+    head *= flags != 0
+    np.maximum.accumulate(head, out=head)
+    total -= before[head]
+    return total
 
 
 def seg_plus_scan_baseline(

@@ -59,6 +59,26 @@ __all__ = ["SVM", "SVMArray"]
 AUTO_FAST_THRESHOLD = 2048
 
 
+def _fitting_cast(src: np.ndarray, dtype) -> np.ndarray:
+    """``src`` cast to ``dtype``, or :class:`ValueError` when the cast
+    would change a value: an integer out of the target's range (a
+    same-width sign flip included, which a round trip would hide), or
+    anything that does not survive the cast back (a fraction, NaN)."""
+    with np.errstate(invalid="ignore"):
+        cast = src.astype(dtype)
+    if not src.size:
+        return cast
+    if src.dtype.kind in "iu" and cast.dtype.kind in "iu":
+        info = np.iinfo(cast.dtype)
+        lossy = int(src.min()) < info.min or int(src.max()) > info.max
+    else:
+        lossy = not np.array_equal(cast.astype(src.dtype), src)
+    if lossy:
+        raise ValueError(f"values of dtype {src.dtype} do not fit {cast.dtype}: "
+                         "the cast would change them")
+    return cast
+
+
 @dataclass
 class SVMArray:
     """A typed array living in simulated machine memory.
@@ -180,8 +200,17 @@ class SVM:
     def array(self, values, dtype=np.uint32) -> SVMArray:
         """Allocate an array in machine memory initialized from
         ``values`` (no instructions charged — test fixtures and
-        workload setup are outside the measured kernels)."""
-        values = np.asarray(values, dtype=dtype)
+        workload setup are outside the measured kernels).
+
+        A NumPy array of another dtype must fit ``dtype``: a cast that
+        would change a value (out of range, a fraction, NaN) raises
+        :class:`ValueError` instead of wrapping. Arrays already of
+        ``dtype``, or of a dtype that casts safely, pay no check."""
+        if (isinstance(values, np.ndarray) and values.dtype != dtype
+                and not np.can_cast(values.dtype, dtype)):
+            values = _fitting_cast(values, dtype)
+        else:
+            values = np.asarray(values, dtype=dtype)
         if values.ndim != 1:
             raise VectorLengthError(f"SVM arrays are 1-D, got shape {values.shape}")
         ptr = self.machine.heap.alloc_array(max(values.size, 1), values.dtype)

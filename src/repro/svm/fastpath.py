@@ -377,8 +377,14 @@ def fast_elementwise_vv(m: RVVMachine, kernel: str, n: int, a: Pointer, b: Point
 
 
 def np_select(flags: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``b = a where flags``, in place."""
-    np.copyto(b, a, where=flags.astype(bool))
+    """``b = a where flags``, in place: Listing 7's masked merge. The
+    mask is all ones in ``b``'s dtype on every lane whose flag is
+    nonzero, and ``b ^= (b ^ a) & mask`` keeps ``b`` elsewhere."""
+    mask = (flags != 0).astype(b.dtype)
+    np.negative(mask, out=mask)
+    diff = np.bitwise_xor(b, a)
+    np.bitwise_and(diff, mask, out=diff)
+    np.bitwise_xor(b, diff, out=b)
 
 
 def fast_p_select(m: RVVMachine, n: int, flags: Pointer, a: Pointer, b: Pointer,
@@ -390,8 +396,11 @@ def fast_p_select(m: RVVMachine, n: int, flags: Pointer, a: Pointer, b: Pointer,
 
 
 def np_get_flags(src: np.ndarray, bit: int, out: np.ndarray) -> None:
-    """Bit ``bit`` of every lane of ``src`` into ``out``."""
-    out[...] = (src >> src.dtype.type(bit)) & src.dtype.type(1)
+    """Bit ``bit`` of every lane of ``src`` into ``out``, with no
+    temporary: the shift lands in ``out`` (truncated to its dtype,
+    which keeps the low bit) and the mask runs in place."""
+    np.right_shift(src, src.dtype.type(bit), out=out, casting="unsafe")
+    np.bitwise_and(out, out.dtype.type(1), out=out)
 
 
 def fast_get_flags(m: RVVMachine, n: int, src: Pointer, flags: Pointer, bit: int,
@@ -469,15 +478,14 @@ def fast_seg_scan(m: RVVMachine, n: int, src: Pointer, head_flags: Pointer,
 def np_enumerate(flags: np.ndarray, set_bit: bool, out: np.ndarray):
     """Rank of every lane among the earlier lanes whose flag equals
     ``set_bit``, into ``out``; returns the number of matching lanes
-    (int64), read off the last lane's rank."""
+    (int64). The exclusive count accumulates straight into ``out`` in
+    its own dtype (wrapping as the machine does), so the returned count
+    is taken from ``match`` itself, never from a lane that may wrap."""
     match = flags == flags.dtype.type(1 if set_bit else 0)
-    excl = np.zeros(match.shape, dtype=np.int64)
+    out[..., :1] = 0
     if match.shape[-1] > 1:
-        np.cumsum(match[..., :-1], axis=-1, out=excl[..., 1:])
-    out[...] = excl
-    if not match.shape[-1]:
-        return np.zeros(match.shape[:-1], dtype=np.int64)
-    return excl[..., -1] + match[..., -1]
+        np.cumsum(match[..., :-1], axis=-1, dtype=out.dtype, out=out[..., 1:])
+    return np.count_nonzero(match, axis=-1)
 
 
 def fast_enumerate(m: RVVMachine, n: int, flags: Pointer, dst: Pointer,
@@ -572,6 +580,13 @@ def pack_strip_survivors(keep: np.ndarray, vlmax: int) -> np.ndarray:
     return np.count_nonzero(per_strip, axis=-1)
 
 
+#: Row length from which a matrix pack gathers row by row: below it a
+#: per-row loop pays more in Python overhead than one flat gather and
+#: scatter of every survivor costs (measured on ``[B, n]`` uint32
+#: matrices with about half the lanes kept).
+PACK_ROW_GATHER_MIN_N = 256
+
+
 def np_pack(src: np.ndarray, keep: np.ndarray, dst: np.ndarray):
     """Stream compaction, the kernel of ``pack`` for one row and for a
     batch (exported as :func:`repro.batch.pack2d`).
@@ -580,19 +595,27 @@ def np_pack(src: np.ndarray, keep: np.ndarray, dst: np.ndarray):
     to the front of ``dst``; lanes past the kept count keep whatever
     ``dst`` held (the undefined tail of the single-row kernel). Returns
     the kept count, per row as int64 for a matrix. One row gathers
-    with a boolean index; a matrix scatters every survivor to its
-    running position, which is never past its source lane, so
-    compacting in place (``dst is src``) is safe."""
+    with a boolean index. A matrix of rows at least
+    :data:`PACK_ROW_GATHER_MIN_N` long does the same per row that keeps
+    a lane; shorter rows gather every survivor at once and scatter it
+    to its row and its column within the row. Both copy the survivors
+    before storing them, so compacting in place (``dst is src``) is
+    safe."""
     keep = keep.astype(bool, copy=False)
     if keep.ndim == 1:
         packed = src[keep]
         dst[:packed.size] = packed
         return packed.size
-    kept = keep.sum(axis=-1, dtype=np.int64)
-    if kept.any():
-        pos = np.cumsum(keep, axis=-1)
-        r, c = np.nonzero(keep)
-        dst[r, pos[r, c] - 1] = src[r, c]
+    kept = np.count_nonzero(keep, axis=-1)
+    if keep.shape[-1] >= PACK_ROW_GATHER_MIN_N:
+        for i, k in enumerate(kept.tolist()):
+            if k:
+                dst[i, :k] = src[i][keep[i]]
+    else:
+        packed = src[keep]
+        rows = np.repeat(np.arange(kept.size), kept)
+        first = np.cumsum(kept) - kept
+        dst[rows, np.arange(packed.size) - first[rows]] = packed
     return kept
 
 

@@ -12,7 +12,7 @@ from repro.engine import executor
 from repro.engine.ir import EngineError
 from repro.engine.native import native_available
 
-from .conftest import make_rows
+from .conftest import assert_equivalent, make_rows
 
 
 def _pipe(lz, data):
@@ -109,6 +109,27 @@ def test_sim_memory_is_reclaimed():
     for _ in range(3):
         svm.batch(_pipe, rows)
     assert svm.machine.heap.live_bytes == used_after_first
+
+
+@pytest.mark.parametrize("mode", ["fast", "strict"])
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+@pytest.mark.parametrize("n_rows", [1, 2, 3])
+def test_identity_pipeline_returns_inputs(mode, dtype, n_rows):
+    """A pipeline that records no node holds no plan buffer for its
+    input or output: the bucket returns what a loop of single calls
+    returns (the inputs) and frees every input it allocated."""
+    def identity(lz, data):
+        return data
+
+    rows = make_rows((8,) * n_rows, seed=11, dtype=dtype)
+    assert_equivalent(identity, rows, vlen=128, mode=mode)
+    svm = SVM(vlen=128, mode=mode)
+    live = svm.machine.heap.live_bytes
+    result = svm.batch(identity, rows)
+    assert svm.machine.heap.live_bytes == live
+    for row, out in zip(rows, result):
+        assert out.dtype == dtype and np.array_equal(out, row)
+    assert [b.path for b in result.buckets] == ["loop"]
 
 
 def _pack_pipe(lz, data):

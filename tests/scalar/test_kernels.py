@@ -124,6 +124,25 @@ class TestSegmentedCumsumTrick:
         expect = seg_scan_oracle(a, flags, lambda x, y: x + y, 0)
         assert np.array_equal(segmented_cumsum(a, flags), expect)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int16,
+                                       np.uint32, np.int32, np.uint64, np.int64])
+    def test_wraps_in_every_integer_dtype(self, dtype):
+        """The cumsum runs in the element dtype, so sums wrap mod
+        2**SEW exactly as the machine does (signed values compare as
+        their two's-complement bits)."""
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(np.dtype(dtype).itemsize)
+        a = rng.integers(info.max // 2, info.max, 300, dtype=dtype, endpoint=True)
+        a[::7] = info.min
+        flags = (rng.random(300) < 0.1).astype(dtype)
+        flags[0] = 0  # lane 0 heads a segment regardless
+        got = segmented_cumsum(a, flags)
+        assert got.dtype == dtype
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        expect = seg_scan_oracle(a.view(bits), flags, lambda x, y: x + y, 0,
+                                 dtype=bits)
+        assert np.array_equal(got.view(bits), expect)
+
     def test_empty(self):
         assert segmented_cumsum(np.empty(0, np.uint32), np.empty(0, np.uint32)).size == 0
 

@@ -209,11 +209,14 @@ class TestFlightRecorder:
 
 class TestExposition:
     def test_live_daemon_scrape_is_strictly_valid(self):
-        with ServerThread(ServeConfig(max_rows=4, flush_ms=10_000,
+        # the four chain_scan rows fill the window (max_rows) at once;
+        # the lone filter row waits out the short deadline
+        with ServerThread(ServeConfig(max_rows=4, flush_ms=250,
                                       workers=2)) as st:
-            st.submit_many(
+            coalesced = st.submit_many(
                 [{"pipeline": "chain_scan", "data": list(range(1, 33))}
                  for _ in range(4)])
+            assert [r.flush_rows for r in coalesced] == [4] * 4
             st.submit("filter", list(range(1, 17)))
             text = st.metrics_exposition()
         doc = parse_exposition(text)  # raises on any format violation

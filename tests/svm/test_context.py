@@ -61,6 +61,35 @@ class TestArrays:
         svm.free(a)
         assert svm.machine.heap.live_bytes < before
 
+    @pytest.mark.parametrize("values,dtype", [
+        (np.array([2**64 - 1, 5], np.uint64), np.uint32),
+        (np.array([-1, 5]), np.uint32),
+        (np.array([255], np.uint8), np.int8),
+        (np.array([2**63], np.uint64), np.int64),
+        (np.array([1.5]), np.uint32),
+        (np.array([np.nan]), np.uint32),
+    ])
+    def test_lossy_cast_raises(self, values, dtype):
+        svm = SVM(vlen=128)
+        live = svm.machine.heap.live_bytes
+        with pytest.raises(ValueError, match="do not fit"):
+            svm.array(values, dtype)
+        assert svm.machine.heap.live_bytes == live
+
+    @pytest.mark.parametrize("values,dtype", [
+        (np.arange(5), np.uint32),
+        (np.array([127], np.uint8), np.int8),
+        (np.array([2**32 - 1], np.uint64), np.uint32),
+        (np.array([2.0]), np.uint16),
+        (np.array([200], np.uint8), np.uint64),
+        (np.zeros(0, np.int64), np.uint8),
+    ])
+    def test_fitting_cast_keeps_values(self, values, dtype):
+        svm = SVM(vlen=128)
+        a = svm.array(values, dtype)
+        assert a.dtype == dtype
+        assert a.to_numpy().tolist() == values.tolist()
+
     def test_copy(self, svm_mode):
         svm = SVM(vlen=128, mode=svm_mode)
         a = svm.array([1, 2, 3, 4, 5])
