@@ -580,13 +580,6 @@ def pack_strip_survivors(keep: np.ndarray, vlmax: int) -> np.ndarray:
     return np.count_nonzero(per_strip, axis=-1)
 
 
-#: Row length from which a matrix pack gathers row by row: below it a
-#: per-row loop pays more in Python overhead than one flat gather and
-#: scatter of every survivor costs (measured on ``[B, n]`` uint32
-#: matrices with about half the lanes kept).
-PACK_ROW_GATHER_MIN_N = 256
-
-
 def np_pack(src: np.ndarray, keep: np.ndarray, dst: np.ndarray):
     """Stream compaction, the kernel of ``pack`` for one row and for a
     batch (exported as :func:`repro.batch.pack2d`).
@@ -595,27 +588,18 @@ def np_pack(src: np.ndarray, keep: np.ndarray, dst: np.ndarray):
     to the front of ``dst``; lanes past the kept count keep whatever
     ``dst`` held (the undefined tail of the single-row kernel). Returns
     the kept count, per row as int64 for a matrix. One row gathers
-    with a boolean index. A matrix of rows at least
-    :data:`PACK_ROW_GATHER_MIN_N` long does the same per row that keeps
-    a lane; shorter rows gather every survivor at once and scatter it
-    to its row and its column within the row. Both copy the survivors
-    before storing them, so compacting in place (``dst is src``) is
-    safe."""
+    with a boolean index. A matrix gathers every survivor at once, in
+    row-major order, and stores them through the boolean mask of each
+    row's first ``kept`` lanes, which visits the same order. The
+    survivors are copied before they are stored, so compacting in
+    place (``dst is src``) is safe."""
     keep = keep.astype(bool, copy=False)
     if keep.ndim == 1:
         packed = src[keep]
         dst[:packed.size] = packed
         return packed.size
     kept = np.count_nonzero(keep, axis=-1)
-    if keep.shape[-1] >= PACK_ROW_GATHER_MIN_N:
-        for i, k in enumerate(kept.tolist()):
-            if k:
-                dst[i, :k] = src[i][keep[i]]
-    else:
-        packed = src[keep]
-        rows = np.repeat(np.arange(kept.size), kept)
-        first = np.cumsum(kept) - kept
-        dst[rows, np.arange(packed.size) - first[rows]] = packed
+    dst[np.arange(dst.shape[-1]) < kept[..., None]] = src[keep]
     return kept
 
 

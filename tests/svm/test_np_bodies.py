@@ -3,8 +3,7 @@
 
 Covers every integer SEW, the batch shapes ``svm.batch`` produces
 (B rows of one length, including empty rows and lengths around a strip
-boundary) and one many-short-rows shape, and both matrix bodies of
-``np_pack``.
+boundary) and one many-short-rows shape.
 """
 
 from __future__ import annotations
@@ -46,20 +45,12 @@ def rng(dtype, shape):
     return np.random.default_rng([dtype.itemsize, int(dtype.kind == "i"), *shape])
 
 
-def test_pack(monkeypatch, dtype, shape, rng):
+def test_pack(dtype, shape, rng):
     src = _values(rng, shape, dtype)
     keep = rng.random(shape) < 0.5
     if shape[0] > 1:
         keep[1] = False  # a row with no survivor
     dst0 = _values(rng, shape, dtype)
-    # each matrix body on every shape: per row, then flat
-    for min_n in (0, 1 << 62):
-        monkeypatch.setattr(fp, "PACK_ROW_GATHER_MIN_N", min_n)
-        _check_pack(src, keep, dst0)
-
-
-def _check_pack(src, keep, dst0):
-    shape, dtype = src.shape, src.dtype
     dst = dst0.copy()
     kept = fp.np_pack(src, keep, dst)
     assert kept.dtype == np.int64 and kept.shape == (shape[0],)
