@@ -15,7 +15,7 @@ from conftest import record
 N = 10**5
 
 
-def test_ablation_codegen(benchmark):
+def test_ablation_codegen():
     rows = []
     for kernel in ("p_add", "plus_scan", "seg_plus_scan"):
         paper = measure_kernel(kernel, N, 1024, codegen="paper").instructions
@@ -31,4 +31,4 @@ def test_ablation_codegen(benchmark):
                "op copies, loop bookkeeping) — headroom for better codegen."],
     )
     record(res)
-    benchmark(measure_kernel, "seg_plus_scan", N, 1024, codegen="ideal")
+    measure_kernel("seg_plus_scan", N, 1024, codegen="ideal")

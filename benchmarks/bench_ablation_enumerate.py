@@ -33,7 +33,7 @@ def _enumerate_via_scan(svm: SVM, flags) -> int:
     return svm.instructions
 
 
-def test_ablation_enumerate(benchmark):
+def test_ablation_enumerate():
     rows = []
     for n in (10**3, 10**4, 10**5, 10**6):
         svm = SVM(vlen=1024, codegen="paper", mode="fast")
@@ -52,4 +52,4 @@ def test_ablation_enumerate(benchmark):
     record(res)
     svm = SVM(vlen=1024, codegen="paper", mode="fast")
     flags = svm.array(np.ones(10**5, dtype=np.uint32))
-    benchmark(_enumerate_via_viota, svm, flags)
+    _enumerate_via_viota(svm, flags)

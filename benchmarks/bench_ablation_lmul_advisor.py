@@ -11,7 +11,7 @@ from repro.utils.formatting import fmt_count
 from conftest import record
 
 
-def test_ablation_lmul_advisor(benchmark):
+def test_ablation_lmul_advisor():
     rows = []
     for n in (10**2, 10**3, 10**4, 10**5, 10**6):
         counts = {
@@ -31,4 +31,4 @@ def test_ablation_lmul_advisor(benchmark):
                "for-instruction, so the pick is provably the sweep argmin."],
     )
     record(res)
-    benchmark(choose_lmul, "seg_plus_scan", 10**5, 1024)
+    choose_lmul("seg_plus_scan", 10**5, 1024)

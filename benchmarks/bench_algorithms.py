@@ -51,7 +51,7 @@ def _spmv_count(rows: int) -> int:
     return svm.instructions
 
 
-def test_algorithm_profiles(benchmark):
+def test_algorithm_profiles():
     rows = []
     for n in (10**3, 10**4):
         qc, rounds = _quicksort_count(n)
@@ -70,4 +70,4 @@ def test_algorithm_profiles(benchmark):
                " results verified against NumPy oracles inside the bench."],
     )
     record(res)
-    benchmark(_rle_count, 10**4)
+    _rle_count(10**4)

@@ -84,7 +84,7 @@ def _loop(svm, rows):
     return outs
 
 
-def test_batch_identity_grid(benchmark):
+def test_batch_identity_grid():
     params = [
         {"n": n, "vlen": vlen, "lmul": lmul, "rows": batch_rows,
          "depth": DEPTH, "seed": SEED}
@@ -194,9 +194,8 @@ def test_batch_identity_grid(benchmark):
         "pack_ragged": pack_cell,
     }, indent=2) + "\n")
 
-    benchmark(batch_cell,
-              {"n": 3000, "vlen": 512, "lmul": 1, "rows": 16,
-               "depth": DEPTH, "seed": SEED})
+    batch_cell({"n": 3000, "vlen": 512, "lmul": 1, "rows": 16,
+                "depth": DEPTH, "seed": SEED})
 
 
 def test_batch_wallclock_speedup():

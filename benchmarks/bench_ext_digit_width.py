@@ -34,7 +34,7 @@ def _cost(w: int | None) -> int:
     return svm.instructions
 
 
-def test_digit_width_ablation(benchmark):
+def test_digit_width_ablation():
     base = _cost(None)
     rows = [["split (1 bit, shared enumerates)", fmt_count(base), "1.00"]]
     for w in (1, 2, 4, 8):
@@ -50,4 +50,4 @@ def test_digit_width_ablation(benchmark):
                " this primitive set, not a simplification."],
     )
     record(res)
-    benchmark(_cost, 2)
+    _cost(2)

@@ -29,7 +29,7 @@ def _radix_cost(bits: int) -> int:
     return svm.instructions
 
 
-def test_radix_bits_ablation(benchmark):
+def test_radix_bits_ablation():
     rows = []
     full = _radix_cost(32)
     for bits in (4, 8, 16, 24, 32):
@@ -52,4 +52,4 @@ def test_radix_bits_ablation(benchmark):
                " lg(n) round, which loses at this N."],
     )
     record(res)
-    benchmark(_radix_cost, 8)
+    _radix_cost(8)

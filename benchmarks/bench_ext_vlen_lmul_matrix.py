@@ -17,7 +17,7 @@ from conftest import record
 N = 10**5
 
 
-def test_vlen_lmul_matrix(benchmark):
+def test_vlen_lmul_matrix():
     rows = []
     for vlen in (128, 256, 512, 1024):
         counts = {
@@ -36,4 +36,4 @@ def test_vlen_lmul_matrix(benchmark):
                " not just the paper's 1024-bit configuration."],
     )
     record(res)
-    benchmark(measure_kernel, "seg_plus_scan", N, 512, LMUL.M4)
+    measure_kernel("seg_plus_scan", N, 512, LMUL.M4)

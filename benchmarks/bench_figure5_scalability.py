@@ -8,10 +8,10 @@ from repro.tune import sweep_vlen
 from conftest import record
 
 
-def test_figure5(benchmark):
+def test_figure5():
     res = experiments.figure5()
     record(res)
-    benchmark(sweep_vlen, "seg_plus_scan", 10**4)
+    sweep_vlen("seg_plus_scan", 10**4)
     res.check_within(0.01)
     # the qualitative claims of the figure
     padd = {int(r[0]): float(r[1]) for r in res.rows}

@@ -35,7 +35,7 @@ N = 100_000
 SEED = 0
 
 
-def test_fusion_grid(benchmark):
+def test_fusion_grid():
     params = [
         {"n": N, "vlen": vlen, "lmul": lmul, "depth": 3, "seed": SEED}
         for vlen in (128, 256, 512, 1024)
@@ -100,6 +100,5 @@ def test_fusion_grid(benchmark):
         "depth_sweep": depth_sweep,
     }, indent=2) + "\n")
 
-    benchmark(fusion_cell,
-              {"n": 10_000, "vlen": 1024, "lmul": int(LMUL.M1), "depth": 3,
-               "seed": SEED})
+    fusion_cell({"n": 10_000, "vlen": 1024, "lmul": int(LMUL.M1), "depth": 3,
+                 "seed": SEED})

@@ -73,7 +73,7 @@ def _serve_round(requests, *, max_rows, workers=1):
     return served, stats, wall, cfg
 
 
-def test_serve_coalescing_and_identity(benchmark):
+def test_serve_coalescing_and_identity():
     g = rng(SEED)
     cells = []
     table_rows = []
@@ -195,10 +195,9 @@ def test_serve_coalescing_and_identity(benchmark):
         "mixed_workload": mixed,
     }, indent=2) + "\n")
 
-    benchmark(_serve_round,
-              [{"pipeline": "chain_scan",
-                "data": rng(SEED).integers(0, 2**16, N, dtype=np.uint32)}
-               for _ in range(8)], max_rows=8)
+    _serve_round([{"pipeline": "chain_scan",
+                   "data": rng(SEED).integers(0, 2**16, N, dtype=np.uint32)}
+                  for _ in range(8)], max_rows=8)
 
 
 # ---------------------------------------------------------------------------

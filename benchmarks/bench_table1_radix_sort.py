@@ -24,10 +24,10 @@ def _sort_once(n: int = 10**4) -> int:
     return svm.instructions
 
 
-def test_table1(benchmark):
+def test_table1():
     res = experiments.table1()
     record(res)
-    benchmark(_sort_once)
+    _sort_once()
     # qsort's instrumented count is data-dependent; 7% covers the fit
     # residual plus seed-to-seed variation
     res.check_within(0.07)

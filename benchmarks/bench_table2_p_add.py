@@ -7,8 +7,8 @@ from repro.tune import measure_kernel
 from conftest import record
 
 
-def test_table2(benchmark):
+def test_table2():
     res = experiments.table2()
     record(res)
-    benchmark(measure_kernel, "p_add", 10**5, 1024)
+    measure_kernel("p_add", 10**5, 1024)
     res.check_within(0.001)  # exact away from the paper's N=100 anomaly

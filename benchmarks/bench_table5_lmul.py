@@ -9,10 +9,10 @@ from repro.rvv.types import LMUL
 from conftest import record
 
 
-def test_table5(benchmark):
+def test_table5():
     res = experiments.table5()
     record(res)
-    benchmark(measure_kernel, "seg_plus_scan", 10**5, 1024, LMUL.M8)
+    measure_kernel("seg_plus_scan", 10**5, 1024, LMUL.M8)
     # LMUL in {1,4} columns are exact; LMUL=8's fitted spill model sits
     # within ~3.2% at small N (LMUL=2's printed column is corrupt and
     # excluded; see the table note)

@@ -1,7 +1,7 @@
 """Shared bench plumbing: collect every regenerated table/figure and
 print them in the terminal summary (pytest captures stdout during the
 tests themselves, so the rendered tables are re-emitted at the end
-where they stay visible in `--benchmark-only` runs and tee'd logs).
+where they stay visible in `pytest benchmarks/` runs and tee'd logs).
 
 Also home of :func:`rng`, the one seeded-generator helper every bench
 file draws input data through — the BENCH_*.json files are regenerated

@@ -8,8 +8,8 @@ values. That is what makes batching sound: a cached
 inputs performs B identical instruction streams, so the batch can
 
 * run row 0 through the ordinary single-input engine, then execute the
-  *data* of rows 1+ through the engine's one fast evaluator
-  (:func:`repro.engine.executor.run_units`, the unit loop an all-fast
+  *data* of rows 1+ through the engine's one unit loop
+  (:func:`repro.engine.executor.run_units`, the loop an all-fast
   single call runs on memory views) on ``[B-1, n]`` matrices (batch
   axis × element axis), and
 * charge the *counters* of rows 1+ as B-1 times the plan's static
@@ -214,30 +214,6 @@ _FULL_WRITERS = frozenset((
 ))
 
 
-def _node_reads(node) -> tuple:
-    """Buffer ids whose *contents* influence the node's result —
-    including ``dst`` for in-place and partial-write kinds (their
-    unwritten or read-modify-written lanes persist)."""
-    kind = node.kind
-    if kind is Kind.EW_VX or kind is Kind.SCAN:
-        return (node.dst,)
-    if kind is Kind.EW_VV or kind is Kind.SEG_SCAN:
-        return (node.dst, node.operand)
-    if kind is Kind.CMP_VX or kind is Kind.GET_FLAGS:
-        return (node.src,)
-    if kind is Kind.CMP_VV or kind is Kind.PACK:
-        return (node.src, node.operand)
-    if kind is Kind.SELECT:
-        return (node.dst, node.src, node.operand)
-    if kind is Kind.PERMUTE:
-        return (node.dst, node.src, node.operand)  # scatter: partial dst
-    if kind is Kind.BACK_PERMUTE:
-        return (node.src, node.operand)
-    if kind in (Kind.ENUMERATE, Kind.REDUCE, Kind.SHIFT1UP, Kind.COPY):
-        return (node.src,)
-    return ()
-
-
 def _ragged_tags(plan: Plan) -> tuple[bool, dict]:
     """Propagate per-row-length tags through a plan.
 
@@ -256,7 +232,7 @@ def _ragged_tags(plan: Plan) -> tuple[bool, dict]:
         if kind is Kind.FREE:
             tags.pop(node.dst, None)
             continue
-        read_tags = {tags[b] for b in _node_reads(node) if b in tags}
+        read_tags = {tags[b] for b in node.buffers_read() if b in tags}
         if read_tags:
             if kind not in _PREFIX_LOCAL or len(read_tags) > 1:
                 return False, {}
@@ -280,8 +256,8 @@ def _bid_of(plan: Plan, array) -> int | None:
 # ---------------------------------------------------------------------------
 
 class Rows(dict):
-    """Buffer id -> ``[b, n]`` matrix of a bucket's rows 1+: the fast
-    evaluator's arrays (:func:`repro.engine.executor.run_units`) for a
+    """Buffer id -> ``[b, n]`` matrix of a bucket's rows 1+: the unit
+    loop's arrays (:func:`repro.engine.executor.run_units`) for a
     batch. The caller seeds the input matrix; every other buffer
     materializes on first touch from its pre-execution contents
     ``init``, or uninitialized for a node that overwrites every lane

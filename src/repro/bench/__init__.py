@@ -7,7 +7,7 @@
 * :mod:`~repro.bench.report` — the EXPERIMENTS.md generator
   (``python -m repro.bench.report``).
 
-The pytest-benchmark entry points live in the repository's
+The pytest entry points live in the repository's
 ``benchmarks/`` directory and call into this package.
 """
 

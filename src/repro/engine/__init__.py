@@ -14,22 +14,22 @@ primitive kernels:
   elimination plus fusion of compatible elementwise chains (and
   elementwise→scan producers) into single strip loops that load once,
   apply every lane operation in registers, and store once;
-* :mod:`repro.engine.executor` — runs a plan either through the one
-  fast evaluator (generated group functions and NumPy node bodies on
-  memory views, charging the plan's static counter profile once) or
-  through the unit loop, whose fused groups run strictly on the
+* :mod:`repro.engine.executor` — runs a plan through its one unit
+  loop: fast units run generated group functions and NumPy node
+  bodies on memory views, strict units run on the
   :class:`~repro.rvv.machine.RVVMachine` intrinsics (the reference
-  semantics) — preserving the repo's strict-vs-fast bit-and-counter
-  equality invariant;
+  semantics); an all-fast, unprofiled call charges the plan's static
+  counter profile once, any other run unit by unit — preserving the
+  repo's strict-vs-fast bit-and-counter equality invariant;
 * :mod:`repro.engine.cache` — an in-memory LRU plan cache keyed on
   (op signature, n, VLEN, SEW, LMUL, codegen preset) so repeated
   pipelines skip re-planning;
 * :mod:`repro.engine.codegen` — at cache-insert time it derives each
   fused group's lane chain and closed-form charge profile and emits
-  one flat Python function per group, which the fast evaluator runs,
+  one flat Python function per group, which the unit loop runs,
   bit- and counter-identical to the strict loop;
 * :mod:`repro.engine.nodes` — the two executions of every other node:
-  replaying its SVM call, or running its NumPy body;
+  its strict SVM replay, or its NumPy body;
 * :mod:`repro.engine.native` — the compiled backend tier: lowers a
   whole fused plan to one C translation unit, builds it with the host
   toolchain (the ``.so`` persists under ``<cache_dir>/native/``

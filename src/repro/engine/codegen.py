@@ -15,11 +15,11 @@ and, for every fused group,
    plan's static profile;
 3. emits one function per group, ``_g{i}(nodes, mats)``: the lane
    chain, NumPy over the trailing axis, reading its head and operands
-   from ``mats`` and leaving its result there. The engine's fast
-   evaluator (:func:`~repro.engine.executor.run_units`) calls it on
-   the 1-D memory views of a single call and on the ``[B-1, n]``
-   matrices of batch rows 1+; the unit loop calls it on memory views
-   for a group on the fast path. The generated source never charges.
+   from ``mats`` and leaving its result there. The engine's unit loop
+   (:func:`~repro.engine.executor.run_units`) calls it for a group on
+   the fast path, on the 1-D memory views of a single call and on the
+   ``[B-1, n]`` matrices of batch rows 1+. The generated source never
+   charges.
 
 The generated source has
 
@@ -169,14 +169,14 @@ def group_charge_items(m, group: FusedGroup) -> tuple[tuple[Cat, int], ...]:
 class CompiledGroup:
     """The generated entry point of one fused group.
 
-    ``run(nodes, mats)`` runs the group's lane chain on the fast
-    evaluator's arrays — the 1-D memory views of one call or the
+    ``run(nodes, mats)`` runs the group's lane chain on the unit
+    loop's arrays — the 1-D memory views of one call or the
     ``[B-1, n]`` matrices of batch rows 1+ (see
     :func:`repro.engine.executor.run_units`) — and charges nothing.
     ``n`` is the group length the unit loop gates the fast path on;
     ``charge`` is the group's :func:`group_charge_items`, the term it
-    adds to the plan's static profile (and what the unit loop charges
-    after a fast ``run``).
+    adds to the plan's static profile (and what a run that charges unit
+    by unit charges after a fast ``run``).
     """
 
     __slots__ = ("run", "name", "n", "charge")

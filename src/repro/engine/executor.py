@@ -1,24 +1,24 @@
-"""Execute a fused plan: the fast evaluator, the unit loop, or native C.
+"""Execute a fused plan: the unit loop, or native C.
 
 :meth:`Engine.compile_plan` fixes a plan's closed-form counter profile
 (``FusedPlan.charge_items``: the fused groups' tuples plus every other
 node's ``OpSpec.charge``) and its shortest unit (``FusedPlan.min_n``).
-A run is *all-fast* when the fast path applies at that length; it then
-runs as one native C call (:mod:`repro.engine.native`) or through the
-Python tier's one fast evaluator, :func:`run_units` — generated group
-functions and NumPy node bodies on memory views (:class:`Views`), the
-same loop ``svm.batch`` runs on the ``[B-1, n]`` matrices of rows 1+ —
-and charges the profile once (:func:`charge_runs`).
+A run is *all-fast* when the fast path applies at that length; on the
+native backend it then runs as one C call (:mod:`repro.engine.native`)
+charged the profile once (:func:`charge_runs`).
 
-Any other run — strict, mixed-threshold, profiled or unfused — takes
-the unit loop. Its fused groups run :func:`run_group_strict`, the
-reference semantics (one strip loop on the machine intrinsics: load
-the head, apply every lane op in registers, the optional scan tail,
-store once), or their generated function plus its own charge where
-the fast path applies; other nodes replay their recorded
-:class:`~repro.svm.context.SVM` call
-(:func:`~repro.engine.nodes.run_node_eager`), so ``svm.lazy(fuse=False)``
-is a bit- and counter-identical spelling of the eager program.
+Every other single call, and batch rows 1+, take the Python tier's one
+unit loop, :func:`run_units`, on memory views (:class:`Views`) or on
+``[B-1, n]`` matrices. A fast unit runs its group's generated function
+or its node's NumPy body (:func:`~repro.engine.nodes.run_node_np`); a
+strict unit runs :func:`run_group_strict`, the reference semantics
+(one strip loop on the machine intrinsics: load the head, apply every
+lane op in registers, the optional scan tail, store once), or its
+node's strict SVM replay (:func:`~repro.engine.nodes.run_node_eager`).
+An all-fast, unprofiled call charges the static profile once; any
+other run — strict, mixed-threshold, profiled or unfused — picks each
+unit's tier at its own length and charges the unit inside its span, so
+a profiler explains the path that runs without changing it.
 
 Every path shares the vl sequence (``n``, VLEN, SEW, LMUL determine
 it), so results and per-category counts agree exactly — the invariant
@@ -31,6 +31,7 @@ import time
 from contextlib import nullcontext
 
 from ..config import BACKENDS, DEFAULT_BACKEND, env_backend
+from ..obs.spans import span
 from ..rvv.allocation import plan_allocation
 from ..rvv.counters import Cat
 from ..rvv.intrinsics import arith, compare, loadstore, mask as maskops, move, permutation
@@ -53,7 +54,7 @@ from .fuse import (
 )
 from .ir import EngineError, Kind, Plan, resolve_scalar
 from .native import artifact_dir, lower_plan, native_state
-from .nodes import node_charge, run_node_eager, run_node_np
+from .nodes import node_charge, node_spec, run_node_eager, run_node_np
 
 __all__ = [
     "Engine",
@@ -177,12 +178,12 @@ _SCAN_EW = {
 
 
 # ---------------------------------------------------------------------------
-# the fast evaluator
+# the unit loop
 # ---------------------------------------------------------------------------
 
 class Views(dict):
     """Buffer id -> 1-D view of the buffer in simulated memory, sliced
-    on first touch: the fast evaluator's arrays for one call. Writes
+    on first touch: the unit loop's arrays for one call. Writes
     land in memory, a produced future resolves at once, so the units
     after it (fused groups, shifts) read it in program order, and a
     FREE node frees its buffer."""
@@ -224,28 +225,73 @@ class Views(dict):
         self.svm.free(self.buffers[bid].array)
 
 
-def run_units(plan: Plan, fused: FusedPlan, mats, m) -> None:
-    """The Python tier's one fast evaluator: every unit of a compiled
-    plan in program order on ``mats`` — the :class:`Views` of a single
-    call, or the :class:`~repro.batch.runner.Rows` matrices of batch
-    rows 1+. Fused groups run their generated entry point, other nodes
-    their NumPy body (:func:`~repro.engine.nodes.run_node_np`). Charges
-    nothing: the caller charges the static profile once
-    (:func:`charge_runs`), with ``mats.sws`` for pack's term."""
+def run_units(plan: Plan, fused: FusedPlan, mats, m, svm=None) -> None:
+    """The Python tier's one unit loop: every unit of a plan in program
+    order on ``mats`` — the :class:`Views` of a single call, or the
+    :class:`~repro.batch.runner.Rows` matrices of batch rows 1+. With
+    no ``svm`` every unit is fast (a group's generated entry point, a
+    node's NumPy body) and nothing is charged: the caller charges the
+    static profile once (:func:`charge_runs`), with ``mats.sws`` for
+    pack's term. With ``svm``, see :func:`_run_unit`."""
     nodes = plan.nodes
     groups = fused.compiled.groups if fused.compiled is not None else {}
     for unit in fused.units:
-        if isinstance(unit, GroupSpec):
+        if svm is not None:
+            _run_unit(svm, plan, unit, groups, mats)
+        elif isinstance(unit, GroupSpec):
             groups[unit].run(nodes, mats)
         else:
             run_node_np(nodes[unit], mats, m)
+
+
+def _run_unit(svm, plan: Plan, unit, groups: dict, mats) -> None:
+    """One unit on the tier ``svm._fast`` picks at its length, charged
+    inside its span. Fast: the all-fast loop's call plus the unit's
+    term (a group's ``charge``; a node's ``node_charge`` plus pack's
+    items for the strips it added). Strict: :func:`run_group_strict`,
+    or the node's SVM replay, whose instrumented method opens the same
+    span (the primitive's name with {n, path})."""
+    m = svm.machine
+    if isinstance(unit, GroupSpec):
+        name = KERNEL_SCAN if unit.scan else KERNEL_EW
+        cg = groups.get(unit)
+        if cg is not None and svm._fast(cg.n):
+            with span(m, name, n=cg.n, nodes=len(unit.node_indices),
+                      path="fast", backend="codegen"):
+                cg.run(plan.nodes, mats)
+                m.counters.add_many(cg.charge)
+            return
+        group = materialize(plan, unit)
+        if svm._fast(group.n):
+            raise EngineError(
+                "fused group has no generated kernel; build fused plans "
+                "with Engine.compile_plan"
+            )
+        with span(m, name, n=group.n, nodes=len(unit.node_indices),
+                  path="strict"):
+            run_group_strict(svm, plan, group)
+        return
+    node = plan.nodes[unit]
+    if node.kind is Kind.FREE:
+        mats.free(node.dst)
+        return
+    spec, _, buf = node_spec(plan, node)
+    if not svm._fast(buf.n):
+        run_node_eager(svm, plan, node)
+        return
+    with span(m, spec.name, n=buf.n, path="fast"):
+        sws = mats.sws
+        run_node_np(node, mats, m)
+        m.counters.add_many(node_charge(m, plan, node))
+        if mats.sws != sws:
+            m.counters.add_many(pack_variable_items(mats.sws - sws))
 
 
 def charge_runs(m, fused: FusedPlan, rows: int = 1, sws: int = 0) -> None:
     """Charge ``rows`` all-fast runs of ``fused``: its static profile
     (``fused.charge_items``) per row, plus pack's survivor-strip term
     for ``sws`` strips over all rows. The one charge of every all-fast
-    run — fast evaluator or native, one row or B."""
+    run — unit loop or native, one row or B."""
     items = fused.charge_items
     if rows != 1:
         items = [(cat, k * rows) for cat, k in items]
@@ -282,29 +328,29 @@ def execute(svm, plan: Plan, fused: FusedPlan,
 
     An all-fast run (see the module docstring) on ``"native"`` is one
     compiled C call, charged the static profile, when the plan lowers
-    and a toolchain is present. Otherwise an unprofiled all-fast run
-    takes the fast evaluator, anything else the unit loop, where a
-    fused group on the fast path needs the function
-    ``Engine.compile_plan`` generated for it. A run that raises still
-    frees the buffers its FREE nodes name.
-
-    With a profiler installed each fused group gets its own span
-    (``fused_scan``/``fused_ew`` with {n, nodes, path} metadata, plus
-    ``backend`` on the fast path), and each compiled C call one
-    ``native_plan`` span with {n, backend}; non-fused units replay
-    through the instrumented SVM methods, so they show up under their
-    primitive names as in eager mode.
+    and a toolchain is present, with a ``native_plan`` span ({n,
+    backend}) under a profiler. Everything else runs the unit loop
+    (:func:`run_units`) on the buffers' memory views: an unprofiled
+    all-fast run charges the static profile once after it, any other
+    run unit by unit, each in its span. A fused group on the fast path
+    needs the function ``Engine.compile_plan`` generated for it. A run
+    that raises still frees the buffers its FREE nodes name.
     """
-    col = getattr(svm.machine, "collector", None)
+    m = svm.machine
+    col = getattr(m, "collector", None)
     native = native_for(svm, plan, fused, backend)
     try:
-        if native is None:
-            _execute_units(svm, plan, fused, col)
-        else:
+        if native is not None:
             # the charge runs inside the span, so it carries the delta
             with col.span("native_plan", n=fused.min_n, backend=backend) \
                     if col is not None else nullcontext():
-                charge_runs(svm.machine, fused, 1, native.run(svm, plan))
+                charge_runs(m, fused, 1, native.run(svm, plan))
+        elif col is None and all_fast(svm, fused):
+            views = Views(svm, plan.buffers)
+            run_units(plan, fused, views, m)
+            charge_runs(m, fused, 1, views.sws)
+        else:
+            run_units(plan, fused, Views(svm, plan.buffers), m, svm)
     except BaseException:
         # every tier: a plan that raised still frees what it would have
         free_live(svm, plan, [node.dst for node in plan.nodes
@@ -341,42 +387,6 @@ def _static_facts(plan: Plan, fused: FusedPlan, m) -> tuple[tuple, int]:
             lengths.append(plan.buffers[
                 node.dst if node.dst is not None else node.src].n)
     return _items(*items), int(min(lengths, default=0))
-
-
-def _execute_units(svm, plan: Plan, fused: FusedPlan, col) -> None:
-    """The Python tier: the fast evaluator when the run is all-fast and
-    unprofiled, else the unit loop (see :func:`execute`)."""
-    m = svm.machine
-    views = Views(svm, plan.buffers)
-    if col is None and all_fast(svm, fused):
-        run_units(plan, fused, views, m)
-        charge_runs(m, fused, 1, views.sws)
-        return
-    groups = fused.compiled.groups if fused.compiled is not None else {}
-    for unit in fused.units:
-        if not isinstance(unit, GroupSpec):
-            run_node_eager(svm, plan, plan.nodes[unit])
-            continue
-        name = KERNEL_SCAN if unit.scan else KERNEL_EW
-        cg = groups.get(unit)
-        if cg is not None and svm._fast(cg.n):
-            ctx = col.span(name, n=cg.n, nodes=len(unit.node_indices),
-                           path="fast", backend="codegen") \
-                if col is not None else nullcontext()
-            with ctx:
-                cg.run(plan.nodes, views)
-                m.counters.add_many(cg.charge)
-            continue
-        group = materialize(plan, unit)
-        if svm._fast(group.n):
-            raise EngineError(
-                "fused group has no generated kernel; build fused plans "
-                "with Engine.compile_plan"
-            )
-        ctx = col.span(name, n=group.n, nodes=len(unit.node_indices),
-                       path="strict") if col is not None else nullcontext()
-        with ctx:
-            run_group_strict(svm, plan, group)
 
 
 def resolve_backend(backend: str | None) -> str:
@@ -489,8 +499,8 @@ class Engine:
         return fused
 
     def run(self, plan: Plan, fuse: bool = True) -> FusedPlan:
-        """Execute ``plan``; with ``fuse=False`` every node replays
-        eagerly through the unit loop on every backend (bit- and
+        """Execute ``plan``; with ``fuse=False`` every node runs as its
+        own unit of the unit loop on every backend (bit- and
         counter-identical to not using the engine)."""
         fused = self.fused_for(plan) if fuse else \
             FusedPlan(units=list(range(len(plan.nodes))))

@@ -256,14 +256,14 @@ class FusedPlan:
     #: ``((Cat, count), ...)``: one execution's closed-form counter
     #: profile, pack's survivor-strip items excluded, computed by
     #: :meth:`repro.engine.executor.Engine.compile_plan` (None on a
-    #: plan that was not compiled). Every all-fast run charges it: the
-    #: fast evaluator, the native tier and batch rows 1+.
+    #: plan that was not compiled). Every all-fast run charges it: an
+    #: unprofiled single call, the native tier and batch rows 1+.
     charge_items: tuple | None = field(default=None, compare=False,
                                        repr=False)
     #: The element count of the shortest unit (FREE excluded), set with
     #: ``charge_items``: ``svm._fast(min_n)`` gates the all-fast paths
-    #: (the fast evaluator and native). None on an uncompiled plan,
-    #: which therefore always takes the unit loop.
+    #: (one charge after the unit loop, and native). None on an
+    #: uncompiled plan, which therefore always charges unit by unit.
     min_n: int | None = field(default=None, compare=False, repr=False)
 
     @property

@@ -201,16 +201,19 @@ class OpNode:
 
     # -- dataflow ----------------------------------------------------------
     def buffers_read(self) -> set[int]:
-        """Buffer ids this node reads *from memory*.
+        """Buffer ids whose *contents* influence this node's result.
 
-        An in-place elementwise node reads its dst, but that read is
-        implicit in the accumulator when fused, so dst membership here
-        is what the *eager* kernel touches; the fuser applies its own,
-        stricter notion (see :mod:`repro.engine.fuse`).
+        That includes ``dst`` for the in-place and partial-write kinds:
+        an in-place elementwise node or scan reads it, a select keeps
+        the unselected lanes, and a permute's scatter leaves the lanes
+        it does not hit. For a fused in-place node the dst read is
+        implicit in the accumulator, so dst membership here is what the
+        *eager* kernel touches; the fuser applies its own, stricter
+        notion (see :mod:`repro.engine.fuse`).
         """
         reads: set[int] = set()
         if self.kind in (Kind.EW_VX, Kind.EW_VV, Kind.SCAN, Kind.SELECT,
-                         Kind.SEG_SCAN):
+                         Kind.SEG_SCAN, Kind.PERMUTE):
             reads.add(self.dst)
         if self.src is not None:
             reads.add(self.src)

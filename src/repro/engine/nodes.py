@@ -1,21 +1,23 @@
-"""One plan node, two ways: its SVM call replayed, or its NumPy body.
+"""One plan node, two ways: its strict SVM replay, or its NumPy body.
 
 Every non-fused unit — a lane op left out of any group, a structured
-kind (permute, pack, seg_scan, select, ...) or a free — has one branch
-per kind in each ladder (``tools/check_opspec.py`` gates both):
+kind (permute, pack, seg_scan, select, ...) — has one branch per kind
+in each ladder (``tools/check_opspec.py`` gates both):
 
-* :func:`run_node_eager` replays the :class:`~repro.svm.context.SVM`
-  call the node was captured from (the unit loop), so its results
-  *and* counters are exactly eager execution's; each kind maps back to
-  its primitive by the field conventions on
+* :func:`run_node_eager` is the strict replay of the
+  :class:`~repro.svm.context.SVM` call the node was captured from, so
+  its results *and* counters are exactly eager strict execution's;
+  each kind maps back to its primitive by the field conventions on
   :class:`~repro.engine.ir.OpNode`;
 * :func:`run_node_np` runs the NumPy body of the node's fast kernel
-  (``repro.svm.fastpath.np_*``) and charges nothing — the fast
-  evaluator's path, on a single call's memory views and on batch
-  rows' ``[B-1, n]`` matrices alike.
+  (``repro.svm.fastpath.np_*``) and charges nothing — every fast node
+  of the unit loop (:func:`repro.engine.executor.run_units`), on a
+  single call's memory views and on batch rows' ``[B-1, n]`` matrices
+  alike.
 
-:func:`node_charge` is a node's registry charge, its term in the
-plan's static profile.
+:func:`node_spec` resolves the op a node was recorded from (its span
+name), and :func:`node_charge` is that op's registry charge, the
+node's term in the plan's static profile.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..svm.operators import get_operator
 from ..svm.opspec import OPSPECS, iter_specs
 from .ir import EngineError, Kind, OpNode, Plan, resolve_scalar
 
-__all__ = ["node_charge", "run_node_eager", "run_node_np"]
+__all__ = ["node_charge", "node_spec", "run_node_eager", "run_node_np"]
 
 #: Kind -> the op that records it; the elementwise and compare kinds
 #: several ops share resolve through ``node.op`` instead.
@@ -36,12 +38,11 @@ _SPEC_OF_KIND = {Kind(kind): spec for spec in iter_specs()
                  for kind in spec.node_kinds.values()}
 
 
-def node_charge(machine, plan: Plan, node: OpNode) -> tuple:
-    """The closed-form ``(category, count)`` charge of replaying
-    ``node`` on ``machine``, pack's survivor-strip term excluded: the
-    ``OpSpec.charge`` of the op and variant capture recorded it from,
-    at the node's length and LMUL and at the SEW its kernel strip-mines
-    by (the source's; the destination's for nodes without one)."""
+def node_spec(plan: Plan, node: OpNode) -> tuple:
+    """The registered op (whose name is the node's span name) and
+    variant capture recorded ``node`` from, and the buffer whose length
+    and dtype its kernel strip-mines by (the source's; the
+    destination's for nodes without one)."""
     kind = node.kind
     if kind in (Kind.EW_VX, Kind.EW_VV, Kind.CMP_VX, Kind.CMP_VV):
         ew = kind in (Kind.EW_VX, Kind.EW_VV)
@@ -50,13 +51,24 @@ def node_charge(machine, plan: Plan, node: OpNode) -> tuple:
         spec = _SPEC_OF_KIND[kind]
         variant = "" if "incl" not in spec.node_kinds \
             else "incl" if node.inclusive else "excl"
-    buf = plan.buffers[node.src if node.src is not None else node.dst]
+    return spec, variant, plan.buffers[
+        node.src if node.src is not None else node.dst]
+
+
+def node_charge(machine, plan: Plan, node: OpNode) -> tuple:
+    """The closed-form ``(category, count)`` charge of running ``node``
+    on ``machine``, pack's survivor-strip term excluded: the
+    ``OpSpec.charge`` of its :func:`node_spec`, at the node's length,
+    SEW and LMUL."""
+    spec, variant, buf = node_spec(plan, node)
     return spec.charge[variant](machine.codegen, machine.vlen, buf.n,
                                 sew_for_dtype(buf.dtype), node.lmul)
 
 
 def run_node_eager(svm, plan: Plan, node: OpNode) -> None:
-    """Execute one node by replaying the SVM call it recorded."""
+    """The strict replay: run one node by repeating the SVM call it
+    recorded, at a length ``svm._fast`` declines (the unit loop frees
+    a FREE node itself)."""
     arr = lambda bid: plan.buffers[bid].array
 
     if node.kind is Kind.EW_VX:
@@ -103,8 +115,6 @@ def run_node_eager(svm, plan: Plan, node: OpNode) -> None:
         svm.copy(arr(node.src), out=arr(node.dst), lmul=node.lmul)
     elif node.kind is Kind.INDEX:
         svm.index_array(plan.buffers[node.dst].n, out=arr(node.dst), lmul=node.lmul)
-    elif node.kind is Kind.FREE:
-        svm.free(arr(node.dst))
     else:  # pragma: no cover - exhaustive over Kind
         raise EngineError(f"cannot execute node kind {node.kind}")
 

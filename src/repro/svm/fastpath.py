@@ -8,8 +8,8 @@ Every kernel's dynamic instruction count, however, depends only on the
 kernel, ``pack``, is handled explicitly). So each primitive here:
 
 1. computes its result with its NumPy body (``np_*``): one vectorized
-   expression over the trailing axis, which the engine's fast
-   evaluator applies unchanged to a ``[B-1, n]`` matrix of rows, and
+   expression over the trailing axis, which the engine's unit loop
+   applies unchanged to a ``[B-1, n]`` matrix of rows, and
 2. charges the machine counters with the *identical per-category
    counts* the strict kernel would produce.
 
@@ -350,7 +350,7 @@ def _charge(m: RVVMachine, fn, n: int, dtype, lmul: LMUL, **fact) -> None:
 # NumPy bodies and the fast kernels that charge around them
 # ---------------------------------------------------------------------------
 # An ``np_*`` body runs on ``[n]`` memory views here and in the engine's
-# fast evaluator (a single call's views, batch rows' ``[B-1, n]``
+# unit loop (a single call's views, batch rows' ``[B-1, n]``
 # matrices), and never charges. Scalars arrive
 # wrapped to the element dtype (in a batch possibly as a ``[B-1, 1]``
 # column of per-row values); per-row results come back as vectors.
@@ -569,15 +569,15 @@ def pack_strip_survivors(keep: np.ndarray, vlmax: int) -> np.ndarray:
     ``keep`` is a boolean keep-mask over the trailing axis (1-D for a
     single call, ``[B, n]`` for a ragged batch); the return has the
     leading shape (a 0-d array for 1-D input). One ``reduceat`` per
-    call — the same arithmetic for the eager fast path and the batch
-    runner, so the data-dependent charge can never drift between
-    tiers."""
+    call, an OR over each strip of the mask itself — the same
+    arithmetic for the eager fast path and the batch runner, so the
+    data-dependent charge can never drift between tiers."""
     n = keep.shape[-1]
     if n == 0:
         return np.zeros(keep.shape[:-1], dtype=np.int64)
     starts = np.arange(0, n, vlmax)
-    per_strip = np.add.reduceat(keep.astype(np.int64), starts, axis=-1)
-    return np.count_nonzero(per_strip, axis=-1)
+    any_kept = np.logical_or.reduceat(keep, starts, axis=-1)
+    return np.count_nonzero(any_kept, axis=-1)
 
 
 def np_pack(src: np.ndarray, keep: np.ndarray, dst: np.ndarray):

@@ -134,7 +134,7 @@ class OpSpec:
 
     @property
     def codegen(self) -> bool:
-        """The op runs in the Python fast evaluator: every op with
+        """The op runs in the engine's Python unit loop: every op with
         kernels of its own does; a composite lowers to other ops."""
         return not self.composite
 

@@ -170,12 +170,13 @@ def test_charge_profile_recorded_once_per_cache_entry(monkeypatch, backend,
     """The closed-form profile is a static fact of the plan-cache entry:
     it is set as soon as ``fused_for`` returns, once per entry, and
     matrix buckets, loop buckets and single calls all use it without a
-    Python recording run — on a native backend with a toolchain no call
-    runs the Python unit loop at all."""
+    Python recording run — on a native backend with a toolchain no
+    single-call execution (row 0, a loop row, a lazy call) runs the
+    Python unit loop at all."""
     units = []
-    run_units = executor._execute_units
-    monkeypatch.setattr(executor, "_execute_units", lambda *a: (
-        units.append(a[2]), run_units(*a))[1])
+    run_units = executor.run_units
+    monkeypatch.setattr(executor, "run_units", lambda *a: (
+        units.append(a[1]), run_units(*a))[1])
     profiles = {}
     fused_for = executor.Engine.fused_for
 

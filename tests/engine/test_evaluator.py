@@ -1,13 +1,13 @@
-"""The Python tier's one fast evaluator (``executor.run_units``).
+"""The Python tier's one unit loop (``executor.run_units``).
 
 An all-fast, unprofiled codegen call runs every unit of its plan on
 the buffers' 1-D memory views — fused groups through their generated
 entry, other nodes through their NumPy body — and charges the plan's
-static profile once. These tests hold it to the strict unit loop on
-the cases only a single call reaches (zero-length arrays of every node
-kind, futures feeding fused groups and shifts), check that mixed
-thresholds keep the unit loop, and that a plan which raises releases
-the buffers its FREE nodes name on every tier.
+static profile once. These tests hold it to a strict call of the same
+loop on the cases only a single call reaches (zero-length arrays of
+every node kind, futures feeding fused groups and shifts), check that
+a mixed-threshold plan runs each unit on its own tier, and that a plan
+which raises releases the buffers its FREE nodes name on every tier.
 """
 
 from __future__ import annotations
@@ -84,6 +84,22 @@ KIND_PIPES = {
 }
 
 
+@pytest.fixture
+def tiers(monkeypatch):
+    """The tiers a lazy call's units ran on, in order: ``"fast"`` for a
+    node's NumPy body, ``"strict"`` for a strict group or a node's
+    strict replay, ``"charge_runs"`` for the all-fast run's one charge
+    of the static profile."""
+    ran = []
+    for name, tier in (("run_node_np", "fast"), ("run_node_eager", "strict"),
+                       ("run_group_strict", "strict"),
+                       ("charge_runs", "charge_runs")):
+        orig = getattr(executor, name)
+        monkeypatch.setattr(executor, name, lambda *a, _o=orig, _t=tier: (
+            ran.append(_t), _o(*a))[1])
+    return ran
+
+
 def _lazy(pipe, n, *, mode, vlen=128, backend="codegen", **kw):
     """One lazy call of ``pipe`` over a fresh length-``n`` input:
     (outputs, counters by category, the context)."""
@@ -103,18 +119,15 @@ def test_kind_pipes_cover_every_kind():
 
 @pytest.mark.parametrize("n", [0, 37])
 @pytest.mark.parametrize("kind", list(KIND_PIPES), ids=lambda k: k.value)
-def test_every_kind_matches_strict(monkeypatch, kind, n):
-    """A fast single call — zero-length included — goes through the
-    evaluator and equals the strict unit loop bit for bit and counter
-    for counter."""
-    calls = []
-    run_units = executor.run_units
-    monkeypatch.setattr(executor, "run_units", lambda *a: (
-        calls.append(1), run_units(*a))[1])
+def test_every_kind_matches_strict(tiers, kind, n):
+    """A fast single call — zero-length included — runs every unit
+    fast and charges the static profile once, and equals a strict call
+    bit for bit and counter for counter."""
     want, strict, _ = _lazy(KIND_PIPES[kind], n, mode="strict")
-    assert not calls
+    assert set(tiers) == {"strict"}
+    tiers.clear()
     got, fast, svm = _lazy(KIND_PIPES[kind], n, mode="fast")
-    assert calls == [1]
+    assert "strict" not in tiers and tiers.count("charge_runs") == 1
     assert kind in {node.kind for node in svm.engine.last_plan.nodes}
     if kind is Kind.PACK:  # lanes past the kept count are undefined
         want[0], got[0] = want[0][:want[1]], got[0][:got[1]]
@@ -154,13 +167,11 @@ def test_futures_feed_groups_and_shifts_in_program_order():
     assert not _batchable(plan, fused)
 
 
-def test_mixed_threshold_plan_takes_the_unit_loop(monkeypatch):
+def test_mixed_threshold_plan_takes_the_unit_loop(tiers):
     """Two arrays on either side of ``fast_threshold`` in one lazy
-    block: not all-fast, so the unit loop runs the long array's group
-    fast and the short one's strict — and the whole equals strict."""
-    calls = []
-    monkeypatch.setattr(executor, "run_units",
-                        lambda *a: calls.append(1))
+    block: not all-fast, so the unit loop runs the long array's units
+    fast and the short one's strict, charging unit by unit — and the
+    whole equals strict."""
 
     def run(mode):
         svm = SVM(vlen=128, mode=mode, fast_threshold=100)
@@ -180,8 +191,10 @@ def test_mixed_threshold_plan_takes_the_unit_loop(monkeypatch):
                 svm.counters.snapshot().by_category)
 
     want, strict = run("strict")
+    assert set(tiers) == {"strict"}
+    tiers.clear()
     got, auto = run("auto")
-    assert not calls
+    assert set(tiers) == {"fast", "strict"}
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
     assert auto == strict

@@ -102,7 +102,7 @@ def test_compiled_replay_actually_runs(monkeypatch):
     monkeypatch.setattr(NativePlan, "run",
                         lambda self, svm, plan: (calls.append(1),
                                                  orig(self, svm, plan))[1])
-    monkeypatch.setattr(executor, "_execute_units",
+    monkeypatch.setattr(executor, "run_units",
                         lambda *a: calls.append("python"))
     svm = SVM(vlen=128, mode="fast", backend="native")
     pipe = PIPELINES["chain_scan"]

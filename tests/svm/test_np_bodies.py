@@ -116,6 +116,48 @@ def test_seg_scan(dtype, shape, rng):
             assert np.array_equal(a[i], row)
 
 
+@pytest.mark.parametrize("op", ["max", "min"])
+def test_seg_scan_max_min(dtype, shape, rng, op):
+    """The keyed max/min pass sees the heads a matrix forces at every
+    row start: no row's running extreme leaks into the next row."""
+    oper = get_operator(op)
+    a0 = _values(rng, shape, dtype)
+    heads = _flags(rng, shape, dtype, p=0.1)
+    for inclusive in (True, False):
+        a = a0.copy()
+        fp.np_seg_scan(a, heads, oper, inclusive)
+        for i in range(shape[0]):
+            row = a0[i].copy()
+            fp.np_seg_scan(row, heads[i], oper, inclusive)
+            assert np.array_equal(a[i], row)
+            if inclusive and shape[1]:  # the loop over the row's segments
+                want = a0[i].copy()
+                h = np.flatnonzero(heads[i]).tolist()
+                for lo, hi in zip([0] + h, h + [shape[1]]):
+                    if hi > lo:
+                        oper.ufunc.accumulate(a0[i][lo:hi], out=want[lo:hi])
+                assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("vlmax", [1, 4, VLMAX, 100])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5])
+def test_pack_strip_survivors(shape, vlmax, p):
+    """Strips with at least one survivor, per row, for every strip
+    length (one that does not divide n included) and all-false masks;
+    a 1-D mask gives the 0-d count of its one row."""
+    b, n = shape
+    keep = np.random.default_rng([*shape, vlmax]).random(shape) < p
+    strips = -(-n // vlmax)
+    padded = np.zeros((b, strips * vlmax), bool)
+    padded[:, :n] = keep
+    want = padded.reshape(b, strips, vlmax).any(axis=-1).sum(axis=-1)
+    got = fp.pack_strip_survivors(keep, vlmax)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    for i in range(min(b, 3)):
+        one = fp.pack_strip_survivors(keep[i], vlmax)
+        assert one.shape == () and one == want[i]
+
+
 def test_get_flags(dtype, shape, rng):
     src = _values(rng, shape, dtype)
     for bit in (0, 3, dtype.itemsize * 8 - 1):

@@ -27,10 +27,12 @@ Fails (exit 1) when the "declared exactly once" invariant is violated:
    silently, and a stale ``native=False`` on a lowerable op fails too;
 6. node-kind coverage: every node ``Kind`` but ``FREE`` has a branch
    in both node ladders of ``repro.engine.nodes`` — ``run_node_eager``
-   (the unit loop's SVM replay) and ``run_node_np`` (the fast
-   evaluator's NumPy body, which every all-fast single call and batch
-   runs) — so a new kind cannot reach either path unhandled (AST
-   check on the ``Kind.<NAME>`` references each function makes).
+   (the strict replay of the node's SVM call, which the unit loop runs
+   for a node on the strict path) and ``run_node_np`` (the NumPy body,
+   which the unit loop runs for a node on the fast path, single calls
+   and batches alike) — so a new kind cannot reach either path
+   unhandled (AST check on the ``Kind.<NAME>`` references each
+   function makes; ``FREE`` is released by the loop itself).
 
 Run as ``PYTHONPATH=src python tools/check_opspec.py``.
 """
