@@ -31,4 +31,3 @@ def test_ablation_codegen():
                "op copies, loop bookkeeping) — headroom for better codegen."],
     )
     record(res)
-    measure_kernel("seg_plus_scan", N, 1024, codegen="ideal")

@@ -50,6 +50,3 @@ def test_ablation_enumerate():
                " where viota pays 1 instruction — the paper's §4.4 claim."],
     )
     record(res)
-    svm = SVM(vlen=1024, codegen="paper", mode="fast")
-    flags = svm.array(np.ones(10**5, dtype=np.uint32))
-    _enumerate_via_viota(svm, flags)

@@ -31,4 +31,3 @@ def test_ablation_lmul_advisor():
                "for-instruction, so the pick is provably the sweep argmin."],
     )
     record(res)
-    choose_lmul("seg_plus_scan", 10**5, 1024)

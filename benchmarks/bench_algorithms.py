@@ -70,4 +70,3 @@ def test_algorithm_profiles():
                " results verified against NumPy oracles inside the bench."],
     )
     record(res)
-    _rle_count(10**4)

@@ -194,9 +194,6 @@ def test_batch_identity_grid():
         "pack_ragged": pack_cell,
     }, indent=2) + "\n")
 
-    batch_cell({"n": 3000, "vlen": 512, "lmul": 1, "rows": 16,
-                "depth": DEPTH, "seed": SEED})
-
 
 def test_batch_wallclock_speedup():
     table = []

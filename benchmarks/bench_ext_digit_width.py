@@ -50,4 +50,3 @@ def test_digit_width_ablation():
                " this primitive set, not a simplification."],
     )
     record(res)
-    _cost(2)

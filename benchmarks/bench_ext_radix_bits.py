@@ -52,4 +52,3 @@ def test_radix_bits_ablation():
                " lg(n) round, which loses at this N."],
     )
     record(res)
-    _radix_cost(8)

@@ -36,4 +36,3 @@ def test_vlen_lmul_matrix():
                " not just the paper's 1024-bit configuration."],
     )
     record(res)
-    measure_kernel("seg_plus_scan", N, 512, LMUL.M4)

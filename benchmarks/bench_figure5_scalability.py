@@ -3,7 +3,6 @@ vlen/128 line while segmented scan saturates (its in-register phase
 costs lg(vl) steps, growing with the register)."""
 
 from repro.bench import experiments
-from repro.tune import sweep_vlen
 
 from conftest import record
 
@@ -11,7 +10,6 @@ from conftest import record
 def test_figure5():
     res = experiments.figure5()
     record(res)
-    sweep_vlen("seg_plus_scan", 10**4)
     res.check_within(0.01)
     # the qualitative claims of the figure
     padd = {int(r[0]): float(r[1]) for r in res.rows}

@@ -26,7 +26,6 @@ from pathlib import Path
 
 from repro.bench.harness import ExperimentResult
 from repro.parallel import default_jobs, fusion_cell, run_grid
-from repro.rvv.types import LMUL
 from repro.utils.formatting import fmt_count, fmt_ratio
 
 from conftest import record
@@ -99,6 +98,3 @@ def test_fusion_grid():
         "grid": grid,
         "depth_sweep": depth_sweep,
     }, indent=2) + "\n")
-
-    fusion_cell({"n": 10_000, "vlen": 1024, "lmul": int(LMUL.M1), "depth": 3,
-                 "seed": SEED})

@@ -7,8 +7,6 @@ EXPERIMENTS.md), so only the segmented claims are asserted.
 """
 
 from repro.bench import experiments
-from repro.tune import measure_kernel
-from repro.rvv.types import LMUL
 
 from conftest import record
 
@@ -16,5 +14,4 @@ from conftest import record
 def test_headline():
     res = experiments.headline()
     record(res)
-    measure_kernel("seg_plus_scan", 10**6, 1024, LMUL.M8)
     res.check_within(0.01)

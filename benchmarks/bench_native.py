@@ -177,9 +177,6 @@ def test_native_identity_grid():
         "batch": batch,
     }, indent=2) + "\n")
 
-    _observe(SVM(vlen=512, mode="fast", codegen="paper", backend="native"),
-             256, 1, runs=2)
-
 
 @pytest.mark.skipif(not native_available(),
                     reason="no C toolchain on this host")

@@ -195,10 +195,6 @@ def test_serve_coalescing_and_identity():
         "mixed_workload": mixed,
     }, indent=2) + "\n")
 
-    _serve_round([{"pipeline": "chain_scan",
-                   "data": rng(SEED).integers(0, 2**16, N, dtype=np.uint32)}
-                  for _ in range(8)], max_rows=8)
-
 
 # ---------------------------------------------------------------------------
 # telemetry overhead gate

@@ -1,33 +1,17 @@
 """Table 1: split radix sort (Listing 9) vs libc qsort.
 
-Regenerates the paper's dynamic-count comparison at every N, asserts
-the reproduction lands within tolerance of the published rows, and
-times the full sort at N=10^4 for wall-clock tracking.
+Regenerates the paper's dynamic-count comparison at every N and asserts
+the reproduction lands within tolerance of the published rows.
 """
 
-import numpy as np
-
-from repro import SVM
-from repro.algorithms import split_radix_sort
 from repro.bench import experiments
-from repro.scalar import GlibcMallocModel
 
 from conftest import record
-
-
-def _sort_once(n: int = 10**4) -> int:
-    svm = SVM(vlen=1024, codegen="paper", mode="fast",
-              malloc_model=GlibcMallocModel())
-    data = np.random.default_rng(0).integers(0, 1 << 32, n, dtype=np.uint32)
-    arr = svm.array(data)
-    split_radix_sort(svm, arr)
-    return svm.instructions
 
 
 def test_table1():
     res = experiments.table1()
     record(res)
-    _sort_once()
     # qsort's instrumented count is data-dependent; 7% covers the fit
     # residual plus seed-to-seed variation
     res.check_within(0.07)

@@ -2,7 +2,6 @@
 sequential baseline — exact reproduction for every N >= 10^3."""
 
 from repro.bench import experiments
-from repro.tune import measure_kernel
 
 from conftest import record
 
@@ -10,5 +9,4 @@ from conftest import record
 def test_table2():
     res = experiments.table2()
     record(res)
-    measure_kernel("p_add", 10**5, 1024)
     res.check_within(0.001)  # exact away from the paper's N=100 anomaly

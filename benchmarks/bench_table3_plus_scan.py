@@ -3,7 +3,6 @@ scan — exact at N >= 10^5, within 7% below (the paper's remainder-strip
 constants drift at small N; see EXPERIMENTS.md)."""
 
 from repro.bench import experiments
-from repro.tune import measure_kernel
 
 from conftest import record
 
@@ -11,5 +10,4 @@ from conftest import record
 def test_table3():
     res = experiments.table3()
     record(res)
-    measure_kernel("plus_scan", 10**5, 1024)
     res.check_within(0.07)

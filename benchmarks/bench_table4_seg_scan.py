@@ -2,7 +2,6 @@
 segmented scan — exact reproduction at every N."""
 
 from repro.bench import experiments
-from repro.tune import measure_kernel
 
 from conftest import record
 
@@ -10,5 +9,4 @@ from conftest import record
 def test_table4():
     res = experiments.table4()
     record(res)
-    measure_kernel("seg_plus_scan", 10**5, 1024)
     res.check_within(0.001)

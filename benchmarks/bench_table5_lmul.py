@@ -3,8 +3,6 @@ register-grouping study, including the LMUL=8 spill anomaly at small N
 (driven by the repro.rvv.allocation register-pressure model)."""
 
 from repro.bench import experiments
-from repro.tune import measure_kernel
-from repro.rvv.types import LMUL
 
 from conftest import record
 
@@ -12,7 +10,6 @@ from conftest import record
 def test_table5():
     res = experiments.table5()
     record(res)
-    measure_kernel("seg_plus_scan", 10**5, 1024, LMUL.M8)
     # LMUL in {1,4} columns are exact; LMUL=8's fitted spill model sits
     # within ~3.2% at small N (LMUL=2's printed column is corrupt and
     # excluded; see the table note)

@@ -2,8 +2,6 @@
 of wider register groups for segmented scan."""
 
 from repro.bench import experiments
-from repro.tune import measure_kernel
-from repro.rvv.types import LMUL
 
 from conftest import record
 
@@ -11,5 +9,4 @@ from conftest import record
 def test_table6():
     res = experiments.table6()
     record(res)
-    measure_kernel("seg_plus_scan", 10**5, 1024, LMUL.M4)
     res.check_within(0.035)

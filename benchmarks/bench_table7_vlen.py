@@ -2,7 +2,6 @@
 VLEN in {128, 256, 512, 1024} at N=10^4 — VLA scalability."""
 
 from repro.bench import experiments
-from repro.tune import measure_kernel
 
 from conftest import record
 
@@ -10,5 +9,4 @@ from conftest import record
 def test_table7():
     res = experiments.table7()
     record(res)
-    measure_kernel("seg_plus_scan", 10**4, 128)
     res.check_within(0.01)

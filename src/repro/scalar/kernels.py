@@ -152,42 +152,19 @@ def seg_max_scan_baseline(
 def segmented_reduce_numpy(a: np.ndarray, head_flags: np.ndarray, ufunc) -> np.ndarray:
     """Segmented inclusive scan of ``a`` under any associative ufunc.
 
-    ``max``/``min`` over unsigned elements of up to 32 bits run as one
-    keyed pass (:func:`_keyed_max_scan`). Any other case splits at
-    segment heads and applies ``ufunc.accumulate`` per segment:
-    O(#segments) Python overhead — acceptable because only non-plus
-    operators take this path (plus uses the cumsum trick).
+    Splits at segment heads and applies ``ufunc.accumulate`` per
+    segment. O(#segments) Python overhead — acceptable because only
+    non-plus operators take this path (plus uses the cumsum trick).
     """
     a = np.asarray(a)
-    flags = np.asarray(head_flags).astype(bool)
+    flags = np.asarray(head_flags).astype(bool).copy()
     if a.size == 0:
         return a.copy()
     flags[0] = True
-    if (ufunc is np.maximum or ufunc is np.minimum) \
-            and a.dtype.kind == "u" and a.dtype.itemsize <= 4:
-        return _keyed_max_scan(a, flags, ufunc is np.minimum)
     out = np.empty_like(a)
     bounds = np.flatnonzero(flags).tolist() + [a.size]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         ufunc.accumulate(a[lo:hi], out=out[lo:hi])
-    return out
-
-
-def _keyed_max_scan(a: np.ndarray, heads: np.ndarray, complement: bool) -> np.ndarray:
-    """Segmented running max of unsigned ``a`` (at most 32 bits) in one
-    ``np.maximum.accumulate``: each lane's key is ``(segment index <<
-    32) | value`` in uint64, and the segment index never decreases, so
-    a lane's running max key is its own segment's running max value.
-    ``complement`` computes a running min as the max of complemented
-    values. ``heads`` is boolean with ``heads[0]`` set."""
-    keys = np.cumsum(heads, dtype=np.uint64)
-    keys <<= np.uint64(32)
-    ones = a.dtype.type(np.iinfo(a.dtype).max)
-    keys |= (a ^ ones) if complement else a
-    np.maximum.accumulate(keys, out=keys)
-    out = keys.astype(a.dtype)  # keeps the low bits: the value
-    if complement:
-        out ^= ones
     return out
 
 

@@ -95,7 +95,7 @@ def test_alias_keeps_copy_discipline():
 
 def test_unfused_plan_has_no_compiled_kernels():
     # seg_scan captures as a structured node but never fuses; with no
-    # fused groups nothing is generated and the fast evaluator runs
+    # fused groups nothing is generated and the unit loop runs
     # every node's NumPy body with identical behavior
     def pipe(lz, data, lmul):
         flags = lz.get_flags(data, 0, lmul=lmul)

@@ -153,29 +153,6 @@ class TestSegmentedCumsumTrick:
         got = segmented_reduce_numpy(a, flags, np.add)
         assert np.array_equal(got, segmented_cumsum(a, flags))
 
-    @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum],
-                             ids=["max", "min"])
-    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
-    @pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
-    def test_reduce_numpy_max_min_match_the_segment_loop(self, ufunc, dtype, p):
-        """max/min over unsigned elements up to 32 bits run one keyed
-        pass (uint64 keeps the loop): both equal ``ufunc.accumulate``
-        per segment, for any head density, extremes included."""
-        rng = np.random.default_rng([int(p * 10), np.dtype(dtype).itemsize])
-        info = np.iinfo(dtype)
-        for n in (1, 2, 37, 4096):
-            a = rng.integers(0, info.max, n, dtype=dtype, endpoint=True)
-            a[: n // 4] = rng.choice(np.array([0, info.max], dtype), n // 4)
-            flags = (rng.random(n) < p).astype(np.uint32)
-            want = a.copy()
-            bounds = np.flatnonzero(flags).tolist()
-            for lo, hi in zip([0] + bounds, bounds + [n]):
-                if hi > lo:
-                    ufunc.accumulate(a[lo:hi], out=want[lo:hi])
-            got = segmented_reduce_numpy(a, flags, ufunc)
-            assert got.dtype == a.dtype
-            assert np.array_equal(got, want)
-
 
 class TestDerivedBaselines:
     def test_enumerate(self, sm):

@@ -8,6 +8,8 @@ boundary) and one many-short-rows shape.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -104,39 +106,18 @@ def test_select(dtype, shape, rng):
 
 
 def test_seg_scan(dtype, shape, rng):
-    plus = get_operator("plus")
+    # max takes the per-segment loop, plus the cumsum trick: both must
+    # see the heads a matrix forces at every row start
     a0 = _values(rng, shape, dtype)
     heads = _flags(rng, shape, dtype, p=0.1)
-    for inclusive in (True, False):
+    for op, inclusive in itertools.product(("plus", "max"), (True, False)):
+        op = get_operator(op)
         a = a0.copy()
-        fp.np_seg_scan(a, heads, plus, inclusive)
+        fp.np_seg_scan(a, heads, op, inclusive)
         for i in range(shape[0]):
             row = a0[i].copy()
-            fp.np_seg_scan(row, heads[i], plus, inclusive)
+            fp.np_seg_scan(row, heads[i], op, inclusive)
             assert np.array_equal(a[i], row)
-
-
-@pytest.mark.parametrize("op", ["max", "min"])
-def test_seg_scan_max_min(dtype, shape, rng, op):
-    """The keyed max/min pass sees the heads a matrix forces at every
-    row start: no row's running extreme leaks into the next row."""
-    oper = get_operator(op)
-    a0 = _values(rng, shape, dtype)
-    heads = _flags(rng, shape, dtype, p=0.1)
-    for inclusive in (True, False):
-        a = a0.copy()
-        fp.np_seg_scan(a, heads, oper, inclusive)
-        for i in range(shape[0]):
-            row = a0[i].copy()
-            fp.np_seg_scan(row, heads[i], oper, inclusive)
-            assert np.array_equal(a[i], row)
-            if inclusive and shape[1]:  # the loop over the row's segments
-                want = a0[i].copy()
-                h = np.flatnonzero(heads[i]).tolist()
-                for lo, hi in zip([0] + h, h + [shape[1]]):
-                    if hi > lo:
-                        oper.ufunc.accumulate(a0[i][lo:hi], out=want[lo:hi])
-                assert np.array_equal(row, want)
 
 
 @pytest.mark.parametrize("vlmax", [1, 4, VLMAX, 100])
