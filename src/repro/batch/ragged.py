@@ -12,9 +12,10 @@ logical per-row lengths as a first-class column.
   plus a ``[B]`` lengths vector, with a derived validity mask. Lanes
   at or beyond a row's length are *undefined* (malloc residue under
   the single-row semantics), never compared, never charged.
-* :func:`pack2d` is pack's compaction kernel,
-  :func:`repro.svm.fastpath.np_pack` — the one function the eager fast
-  path runs on a single row. On a ``[B, n]`` matrix (the ``"ragged"``
+* :func:`pack2d` calls pack's compaction kernel,
+  :func:`repro.svm.fastpath.np_pack` — the one body the eager fast
+  path runs on a single row — with the keep mask before the
+  destination. On a ``[B, n]`` matrix (the ``"ragged"``
   path) it compacts every row in one call, writing each row's survivor
   prefix and returning the per-row kept counts (the vectorized form of
   the ``pack.kept`` :class:`~repro.engine.ir.ScalarFuture`).
@@ -34,9 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..svm.fastpath import np_pack as pack2d
+from ..svm.fastpath import np_pack
 
 __all__ = ["RaggedBatch", "pack2d"]
+
+
+def pack2d(src: np.ndarray, keep: np.ndarray, dst: np.ndarray):
+    """Compact the lanes of ``src`` where ``keep`` is nonzero to the
+    front of each row of ``dst``; returns the kept counts
+    (:func:`repro.svm.fastpath.np_pack`)."""
+    return np_pack(src, dst, keep)
 
 
 @dataclass(frozen=True)

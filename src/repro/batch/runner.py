@@ -64,7 +64,7 @@ from ..engine.executor import (
 from ..engine.fuse import GroupSpec
 from ..engine.ir import EngineError, Kind, Plan, ScalarFuture, resolve_scalar
 from ..svm.fastpath import _wrap
-from ..svm.opspec import get_spec
+from ..svm.opspec import SIGNATURES, get_spec
 from .ragged import RaggedBatch
 
 __all__ = ["BatchBucket", "BatchResult", "Rows", "run_batch"]
@@ -175,8 +175,8 @@ def _batchable(plan: Plan, fused) -> bool:
     and the consumer is an eager EW_VX / CMP_VX node whose ufunc
     broadcasts a column of per-row scalars. Consumers inside fused
     groups (whose kernels resolve the scalar once) and the shift ops
-    (whose wrappers coerce the scalar to a plain int) fall back to the
-    loop."""
+    (whose ufuncs, ``_srl``/``_sll``, take the shift amount through
+    ``int(x)``) fall back to the loop."""
     group_nodes: set[int] = set()
     for u in fused.units:
         if isinstance(u, GroupSpec):
@@ -206,12 +206,11 @@ _PREFIX_LOCAL = frozenset((
     Kind.SCAN, Kind.SEG_SCAN, Kind.SELECT, Kind.COPY,
 ))
 
-#: Kinds that overwrite every lane of ``dst`` (from non-ragged inputs
-#: they produce a fully-defined buffer, clearing any stale tag).
-_FULL_WRITERS = frozenset((
-    Kind.CMP_VX, Kind.CMP_VV, Kind.GET_FLAGS, Kind.BACK_PERMUTE,
-    Kind.COPY, Kind.INDEX, Kind.ENUMERATE, Kind.SHIFT1UP,
-))
+#: Kinds that overwrite every lane of ``dst``, the ``"w"`` entries of
+#: the registry's signature table (from non-ragged inputs they produce
+#: a fully-defined buffer, clearing any stale tag).
+_FULL_WRITERS = frozenset(Kind(kind) for kind, sig in SIGNATURES.items()
+                          if sig.dst == "w")
 
 
 def _ragged_tags(plan: Plan) -> tuple[bool, dict]:

@@ -439,7 +439,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
         fuse = spec.fuse_role if spec.fuse_role else "-"
         rows.append([
             spec.name, spec.category, yn(bool(spec.strict)),
-            yn(bool(spec.fast)), fuse, yn(spec.codegen), yn(spec.native),
+            yn(not spec.composite), fuse, yn(spec.codegen), yn(spec.native),
             yn(spec.batch2d), yn(spec.ragged2d), ", ".join(spec.aliases),
         ])
     print(render_table(

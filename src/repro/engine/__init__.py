@@ -29,7 +29,8 @@ primitive kernels:
   one flat Python function per group, which the unit loop runs,
   bit- and counter-identical to the strict loop;
 * :mod:`repro.engine.nodes` — the two executions of every other node:
-  its strict SVM replay, or its NumPy body;
+  its strict kernel, or its NumPy body, both called by the roles of
+  its kind's signature in :data:`repro.svm.opspec.SIGNATURES`;
 * :mod:`repro.engine.native` — the compiled backend tier: lowers a
   whole fused plan to one C translation unit, builds it with the host
   toolchain (the ``.so`` persists under ``<cache_dir>/native/``

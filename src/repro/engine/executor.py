@@ -14,7 +14,9 @@ or its node's NumPy body (:func:`~repro.engine.nodes.run_node_np`); a
 strict unit runs :func:`run_group_strict`, the reference semantics
 (one strip loop on the machine intrinsics: load the head, apply every
 lane op in registers, the optional scan tail, store once), or its
-node's strict SVM replay (:func:`~repro.engine.nodes.run_node_eager`).
+node's strict kernel (:func:`~repro.engine.nodes.run_node_strict`).
+Both node calls take their operands by the node kind's roles in the
+registry's signature table (:data:`repro.svm.opspec.SIGNATURES`).
 An all-fast, unprofiled call charges the static profile once; any
 other run — strict, mixed-threshold, profiled or unfused — picks each
 unit's tier at its own length and charges the unit inside its span, so
@@ -54,7 +56,7 @@ from .fuse import (
 )
 from .ir import EngineError, Kind, Plan, resolve_scalar
 from .native import artifact_dir, lower_plan, native_state
-from .nodes import node_charge, node_spec, run_node_eager, run_node_np
+from .nodes import node_charge, node_spec, run_node_np, run_node_strict
 
 __all__ = [
     "Engine",
@@ -246,11 +248,11 @@ def run_units(plan: Plan, fused: FusedPlan, mats, m, svm=None) -> None:
 
 def _run_unit(svm, plan: Plan, unit, groups: dict, mats) -> None:
     """One unit on the tier ``svm._fast`` picks at its length, charged
-    inside its span. Fast: the all-fast loop's call plus the unit's
+    inside its span (a group's kernel name, or the node's primitive,
+    with {n, path}). Fast: the all-fast loop's call plus the unit's
     term (a group's ``charge``; a node's ``node_charge`` plus pack's
     items for the strips it added). Strict: :func:`run_group_strict`,
-    or the node's SVM replay, whose instrumented method opens the same
-    span (the primitive's name with {n, path})."""
+    or the node's strict kernel (:func:`run_node_strict`)."""
     m = svm.machine
     if isinstance(unit, GroupSpec):
         name = KERNEL_SCAN if unit.scan else KERNEL_EW
@@ -277,7 +279,8 @@ def _run_unit(svm, plan: Plan, unit, groups: dict, mats) -> None:
         return
     spec, _, buf = node_spec(plan, node)
     if not svm._fast(buf.n):
-        run_node_eager(svm, plan, node)
+        with span(m, spec.name, n=buf.n, path="strict"):
+            run_node_strict(svm, plan, node)
         return
     with span(m, spec.name, n=buf.n, path="fast"):
         sws = mats.sws

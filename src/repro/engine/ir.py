@@ -43,6 +43,7 @@ import numpy as np
 
 from ..errors import ReproError
 from ..rvv.types import LMUL
+from ..svm.opspec import SIGNATURES
 
 __all__ = ["Kind", "Buffer", "OpNode", "Plan", "ScalarFuture", "EngineError"]
 
@@ -147,6 +148,12 @@ PURE_KINDS = frozenset(
 )
 
 
+#: Kinds that read their dst before writing it: the ``"rw"`` entries
+#: of the registry's signature table.
+READS_DST = frozenset(Kind(kind) for kind, sig in SIGNATURES.items()
+                      if sig.dst == "rw")
+
+
 @dataclass(slots=True)
 class Buffer:
     """One SVM array participating in a plan."""
@@ -164,29 +171,14 @@ class Buffer:
 class OpNode:
     """One recorded operation.
 
-    Field usage by kind:
-
-    ============ ===== ===== ======= ======= =====================
-    kind         dst   src   operand scalar  extras
-    ============ ===== ===== ======= ======= =====================
-    EW_VX        ✓     —     —       x       op
-    EW_VV        ✓     —     ✓       —       op
-    CMP_VX       ✓     ✓     —       x       op = which
-    CMP_VV       ✓     ✓     ✓       —       op = which
-    GET_FLAGS    ✓     ✓     —       bit     —
-    SCAN         ✓     —     —       —       op = ⊕ name, inclusive
-    SELECT       ✓(rw) ✓     flags   —       —
-    PERMUTE      ✓     ✓     index   —       —
-    BACK_PERMUTE ✓     ✓     index   —       —
-    PACK         ✓     ✓     flags   —       future = kept
-    ENUMERATE    ✓     flags —       set_bit future = count
-    SEG_SCAN     ✓(rw) —     flags   —       op = ⊕ name, inclusive
-    REDUCE       —     ✓     —       —       op, future = value
-    SHIFT1UP     ✓     ✓     —       fill    —
-    COPY         ✓     ✓     —       —       —
-    INDEX        ✓     —     —       —       —
-    FREE         ✓     —     —       —       —
-    ============ ===== ===== ======= ======= =====================
+    Which of ``dst``, ``src``, ``operand``, ``scalar`` and ``op`` a
+    kind uses, in which order its kernels take them, and how it writes
+    ``dst`` is its entry in :data:`repro.svm.opspec.SIGNATURES` (the
+    :class:`Kind` docs say what each computes). ``op`` names the kernel
+    of the kinds several ops share (``p_add``; a compare's relation,
+    ``lt``) and the ⊕ operator of the scans and reduce; ``inclusive``
+    picks a scan's variant; ``future`` is the scalar a pack, enumerate
+    or reduce produces. FREE uses ``dst`` alone.
     """
 
     kind: Kind
@@ -203,17 +195,16 @@ class OpNode:
     def buffers_read(self) -> set[int]:
         """Buffer ids whose *contents* influence this node's result.
 
-        That includes ``dst`` for the in-place and partial-write kinds:
-        an in-place elementwise node or scan reads it, a select keeps
-        the unselected lanes, and a permute's scatter leaves the lanes
-        it does not hit. For a fused in-place node the dst read is
-        implicit in the accumulator, so dst membership here is what the
+        That includes ``dst`` for the kinds whose signature reads it
+        (:data:`READS_DST`): an in-place elementwise node or scan reads
+        it, a select keeps the unselected lanes, and a permute's
+        scatter leaves the lanes it does not hit. For a fused in-place
+        node the dst read is implicit in the accumulator, so dst membership here is what the
         *eager* kernel touches; the fuser applies its own, stricter
         notion (see :mod:`repro.engine.fuse`).
         """
         reads: set[int] = set()
-        if self.kind in (Kind.EW_VX, Kind.EW_VV, Kind.SCAN, Kind.SELECT,
-                         Kind.SEG_SCAN, Kind.PERMUTE):
+        if self.kind in READS_DST:
             reads.add(self.dst)
         if self.src is not None:
             reads.add(self.src)

@@ -10,9 +10,9 @@ those primitives without knowing the details of RVV").
 
 Every primitive method is a thin dispatch through the unified
 :mod:`repro.svm.opspec` registry: the :class:`~repro.svm.opspec.OpSpec`
-declared once per primitive names both the strict per-strip kernel and
-the closed-form NumPy fast path, and :meth:`SVM._fast` picks between
-them per call. This module therefore imports **no kernel modules** —
+declared once per primitive names the strict per-strip kernel, the
+registry derives the closed-form NumPy fast call from its node kind's
+signature, and :meth:`SVM._fast` picks between them per call. This module therefore imports **no kernel modules** —
 ``tools/check_opspec.py`` enforces that in CI.
 
 Example
@@ -354,9 +354,12 @@ class SVM:
 
     def _impl(self, name: str, variant: str, n: int):
         """The registry kernel for ``name``'s ``variant`` on the tier
-        :meth:`_fast` selects for a length-``n`` call."""
-        spec = opspec.OPSPECS[name]
-        return (spec.fast if self._fast(n) else spec.strict)[variant]
+        :meth:`_fast` selects for a length-``n`` call: the strict
+        kernel, or the eager fast call derived from its node kind's
+        signature (both called ``fn(m, n, *operands, lmul)``)."""
+        if self._fast(n):
+            return opspec.FAST_CALLS[name, variant]
+        return opspec.OPSPECS[name].strict[variant]
 
     @staticmethod
     def _check_equal_len(*arrays: SVMArray | None) -> int:
@@ -465,7 +468,7 @@ class SVM:
         n = self._check_equal_len(flags, out)
         dst = self.empty(n, np.uint32) if out is None else out
         count = self._impl("enumerate", "", n)(
-            self.machine, n, flags.ptr, dst.ptr, set_bit, self._lmul(lmul))
+            self.machine, n, flags.ptr, dst.ptr, bool(set_bit), self._lmul(lmul))
         return dst, count
 
     # ------------------------------------------------------------------

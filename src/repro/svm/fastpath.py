@@ -5,21 +5,24 @@ Python-level work, which the HPC guides rightly forbid in hot paths.
 Every kernel's dynamic instruction count, however, depends only on the
 *vl sequence* (a function of n, VLEN, SEW, LMUL), never on the data
 (the kernels are branch-free at the lane level; the one data-dependent
-kernel, ``pack``, is handled explicitly). So each primitive here:
+kernel, ``pack``, is handled explicitly). So this module holds, per
+primitive, the two halves of its fast path:
 
-1. computes its result with its NumPy body (``np_*``): one vectorized
-   expression over the trailing axis, which the engine's unit loop
-   applies unchanged to a ``[B-1, n]`` matrix of rows, and
-2. charges the machine counters with the *identical per-category
-   counts* the strict kernel would produce.
+1. a NumPy body (``np_*``) that computes the result: one vectorized
+   expression over the trailing axis, which runs unchanged on one
+   call's memory views and on a ``[B-1, n]`` matrix of batch rows;
+2. a pure charge function (``charge_*``): ``(codegen preset, VLEN, n,
+   SEW, LMUL)`` plus at most one op-specific fact in, the strict
+   kernel's *identical per-category counts* ``((Cat, count), ...)``
+   out, no side effects (so each is memoized).
 
-The counts come from one pure charge function per kernel
-(``charge_*``): ``(codegen preset, VLEN, n, SEW, LMUL)`` plus at most
-one op-specific fact in, ``((Cat, count), ...)`` out, no side effects
-(so each is memoized). The fast kernel applies the result with one
-``counters.add_many``; the :mod:`repro.svm.opspec` registry publishes
-the same functions as ``OpSpec.charge``, and the engine sums them into
-each plan's static counter profile at compile time. Pack's survivor-strip term
+Neither half knows a calling convention. The
+:mod:`repro.svm.opspec` registry pairs them: its per-kind signature
+table (:data:`~repro.svm.opspec.SIGNATURES`) names each body's operand
+roles, from which it derives the eager fast call (views in, body, one
+``counters.add_many`` of ``OpSpec.charge``) and the engine its node
+calls; the engine also sums the charges into each plan's static
+counter profile at compile time. Pack's survivor-strip term
 (:data:`PACK_VARIABLE`) is the one runtime charge.
 
 ``tests/integration/test_strict_vs_fast.py`` asserts exact equality of
@@ -42,27 +45,13 @@ from ..rvv.allocation import (
     plan_allocation,
 )
 from ..rvv.counters import Cat
-from ..rvv.machine import RVVMachine
-from ..rvv.memory import Pointer
-from ..rvv.types import LMUL, sew_for_dtype, vlmax_for
+from ..rvv.types import LMUL, vlmax_for
 from ..scalar.kernels import segmented_cumsum, segmented_reduce_numpy
-from .operators import PLUS, BinaryOp, get_operator
+from .operators import BinaryOp
 from .scan import inner_scan_steps
 
 __all__ = [
     "strip_shape",
-    "fast_elementwise_vx",
-    "fast_elementwise_vv",
-    "fast_p_select",
-    "fast_get_flags",
-    "fast_scan",
-    "fast_seg_scan",
-    "fast_enumerate",
-    "fast_permute",
-    "fast_back_permute",
-    "fast_pack",
-    "fast_cmp_vv", "fast_cmp_vx", "fast_index", "fast_rsub",
-    "fast_reduce", "fast_shift1up", "fast_copy",
     "charge_vx", "charge_vv", "charge_p_select", "charge_get_flags",
     "charge_scan", "charge_seg_scan", "charge_enumerate",
     "charge_permute", "charge_pack", "charge_cmp_vv", "charge_cmp_vx",
@@ -336,44 +325,21 @@ def charge_copy(cg, vlen, n, sew, lmul):
     return _flat(cg, vlen, n, sew, lmul, "p_add", None, 2, ((Cat.VMEM, 2),))
 
 
-def _charge(m: RVVMachine, fn, n: int, dtype, lmul: LMUL, **fact) -> None:
-    """Apply charge function ``fn`` for a length-``n`` call strip-mined
-    at ``dtype``'s SEW. The op-specific fact goes by keyword, as the
-    registry's ``partial`` passes it, so both share one memo entry."""
-    m.counters.add_many(fn(m.codegen, m.vlen, n, sew_for_dtype(dtype), lmul,
-                           **fact))
-
-
-
-
 # ---------------------------------------------------------------------------
-# NumPy bodies and the fast kernels that charge around them
+# NumPy bodies
 # ---------------------------------------------------------------------------
-# An ``np_*`` body runs on ``[n]`` memory views here and in the engine's
-# unit loop (a single call's views, batch rows' ``[B-1, n]``
-# matrices), and never charges. Scalars arrive
-# wrapped to the element dtype (in a batch possibly as a ``[B-1, 1]``
-# column of per-row values); per-row results come back as vectors.
+# An ``np_*`` body runs on ``[n]`` memory views (an eager fast call, a
+# single engine call) and on batch rows' ``[B-1, n]`` matrices, and
+# never charges. Its positional parameters follow its node kind's roles
+# in :data:`repro.svm.opspec.SIGNATURES`, the strict kernel's order.
+# Scalars arrive wrapped to the element dtype (in a batch possibly as a
+# ``[B-1, 1]`` column of per-row values), operators resolved; per-row
+# results come back as vectors.
 
-def np_elementwise(kernel: str, a: np.ndarray, x) -> None:
-    """``a = a ⊙ x`` in place; ``x`` is a wrapped scalar or an array."""
-    _UFUNC_VX[kernel](a, x, out=a)
-
-
-def fast_elementwise_vx(m: RVVMachine, kernel: str, n: int, a: Pointer, x: int,
-                        lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of the vector-scalar elementwise kernels (p_add etc.)."""
-    n = int(n)
-    np_elementwise(kernel, a.view(n), _wrap(x, a.dtype))
-    _charge(m, charge_vx, n, a.dtype, lmul, kernel=kernel)
-
-
-def fast_elementwise_vv(m: RVVMachine, kernel: str, n: int, a: Pointer, b: Pointer,
-                        lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of the vector-vector elementwise kernels."""
-    n = int(n)
-    np_elementwise(kernel, a.view(n), b.view(n))
-    _charge(m, charge_vv, n, a.dtype, lmul, kernel=kernel)
+def np_elementwise(a: np.ndarray, x, *, op: str) -> None:
+    """``a = a ⊙ x`` in place for kernel ``op`` (``"p_add"``, ...);
+    ``x`` is a wrapped scalar or an array."""
+    _UFUNC_VX[op](a, x, out=a)
 
 
 def np_select(flags: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -387,15 +353,7 @@ def np_select(flags: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     np.bitwise_xor(b, diff, out=b)
 
 
-def fast_p_select(m: RVVMachine, n: int, flags: Pointer, a: Pointer, b: Pointer,
-                  lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of p_select: ``b[i] = a[i] where flags[i]``."""
-    n = int(n)
-    np_select(flags.view(n), a.view(n), b.view(n))
-    _charge(m, charge_p_select, n, a.dtype, lmul)
-
-
-def np_get_flags(src: np.ndarray, bit: int, out: np.ndarray) -> None:
+def np_get_flags(src: np.ndarray, out: np.ndarray, bit) -> None:
     """Bit ``bit`` of every lane of ``src`` into ``out``, with no
     temporary: the shift lands in ``out`` (truncated to its dtype,
     which keeps the low bit) and the mask runs in place."""
@@ -403,19 +361,11 @@ def np_get_flags(src: np.ndarray, bit: int, out: np.ndarray) -> None:
     np.bitwise_and(out, out.dtype.type(1), out=out)
 
 
-def fast_get_flags(m: RVVMachine, n: int, src: Pointer, flags: Pointer, bit: int,
-                   lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of get_flags."""
-    n = int(n)
-    np_get_flags(src.view(n), bit, flags.view(n))
-    _charge(m, charge_get_flags, n, src.dtype, lmul)
-
-
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------
 
-def np_scan(a: np.ndarray, op: BinaryOp, inclusive: bool) -> None:
+def np_scan(a: np.ndarray, op: BinaryOp, *, inclusive: bool) -> None:
     """⊕-scan of ``a`` in place (a no-op on an empty trailing axis)."""
     if not a.shape[-1]:
         return
@@ -427,16 +377,7 @@ def np_scan(a: np.ndarray, op: BinaryOp, inclusive: bool) -> None:
         a[..., 0] = _wrap(op.identity(a.dtype), a.dtype)
 
 
-def fast_scan(m: RVVMachine, n: int, src: Pointer, op: str | BinaryOp = PLUS,
-              lmul: LMUL = LMUL.M1, *, inclusive: bool = True) -> None:
-    """Fast path of the ⊕-scan (inclusive by default)."""
-    op = get_operator(op)
-    n = int(n)
-    np_scan(src.view(n), op, inclusive)
-    _charge(m, charge_scan, n, src.dtype, lmul, exclusive=not inclusive)
-
-
-def np_seg_scan(a: np.ndarray, head_flags: np.ndarray, op: BinaryOp,
+def np_seg_scan(a: np.ndarray, head_flags: np.ndarray, op: BinaryOp, *,
                 inclusive: bool) -> None:
     """Segmented ⊕-scan of ``a`` under ``head_flags``, in place. A
     batch forces a head at every row start, so one segmented pass over
@@ -461,21 +402,11 @@ def np_seg_scan(a: np.ndarray, head_flags: np.ndarray, op: BinaryOp,
         flat[heads] = _wrap(op.identity(a.dtype), a.dtype)
 
 
-def fast_seg_scan(m: RVVMachine, n: int, src: Pointer, head_flags: Pointer,
-                  op: str | BinaryOp = PLUS, lmul: LMUL = LMUL.M1, *,
-                  inclusive: bool = True) -> None:
-    """Fast path of the segmented ⊕-scan (inclusive by default)."""
-    op = get_operator(op)
-    n = int(n)
-    np_seg_scan(src.view(n), head_flags.view(n), op, inclusive)
-    _charge(m, charge_seg_scan, n, src.dtype, lmul, exclusive=not inclusive)
-
-
 # ---------------------------------------------------------------------------
 # enumerate / permute / pack
 # ---------------------------------------------------------------------------
 
-def np_enumerate(flags: np.ndarray, set_bit: bool, out: np.ndarray):
+def np_enumerate(flags: np.ndarray, out: np.ndarray, set_bit):
     """Rank of every lane among the earlier lanes whose flag equals
     ``set_bit``, into ``out``; returns the number of matching lanes
     (int64). The exclusive count accumulates straight into ``out`` in
@@ -488,15 +419,6 @@ def np_enumerate(flags: np.ndarray, set_bit: bool, out: np.ndarray):
     return np.count_nonzero(match, axis=-1)
 
 
-def fast_enumerate(m: RVVMachine, n: int, flags: Pointer, dst: Pointer,
-                   set_bit: bool, lmul: LMUL = LMUL.M1) -> int:
-    """Fast path of enumerate."""
-    n = int(n)
-    count = int(np_enumerate(flags.view(n), set_bit, dst.view(n)))
-    _charge(m, charge_enumerate, n, flags.dtype, lmul)
-    return count
-
-
 def _as_int64(index: np.ndarray) -> np.ndarray:
     """``index`` as NumPy's index dtype. A ``uint64`` index at or above
     2**63 would wrap negative and address from the end, so it raises
@@ -507,7 +429,7 @@ def _as_int64(index: np.ndarray) -> np.ndarray:
     return index.astype(np.int64)
 
 
-def np_permute(src: np.ndarray, index: np.ndarray, dst: np.ndarray) -> None:
+def np_permute(src: np.ndarray, dst: np.ndarray, index: np.ndarray) -> None:
     """Scatter: ``dst[index[i]] = src[i]``. One row indexes directly,
     twice as fast as ``put_along_axis`` at a few hundred lanes."""
     index = _as_int64(index)
@@ -517,27 +439,11 @@ def np_permute(src: np.ndarray, index: np.ndarray, dst: np.ndarray) -> None:
         np.put_along_axis(dst, index, src, axis=-1)
 
 
-def fast_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer, index: Pointer,
-                 lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of permute: ``dst[index[i]] = src[i]``."""
-    n = int(n)
-    np_permute(src.view(n), index.view(n), dst.view(n))
-    _charge(m, charge_permute, n, src.dtype, lmul)
-
-
-def np_back_permute(src: np.ndarray, index: np.ndarray, dst: np.ndarray) -> None:
+def np_back_permute(src: np.ndarray, dst: np.ndarray, index: np.ndarray) -> None:
     """Gather: ``dst[i] = src[index[i]]``, one row indexed directly as
     in :func:`np_permute`."""
     index = _as_int64(index)
     dst[...] = src[index] if src.ndim == 1 else np.take_along_axis(src, index, axis=-1)
-
-
-def fast_back_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
-                      index: Pointer, lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of back-permute: ``dst[i] = src[index[i]]``."""
-    n = int(n)
-    np_back_permute(src.view(n), index.view(n), dst.view(n))
-    _charge(m, charge_permute, n, src.dtype, lmul)
 
 
 #: Pack's data-dependent charge, per strip that holds at least one
@@ -545,8 +451,8 @@ def fast_back_permute(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
 #: back (2 extra vsetvls) and issues the compacted store (1 extra
 #: vse). Everything else in pack's profile is closed-form
 #: (:func:`charge_pack`). This is the single source for the variable
-#: term — shared by :func:`fast_pack`, the native tier and the ragged
-#: 2D batch path (via :func:`pack_variable_items`).
+#: term — shared by the eager fast call, the unit loop, the native
+#: tier and the ragged 2D batch path (via :func:`pack_variable_items`).
 PACK_VARIABLE = ((Cat.VCONFIG, 2), (Cat.VMEM, 1))
 
 
@@ -557,8 +463,8 @@ def pack_variable_items(sws: int) -> tuple[tuple[Cat, int], ...]:
     Every other term in pack's profile is a function of (n, VLEN, SEW,
     LMUL) alone and is covered by the closed-form counter delta; only
     these items vary between rows of a batch. The weights are
-    :data:`PACK_VARIABLE` — the same constant :func:`fast_pack`
-    charges with — so the eager and ragged tiers cannot drift."""
+    :data:`PACK_VARIABLE`, so the eager and ragged tiers cannot
+    drift."""
     sws = int(sws)
     return tuple((cat, weight * sws) for cat, weight in PACK_VARIABLE)
 
@@ -580,9 +486,9 @@ def pack_strip_survivors(keep: np.ndarray, vlmax: int) -> np.ndarray:
     return np.count_nonzero(any_kept, axis=-1)
 
 
-def np_pack(src: np.ndarray, keep: np.ndarray, dst: np.ndarray):
+def np_pack(src: np.ndarray, dst: np.ndarray, keep: np.ndarray):
     """Stream compaction, the kernel of ``pack`` for one row and for a
-    batch (exported as :func:`repro.batch.pack2d`).
+    batch.
 
     The lanes of ``src`` where ``keep`` is nonzero are written in order
     to the front of ``dst``; lanes past the kept count keep whatever
@@ -603,21 +509,6 @@ def np_pack(src: np.ndarray, keep: np.ndarray, dst: np.ndarray):
     return kept
 
 
-def fast_pack(m: RVVMachine, n: int, src: Pointer, dst: Pointer, flags: Pointer,
-              lmul: LMUL = LMUL.M1) -> int:
-    """Fast path of pack. The strict kernel's count is data-dependent
-    (strips with zero survivors skip their store and two vsetvls), so
-    the per-strip survivor counts are computed here with one
-    ``reduceat``."""
-    n = int(n)
-    keep = flags.view(n).astype(bool)
-    kept = np_pack(src.view(n), keep, dst.view(n))
-    vlmax = m.vlmax(sew=sew_for_dtype(src.dtype), lmul=lmul)
-    m.counters.add_many(pack_variable_items(pack_strip_survivors(keep, vlmax)))
-    _charge(m, charge_pack, n, src.dtype, lmul)
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # extended primitives (Blelloch's full elementwise class)
 # ---------------------------------------------------------------------------
@@ -628,45 +519,14 @@ _NP_CMP = {
 }
 
 
-def np_compare(which: str, a: np.ndarray, b, out: np.ndarray) -> None:
-    """0/1 flags of ``a <which> b`` into ``out``."""
-    out[...] = _NP_CMP[which](a, b)
-
-
-def fast_cmp_vv(m: RVVMachine, which: str, n: int, a: Pointer, b: Pointer,
-                out: Pointer, lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of the vector-vector flag compares."""
-    n = int(n)
-    np_compare(which, a.view(n), b.view(n), out.view(n))
-    _charge(m, charge_cmp_vv, n, a.dtype, lmul)
-
-
-def fast_cmp_vx(m: RVVMachine, which: str, n: int, a: Pointer, x: int,
-                out: Pointer, lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of the vector-scalar flag compares."""
-    n = int(n)
-    np_compare(which, a.view(n), _wrap(x, a.dtype), out.view(n))
-    _charge(m, charge_cmp_vx, n, a.dtype, lmul, ge=which == "ge")
+def np_compare(a: np.ndarray, b, out: np.ndarray, *, op: str) -> None:
+    """0/1 flags of ``a <op> b`` into ``out`` (``op`` is ``"lt"``, ...)."""
+    out[...] = _NP_CMP[op](a, b)
 
 
 def np_index(out: np.ndarray) -> None:
     """``out[i] = i``."""
     out[...] = np.arange(out.shape[-1], dtype=np.uint64).astype(out.dtype)
-
-
-def fast_index(m: RVVMachine, n: int, out: Pointer, lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of p_index."""
-    n = int(n)
-    np_index(out.view(n))
-    _charge(m, charge_index, n, out.dtype, lmul)
-
-
-def fast_rsub(m: RVVMachine, n: int, a: Pointer, x: int, lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of p_rsub (charged as p_add: the strict loop is
-    p_add's)."""
-    n = int(n)
-    np_elementwise("p_rsub", a.view(n), _wrap(x, a.dtype))
-    _charge(m, charge_vx, n, a.dtype, lmul, kernel="p_add")
 
 
 def np_reduce(a: np.ndarray, op: BinaryOp):
@@ -675,17 +535,7 @@ def np_reduce(a: np.ndarray, op: BinaryOp):
                            dtype=a.dtype)
 
 
-def fast_reduce(m: RVVMachine, n: int, a: Pointer, op: str | BinaryOp = PLUS,
-                lmul: LMUL = LMUL.M1) -> int:
-    """Fast path of reduce."""
-    op = get_operator(op)
-    n = int(n)
-    acc = int(np_reduce(a.view(n), op))
-    _charge(m, charge_reduce, n, a.dtype, lmul)
-    return acc
-
-
-def np_shift1up(src: np.ndarray, fill, dst: np.ndarray) -> None:
+def np_shift1up(src: np.ndarray, dst: np.ndarray, fill) -> None:
     """``dst[0] = fill``, ``dst[i] = src[i-1]``; ``fill`` is wrapped.
     A no-op on an empty trailing axis."""
     if not dst.shape[-1]:
@@ -695,22 +545,6 @@ def np_shift1up(src: np.ndarray, fill, dst: np.ndarray) -> None:
     dst[..., 0] = fill
 
 
-def fast_shift1up(m: RVVMachine, n: int, src: Pointer, dst: Pointer, fill: int,
-                  lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of shift1up."""
-    n = int(n)
-    np_shift1up(src.view(n), _wrap(fill, dst.dtype), dst.view(n))
-    _charge(m, charge_shift1up, n, src.dtype, lmul)
-
-
 def np_copy(src: np.ndarray, dst: np.ndarray) -> None:
     """``dst = src``."""
     dst[...] = src
-
-
-def fast_copy(m: RVVMachine, n: int, src: Pointer, dst: Pointer,
-              lmul: LMUL = LMUL.M1) -> None:
-    """Fast path of copy."""
-    n = int(n)
-    np_copy(src.view(n), dst.view(n))
-    _charge(m, charge_copy, n, src.dtype, lmul)

@@ -12,12 +12,19 @@ permute/back_permute.
 
 from __future__ import annotations
 
-from ..rvv.types import LMUL
+from ..rvv.types import LMUL, sew_for_dtype
 from . import fastpath as fp
 from . import permute_ops as pm
 from .context import SVM, SVMArray
 
 __all__ = ["gather_any", "scatter_any"]
+
+
+def _charge_permute(m, n: int, dtype, lmul: LMUL) -> None:
+    """Permute's closed-form charge for ``n`` indices at ``dtype``'s
+    SEW."""
+    m.counters.add_many(fp.charge_permute(m.codegen, m.vlen, n,
+                                          sew_for_dtype(dtype), lmul))
 
 
 def gather_any(svm: SVM, src: SVMArray, index: SVMArray,
@@ -31,8 +38,8 @@ def gather_any(svm: SVM, src: SVMArray, index: SVMArray,
     try:
         if svm._fast(index.n):
             if index.n:
-                fp.np_back_permute(src.view(), index.view(), dst.view())
-            fp._charge(svm.machine, fp.charge_permute, index.n, src.dtype, lmul)
+                fp.np_back_permute(src.view(), dst.view(), index.view())
+            _charge_permute(svm.machine, index.n, src.dtype, lmul)
         else:
             pm.back_permute(svm.machine, index.n, src.ptr, dst.ptr, index.ptr,
                             lmul, bound=src.n)
@@ -50,8 +57,8 @@ def scatter_any(svm: SVM, src: SVMArray, index: SVMArray, dst: SVMArray,
     lmul = svm._lmul(lmul)
     if svm._fast(src.n):
         if src.n:
-            fp.np_permute(src.view(), index.view()[: src.n], dst.view())
-        fp._charge(svm.machine, fp.charge_permute, src.n, src.dtype, lmul)
+            fp.np_permute(src.view(), dst.view(), index.view()[: src.n])
+        _charge_permute(svm.machine, src.n, src.dtype, lmul)
     else:
         pm.permute(svm.machine, src.n, src.ptr, dst.ptr, index.ptr, lmul,
                    bound=dst.n)

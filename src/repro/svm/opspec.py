@@ -1,4 +1,5 @@
-"""Unified primitive registry: one :class:`OpSpec` per SVM primitive.
+"""Unified primitive registry: one :class:`OpSpec` per SVM primitive,
+one :class:`Signature` per node kind.
 
 Before this registry existed every primitive was declared five times —
 a strict per-strip kernel (:mod:`repro.svm.elementwise` and friends), a
@@ -6,18 +7,19 @@ closed-form NumPy fast path (:mod:`repro.svm.fastpath`), a capture node
 kind (:mod:`repro.engine.capture`), a fusion lane recipe
 (:mod:`repro.engine.fuse`) and a codegen emitter
 (:mod:`repro.engine.codegen`) — and keeping the five in
-agreement was manual. Now each primitive is declared exactly once here;
+agreement was manual. Now each primitive is declared once here, and
 every layer consumes the spec:
 
 * :class:`repro.svm.context.SVM` primitive methods are thin registry
-  dispatches (``spec.strict``/``spec.fast`` keyed by variant);
+  dispatches: ``spec.strict`` or the eager fast call
+  (:data:`FAST_CALLS`), keyed by variant;
 * :class:`repro.engine.capture.PlanBuilder` records the structured node
   kind named by ``spec.node_kinds`` (``tools/check_opspec.py`` fails on
   an engine node kind no op records);
 * the fuser and the code generator derive lane recipes from
   :data:`LANE_RECIPES` instead of per-kind if-ladders;
 * :meth:`repro.engine.executor.Engine.compile_plan` sums
-  ``spec.charge`` over a plan's replayed nodes into its static counter
+  ``spec.charge`` over a plan's other nodes into its static counter
   profile;
 * the batch runner consults ``spec.ragged2d`` (derived from
   ``spec.data_dependent``) to pick the ``ragged`` path;
@@ -25,28 +27,20 @@ every layer consumes the spec:
   ``tools/check_opspec.py`` fails CI when a public primitive bypasses
   the registry or a spec is missing a kernel or charge profile.
 
-Adding a primitive is now a one-file change: write the strict and fast
-kernels and the fast kernel's pure charge function, register an
-:class:`OpSpec`, and every tier — eager, capture, fusion, codegen,
-batch — picks it up (see ``docs/opspec.md`` for the recipe).
+Each node kind's operand convention is declared once, as data, in
+:data:`SIGNATURES`: its operand roles in the strict kernel's order,
+its destination mode and its NumPy body. The eager fast calls, the
+engine's strict and NumPy node calls, and the engine's read and write
+sets all derive from it, and ``tools/check_opspec.py`` holds every
+strict kernel and body to it. A primitive that fits an existing kind
+is a strict kernel, a pure charge function and one :class:`OpSpec`
+(see ``docs/opspec.md`` for the recipe); a new kind also needs its
+table entry, its capture record and its native emitter.
 
 This module must stay **engine-free**: the engine imports the registry
-(for :data:`LANE_RECIPES` and batch metadata), so node kinds are plain
-strings here and :mod:`repro.engine.ir` maps them to its ``Kind`` enum.
-
-Calling conventions (normalized so the context can dispatch uniformly;
-``m`` is the machine, pointers not SVMArrays):
-
-===========  ==========================================================
-variant      kernel signature
-===========  ==========================================================
-``vx``       ``fn(m, n, a, x, lmul)`` — in-place, scalar operand
-``vv``       ``fn(m, n, a, b, lmul)`` — in-place, vector operand
-``cmp``      ``fn(m, n, a, b_or_x, out, lmul)`` — flag vector out
-``incl``     ``fn(m, n, src[, head_flags], op, lmul)`` — in-place scan
-``excl``     same, exclusive
-``""``       the op's own shape (see the kernel's docstring)
-===========  ==========================================================
+(for :data:`SIGNATURES`, :data:`LANE_RECIPES` and batch metadata), so
+node kinds are plain strings here and :mod:`repro.engine.ir` maps them
+to its ``Kind`` enum.
 """
 
 from __future__ import annotations
@@ -55,23 +49,28 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping
 
-from ..rvv.types import LMUL
+from ..rvv.types import LMUL, sew_for_dtype
 from . import elementwise as ew
 from . import enumerate_op as en
 from . import fastpath as fp
 from . import permute_ops as pm
 from . import scan as sc
 from . import segmented as sg
-from .fastpath import _NP_CMP, _UFUNC_VX
+from .fastpath import _NP_CMP, _UFUNC_VX, _wrap
+from .operators import get_operator
 
 __all__ = [
     "OpSpec",
     "OPSPECS",
     "ALIASES",
+    "FAST_CALLS",
     "LANE_RECIPES",
+    "SIGNATURES",
+    "Signature",
     "get_spec",
     "iter_specs",
     "lane_ufunc",
+    "node_op",
     "support_matrix",
 ]
 
@@ -83,11 +82,13 @@ class OpSpec:
 
     ``node_kinds`` maps a dispatch variant (``"vx"``, ``"vv"``,
     ``"incl"``, ``"excl"`` or ``""`` for single-variant ops) to the
-    capture node kind's string value; ``strict``/``fast`` map the same
-    variants to kernels, and ``charge`` maps them to the fast kernel's
-    pure counter charge ``fn(codegen, vlen, n, sew, lmul) -> ((Cat,
-    count), ...)`` (pack's survivor-strip term excluded), which the
-    engine sums into a plan's static counter profile at compile time.
+    capture node kind's string value; ``strict`` maps the same variants
+    to strict kernels, called ``fn(m, n, *operands, lmul)`` with the
+    operands in the kind's :data:`SIGNATURES` role order, and
+    ``charge`` maps them to the fast path's pure counter charge
+    ``fn(codegen, vlen, n, sew, lmul) -> ((Cat, count), ...)`` (pack's
+    survivor-strip term excluded), which the engine sums into a plan's
+    static counter profile at compile time.
     ``profile`` names the register-pressure charge profile in
     :data:`repro.rvv.allocation.PROFILES`. ``fuse_role`` is
     ``"lane"`` (strip-fusable elementwise work), ``"tail"`` (an
@@ -116,7 +117,6 @@ class OpSpec:
     category: str
     node_kinds: Mapping[str, str] = field(default_factory=dict)
     strict: Mapping[str, Callable] = field(default_factory=dict)
-    fast: Mapping[str, Callable] = field(default_factory=dict)
     charge: Mapping[str, Callable] = field(default_factory=dict)
     profile: str = ""
     fuse_role: str = ""
@@ -149,6 +149,74 @@ class OpSpec:
         """Rows batch on the ``"ragged"`` path: one 2D evaluation plus
         each row's own data-dependent charge items."""
         return self.data_dependent
+
+
+@dataclass(frozen=True)
+class Signature:
+    """One node kind's operand convention.
+
+    ``roles`` names, in one order, the strict kernel's positional
+    operands after ``(m, n)`` and before ``lmul`` and the NumPy body's
+    positional parameters: ``dst``, ``src`` and ``operand`` are the
+    node's buffers, ``scalar`` its scalar operand (wrapped to the
+    element dtype for the body) and ``op`` its ⊕ operator (resolved for
+    the body). ``dst`` is the destination mode: ``"rw"`` (read, then
+    written), ``"w"`` (overwritten whole), ``"prefix"`` (pack's first
+    ``kept`` lanes) or ``""`` (no destination). ``keywords`` are the
+    node fields the body takes by keyword: ``op`` names the kernel of a
+    kind several ops share, ``inclusive`` a scan's variant. A call
+    strip-mines by its ``src`` buffer's length and dtype, else by its
+    ``dst``'s (:attr:`strip`).
+    """
+
+    roles: tuple[str, ...]
+    dst: str
+    body: Callable
+    keywords: tuple[str, ...] = ()
+
+    @property
+    def strip(self) -> str:
+        """The role whose buffer a call strip-mines by."""
+        return "src" if "src" in self.roles else "dst"
+
+    def at(self, role: str) -> int | None:
+        """The position of ``role``, or None when the kind has none."""
+        return self.roles.index(role) if role in self.roles else None
+
+
+#: node-kind value → its :class:`Signature`, for every kind but
+#: ``free`` (``tools/check_opspec.py`` holds each strict kernel and
+#: body to its entry).
+SIGNATURES: dict[str, Signature] = {
+    "ew_vx": Signature(("dst", "scalar"), "rw", fp.np_elementwise, ("op",)),
+    "ew_vv": Signature(("dst", "operand"), "rw", fp.np_elementwise, ("op",)),
+    "cmp_vx": Signature(("src", "scalar", "dst"), "w", fp.np_compare, ("op",)),
+    "cmp_vv": Signature(("src", "operand", "dst"), "w", fp.np_compare, ("op",)),
+    "get_flags": Signature(("src", "dst", "scalar"), "w", fp.np_get_flags),
+    "scan": Signature(("dst", "op"), "rw", fp.np_scan, ("inclusive",)),
+    "select": Signature(("operand", "src", "dst"), "rw", fp.np_select),
+    "seg_scan": Signature(("dst", "operand", "op"), "rw", fp.np_seg_scan,
+                          ("inclusive",)),
+    "permute": Signature(("src", "dst", "operand"), "rw", fp.np_permute),
+    "back_permute": Signature(("src", "dst", "operand"), "w",
+                              fp.np_back_permute),
+    "pack": Signature(("src", "dst", "operand"), "prefix", fp.np_pack),
+    "enumerate": Signature(("src", "dst", "scalar"), "w", fp.np_enumerate),
+    "reduce": Signature(("src", "op"), "", fp.np_reduce),
+    "shift1up": Signature(("src", "dst", "scalar"), "w", fp.np_shift1up),
+    "copy": Signature(("src", "dst"), "w", fp.np_copy),
+    "index": Signature(("dst",), "w", fp.np_index),
+}
+
+#: The roles that name a buffer.
+VECTOR_ROLES = frozenset(("dst", "src", "operand"))
+
+
+def node_op(spec: OpSpec) -> str:
+    """The ``op`` a node of ``spec`` records when its kind is shared
+    (its body takes ``op`` by keyword): the op's name, or a flag
+    compare's relation alone (``p_lt`` records ``lt``)."""
+    return spec.name[2:] if "cmp_vv" in spec.node_kinds.values() else spec.name
 
 
 #: name → spec, in declaration order (the order drives ``repro ops``
@@ -191,7 +259,7 @@ def support_matrix() -> list[dict]:
             "category": spec.category,
             "composite": spec.composite,
             "strict": bool(spec.strict),
-            "fast": bool(spec.fast),
+            "fast": not spec.composite,
             "fuse": "lowered" if spec.composite else (spec.fuse_role or None),
             "codegen": spec.codegen,
             "native": bool(spec.native) and not spec.composite,
@@ -201,38 +269,6 @@ def support_matrix() -> list[dict]:
             "aliases": list(spec.aliases),
         })
     return rows
-
-
-# ---------------------------------------------------------------------------
-# signature-normalizing fast-path closures
-# ---------------------------------------------------------------------------
-
-def _fast_vx(kernel: str):
-    def fast(m, n, a, x, lmul=LMUL.M1):
-        fp.fast_elementwise_vx(m, kernel, n, a, x, lmul)
-    fast.__name__ = f"fast_{kernel}"
-    return fast
-
-
-def _fast_vv(kernel: str):
-    def fast(m, n, a, b, lmul=LMUL.M1):
-        fp.fast_elementwise_vv(m, kernel, n, a, b, lmul)
-    fast.__name__ = f"fast_{kernel}_vv"
-    return fast
-
-
-def _fast_cmp_vv(which: str):
-    def fast(m, n, a, b, out, lmul=LMUL.M1):
-        fp.fast_cmp_vv(m, which, n, a, b, out, lmul)
-    fast.__name__ = f"fast_p_{which}"
-    return fast
-
-
-def _fast_cmp_vx(which: str):
-    def fast(m, n, a, x, out, lmul=LMUL.M1):
-        fp.fast_cmp_vx(m, which, n, a, x, out, lmul)
-    fast.__name__ = f"fast_p_{which}_vx"
-    return fast
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +292,6 @@ for _name, _doc in _EW_DOCS.items():
         category="elementwise",
         node_kinds={"vx": "ew_vx", "vv": "ew_vv"},
         strict={"vx": getattr(ew, _name), "vv": getattr(ew, f"{_name}_vv")},
-        fast={"vx": _fast_vx(_name), "vv": _fast_vv(_name)},
         charge={"vx": partial(fp.charge_vx, kernel=_name),
                 "vv": partial(fp.charge_vv, kernel=_name)},
         profile="elementwise",
@@ -274,7 +309,6 @@ for _name, _doc in (
         category="elementwise",
         node_kinds={"vx": "ew_vx"},
         strict={"vx": getattr(ew, _name)},
-        fast={"vx": _fast_vx(_name)},
         charge={"vx": partial(fp.charge_vx, kernel=_name)},
         profile="elementwise",
         fuse_role="lane",
@@ -287,7 +321,6 @@ _register(OpSpec(
     category="elementwise",
     node_kinds={"": "select"},
     strict={"": ew.p_select},
-    fast={"": fp.fast_p_select},
     charge={"": fp.charge_p_select},
     profile="elementwise",
     doc="p-select: ``b[i] = a[i] where flags[i] else b[i]``.",
@@ -298,7 +331,6 @@ _register(OpSpec(
     category="elementwise",
     node_kinds={"": "get_flags"},
     strict={"": ew.get_flags},
-    fast={"": fp.fast_get_flags},
     charge={"": fp.charge_get_flags},
     profile="elementwise",
     fuse_role="lane",
@@ -321,7 +353,6 @@ for _which, _doc in _CMP_DOCS.items():
         node_kinds={"vx": "cmp_vx", "vv": "cmp_vv"},
         strict={"vv": getattr(ew, f"p_{_which}"),
                 "vx": getattr(ew, f"p_{_which}_vx")},
-        fast={"vv": _fast_cmp_vv(_which), "vx": _fast_cmp_vx(_which)},
         charge={"vv": fp.charge_cmp_vv,
                 "vx": partial(fp.charge_cmp_vx, ge=_which == "ge")},
         profile="elementwise",
@@ -335,8 +366,6 @@ _register(OpSpec(
     category="scan",
     node_kinds={"incl": "scan", "excl": "scan"},
     strict={"incl": sc.scan, "excl": sc.scan_exclusive},
-    fast={"incl": fp.fast_scan,
-          "excl": partial(fp.fast_scan, inclusive=False)},
     charge={"incl": partial(fp.charge_scan, exclusive=False),
             "excl": partial(fp.charge_scan, exclusive=True)},
     profile="plus_scan",
@@ -350,8 +379,6 @@ _register(OpSpec(
     category="scan",
     node_kinds={"incl": "seg_scan", "excl": "seg_scan"},
     strict={"incl": sg.seg_scan, "excl": sg.seg_scan_exclusive},
-    fast={"incl": fp.fast_seg_scan,
-          "excl": partial(fp.fast_seg_scan, inclusive=False)},
     charge={"incl": partial(fp.charge_seg_scan, exclusive=False),
             "excl": partial(fp.charge_seg_scan, exclusive=True)},
     profile="seg_scan",
@@ -364,7 +391,6 @@ _register(OpSpec(
     category="permutation",
     node_kinds={"": "permute"},
     strict={"": pm.permute},
-    fast={"": fp.fast_permute},
     charge={"": fp.charge_permute},
     profile="permute",
     doc="Out-of-place permute: ``out[index[i]] = src[i]`` (Listing 5).",
@@ -375,7 +401,6 @@ _register(OpSpec(
     category="permutation",
     node_kinds={"": "back_permute"},
     strict={"": pm.back_permute},
-    fast={"": fp.fast_back_permute},
     charge={"": fp.charge_permute},
     profile="permute",
     doc="Gather: ``out[i] = src[index[i]]``.",
@@ -386,7 +411,6 @@ _register(OpSpec(
     category="permutation",
     node_kinds={"": "pack"},
     strict={"": pm.pack},
-    fast={"": fp.fast_pack},
     charge={"": fp.charge_pack},  # + PACK_VARIABLE per survivor strip
     profile="permute",
     data_dependent=True,  # charge depends on the survivor distribution
@@ -399,7 +423,6 @@ _register(OpSpec(
     category="derived",
     node_kinds={"": "enumerate"},
     strict={"": en.enumerate_op},
-    fast={"": fp.fast_enumerate},
     charge={"": fp.charge_enumerate},
     profile="enumerate",
     future="enumerate.count",
@@ -412,7 +435,6 @@ _register(OpSpec(
     category="elementwise",
     node_kinds={"": "index"},
     strict={"": ew.p_index},
-    fast={"": fp.fast_index},
     charge={"": fp.charge_index},
     profile="elementwise",
     doc="Blelloch's index primitive: the vector ``[0, 1, ..., n-1]``.",
@@ -423,7 +445,6 @@ _register(OpSpec(
     category="elementwise",
     node_kinds={"vx": "ew_vx"},
     strict={"vx": ew.p_rsub},
-    fast={"vx": fp.fast_rsub},
     charge={"vx": partial(fp.charge_vx, kernel="p_add")},  # p_add's loop
     profile="elementwise",
     fuse_role="lane",
@@ -435,7 +456,6 @@ _register(OpSpec(
     category="scan",
     node_kinds={"": "reduce"},
     strict={"": ew.reduce},
-    fast={"": fp.fast_reduce},
     charge={"": fp.charge_reduce},
     profile="elementwise",
     future="reduce",
@@ -447,7 +467,6 @@ _register(OpSpec(
     category="permutation",
     node_kinds={"": "shift1up"},
     strict={"": ew.shift1up},
-    fast={"": fp.fast_shift1up},
     charge={"": fp.charge_shift1up},
     profile="elementwise",
     doc="Whole-array shift by one lane: ``out[0] = fill``, "
@@ -459,7 +478,6 @@ _register(OpSpec(
     category="permutation",
     node_kinds={"": "copy"},
     strict={"": ew.copy},
-    fast={"": fp.fast_copy},
     charge={"": fp.charge_copy},
     profile="elementwise",
     doc="Vector memcpy: a strip-mined vle/vse loop.",
@@ -483,6 +501,55 @@ _register(OpSpec(
     doc="Split (Listing 7): stable partition by flags via enumerate ×2 "
         "+ p_add + p_select + permute.",
 ))
+
+
+# ---------------------------------------------------------------------------
+# eager fast calls, derived from the signature table
+# ---------------------------------------------------------------------------
+
+def _eager_call(spec: OpSpec, variant: str) -> Callable:
+    """The eager fast call of ``spec``'s ``variant``: the strict
+    kernel's calling convention, run as its kind's NumPy body on the
+    operands' memory views and charged ``spec.charge[variant]`` plus,
+    for pack, the survivor-strip items."""
+    sig = SIGNATURES[spec.node_kinds[variant]]
+    roles, body, charge = sig.roles, sig.body, spec.charge[variant]
+    arity, strip = len(roles), sig.at(sig.strip)
+    scalar, op = sig.at("scalar"), sig.at("op")
+    vectors = [i for i, role in enumerate(roles) if role in VECTOR_ROLES]
+    keywords = {"op": node_op(spec), "inclusive": variant != "excl"}
+    keywords = {k: keywords[k] for k in sig.keywords}
+    flags = sig.at("operand") if spec.data_dependent else None
+
+    def fast(m, n, *args):
+        n = int(n)
+        vals = list(args[:arity])
+        lmul = args[arity] if len(args) > arity else LMUL.M1
+        dtype = vals[strip].dtype
+        for i in vectors:
+            vals[i] = vals[i].view(n)
+        if scalar is not None:
+            vals[scalar] = _wrap(vals[scalar], dtype)
+        if op is not None:
+            vals[op] = get_operator(vals[op])
+        result = body(*vals, **keywords)
+        sew = sew_for_dtype(dtype)
+        if flags is not None:
+            m.counters.add_many(fp.pack_variable_items(fp.pack_strip_survivors(
+                vals[flags] != 0, m.vlmax(sew=sew, lmul=lmul))))
+        m.counters.add_many(charge(m.codegen, m.vlen, n, sew, lmul))
+        return None if result is None else int(result)
+
+    return fast
+
+
+#: (op name, variant) → its eager fast call, which
+#: :meth:`repro.svm.context.SVM._impl` picks when a call takes the
+#: fast path.
+FAST_CALLS: dict[tuple[str, str], Callable] = {
+    (spec.name, variant): _eager_call(spec, variant)
+    for spec in iter_specs() for variant in spec.strict
+}
 
 
 # ---------------------------------------------------------------------------

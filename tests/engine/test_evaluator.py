@@ -88,10 +88,10 @@ KIND_PIPES = {
 def tiers(monkeypatch):
     """The tiers a lazy call's units ran on, in order: ``"fast"`` for a
     node's NumPy body, ``"strict"`` for a strict group or a node's
-    strict replay, ``"charge_runs"`` for the all-fast run's one charge
+    strict kernel, ``"charge_runs"`` for the all-fast run's one charge
     of the static profile."""
     ran = []
-    for name, tier in (("run_node_np", "fast"), ("run_node_eager", "strict"),
+    for name, tier in (("run_node_np", "fast"), ("run_node_strict", "strict"),
                        ("run_group_strict", "strict"),
                        ("charge_runs", "charge_runs")):
         orig = getattr(executor, name)

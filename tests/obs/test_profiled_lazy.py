@@ -5,8 +5,8 @@ three ways: strict, fast, and auto with one array on either side of
 ``fast_threshold``. The engine's one unit loop runs each unit on the
 tier its length picks and charges the unit inside its span, so the
 three profiles have the same spans with the same counter deltas — only
-the recorded ``path`` differs — and a fast node runs its NumPy body,
-never an eager SVM primitive or a ``fastpath.fast_*`` kernel.
+the recorded ``path`` differs — and a node runs its NumPy body or its
+strict kernel, never an eager SVM primitive.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 from repro import SVM
 from repro.engine.ir import Kind
 from repro.svm.context import SVM as _SVM
-from repro.svm.opspec import iter_specs
 
 THRESHOLD = 100
 LENGTHS = (300, 40)
@@ -51,8 +50,10 @@ def _pipe(lz, a):
 
 def _profile(mode):
     """The span tree, the results and the (fused plan, plan) of one
-    profiled lazy call over both arrays."""
-    svm = SVM(vlen=128, mode=mode, fast_threshold=THRESHOLD, profile=True)
+    profiled lazy call over both arrays, on the codegen backend (a
+    native all-fast run is one ``native_plan`` span)."""
+    svm = SVM(vlen=128, mode=mode, fast_threshold=THRESHOLD, profile=True,
+              backend="codegen")
     rng = np.random.default_rng(7)
     arrays = [svm.array(rng.integers(0, 2**16, n, dtype=np.uint32))
               for n in LENGTHS]
@@ -80,16 +81,11 @@ def _summary(root):
 
 @pytest.fixture
 def no_eager_fast(monkeypatch):
-    """Records every eager SVM primitive call and every call of a
-    registered ``fastpath.fast_*`` kernel."""
+    """Records every eager SVM primitive dispatch."""
     calls = []
     impl = _SVM._impl
     monkeypatch.setattr(_SVM, "_impl", lambda self, name, *a: (
         calls.append(name), impl(self, name, *a))[1])
-    for spec in iter_specs():
-        for variant, fn in spec.fast.items():
-            monkeypatch.setitem(spec.fast, variant, lambda *a, _f=fn, **k: (
-                calls.append(_f.__name__), _f(*a, **k))[1])
     return calls
 
 
@@ -98,8 +94,7 @@ def test_profiling_keeps_spans_and_deltas_across_tiers(no_eager_fast):
     for mode in ("strict", "fast", "auto"):
         no_eager_fast.clear()
         runs[mode] = _profile(mode)
-        if mode == "fast":
-            assert no_eager_fast == []
+        assert no_eager_fast == [], mode
     strict, fast, auto = (_summary(runs[m][0]) for m in
                           ("strict", "fast", "auto"))
     assert strict == fast == auto

@@ -54,18 +54,18 @@ def test_pack(dtype, shape, rng):
         keep[1] = False  # a row with no survivor
     dst0 = _values(rng, shape, dtype)
     dst = dst0.copy()
-    kept = fp.np_pack(src, keep, dst)
+    kept = fp.np_pack(src, dst, keep)
     assert kept.dtype == np.int64 and kept.shape == (shape[0],)
     for i in range(shape[0]):
         row = dst0[i].copy()
-        assert kept[i] == fp.np_pack(src[i], keep[i], row)
+        assert kept[i] == fp.np_pack(src[i], row, keep[i])
         assert np.array_equal(dst[i], row)  # tail lanes keep dst's contents
     # in place: the survivors are copied before they are stored
     work = src.copy()
-    assert np.array_equal(fp.np_pack(work, keep, work), kept)
+    assert np.array_equal(fp.np_pack(work, work, keep), kept)
     for i in range(shape[0]):
         row = src[i].copy()
-        fp.np_pack(row, keep[i], row)
+        fp.np_pack(row, row, keep[i])
         assert np.array_equal(work[i], row)
 
 
@@ -73,22 +73,22 @@ def test_enumerate(dtype, shape, rng):
     flags = _flags(rng, shape, dtype)
     for set_bit in (True, False):
         out = _values(rng, shape, dtype)
-        count = fp.np_enumerate(flags, set_bit, out)
+        count = fp.np_enumerate(flags, out, set_bit)
         assert count.dtype == np.int64 and count.shape == (shape[0],)
         for i in range(shape[0]):
             row = np.empty(shape[1], dtype)
-            assert count[i] == fp.np_enumerate(flags[i], set_bit, row)
+            assert count[i] == fp.np_enumerate(flags[i], row, set_bit)
             assert np.array_equal(out[i], row)
 
 
 def test_enumerate_count_does_not_wrap_in_a_narrow_out():
     flags = np.ones(300, np.uint32)
     out = np.empty(300, np.uint8)
-    assert fp.np_enumerate(flags, True, out) == 300
+    assert fp.np_enumerate(flags, out, True) == 300
     assert np.array_equal(out, np.arange(300) % 256)
     mat = np.ones((3, 300), np.uint32)
     out = np.empty((3, 300), np.uint8)
-    assert fp.np_enumerate(mat, True, out).tolist() == [300] * 3
+    assert fp.np_enumerate(mat, out, True).tolist() == [300] * 3
 
 
 def test_select(dtype, shape, rng):
@@ -113,10 +113,10 @@ def test_seg_scan(dtype, shape, rng):
     for op, inclusive in itertools.product(("plus", "max"), (True, False)):
         op = get_operator(op)
         a = a0.copy()
-        fp.np_seg_scan(a, heads, op, inclusive)
+        fp.np_seg_scan(a, heads, op, inclusive=inclusive)
         for i in range(shape[0]):
             row = a0[i].copy()
-            fp.np_seg_scan(row, heads[i], op, inclusive)
+            fp.np_seg_scan(row, heads[i], op, inclusive=inclusive)
             assert np.array_equal(a[i], row)
 
 
@@ -143,9 +143,9 @@ def test_get_flags(dtype, shape, rng):
     src = _values(rng, shape, dtype)
     for bit in (0, 3, dtype.itemsize * 8 - 1):
         out = np.empty(shape, dtype)
-        fp.np_get_flags(src, bit, out)
+        fp.np_get_flags(src, out, bit)
         assert np.array_equal(out, (src >> dtype.type(bit)) & dtype.type(1))
         for i in range(shape[0]):
             row = np.empty(shape[1], dtype)
-            fp.np_get_flags(src[i], bit, row)
+            fp.np_get_flags(src[i], row, bit)
             assert np.array_equal(out[i], row)

@@ -9,12 +9,12 @@ Fails (exit 1) when the "declared exactly once" invariant is violated:
    registered op and alias has a ``PlanBuilder`` recording method, and
    every engine node ``Kind`` but ``FREE`` is recorded by some
    registered op (a kind no op records is dead IR);
-2. every registered non-composite op must carry a strict kernel, a
-   fast kernel and a pure charge function (``charge``), all three under
-   the same variant keys, and a register-pressure profile that exists
-   in ``repro.rvv.allocation.PROFILES`` — the engine sums ``charge``
-   into each plan's static counter profile, so an op without one could
-   not be charged;
+2. every registered non-composite op must carry a strict kernel and
+   a pure charge function (``charge``) under the same variant keys,
+   and a register-pressure profile that exists in
+   ``repro.rvv.allocation.PROFILES`` — the engine sums ``charge`` into
+   each plan's static counter profile, so an op without one could not
+   be charged (its fast call derives from its node kind's signature);
 3. ``repro/svm/context.py`` must not import any kernel module — the
    registry is the only kernel supplier for the dispatch layer (AST
    check, so a sneaky ``from . import elementwise`` fails even if
@@ -25,14 +25,16 @@ Fails (exit 1) when the "declared exactly once" invariant is violated:
    (``repro.engine.native.NATIVE_KINDS``) or declare ``native=False``
    explicitly — an op can never fall out of the compiled tier
    silently, and a stale ``native=False`` on a lowerable op fails too;
-6. node-kind coverage: every node ``Kind`` but ``FREE`` has a branch
-   in both node ladders of ``repro.engine.nodes`` — ``run_node_eager``
-   (the strict replay of the node's SVM call, which the unit loop runs
-   for a node on the strict path) and ``run_node_np`` (the NumPy body,
-   which the unit loop runs for a node on the fast path, single calls
-   and batches alike) — so a new kind cannot reach either path
-   unhandled (AST check on the ``Kind.<NAME>`` references each
-   function makes; ``FREE`` is released by the loop itself).
+6. signatures: every node ``Kind`` but ``FREE`` has an entry in
+   ``repro.svm.opspec.SIGNATURES`` (``FREE`` is released by the unit
+   loop itself), and each entry matches the code that reads it: its
+   roles are known and name ``dst`` at most once, its dst mode agrees
+   with whether it names ``dst``, every strict kernel recorded as the
+   kind takes ``(m, n)``, one positional parameter per role, then
+   ``lmul``, and its NumPy body takes one positional parameter per
+   role and exactly the declared keywords (``inspect.signature``) —
+   so the eager fast calls and the engine's strict and NumPy node
+   calls, which all pass operands by role, cannot misplace one.
 
 Run as ``PYTHONPATH=src python tools/check_opspec.py``.
 """
@@ -40,6 +42,7 @@ Run as ``PYTHONPATH=src python tools/check_opspec.py``.
 from __future__ import annotations
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -109,7 +112,7 @@ def check_specs() -> list[str]:
     errors = []
     for spec in opspec.iter_specs():
         if spec.composite:
-            if spec.strict or spec.fast or spec.charge:
+            if spec.strict or spec.charge:
                 errors.append(
                     f"composite {spec.name!r} must not carry kernels or "
                     "charges (it lowers to other primitives)"
@@ -117,18 +120,11 @@ def check_specs() -> list[str]:
             continue
         if not spec.strict:
             errors.append(f"op {spec.name!r} lacks a strict kernel")
-        if not spec.fast:
-            errors.append(f"op {spec.name!r} lacks a fast kernel")
-        if set(spec.strict) != set(spec.fast):
-            errors.append(
-                f"op {spec.name!r}: strict variants {sorted(spec.strict)} "
-                f"!= fast variants {sorted(spec.fast)}"
-            )
         if set(spec.charge) != set(spec.strict):
             errors.append(
                 f"op {spec.name!r}: charge variants {sorted(spec.charge)} "
                 f"!= strict variants {sorted(spec.strict)} — every variant "
-                "needs the pure charge function its fast kernel applies"
+                "needs the pure charge function its fast call applies"
             )
         if not spec.profile:
             errors.append(f"op {spec.name!r} lacks a counter-charge profile")
@@ -177,27 +173,60 @@ def check_native() -> list[str]:
     return errors
 
 
-def check_node_ladders() -> list[str]:
+_ROLES = opspec.VECTOR_ROLES | {"scalar", "op"}
+_POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY,
+               inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
+def _positional(fn) -> list[str]:
+    return [p.name for p in inspect.signature(fn).parameters.values()
+            if p.kind in _POSITIONAL]
+
+
+def check_signatures() -> list[str]:
     errors = []
-    path = SRC / "repro" / "engine" / "nodes.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    ladders = {"run_node_eager", "run_node_np"}
-    for fn in tree.body:
-        if not isinstance(fn, ast.FunctionDef) or fn.name not in ladders:
-            continue
-        ladders.discard(fn.name)
-        named = {node.attr for node in ast.walk(fn)
-                 if isinstance(node, ast.Attribute)
-                 and isinstance(node.value, ast.Name)
-                 and node.value.id == "Kind"}
-        for kind in Kind:
-            if kind is not Kind.FREE and kind.name not in named:
+    table = opspec.SIGNATURES
+    for kind in Kind:
+        if kind is not Kind.FREE and kind.value not in table:
+            errors.append(
+                f"node kind {kind.value!r} has no entry in "
+                "opspec.SIGNATURES — declare its roles, dst mode and body"
+            )
+    strict = {}
+    for spec in opspec.iter_specs():
+        for variant, kind in spec.node_kinds.items():
+            if variant in spec.strict:
+                strict.setdefault(kind, []).append(spec.strict[variant])
+    for kind, sig in table.items():
+        where = f"SIGNATURES[{kind!r}]"
+        roles = list(sig.roles)
+        if kind not in {k.value for k in Kind} or kind == Kind.FREE.value:
+            errors.append(f"{where} names no node kind the engine runs")
+        if set(roles) - _ROLES or roles.count("dst") > 1:
+            errors.append(f"{where}: roles {roles} must be drawn from "
+                          f"{sorted(_ROLES)}, dst at most once")
+        if sig.dst not in ("rw", "w", "prefix", ""):
+            errors.append(f"{where}: unknown dst mode {sig.dst!r}")
+        elif ("dst" in roles) != bool(sig.dst):
+            errors.append(f"{where}: dst mode {sig.dst!r} disagrees with "
+                          f"roles {roles}")
+        for fn in strict.get(kind, []):
+            params = _positional(fn)
+            if (params[:2] != ["m", "n"] or len(params) < len(roles) + 3
+                    or params[len(roles) + 2] != "lmul"):
                 errors.append(
-                    f"node kind {kind.value!r} has no branch in "
-                    f"engine/nodes.py {fn.name} — add one"
-                )
-    for name in sorted(ladders):
-        errors.append(f"engine/nodes.py defines no {name}")
+                    f"{where}: strict kernel {fn.__module__}.{fn.__name__}"
+                    f"{tuple(params)} does not take (m, n, <{len(roles)} "
+                    f"roles {roles}>, lmul)")
+        body = sig.body
+        params = _positional(body)
+        keywords = [p.name for p in inspect.signature(body).parameters.values()
+                    if p.kind is inspect.Parameter.KEYWORD_ONLY]
+        if len(params) != len(roles) or sorted(keywords) != sorted(sig.keywords):
+            errors.append(
+                f"{where}: body {body.__name__}{tuple(params)} with keywords "
+                f"{keywords} does not take the {len(roles)} roles {roles} "
+                f"and keywords {list(sig.keywords)}")
     return errors
 
 
@@ -226,14 +255,14 @@ def check_context_imports() -> list[str]:
 
 def main() -> int:
     errors = (check_public_surface() + check_specs() + check_native()
-              + check_node_ladders() + check_context_imports())
+              + check_signatures() + check_context_imports())
     if errors:
         fail(errors)
     n = sum(1 for s in opspec.iter_specs())
     print(f"check_opspec: OK — {n} registered ops, public surface covered, "
           "every op captures to a structured node kind, "
-          "native flags consistent, every node kind has both ladder "
-          "branches, context.py imports no kernel modules")
+          "native flags consistent, every node kind's signature matches "
+          "its kernels and body, context.py imports no kernel modules")
     return 0
 
 
