@@ -153,11 +153,17 @@ def _capture(svm, pipe, row: np.ndarray):
     (plan, input SVMArray, output SVMArray)."""
     data = svm.array(row, dtype=row.dtype)
     lz = PlanBuilder(svm)
-    out = pipe(lz, data)
-    if out is None:
-        raise EngineError(
-            "batch pipelines must return their output SVMArray"
-        )
+    try:
+        out = pipe(lz, data)
+        if out is None:
+            raise EngineError(
+                "batch pipelines must return their output SVMArray"
+            )
+    except BaseException:
+        # like a raising lazy block: free what the capture allocated
+        lz.free_temps()
+        svm.free(data)
+        raise
     return lz.build(), data, out
 
 

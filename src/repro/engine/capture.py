@@ -1,7 +1,12 @@
-"""Deferred recording of SVM pipelines into a :class:`Plan`.
+"""Recording SVM pipelines into a :class:`Plan` — and running them at
+once.
 
-:class:`PlanBuilder` mirrors the :class:`~repro.svm.context.SVM`
-surface. Every primitive in the :mod:`repro.svm.opspec` registry
+:class:`PlanBuilder` is the primitives' one front end: it checks the
+operands (lengths before any allocation), allocates the outputs and
+records one node per call. Its subclass :class:`EagerRecorder` runs
+each node the moment it is recorded, and the
+:class:`~repro.svm.context.SVM` primitive methods are generated from
+it. Every primitive in the :mod:`repro.svm.opspec` registry
 records a *structured* node — the fusable kinds (in-place elementwise,
 flag compares, ``get_flags``, scans) plus the typed replay kinds
 (``permute``, ``pack``, ``enumerate``, ``seg_scan``, ``p_select``,
@@ -22,9 +27,10 @@ operands of later recorded ops and resolved when the plan executes.
 
 The usual entry point is ``with svm.lazy() as lz:`` (see
 :meth:`repro.svm.context.SVM.lazy`), which builds and executes the
-plan on block exit; an explicit PlanBuilder plus
-:meth:`PlanBuilder.build` and :meth:`~repro.engine.executor.Engine.run`
-gives manual control.
+plan on block exit and frees the recorder's live temporaries
+(:meth:`PlanBuilder.free_temps`) when the block or the plan raises; an
+explicit PlanBuilder plus :meth:`PlanBuilder.build` and
+:meth:`~repro.engine.executor.Engine.run` gives manual control.
 """
 
 from __future__ import annotations
@@ -34,9 +40,11 @@ import numpy as np
 from ..rvv.types import LMUL
 from ..svm.context import SVMArray
 from ..svm.operators import PLUS, BinaryOp, get_operator
+from ..svm.opspec import iter_specs, node_op
+from .executor import Views, run_node
 from .ir import Buffer, Kind, OpNode, Plan, ScalarFuture
 
-__all__ = ["PlanBuilder"]
+__all__ = ["EagerRecorder", "PlanBuilder"]
 
 #: dtype -> ``dtype.str``: the property builds a new string on every
 #: read, and the key needs one per buffer per capture.
@@ -140,12 +148,27 @@ class PlanBuilder:
         # the address may be recycled by a later allocation
         self._by_addr.pop(arr.ptr.addr, None)
 
+    def free_temps(self) -> None:
+        """Free every temporary this recorder allocated that is still
+        live: what a call or block that raised leaves behind."""
+        heap = self.svm.machine.heap
+        for buf in self._buffers.values():
+            if buf.temp and heap.is_live(buf.array.ptr.addr):
+                self.svm.free(buf.array)
+
+    def _dst(self, out, n: int, dtype) -> SVMArray:
+        """``out``, or a new plan temporary of ``n`` ``dtype`` elements
+        (asked for after the length checks, so a call that fails them
+        allocates nothing)."""
+        return self.empty(n, dtype) if out is None else out
+
     # ------------------------------------------------------------------
-    # fusable elementwise records
+    # fusable elementwise records and flag compares (p_add ... p_ne are
+    # generated from the registry below the class body) and get_flags
     # ------------------------------------------------------------------
-    def _ew(self, kernel: str, a: SVMArray, x, lmul) -> None:
+    def _ew(self, kernel: str, a: SVMArray, x, lmul, vv: bool) -> None:
         lmul = self.svm._lmul(lmul)
-        if isinstance(x, SVMArray):
+        if vv and isinstance(x, SVMArray):
             self.svm._check_equal_len(a, x)
             self._record(OpNode(Kind.EW_VV, op=kernel, dst=self._bid(a),
                                 operand=self._bid(x), lmul=lmul))
@@ -153,85 +176,25 @@ class PlanBuilder:
             self._record(OpNode(Kind.EW_VX, op=kernel, dst=self._bid(a),
                                 scalar=x, lmul=lmul))
 
-    def p_add(self, a, x, lmul=None):
-        self._ew("p_add", a, x, lmul)
-
-    def p_sub(self, a, x, lmul=None):
-        self._ew("p_sub", a, x, lmul)
-
-    def p_mul(self, a, x, lmul=None):
-        self._ew("p_mul", a, x, lmul)
-
-    def p_and(self, a, x, lmul=None):
-        self._ew("p_and", a, x, lmul)
-
-    def p_or(self, a, x, lmul=None):
-        self._ew("p_or", a, x, lmul)
-
-    def p_xor(self, a, x, lmul=None):
-        self._ew("p_xor", a, x, lmul)
-
-    def p_max(self, a, x, lmul=None):
-        self._ew("p_max", a, x, lmul)
-
-    def p_min(self, a, x, lmul=None):
-        self._ew("p_min", a, x, lmul)
-
-    def p_srl(self, a, x, lmul=None):
-        lmul = self.svm._lmul(lmul)
-        self._record(OpNode(Kind.EW_VX, op="p_srl", dst=self._bid(a),
-                            scalar=x, lmul=lmul))
-
-    def p_sll(self, a, x, lmul=None):
-        lmul = self.svm._lmul(lmul)
-        self._record(OpNode(Kind.EW_VX, op="p_sll", dst=self._bid(a),
-                            scalar=x, lmul=lmul))
-
-    def p_rsub(self, a, x, lmul=None):
-        lmul = self.svm._lmul(lmul)
-        self._record(OpNode(Kind.EW_VX, op="p_rsub", dst=self._bid(a),
-                            scalar=x, lmul=lmul))
-
-    # ------------------------------------------------------------------
-    # flag compares and get_flags
-    # ------------------------------------------------------------------
     def _cmp(self, which: str, a: SVMArray, b, out, lmul) -> SVMArray:
-        dst = self.empty(a.n, np.uint32) if out is None else out
+        vv = isinstance(b, SVMArray)
+        self.svm._check_equal_len(a, b if vv else None, out)
+        dst = self._dst(out, a.n, np.uint32)
         lmul = self.svm._lmul(lmul)
-        if isinstance(b, SVMArray):
-            self.svm._check_equal_len(a, b, dst)
+        if vv:
             self._record(OpNode(Kind.CMP_VV, op=which, dst=self._bid(dst),
                                 src=self._bid(a), operand=self._bid(b), lmul=lmul))
         else:
-            self.svm._check_equal_len(a, dst)
             self._record(OpNode(Kind.CMP_VX, op=which, dst=self._bid(dst),
                                 src=self._bid(a), scalar=b, lmul=lmul))
         return dst
 
-    def p_lt(self, a, b, out=None, lmul=None):
-        return self._cmp("lt", a, b, out, lmul)
-
-    def p_le(self, a, b, out=None, lmul=None):
-        return self._cmp("le", a, b, out, lmul)
-
-    def p_gt(self, a, b, out=None, lmul=None):
-        return self._cmp("gt", a, b, out, lmul)
-
-    def p_ge(self, a, b, out=None, lmul=None):
-        return self._cmp("ge", a, b, out, lmul)
-
-    def p_eq(self, a, b, out=None, lmul=None):
-        return self._cmp("eq", a, b, out, lmul)
-
-    def p_ne(self, a, b, out=None, lmul=None):
-        return self._cmp("ne", a, b, out, lmul)
-
     def get_flags(self, src: SVMArray, bit: int, out=None, lmul=None) -> SVMArray:
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        self.svm._check_equal_len(src, dst)
-        lmul = self.svm._lmul(lmul)
+        self.svm._check_equal_len(src, out)
+        dst = self._dst(out, src.n, src.dtype)
         self._record(OpNode(Kind.GET_FLAGS, dst=self._bid(dst),
-                            src=self._bid(src), scalar=bit, lmul=lmul))
+                            src=self._bid(src), scalar=bit,
+                            lmul=self.svm._lmul(lmul)))
         return dst
 
     # ------------------------------------------------------------------
@@ -241,15 +204,36 @@ class PlanBuilder:
              inclusive: bool = True, lmul: LMUL | None = None) -> None:
         self._record(OpNode(
             Kind.SCAN, op=get_operator(op).name, dst=self._bid(a),
-            inclusive=inclusive, lmul=self.svm._lmul(lmul),
+            inclusive=bool(inclusive), lmul=self.svm._lmul(lmul),
         ))
 
     def plus_scan(self, a: SVMArray, lmul: LMUL | None = None) -> None:
+        """The paper's plus-scan (Listing 6): inclusive prefix sums."""
         self.scan(a, PLUS, inclusive=True, lmul=lmul)
 
     def scan_exclusive(self, a: SVMArray, op: str | BinaryOp = PLUS,
                        lmul: LMUL | None = None) -> None:
+        """Exclusive ⊕-scan (Blelloch's original definition)."""
         self.scan(a, op, inclusive=False, lmul=lmul)
+
+    def seg_scan(self, a, head_flags, op: str | BinaryOp = PLUS, *,
+                 inclusive: bool = True, lmul=None) -> None:
+        self.svm._check_equal_len(a, head_flags)
+        self._record(OpNode(Kind.SEG_SCAN, op=get_operator(op).name,
+                            dst=self._bid(a), operand=self._bid(head_flags),
+                            inclusive=bool(inclusive),
+                            lmul=self.svm._lmul(lmul)))
+
+    def seg_plus_scan(self, a, head_flags, lmul=None) -> None:
+        """The paper's segmented plus-scan (Listing 10)."""
+        self.seg_scan(a, head_flags, PLUS, inclusive=True, lmul=lmul)
+
+    def reduce(self, a, op: str | BinaryOp = PLUS, lmul=None) -> ScalarFuture:
+        result = ScalarFuture("reduce")
+        self._record(OpNode(Kind.REDUCE, op=get_operator(op).name,
+                            src=self._bid(a), future=result,
+                            lmul=self.svm._lmul(lmul)))
+        return result
 
     # ------------------------------------------------------------------
     # structured replay records (typed operands, never strip-fused)
@@ -260,75 +244,43 @@ class PlanBuilder:
                             operand=self._bid(flags),
                             lmul=self.svm._lmul(lmul)))
 
-    def permute(self, src, index, out=None, lmul=None) -> SVMArray:
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        self.svm._check_equal_len(src, index, dst)
-        self._record(OpNode(Kind.PERMUTE, dst=self._bid(dst),
-                            src=self._bid(src), operand=self._bid(index),
-                            lmul=self.svm._lmul(lmul)))
+    def _into(self, kind: Kind, src, operand, out, lmul, dtype=None,
+              scalar=None, future=None) -> SVMArray:
+        """Record a ``kind`` node from ``src`` (and the vector
+        ``operand``, or the ``scalar``) into ``out`` or a new temporary
+        of ``src``'s length and ``dtype`` (default ``src``'s)."""
+        self.svm._check_equal_len(src, operand, out)
+        dst = self._dst(out, src.n, src.dtype if dtype is None else dtype)
+        self._record(OpNode(
+            kind, dst=self._bid(dst), src=self._bid(src),
+            operand=None if operand is None else self._bid(operand),
+            scalar=scalar, future=future, lmul=self.svm._lmul(lmul)))
         return dst
+
+    def permute(self, src, index, out=None, lmul=None) -> SVMArray:
+        return self._into(Kind.PERMUTE, src, index, out, lmul)
 
     def back_permute(self, src, index, out=None, lmul=None) -> SVMArray:
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        self.svm._check_equal_len(src, index, dst)
-        self._record(OpNode(Kind.BACK_PERMUTE, dst=self._bid(dst),
-                            src=self._bid(src), operand=self._bid(index),
-                            lmul=self.svm._lmul(lmul)))
-        return dst
+        return self._into(Kind.BACK_PERMUTE, src, index, out, lmul)
 
     def pack(self, src, flags, out=None, lmul=None) -> tuple[SVMArray, ScalarFuture]:
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        self.svm._check_equal_len(src, flags, dst)
         kept = ScalarFuture("pack.kept")
-        self._record(OpNode(Kind.PACK, dst=self._bid(dst), src=self._bid(src),
-                            operand=self._bid(flags), future=kept,
-                            lmul=self.svm._lmul(lmul)))
-        return dst, kept
+        return self._into(Kind.PACK, src, flags, out, lmul, future=kept), kept
 
     def enumerate(self, flags, set_bit: bool = True, out=None,
                   lmul=None) -> tuple[SVMArray, ScalarFuture]:
-        dst = self.empty(flags.n, np.uint32) if out is None else out
-        self.svm._check_equal_len(flags, dst)
         count = ScalarFuture("enumerate.count")
-        self._record(OpNode(Kind.ENUMERATE, dst=self._bid(dst),
-                            src=self._bid(flags), scalar=bool(set_bit),
-                            future=count, lmul=self.svm._lmul(lmul)))
-        return dst, count
-
-    def reduce(self, a, op: str | BinaryOp = PLUS, lmul=None) -> ScalarFuture:
-        result = ScalarFuture("reduce")
-        self._record(OpNode(Kind.REDUCE, op=get_operator(op).name,
-                            src=self._bid(a), future=result,
-                            lmul=self.svm._lmul(lmul)))
-        return result
-
-    def seg_scan(self, a, head_flags, op: str | BinaryOp = PLUS, *,
-                 inclusive: bool = True, lmul=None) -> None:
-        self.svm._check_equal_len(a, head_flags)
-        self._record(OpNode(Kind.SEG_SCAN, op=get_operator(op).name,
-                            dst=self._bid(a), operand=self._bid(head_flags),
-                            inclusive=inclusive, lmul=self.svm._lmul(lmul)))
-
-    def seg_plus_scan(self, a, head_flags, lmul=None) -> None:
-        self.seg_scan(a, head_flags, PLUS, inclusive=True, lmul=lmul)
+        return self._into(Kind.ENUMERATE, flags, None, out, lmul, np.uint32,
+                          scalar=bool(set_bit), future=count), count
 
     def shift1up(self, src, fill: int, out=None, lmul=None) -> SVMArray:
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        self.svm._check_equal_len(src, dst)
-        self._record(OpNode(Kind.SHIFT1UP, dst=self._bid(dst),
-                            src=self._bid(src), scalar=fill,
-                            lmul=self.svm._lmul(lmul)))
-        return dst
+        return self._into(Kind.SHIFT1UP, src, None, out, lmul, scalar=fill)
 
     def copy(self, src, out=None, lmul=None) -> SVMArray:
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        self.svm._check_equal_len(src, dst)
-        self._record(OpNode(Kind.COPY, dst=self._bid(dst),
-                            src=self._bid(src), lmul=self.svm._lmul(lmul)))
-        return dst
+        return self._into(Kind.COPY, src, None, out, lmul)
 
     def index_array(self, n: int, out=None, lmul=None) -> SVMArray:
-        dst = self.empty(int(n), np.uint32) if out is None else out
+        dst = self._dst(out, int(n), np.uint32)
         self._record(OpNode(Kind.INDEX, dst=self._bid(dst),
                             lmul=self.svm._lmul(lmul)))
         return dst
@@ -337,8 +289,6 @@ class PlanBuilder:
     # composites: lowered to registered primitives at capture time
     # ------------------------------------------------------------------
     def reverse(self, src, out=None, lmul=None) -> SVMArray:
-        """Reverse via index_array + p_rsub + back_permute — same
-        lowering as the eager :meth:`~repro.svm.context.SVM.reverse`."""
         idx = self.index_array(src.n, lmul=lmul)
         self.p_rsub(idx, src.n - 1, lmul=lmul)
         result = self.back_permute(src, idx, out=out, lmul=lmul)
@@ -351,12 +301,12 @@ class PlanBuilder:
 
         The scratch index vectors are plan temporaries (uncharged, like
         every capture-time allocation) rather than the charged
-        ``malloc``s of the eager kernel, so a captured split's counters
-        match the batch runner's 2D replay exactly; the eager path is
-        unchanged.
+        ``malloc``s of the eager :meth:`~repro.svm.context.SVM.split`,
+        so a captured split's counters match the batch runner's 2D
+        replay exactly.
         """
-        dst = self.empty(src.n, src.dtype) if out is None else out
-        self.svm._check_equal_len(src, flags, dst)
+        self.svm._check_equal_len(src, flags, out)
+        dst = self._dst(out, src.n, src.dtype)
         i_up = self.empty(src.n, np.uint32)
         i_down = self.empty(src.n, np.uint32)
         _, count = self.enumerate(flags, set_bit=False, out=i_up, lmul=lmul)
@@ -367,3 +317,55 @@ class PlanBuilder:
         self.free(i_up)
         self.free(i_down)
         return dst, count
+
+
+# ----------------------------------------------------------------------
+# registry-generated records
+# ----------------------------------------------------------------------
+# The in-place elementwise family and the flag compares share two
+# method shapes; the registry fills them in.
+
+def _elementwise(name: str, vv: bool):
+    def record(self, a: SVMArray, x, lmul: LMUL | None = None) -> None:
+        self._ew(name, a, x, lmul, vv)
+    return record
+
+
+def _compare(which: str):
+    def record(self, a: SVMArray, b, out: SVMArray | None = None,
+               lmul: LMUL | None = None) -> SVMArray:
+        return self._cmp(which, a, b, out, lmul)
+    return record
+
+
+for _spec in iter_specs():
+    _kinds = _spec.node_kinds.values()
+    if "cmp_vx" in _kinds:
+        _method = _compare(node_op(_spec))
+    elif "ew_vx" in _kinds:
+        _method = _elementwise(_spec.name, "ew_vv" in _kinds)
+    else:
+        continue
+    _method.__name__ = _spec.name
+    _method.__qualname__ = f"PlanBuilder.{_spec.name}"
+    _method.__doc__ = _spec.doc
+    setattr(PlanBuilder, _spec.name, _method)
+del _spec, _kinds, _method
+
+
+class EagerRecorder(PlanBuilder):
+    """The recorder behind the eager :class:`~repro.svm.context.SVM`
+    primitives: each node runs the moment it is recorded, through the
+    unit loop's node step (:func:`~repro.engine.executor.run_node`) on
+    the views of its buffers, on the tier ``svm._fast`` picks at its
+    length, inside its span. Futures resolve at once; no plan is built
+    and no cache key is kept. One recorder serves one call."""
+
+    def __init__(self, svm) -> None:
+        self.svm = svm
+        #: Buffer id -> :class:`Buffer`: the "plan" :func:`run_node` reads.
+        self.buffers = self._buffers = {}
+        self._by_addr = {}
+
+    def _record(self, node: OpNode) -> None:
+        run_node(self.svm, self, node, Views(self.svm, self._buffers))

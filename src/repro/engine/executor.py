@@ -9,8 +9,10 @@ charged the profile once (:func:`charge_runs`).
 
 Every other single call, and batch rows 1+, take the Python tier's one
 unit loop, :func:`run_units`, on memory views (:class:`Views`) or on
-``[B-1, n]`` matrices. A fast unit runs its group's generated function
-or its node's NumPy body (:func:`~repro.engine.nodes.run_node_np`); a
+``[B-1, n]`` matrices; an eager SVM primitive is one node step of
+it (:func:`run_node`, from :class:`~repro.engine.capture.EagerRecorder`).
+A fast unit runs its group's generated function or its node's NumPy
+body (:func:`~repro.engine.nodes.run_node_np`); a
 strict unit runs :func:`run_group_strict`, the reference semantics
 (one strip loop on the machine intrinsics: load the head, apply every
 lane op in registers, the optional scan tail, store once), or its
@@ -33,7 +35,7 @@ import time
 from contextlib import nullcontext
 
 from ..config import BACKENDS, DEFAULT_BACKEND, env_backend
-from ..obs.spans import span
+from ..obs.spans import NULL_SPAN, span
 from ..rvv.allocation import plan_allocation
 from ..rvv.counters import Cat
 from ..rvv.intrinsics import arith, compare, loadstore, mask as maskops, move, permutation
@@ -67,6 +69,7 @@ __all__ = [
     "free_live",
     "native_for",
     "run_group_strict",
+    "run_node",
     "run_units",
     "BACKENDS",
     "DEFAULT_BACKEND",
@@ -248,44 +251,56 @@ def run_units(plan: Plan, fused: FusedPlan, mats, m, svm=None) -> None:
 
 def _run_unit(svm, plan: Plan, unit, groups: dict, mats) -> None:
     """One unit on the tier ``svm._fast`` picks at its length, charged
-    inside its span (a group's kernel name, or the node's primitive,
-    with {n, path}). Fast: the all-fast loop's call plus the unit's
-    term (a group's ``charge``; a node's ``node_charge`` plus pack's
-    items for the strips it added). Strict: :func:`run_group_strict`,
-    or the node's strict kernel (:func:`run_node_strict`)."""
-    m = svm.machine
-    if isinstance(unit, GroupSpec):
-        name = KERNEL_SCAN if unit.scan else KERNEL_EW
-        cg = groups.get(unit)
-        if cg is not None and svm._fast(cg.n):
-            with span(m, name, n=cg.n, nodes=len(unit.node_indices),
-                      path="fast", backend="codegen"):
-                cg.run(plan.nodes, mats)
-                m.counters.add_many(cg.charge)
-            return
-        group = materialize(plan, unit)
-        if svm._fast(group.n):
-            raise EngineError(
-                "fused group has no generated kernel; build fused plans "
-                "with Engine.compile_plan"
-            )
-        with span(m, name, n=group.n, nodes=len(unit.node_indices),
-                  path="strict"):
-            run_group_strict(svm, plan, group)
+    inside its span. A fused group's span is its kernel name with {n,
+    nodes, path}: fast runs its generated function plus the group's
+    ``charge``, strict :func:`run_group_strict`. A node is
+    :func:`run_node`."""
+    if not isinstance(unit, GroupSpec):
+        run_node(svm, plan, plan.nodes[unit], mats)
         return
-    node = plan.nodes[unit]
+    m = svm.machine
+    name = KERNEL_SCAN if unit.scan else KERNEL_EW
+    cg = groups.get(unit)
+    if cg is not None and svm._fast(cg.n):
+        with span(m, name, n=cg.n, nodes=len(unit.node_indices),
+                  path="fast", backend="codegen"):
+            cg.run(plan.nodes, mats)
+            m.counters.add_many(cg.charge)
+        return
+    group = materialize(plan, unit)
+    if svm._fast(group.n):
+        raise EngineError(
+            "fused group has no generated kernel; build fused plans "
+            "with Engine.compile_plan"
+        )
+    with span(m, name, n=group.n, nodes=len(unit.node_indices),
+              path="strict"):
+        run_group_strict(svm, plan, group)
+
+
+def run_node(svm, plan, node, mats) -> None:
+    """One node on the tier ``svm._fast`` picks at its length, charged
+    inside a span named after its primitive with {n, path}. Fast: its
+    NumPy body (:func:`run_node_np`) plus its ``node_charge`` and
+    pack's items for the strips it added; strict: its strict kernel
+    (:func:`run_node_strict`). A FREE node frees its buffer. ``plan``
+    needs only ``buffers``: the eager recorder
+    (:class:`~repro.engine.capture.EagerRecorder`) passes itself."""
     if node.kind is Kind.FREE:
         mats.free(node.dst)
         return
-    spec, _, buf = node_spec(plan, node)
-    if not svm._fast(buf.n):
-        with span(m, spec.name, n=buf.n, path="strict"):
+    m = svm.machine
+    spec, variant, buf = node_spec(plan, node)
+    fast = svm._fast(buf.n)
+    col = m.collector  # read once: every eager primitive call runs here
+    with NULL_SPAN if col is None else col.span(
+            spec.name, n=buf.n, path="fast" if fast else "strict"):
+        if not fast:
             run_node_strict(svm, plan, node)
-        return
-    with span(m, spec.name, n=buf.n, path="fast"):
+            return
         sws = mats.sws
         run_node_np(node, mats, m)
-        m.counters.add_many(node_charge(m, plan, node))
+        m.counters.add_many(node_charge(m, node, spec, variant, buf))
         if mats.sws != sws:
             m.counters.add_many(pack_variable_items(mats.sws - sws))
 
@@ -386,7 +401,7 @@ def _static_facts(plan: Plan, fused: FusedPlan, m) -> tuple[tuple, int]:
             lengths.append(groups[unit].n)
         elif plan.nodes[unit].kind is not Kind.FREE:
             node = plan.nodes[unit]
-            items += node_charge(m, plan, node)
+            items += node_charge(m, node, *node_spec(plan, node))
             lengths.append(plan.buffers[
                 node.dst if node.dst is not None else node.src].n)
     return _items(*items), int(min(lengths, default=0))

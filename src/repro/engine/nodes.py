@@ -1,14 +1,15 @@
 """One plan node, two ways: its strict kernel, or its NumPy body.
 
 Every non-fused unit — a lane op left out of any group, a structured
-kind (permute, pack, seg_scan, select, ...) — runs one of two generic
-calls. Both read the node kind's entry in the registry's signature
-table (:data:`repro.svm.opspec.SIGNATURES`), which names the node field
-behind each operand, in the order the kernel and the body take them:
+kind (permute, pack, seg_scan, select, ...), every eager primitive
+call — runs one of two generic calls. Both read the node kind's entry
+in the registry's signature table (:data:`repro.svm.opspec.SIGNATURES`),
+which names the node field behind each operand, in the order the
+kernel and the body take them:
 
 * :func:`run_node_strict` calls the op's strict kernel
-  (``OpSpec.strict``) on the plan buffers' pointers, so its results
-  *and* counters are exactly eager strict execution's;
+  (``OpSpec.strict``) on the plan buffers' pointers: the reference
+  results *and* counters;
 * :func:`run_node_np` calls the kind's NumPy body and charges nothing —
   every fast node of the unit loop (:func:`repro.engine.executor.run_units`),
   on a single call's memory views and on batch rows' ``[B-1, n]``
@@ -44,21 +45,22 @@ def _positions(sig) -> tuple:
             len(sig.roles), sig.body, sig.keywords[0] if sig.keywords else None)
 
 
-#: Kind -> its :func:`_positions`.
-_SIG = {Kind(kind): _positions(sig) for kind, sig in SIGNATURES.items()}
+#: Kind value -> its :func:`_positions` (keyed by the value: a Kind
+#: hashes through a Python-level ``Enum.__hash__``, once per lookup).
+_SIG = {kind: _positions(sig) for kind, sig in SIGNATURES.items()}
 
 
-def _key(kind: Kind, op: str, inclusive: bool) -> tuple:
-    """What tells apart the ops and variants that record ``kind``: the
-    node's ``op`` or ``inclusive`` where the body takes it by
-    keyword."""
+def _key(kind: str, op: str, inclusive: bool) -> tuple:
+    """What tells apart the ops and variants that record the kind of
+    value ``kind``: the node's ``op`` or ``inclusive`` where the body
+    takes it by keyword."""
     keyword = _SIG[kind][-1]
     return (kind, op if keyword == "op" else None,
             inclusive if keyword == "inclusive" else None)
 
 
 #: :func:`_key` -> the (spec, variant) capture records it from.
-_SPEC_OF = {_key(Kind(kind), node_op(spec), variant != "excl"): (spec, variant)
+_SPEC_OF = {_key(kind, node_op(spec), variant != "excl"): (spec, variant)
             for spec in iter_specs() for variant, kind in spec.node_kinds.items()}
 
 
@@ -67,17 +69,16 @@ def node_spec(plan: Plan, node: OpNode) -> tuple:
     variant capture recorded ``node`` from, and the buffer whose length
     and dtype its kernel strip-mines by (the source's; the
     destination's for nodes without one)."""
-    spec, variant = _SPEC_OF[_key(node.kind, node.op, node.inclusive)]
+    spec, variant = _SPEC_OF[_key(node.kind._value_, node.op, node.inclusive)]
     return spec, variant, plan.buffers[
         node.src if node.src is not None else node.dst]
 
 
-def node_charge(machine, plan: Plan, node: OpNode) -> tuple:
+def node_charge(machine, node: OpNode, spec, variant: str, buf) -> tuple:
     """The closed-form ``(category, count)`` charge of running ``node``
     on ``machine``, pack's survivor-strip term excluded: the
-    ``OpSpec.charge`` of its :func:`node_spec`, at the node's length,
-    SEW and LMUL."""
-    spec, variant, buf = node_spec(plan, node)
+    ``OpSpec.charge`` of its :func:`node_spec` ``(spec, variant,
+    buf)``, at the node's length, SEW and LMUL."""
     return spec.charge[variant](machine.codegen, machine.vlen, buf.n,
                                 sew_for_dtype(buf.dtype), node.lmul)
 
@@ -90,7 +91,7 @@ def run_node_strict(svm, plan: Plan, node: OpNode) -> None:
     spec, variant, buf = node_spec(plan, node)
     args = [plan.buffers[getattr(node, role)].array.ptr if role in VECTOR_ROLES
             else resolve_scalar(node.scalar) if role == "scalar" else node.op
-            for role in SIGNATURES[node.kind.value].roles]
+            for role in SIGNATURES[node.kind._value_].roles]
     result = spec.strict[variant](svm.machine, buf.n, *args, node.lmul)
     if node.future is not None:
         node.future.resolve(result)
@@ -114,7 +115,8 @@ def run_node_np(node: OpNode, mats, m) -> None:
     if kind is Kind.FREE:
         mats.free(node.dst)
         return
-    reads, at_dst, at_scalar, at_op, fresh, arity, body, keyword = _SIG[kind]
+    reads, at_dst, at_scalar, at_op, fresh, arity, body, keyword = \
+        _SIG[kind._value_]
     args = [None] * arity
     for i, field in reads:
         args[i] = mats[getattr(node, field)]
@@ -131,5 +133,7 @@ def run_node_np(node: OpNode, mats, m) -> None:
     if kind is Kind.PACK:
         vlmax = m.vlmax(sew=sew_for_dtype(_strip_dtype(node, mats)),
                         lmul=node.lmul)
-        mats.sws += int(np.sum(fp.pack_strip_survivors(
-            mats[node.operand] != 0, vlmax)))
+        survivors = fp.pack_strip_survivors(mats[node.operand] != 0, vlmax)
+        # a NumPy scalar for one call's views (its .sum() costs a
+        # reduction), one count per row for batch rows
+        mats.sws += int(survivors.sum() if survivors.ndim else survivors)

@@ -32,7 +32,6 @@ from .spans import (
     ProfileCollector,
     Span,
     SpanEvent,
-    instrument_method,
     profile,
     span,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "SpanEvent",
     "profile",
     "span",
-    "instrument_method",
     "NULL_SPAN",
     "MetricsRegistry",
     "Counter",

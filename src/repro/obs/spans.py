@@ -19,10 +19,12 @@ Design constraints, in priority order:
    deltas is the parent's own ("self") cost — non-negative in every
    category. The exporters surface that remainder as a synthetic
    ``(self)`` child, so rendered children always sum exactly.
-3. **Both execution modes.** Instrumentation wraps the
-   :class:`~repro.svm.context.SVM` dispatch layer, *above* the
-   strict/fast split, so span deltas are identical across modes (the
-   repo's strict-vs-fast counter equality, now per span).
+3. **Both execution modes.** A primitive's span is opened by the
+   engine's node step (:func:`repro.engine.executor.run_node`), which
+   every eager :class:`~repro.svm.context.SVM` call and every unfused
+   lazy node runs, *around* the strict/fast choice, so span deltas are
+   identical across modes (the repo's strict-vs-fast counter equality,
+   now per span).
 
 Strip-level spans are opt-in (``strips=True``): the collector hooks
 ``vsetvl`` — the one instruction every strict strip-mined loop issues
@@ -32,7 +34,6 @@ allocate one span per strip; leave them off for large-n profiles.
 
 from __future__ import annotations
 
-import functools
 import time
 
 from ..rvv.counters import Cat, CounterSnapshot
@@ -43,7 +44,6 @@ __all__ = [
     "ProfileCollector",
     "profile",
     "span",
-    "instrument_method",
 ]
 
 
@@ -398,31 +398,3 @@ def span(machine, name: str, **meta):
     if col is None:
         return NULL_SPAN
     return col.span(name, **meta)
-
-
-def instrument_method(fn, name: str | None = None):
-    """Wrap an :class:`~repro.svm.context.SVM` method in a span named
-    after it, recording ``n`` (from the leading array or int argument)
-    and the resolved strict/fast path. With no collector installed the
-    wrapper is a single attribute check plus the original call."""
-    label = name or fn.__name__
-
-    @functools.wraps(fn)
-    def wrapper(self, *args, **kwargs):
-        col = self.machine.collector
-        if col is None:
-            return fn(self, *args, **kwargs)
-        meta = {}
-        if args:
-            first = args[0]
-            n = getattr(first, "n", None)
-            if n is None and isinstance(first, int):
-                n = first
-            if n is not None:
-                meta["n"] = n
-                meta["path"] = "fast" if self._fast(n) else "strict"
-        with col.span(label, **meta):
-            return fn(self, *args, **kwargs)
-
-    wrapper.__obs_instrumented__ = True
-    return wrapper

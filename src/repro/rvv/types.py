@@ -101,8 +101,20 @@ def dtype_for_sew(sew: SEW, signed: bool = False) -> np.dtype:
         raise ConfigurationError(f"unsupported SEW: {sew!r}") from exc
 
 
+#: dtype -> SEW, filled by :func:`sew_for_dtype`: every kernel call and
+#: node charge asks, and ``SEW(bits)`` is a Python-level enum lookup.
+_SEW_OF: dict = {}
+
+
 def sew_for_dtype(dtype: np.dtype) -> SEW:
     """Return the SEW corresponding to a NumPy integer dtype."""
+    sew = _SEW_OF.get(dtype)
+    if sew is None:
+        sew = _SEW_OF[dtype] = _sew_for_dtype(dtype)
+    return sew
+
+
+def _sew_for_dtype(dtype: np.dtype) -> SEW:
     dtype = np.dtype(dtype)
     if dtype.kind not in ("u", "i"):
         raise ConfigurationError(f"non-integer dtype has no SEW: {dtype}")

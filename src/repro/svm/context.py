@@ -8,12 +8,15 @@ Algorithms written against this interface never touch RVV details —
 the paper's stated goal ("parallel algorithms can be developed upon
 those primitives without knowing the details of RVV").
 
-Every primitive method is a thin dispatch through the unified
-:mod:`repro.svm.opspec` registry: the :class:`~repro.svm.opspec.OpSpec`
-declared once per primitive names the strict per-strip kernel, the
-registry derives the closed-form NumPy fast call from its node kind's
-signature, and :meth:`SVM._fast` picks between them per call. This module therefore imports **no kernel modules** —
-``tools/check_opspec.py`` enforces that in CI.
+The primitives have one front end, the lazy engine's recorder
+(:class:`~repro.engine.capture.PlanBuilder`): every primitive method
+but :meth:`SVM.split` is generated from its eager subclass, which runs
+each recorded node at once through the engine's node step — the
+strict per-strip kernel the :mod:`repro.svm.opspec` registry names, or
+its node kind's NumPy body, as :meth:`SVM._fast` picks per call, in a
+span named after the primitive. Such a method returns its futures as
+ints and frees what it allocated when it raises. This module imports
+**no kernel modules** — ``tools/check_opspec.py`` enforces that in CI.
 
 Example
 -------
@@ -38,6 +41,7 @@ the integration tests), so the choice only affects host-Python speed.
 
 from __future__ import annotations
 
+import inspect
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -279,21 +283,24 @@ class SVM:
         [22, 46, 72, 100]
 
         The recorder (a :class:`~repro.engine.capture.PlanBuilder`)
-        mirrors the SVM method surface; ops the fuser cannot merge
-        replay verbatim. Results and counters never degrade versus
-        eager execution: with ``fuse=False`` they are *identical*, with
+        has the SVM primitive surface — the SVM primitives are its
+        records run at once — and ops the fuser cannot merge run as
+        their own units. Results and counters never degrade versus eager
+        execution: with ``fuse=False`` they are *identical*, with
         fusion the results are bit-identical and no per-category count
         increases. Data-dependent scalars (``pack``/``enumerate``
         counts, ``reduce``) come back as futures; read ``.value`` after
         the block. After exit ``lz.plan`` and ``lz.fused`` hold the
-        captured and fused plans for inspection.
+        captured and fused plans for inspection. A block or plan that
+        raises frees the temporaries the recorder allocated.
         """
-        from ..engine.capture import PlanBuilder  # local import as above
-
         lz = PlanBuilder(self)
-        yield lz
-        plan = lz.build()
-        lz.fused = self.engine.run(plan, fuse=fuse)
+        try:
+            yield lz
+            lz.fused = self.engine.run(lz.build(), fuse=fuse)
+        except BaseException:
+            lz.free_temps()
+            raise
 
     def batch(self, pipe, inputs, *, dtype=np.uint32):
         """Run one pipeline over many inputs through a single cached
@@ -352,15 +359,6 @@ class SVM:
     def _lmul(self, lmul: LMUL | None) -> LMUL:
         return self.lmul if lmul is None else LMUL(lmul)
 
-    def _impl(self, name: str, variant: str, n: int):
-        """The registry kernel for ``name``'s ``variant`` on the tier
-        :meth:`_fast` selects for a length-``n`` call: the strict
-        kernel, or the eager fast call derived from its node kind's
-        signature (both called ``fn(m, n, *operands, lmul)``)."""
-        if self._fast(n):
-            return opspec.FAST_CALLS[name, variant]
-        return opspec.OPSPECS[name].strict[variant]
-
     @staticmethod
     def _check_equal_len(*arrays: SVMArray | None) -> int:
         """The common length of ``arrays``, skipping a None (an ``out``
@@ -372,153 +370,8 @@ class SVM:
         return n
 
     # ------------------------------------------------------------------
-    # elementwise primitives (§4.1) — p_add ... p_sll, p_rsub and the
-    # flag compares are generated from the registry below the class
-    # body: one OpSpec drives both the method and its capture node.
+    # primitives: every one but split is generated below the class body
     # ------------------------------------------------------------------
-    def p_select(self, flags: SVMArray, a: SVMArray, b: SVMArray,
-                 lmul: LMUL | None = None) -> None:
-        """p-select: ``b[i] = a[i] where flags[i] else b[i]``."""
-        n = self._check_equal_len(flags, a, b)
-        self._impl("p_select", "", n)(
-            self.machine, n, flags.ptr, a.ptr, b.ptr, self._lmul(lmul))
-
-    def get_flags(self, src: SVMArray, bit: int, out: SVMArray | None = None,
-                  lmul: LMUL | None = None) -> SVMArray:
-        """Extract bit ``bit`` of each element into a 0/1 flag vector."""
-        self._check_equal_len(src, out)
-        flags = self.empty(src.n, src.dtype) if out is None else out
-        self._impl("get_flags", "", src.n)(
-            self.machine, src.n, src.ptr, flags.ptr, bit, self._lmul(lmul))
-        return flags
-
-    # ------------------------------------------------------------------
-    # scan primitives (§4.3, §5)
-    # ------------------------------------------------------------------
-    def scan(self, a: SVMArray, op: str | BinaryOp = PLUS, *,
-             inclusive: bool = True, lmul: LMUL | None = None) -> None:
-        """⊕-scan of ``a`` in place (inclusive by default)."""
-        fn = self._impl("scan", "incl" if inclusive else "excl", a.n)
-        fn(self.machine, a.n, a.ptr, op, self._lmul(lmul))
-
-    def plus_scan(self, a: SVMArray, lmul: LMUL | None = None) -> None:
-        """The paper's plus-scan (Listing 6): inclusive prefix sums."""
-        self.scan(a, PLUS, inclusive=True, lmul=lmul)
-
-    def scan_exclusive(self, a: SVMArray, op: str | BinaryOp = PLUS,
-                       lmul: LMUL | None = None) -> None:
-        """Exclusive ⊕-scan (Blelloch's original definition)."""
-        self.scan(a, op, inclusive=False, lmul=lmul)
-
-    def seg_scan(self, a: SVMArray, head_flags: SVMArray,
-                 op: str | BinaryOp = PLUS, *, inclusive: bool = True,
-                 lmul: LMUL | None = None) -> None:
-        """Segmented ⊕-scan of ``a`` under ``head_flags``, in place."""
-        n = self._check_equal_len(a, head_flags)
-        fn = self._impl("seg_scan", "incl" if inclusive else "excl", n)
-        fn(self.machine, n, a.ptr, head_flags.ptr, op, self._lmul(lmul))
-
-    def seg_plus_scan(self, a: SVMArray, head_flags: SVMArray,
-                      lmul: LMUL | None = None) -> None:
-        """The paper's segmented plus-scan (Listing 10)."""
-        self.seg_scan(a, head_flags, PLUS, inclusive=True, lmul=lmul)
-
-    # ------------------------------------------------------------------
-    # permutation primitives (§4.2) and derived ops (§4.4)
-    # ------------------------------------------------------------------
-    def permute(self, src: SVMArray, index: SVMArray, out: SVMArray | None = None,
-                lmul: LMUL | None = None) -> SVMArray:
-        """Out-of-place permute: ``out[index[i]] = src[i]`` (Listing 5)."""
-        return self._permute("permute", src, index, out, lmul)
-
-    def back_permute(self, src: SVMArray, index: SVMArray,
-                     out: SVMArray | None = None, lmul: LMUL | None = None) -> SVMArray:
-        """Gather: ``out[i] = src[index[i]]``."""
-        return self._permute("back_permute", src, index, out, lmul)
-
-    def _permute(self, name: str, src: SVMArray, index: SVMArray,
-                 out: SVMArray | None, lmul: LMUL | None) -> SVMArray:
-        """Run ``name``, freeing the output it allocated on an error."""
-        n = self._check_equal_len(src, index, out)
-        dst = self.empty(n, src.dtype) if out is None else out
-        try:
-            self._impl(name, "", n)(
-                self.machine, n, src.ptr, dst.ptr, index.ptr, self._lmul(lmul))
-        except BaseException:
-            if out is None:
-                self.free(dst)
-            raise
-        return dst
-
-    def pack(self, src: SVMArray, flags: SVMArray, out: SVMArray | None = None,
-             lmul: LMUL | None = None) -> tuple[SVMArray, int]:
-        """Stream compaction: keep flagged elements, preserving order.
-        Returns (destination array, number kept)."""
-        n = self._check_equal_len(src, flags, out)
-        dst = self.empty(n, src.dtype) if out is None else out
-        kept = self._impl("pack", "", n)(
-            self.machine, n, src.ptr, dst.ptr, flags.ptr, self._lmul(lmul))
-        return dst, kept
-
-    def enumerate(self, flags: SVMArray, set_bit: bool = True,
-                  out: SVMArray | None = None, lmul: LMUL | None = None
-                  ) -> tuple[SVMArray, int]:
-        """Enumerate (Listing 8): rank each position among those whose
-        flag equals ``set_bit``. Returns (ranks array, total count)."""
-        n = self._check_equal_len(flags, out)
-        dst = self.empty(n, np.uint32) if out is None else out
-        count = self._impl("enumerate", "", n)(
-            self.machine, n, flags.ptr, dst.ptr, bool(set_bit), self._lmul(lmul))
-        return dst, count
-
-    # ------------------------------------------------------------------
-    # extended primitives (Blelloch's full elementwise class)
-    # ------------------------------------------------------------------
-    def index_array(self, n: int, out: SVMArray | None = None,
-                    lmul: LMUL | None = None) -> SVMArray:
-        """Blelloch's index primitive: the vector ``[0, 1, ..., n-1]``."""
-        dst = self.empty(int(n), np.uint32) if out is None else out
-        self._impl("index_array", "", dst.n)(
-            self.machine, dst.n, dst.ptr, self._lmul(lmul))
-        return dst
-
-    def reduce(self, a: SVMArray, op: str | BinaryOp = PLUS,
-               lmul: LMUL | None = None) -> int:
-        """Full ⊕-reduction of ``a`` to a scalar."""
-        return self._impl("reduce", "", a.n)(
-            self.machine, a.n, a.ptr, op, self._lmul(lmul))
-
-    def shift1up(self, src: SVMArray, fill: int, out: SVMArray | None = None,
-                 lmul: LMUL | None = None) -> SVMArray:
-        """Whole-array shift by one lane: ``out[0] = fill``,
-        ``out[i] = src[i-1]`` (in place when ``out is src``)."""
-        n = self._check_equal_len(src, out)
-        dst = self.empty(n, src.dtype) if out is None else out
-        self._impl("shift1up", "", n)(
-            self.machine, n, src.ptr, dst.ptr, fill, self._lmul(lmul))
-        return dst
-
-    def copy(self, src: SVMArray, out: SVMArray | None = None,
-             lmul: LMUL | None = None) -> SVMArray:
-        """Vector memcpy: a strip-mined vle/vse loop (charged like a
-        two-array elementwise pass without the compute op)."""
-        n = self._check_equal_len(src, out)
-        dst = self.empty(n, src.dtype) if out is None else out
-        self._impl("copy", "", n)(
-            self.machine, n, src.ptr, dst.ptr, self._lmul(lmul))
-        return dst
-
-    def reverse(self, src: SVMArray, out: SVMArray | None = None,
-                lmul: LMUL | None = None) -> SVMArray:
-        """Reverse ``src`` — a derived permutation: build the reversal
-        index vector with ``p_index`` + ``p_rsub`` and gather through
-        ``back_permute`` (no dedicated hardware reverse exists in RVV)."""
-        idx = self.index_array(src.n, lmul=lmul)
-        self.p_rsub(idx, src.n - 1, lmul=lmul)
-        result = self.back_permute(src, idx, out=out, lmul=lmul)
-        self.free(idx)
-        return result
-
     def split(self, src: SVMArray, flags: SVMArray, out: SVMArray | None = None,
               lmul: LMUL | None = None) -> tuple[SVMArray, int]:
         """Split (Listing 7): stable partition of ``src`` by ``flags``
@@ -534,73 +387,46 @@ class SVM:
 # ----------------------------------------------------------------------
 # registry-generated primitive methods
 # ----------------------------------------------------------------------
-# The in-place elementwise family and the flag compares share two
-# method shapes; the registry fills them in. Each generated method is
-# indistinguishable from a hand-written one (name, docstring, spans).
-
-def _make_elementwise(spec: opspec.OpSpec):
-    name = spec.name
-    if "vv" in spec.node_kinds:
-        def method(self, a: SVMArray, x, lmul: LMUL | None = None) -> None:
-            if isinstance(x, SVMArray):
-                self._check_equal_len(a, x)
-                self._impl(name, "vv", a.n)(
-                    self.machine, a.n, a.ptr, x.ptr, self._lmul(lmul))
-            else:
-                self._impl(name, "vx", a.n)(
-                    self.machine, a.n, a.ptr, x, self._lmul(lmul))
-    else:  # scalar-operand only (shifts, reverse subtract)
-        def method(self, a: SVMArray, x: int, lmul: LMUL | None = None) -> None:
-            self._impl(name, "vx", a.n)(
-                self.machine, a.n, a.ptr, x, self._lmul(lmul))
-    method.__name__ = name
-    method.__qualname__ = f"SVM.{name}"
-    method.__doc__ = spec.doc
-    return method
+# Every registered primitive and alias but split is the eager recorder's
+# method run at once: the recorder checks the operands, allocates the
+# output and runs the node through the engine's unit loop, in the
+# primitive's span. The engine imports SVMArray from this module, so it
+# is imported once that class exists.
+from ..engine.capture import EagerRecorder, PlanBuilder  # noqa: E402
+from ..engine.ir import ScalarFuture  # noqa: E402
 
 
-def _make_compare(spec: opspec.OpSpec):
-    name = spec.name
+def _primitive(name: str):
+    """The SVM method ``name``: :class:`EagerRecorder`'s, with its
+    futures returned as ints and what it allocated freed when it
+    raises."""
+    record = getattr(EagerRecorder, name)
+    futures = opspec.get_spec(name).future is not None
 
-    def method(self, a: SVMArray, b, out: SVMArray | None = None,
-               lmul: LMUL | None = None) -> SVMArray:
-        vv = isinstance(b, SVMArray)
-        self._check_equal_len(a, b if vv else None, out)
-        dst = self.empty(a.n, np.uint32) if out is None else out
-        self._impl(name, "vv" if vv else "vx", a.n)(
-            self.machine, a.n, a.ptr, b.ptr if vv else b, dst.ptr,
-            self._lmul(lmul))
-        return dst
+    def method(self, *args, **kwargs):
+        rec = EagerRecorder(self)
+        try:
+            result = record(rec, *args, **kwargs)
+        except BaseException:
+            rec.free_temps()
+            raise
+        if not futures:
+            return result
+        if isinstance(result, ScalarFuture):
+            return result.value
+        return result[0], result[1].value
 
     method.__name__ = name
     method.__qualname__ = f"SVM.{name}"
-    method.__doc__ = spec.doc
+    method.__doc__ = opspec.OPSPECS[name].doc if name in opspec.OPSPECS \
+        else record.__doc__
+    method.__wrapped__ = record
+    method.__signature__ = inspect.signature(record).replace(
+        return_annotation=inspect.Signature.empty)
     return method
 
 
-for _spec in opspec.iter_specs():
-    if "cmp_vx" in _spec.node_kinds.values():
-        setattr(SVM, _spec.name, _make_compare(_spec))
-    elif "ew_vx" in _spec.node_kinds.values():
-        setattr(SVM, _spec.name, _make_elementwise(_spec))
-del _spec
-
-
-# ----------------------------------------------------------------------
-# profiling instrumentation
-# ----------------------------------------------------------------------
-# Each primitive is wrapped so that, when a collector is installed on
-# the machine, the call opens a span named after the primitive with
-# {n, path} metadata. With no collector the wrapper is a single
-# attribute check on top of the original method. Convenience aliases
-# that delegate to an instrumented method (plus_scan/scan_exclusive →
-# scan, seg_plus_scan → seg_scan, split → split_op.split, reverse →
-# index/rsub/back_permute) are left unwrapped so each call produces
-# exactly one primitive span. The profiled set is the registry's: every
-# non-composite spec gets exactly one span name.
-from ..obs.spans import instrument_method as _instrument  # noqa: E402
-
-_PROFILED = tuple(s.name for s in opspec.iter_specs() if s.profiled)
-for _name in _PROFILED:
-    setattr(SVM, _name, _instrument(getattr(SVM, _name)))
+for _name in (*opspec.OPSPECS, *opspec.ALIASES):
+    if _name != "split":  # its eager form charges Listing 7's mallocs
+        setattr(SVM, _name, _primitive(_name))
 del _name

@@ -19,9 +19,9 @@ primitive, the two halves of its fast path:
 Neither half knows a calling convention. The
 :mod:`repro.svm.opspec` registry pairs them: its per-kind signature
 table (:data:`~repro.svm.opspec.SIGNATURES`) names each body's operand
-roles, from which it derives the eager fast call (views in, body, one
-``counters.add_many`` of ``OpSpec.charge``) and the engine its node
-calls; the engine also sums the charges into each plan's static
+roles, from which the engine derives its node calls (views in, body,
+one ``counters.add_many`` of ``OpSpec.charge``), which every eager and
+lazy node runs; the engine also sums the charges into each plan's static
 counter profile at compile time. Pack's survivor-strip term
 (:data:`PACK_VARIABLE`) is the one runtime charge.
 
@@ -328,8 +328,8 @@ def charge_copy(cg, vlen, n, sew, lmul):
 # ---------------------------------------------------------------------------
 # NumPy bodies
 # ---------------------------------------------------------------------------
-# An ``np_*`` body runs on ``[n]`` memory views (an eager fast call, a
-# single engine call) and on batch rows' ``[B-1, n]`` matrices, and
+# An ``np_*`` body runs on ``[n]`` memory views (an eager call, a
+# single lazy call) and on batch rows' ``[B-1, n]`` matrices, and
 # never charges. Its positional parameters follow its node kind's roles
 # in :data:`repro.svm.opspec.SIGNATURES`, the strict kernel's order.
 # Scalars arrive wrapped to the element dtype (in a batch possibly as a
@@ -356,7 +356,9 @@ def np_select(flags: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 def np_get_flags(src: np.ndarray, out: np.ndarray, bit) -> None:
     """Bit ``bit`` of every lane of ``src`` into ``out``, with no
     temporary: the shift lands in ``out`` (truncated to its dtype,
-    which keeps the low bit) and the mask runs in place."""
+    which keeps the low bit) and the mask runs in place. The shift
+    amount is ``bit & (SEW-1)``, as ``vsrl`` takes it."""
+    bit = int(bit) & (src.dtype.itemsize * 8 - 1)
     np.right_shift(src, src.dtype.type(bit), out=out, casting="unsafe")
     np.bitwise_and(out, out.dtype.type(1), out=out)
 
@@ -451,7 +453,7 @@ def np_back_permute(src: np.ndarray, dst: np.ndarray, index: np.ndarray) -> None
 #: back (2 extra vsetvls) and issues the compacted store (1 extra
 #: vse). Everything else in pack's profile is closed-form
 #: (:func:`charge_pack`). This is the single source for the variable
-#: term — shared by the eager fast call, the unit loop, the native
+#: term — shared by the unit loop (eager and lazy), the native
 #: tier and the ragged 2D batch path (via :func:`pack_variable_items`).
 PACK_VARIABLE = ((Cat.VCONFIG, 2), (Cat.VMEM, 1))
 

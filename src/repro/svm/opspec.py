@@ -10,12 +10,12 @@ kind (:mod:`repro.engine.capture`), a fusion lane recipe
 agreement was manual. Now each primitive is declared once here, and
 every layer consumes the spec:
 
-* :class:`repro.svm.context.SVM` primitive methods are thin registry
-  dispatches: ``spec.strict`` or the eager fast call
-  (:data:`FAST_CALLS`), keyed by variant;
 * :class:`repro.engine.capture.PlanBuilder` records the structured node
   kind named by ``spec.node_kinds`` (``tools/check_opspec.py`` fails on
-  an engine node kind no op records);
+  an engine node kind no op records); the
+  :class:`repro.svm.context.SVM` primitives are its records run at once
+  by the engine's node step (``spec.strict`` or the kind's NumPy body,
+  keyed by variant), with ``spec.doc`` as their docstrings;
 * the fuser and the code generator derive lane recipes from
   :data:`LANE_RECIPES` instead of per-kind if-ladders;
 * :meth:`repro.engine.executor.Engine.compile_plan` sums
@@ -29,10 +29,10 @@ every layer consumes the spec:
 
 Each node kind's operand convention is declared once, as data, in
 :data:`SIGNATURES`: its operand roles in the strict kernel's order,
-its destination mode and its NumPy body. The eager fast calls, the
-engine's strict and NumPy node calls, and the engine's read and write
-sets all derive from it, and ``tools/check_opspec.py`` holds every
-strict kernel and body to it. A primitive that fits an existing kind
+its destination mode and its NumPy body. The engine's strict and
+NumPy node calls, which run every eager and lazy node, and its read
+and write sets derive from it, and ``tools/check_opspec.py`` holds
+every strict kernel and body to it. A primitive that fits an existing kind
 is a strict kernel, a pure charge function and one :class:`OpSpec`
 (see ``docs/opspec.md`` for the recipe); a new kind also needs its
 table entry, its capture record and its native emitter.
@@ -49,21 +49,18 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping
 
-from ..rvv.types import LMUL, sew_for_dtype
 from . import elementwise as ew
 from . import enumerate_op as en
 from . import fastpath as fp
 from . import permute_ops as pm
 from . import scan as sc
 from . import segmented as sg
-from .fastpath import _NP_CMP, _UFUNC_VX, _wrap
-from .operators import get_operator
+from .fastpath import _NP_CMP, _UFUNC_VX
 
 __all__ = [
     "OpSpec",
     "OPSPECS",
     "ALIASES",
-    "FAST_CALLS",
     "LANE_RECIPES",
     "SIGNATURES",
     "Signature",
@@ -100,9 +97,8 @@ class OpSpec:
     (``ragged2d``: its NumPy body compacts every row of the matrix and
     the runner adds each row's own charge items).
     ``future`` is the label of the :class:`ScalarFuture` the op returns
-    under capture, ``composite`` marks derived ops that lower to other
-    registered primitives (no kernels of their own), and ``profiled``
-    selects the ops wrapped with an observability span.
+    under capture and ``composite`` marks derived ops that lower to
+    other registered primitives (no kernels of their own).
 
     ``native`` declares that the op's node kinds lower to C in the
     compiled whole-plan tier (:mod:`repro.engine.native`); every
@@ -125,7 +121,6 @@ class OpSpec:
     native: bool = True
     composite: bool = False
     aliases: tuple[str, ...] = ()
-    profiled: bool = True
     doc: str = ""
 
     @property
@@ -166,18 +161,13 @@ class Signature:
     node fields the body takes by keyword: ``op`` names the kernel of a
     kind several ops share, ``inclusive`` a scan's variant. A call
     strip-mines by its ``src`` buffer's length and dtype, else by its
-    ``dst``'s (:attr:`strip`).
+    ``dst``'s (:func:`repro.engine.nodes.node_spec`).
     """
 
     roles: tuple[str, ...]
     dst: str
     body: Callable
     keywords: tuple[str, ...] = ()
-
-    @property
-    def strip(self) -> str:
-        """The role whose buffer a call strip-mines by."""
-        return "src" if "src" in self.roles else "dst"
 
     def at(self, role: str) -> int | None:
         """The position of ``role``, or None when the kind has none."""
@@ -219,8 +209,7 @@ def node_op(spec: OpSpec) -> str:
     return spec.name[2:] if "cmp_vv" in spec.node_kinds.values() else spec.name
 
 
-#: name → spec, in declaration order (the order drives ``repro ops``
-#: and the instrumentation list in :mod:`repro.svm.context`).
+#: name → spec, in declaration order (the order drives ``repro ops``).
 OPSPECS: dict[str, OpSpec] = {}
 
 #: alias → canonical name (``plus_scan`` → ``scan``, ...).
@@ -272,7 +261,7 @@ def support_matrix() -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# the registry (declaration order == the profiled-method order)
+# the registry
 # ---------------------------------------------------------------------------
 
 _EW_DOCS = {
@@ -489,7 +478,6 @@ _register(OpSpec(
     name="reverse",
     category="derived",
     composite=True,
-    profiled=False,
     doc="Reverse via index_array + p_rsub + back_permute.",
 ))
 
@@ -497,59 +485,9 @@ _register(OpSpec(
     name="split",
     category="derived",
     composite=True,
-    profiled=False,
     doc="Split (Listing 7): stable partition by flags via enumerate ×2 "
         "+ p_add + p_select + permute.",
 ))
-
-
-# ---------------------------------------------------------------------------
-# eager fast calls, derived from the signature table
-# ---------------------------------------------------------------------------
-
-def _eager_call(spec: OpSpec, variant: str) -> Callable:
-    """The eager fast call of ``spec``'s ``variant``: the strict
-    kernel's calling convention, run as its kind's NumPy body on the
-    operands' memory views and charged ``spec.charge[variant]`` plus,
-    for pack, the survivor-strip items."""
-    sig = SIGNATURES[spec.node_kinds[variant]]
-    roles, body, charge = sig.roles, sig.body, spec.charge[variant]
-    arity, strip = len(roles), sig.at(sig.strip)
-    scalar, op = sig.at("scalar"), sig.at("op")
-    vectors = [i for i, role in enumerate(roles) if role in VECTOR_ROLES]
-    keywords = {"op": node_op(spec), "inclusive": variant != "excl"}
-    keywords = {k: keywords[k] for k in sig.keywords}
-    flags = sig.at("operand") if spec.data_dependent else None
-
-    def fast(m, n, *args):
-        n = int(n)
-        vals = list(args[:arity])
-        lmul = args[arity] if len(args) > arity else LMUL.M1
-        dtype = vals[strip].dtype
-        for i in vectors:
-            vals[i] = vals[i].view(n)
-        if scalar is not None:
-            vals[scalar] = _wrap(vals[scalar], dtype)
-        if op is not None:
-            vals[op] = get_operator(vals[op])
-        result = body(*vals, **keywords)
-        sew = sew_for_dtype(dtype)
-        if flags is not None:
-            m.counters.add_many(fp.pack_variable_items(fp.pack_strip_survivors(
-                vals[flags] != 0, m.vlmax(sew=sew, lmul=lmul))))
-        m.counters.add_many(charge(m.codegen, m.vlen, n, sew, lmul))
-        return None if result is None else int(result)
-
-    return fast
-
-
-#: (op name, variant) → its eager fast call, which
-#: :meth:`repro.svm.context.SVM._impl` picks when a call takes the
-#: fast path.
-FAST_CALLS: dict[tuple[str, str], Callable] = {
-    (spec.name, variant): _eager_call(spec, variant)
-    for spec in iter_specs() for variant in spec.strict
-}
 
 
 # ---------------------------------------------------------------------------

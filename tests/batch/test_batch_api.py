@@ -220,6 +220,29 @@ def _gather_loop(lz, data):
     return vals
 
 
+def test_pipeline_raising_at_capture_frees_its_row():
+    """A pipeline that raises while it is recorded, or returns no
+    output, leaves the heap as it was: the row's input and the
+    recorder's temporaries are freed."""
+    def raising(lz, data):
+        lz.zeros(data.n)
+        lz.copy(data)
+        raise RuntimeError("boom")
+
+    def no_output(lz, data):
+        lz.p_add(lz.copy(data), 1)
+
+    svm = SVM(vlen=128)
+    live = svm.machine.heap.live_bytes
+    rows = make_rows((8,) * 3, seed=5, dtype=np.uint32)
+    with pytest.raises(RuntimeError):
+        svm.batch(raising, rows)
+    assert svm.machine.heap.live_bytes == live
+    with pytest.raises(EngineError):
+        svm.batch(no_output, rows)
+    assert svm.machine.heap.live_bytes == live
+
+
 @pytest.mark.parametrize("backend", [
     "codegen",
     pytest.param("native", marks=pytest.mark.skipif(

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import SVM
+from repro.errors import VectorLengthError
 from repro.engine import executor
 from repro.engine.fuse import GroupSpec
 from repro.engine.ir import Kind, ScalarFuture
@@ -225,3 +226,31 @@ def test_raising_plan_frees_its_free_nodes(monkeypatch, mode, backend):
                 lz.free(out)
         assert heap.live_bytes == before
     assert bool(ran) == (backend == "native")
+
+
+@pytest.mark.parametrize("mode,backend", [
+    ("fast", "codegen"), ("strict", "codegen"), ("fast", "native")])
+def test_raising_block_frees_its_temporaries(mode, backend):
+    """A lazy block or plan that raises, and an eager call that raises,
+    leave the heap as they found it: the recorder checks lengths before
+    it allocates, and frees its live temporaries on the way out."""
+    svm = SVM(vlen=128, mode=mode, backend=backend)
+    src = svm.array(np.arange(8, dtype=np.uint32))
+    short = svm.array(np.arange(4, dtype=np.uint32))
+    bad = svm.array(np.array([99, 1, 2, 3, 4, 5, 6, 7], dtype=np.uint32))
+    heap = svm.machine.heap
+    before = heap.live_bytes
+    with pytest.raises(VectorLengthError):
+        with svm.lazy() as lz:
+            lz.zeros(8)
+            lz.permute(src, short)
+    assert heap.live_bytes == before
+    with pytest.raises(IndexError):
+        with svm.lazy() as lz:
+            lz.permute(src, bad)
+    assert heap.live_bytes == before
+    with pytest.raises(VectorLengthError):
+        svm.permute(src, short)
+    with pytest.raises(IndexError):
+        svm.back_permute(src, bad)
+    assert heap.live_bytes == before

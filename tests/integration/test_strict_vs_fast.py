@@ -68,8 +68,10 @@ class TestPrimitiveParity:
         _run_both(vlen, codegen, n, 3, fn)
 
     def test_get_flags(self, vlen, lmul, codegen, n):
+        # a bit index at or above SEW shifts by bit & (SEW-1), as vsrl
         _run_both(vlen, codegen, n, 4,
-                  lambda svm, a, f: [svm.get_flags(a, 7, lmul=lmul)])
+                  lambda svm, a, f: [svm.get_flags(a, bit, lmul=lmul)
+                                     for bit in (7, 32, 40)])
 
     def test_scan_inclusive(self, vlen, lmul, codegen, n):
         _run_both(vlen, codegen, n, 5,

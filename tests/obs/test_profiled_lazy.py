@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro import SVM
+from repro.engine.capture import EagerRecorder
 from repro.engine.ir import Kind
-from repro.svm.context import SVM as _SVM
 
 THRESHOLD = 100
 LENGTHS = (300, 40)
@@ -81,11 +81,11 @@ def _summary(root):
 
 @pytest.fixture
 def no_eager_fast(monkeypatch):
-    """Records every eager SVM primitive dispatch."""
+    """Records every node an eager SVM primitive runs."""
     calls = []
-    impl = _SVM._impl
-    monkeypatch.setattr(_SVM, "_impl", lambda self, name, *a: (
-        calls.append(name), impl(self, name, *a))[1])
+    record = EagerRecorder._record
+    monkeypatch.setattr(EagerRecorder, "_record", lambda self, node: (
+        calls.append(node.kind), record(self, node))[1])
     return calls
 
 
@@ -95,6 +95,10 @@ def test_profiling_keeps_spans_and_deltas_across_tiers(no_eager_fast):
         no_eager_fast.clear()
         runs[mode] = _profile(mode)
         assert no_eager_fast == [], mode
+    # the spy sees an eager call
+    svm = SVM(vlen=128)
+    svm.p_add(svm.array([1, 2]), 3)
+    assert no_eager_fast == [Kind.EW_VX]
     strict, fast, auto = (_summary(runs[m][0]) for m in
                           ("strict", "fast", "auto"))
     assert strict == fast == auto

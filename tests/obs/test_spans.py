@@ -1,12 +1,29 @@
 """Span mechanics: nesting, attribution, exception safety, and the
 zero-overhead-when-off contract."""
 
+import numpy as np
 import pytest
 
 from repro.obs.spans import NULL_SPAN, ProfileCollector, profile, span
 from repro.rvv.counters import Cat
 from repro.rvv.machine import RVVMachine
 from repro.svm.context import SVM
+from repro.svm.opspec import iter_specs
+
+#: An eager call of each registered primitive whose operands are not
+#: ``(a, 3)``, over ``a``, a permutation ``b`` and ``flags``.
+_PRIMITIVE_CALLS = {
+    "p_select": lambda svm, a, b, f: svm.p_select(f, a, b),
+    "scan": lambda svm, a, b, f: svm.scan(a, "max"),
+    "seg_scan": lambda svm, a, b, f: svm.seg_scan(a, f),
+    "permute": lambda svm, a, b, f: svm.permute(a, b),
+    "back_permute": lambda svm, a, b, f: svm.back_permute(a, b),
+    "pack": lambda svm, a, b, f: svm.pack(a, f),
+    "enumerate": lambda svm, a, b, f: svm.enumerate(f),
+    "index_array": lambda svm, a, b, f: svm.index_array(a.n),
+    "reduce": lambda svm, a, b, f: svm.reduce(a),
+    "copy": lambda svm, a, b, f: svm.copy(a),
+}
 
 
 def _collector(machine, **kw) -> ProfileCollector:
@@ -128,10 +145,23 @@ class TestZeroOverhead:
         assert (svm_off.machine.counters.snapshot().by_category
                 == svm_on.machine.counters.snapshot().by_category)
 
-    def test_instrumented_methods_marked(self):
-        assert getattr(SVM.scan, "__obs_instrumented__", False)
-        assert getattr(SVM.p_add, "__obs_instrumented__", False)
-        assert getattr(SVM.pack, "__obs_instrumented__", False)
+    @pytest.mark.parametrize("mode", ["strict", "fast"])
+    @pytest.mark.parametrize("name", [s.name for s in iter_specs()
+                                      if not s.composite])
+    def test_every_primitive_opens_one_span(self, name, mode):
+        """A profiled eager call of each registered primitive opens
+        exactly one span, named after it, with {n, path}."""
+        svm = SVM(vlen=128, mode=mode, profile=True)
+        n = 40
+        a = svm.array(np.arange(n, dtype=np.uint32))
+        b = svm.array(np.random.default_rng(0).permutation(n).astype(np.uint32))
+        flags = svm.array(np.arange(n, dtype=np.uint32) % 3 == 0)
+        call = _PRIMITIVE_CALLS.get(name, lambda svm, a, b, f: (
+            getattr(svm, name)(a, 3)))
+        call(svm, a, b, flags)
+        spans = svm.profiler.finish().children
+        assert [(s.name, s.meta) for s in spans] == [
+            (name, {"n": n, "path": mode})]
 
     def test_collector_off_produces_no_spans(self):
         svm = SVM(vlen=256)

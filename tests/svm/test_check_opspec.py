@@ -1,6 +1,7 @@
 """The registry gate ``tools/check_opspec.py`` runs in the test suite
-too: it passes on the tree, and its signature rule fails when the
-per-kind signature table loses a kind or miscounts a kind's roles."""
+too: it passes on the tree, its surface rule fails on a hand-written
+SVM primitive, and its signature rule fails when the per-kind
+signature table loses a kind or miscounts a kind's roles."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.svm import opspec
+from repro.svm.context import SVM
 
 _PATH = Path(__file__).resolve().parents[2] / "tools" / "check_opspec.py"
 
@@ -26,6 +28,17 @@ def gate():
 def test_gate_passes(gate, capsys):
     assert gate.main() == 0
     assert "OK" in capsys.readouterr().out
+
+
+def test_hand_written_primitive_fails(gate, monkeypatch):
+    def copy(self, src, out=None, lmul=None):
+        return src
+
+    monkeypatch.setattr(SVM, "copy", copy)
+    errors = gate.check_public_surface()
+    assert any("SVM.copy is hand-written" in e for e in errors), errors
+    with pytest.raises(SystemExit):
+        gate.main()
 
 
 def test_missing_kind_fails(gate, monkeypatch):
