@@ -47,8 +47,8 @@ ragged representation.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -57,17 +57,23 @@ from ..engine.executor import (
     all_fast,
     charge_runs,
     execute,
-    free_live,
     native_for,
     run_units,
 )
 from ..engine.fuse import GroupSpec
 from ..engine.ir import EngineError, Kind, Plan, ScalarFuture, resolve_scalar
+from ..obs.spans import NULL_SPAN
 from ..svm.fastpath import _wrap
 from ..svm.opspec import SIGNATURES, get_spec
 from .ragged import RaggedBatch
 
 __all__ = ["BatchBucket", "BatchResult", "Rows", "run_batch"]
+
+#: A batch row's bucket key.
+_SHAPE_DTYPE = attrgetter("shape", "dtype")
+#: dtype -> ``dtype.name``, a Python-level property NumPy recomputes
+#: on every read.
+_DTYPE_NAME: dict[np.dtype, str] = {}
 
 
 @dataclass(frozen=True)
@@ -135,22 +141,20 @@ class BatchResult:
                            np.asarray(lengths, dtype=np.int64))
 
 
-def _release(svm, plan: Plan, data) -> None:
-    """Free the buffers one single-input run would not leave behind:
-    the plan's temporaries and the input we allocated that are still
-    live — all but those its FREE nodes released — and the input when
-    the plan holds no buffer for it (a pipeline that records no node
-    on its input). External (non-temp) arrays are left alone."""
-    input_bid = _bid_of(plan, data)
-    free_live(svm, plan, [bid for bid, buf in plan.buffers.items()
-                          if buf.temp or bid == input_bid])
-    if input_bid is None:
+def _release(svm, lz: PlanBuilder, data) -> None:
+    """Free what one single-input run would not leave behind: every
+    temporary the capture ``lz`` allocated and the input we allocated,
+    each if still live (its plan's FREE nodes may have released it).
+    External (non-temp) arrays are left alone."""
+    lz.free_temps()
+    if svm.machine.heap.is_live(data.ptr.addr):
         svm.free(data)
 
 
 def _capture(svm, pipe, row: np.ndarray):
-    """Capture ``pipe`` over a fresh input array; returns
-    (plan, input SVMArray, output SVMArray)."""
+    """Capture ``pipe`` over a fresh input array; returns (the recorder,
+    whose plan is ``lz.plan``, the input SVMArray, the output
+    SVMArray)."""
     data = svm.array(row, dtype=row.dtype)
     lz = PlanBuilder(svm)
     try:
@@ -164,7 +168,8 @@ def _capture(svm, pipe, row: np.ndarray):
         lz.free_temps()
         svm.free(data)
         raise
-    return lz.build(), data, out
+    lz.build()
+    return lz, data, out
 
 
 def _batchable(plan: Plan, fused) -> bool:
@@ -249,13 +254,6 @@ def _ragged_tags(plan: Plan) -> tuple[bool, dict]:
     return True, tags
 
 
-def _bid_of(plan: Plan, array) -> int | None:
-    """The plan buffer id backed by ``array``'s heap address, or None
-    when no node of the plan touches ``array``."""
-    return next((bid for bid, buf in plan.buffers.items()
-                 if buf.array.ptr.addr == array.ptr.addr), None)
-
-
 # ---------------------------------------------------------------------------
 # the matrices of rows 1+
 # ---------------------------------------------------------------------------
@@ -326,10 +324,14 @@ def _dispatch_bucket(svm, pipe, rows):
     holds no buffer for the input or the output — takes
     ``"loop"``: one single-input call per row."""
     n = rows[0].size
-    plan, data, out = _capture(svm, pipe, rows[0])
+    lz, data, out = _capture(svm, pipe, rows[0])
+    plan = lz.plan
     fused = svm.engine.fused_for(plan)
-    input_bid = _bid_of(plan, data)
-    out_bid = _bid_of(plan, out)
+    # heap address -> the first buffer id backed by it
+    bid_at = {buf.array.ptr.addr: bid
+              for bid, buf in reversed(plan.buffers.items())}
+    input_bid = bid_at.get(data.ptr.addr)
+    out_bid = bid_at.get(out.ptr.addr)
     has_pack = any(node.kind is Kind.PACK for node in plan.nodes)
     ragged_ok = False
     out_tag = None
@@ -345,7 +347,7 @@ def _dispatch_bucket(svm, pipe, rows):
     native = native_for(svm, plan, fused, backend)
     col = getattr(svm.machine, "collector", None)
     ctx = col.span("batch_bucket", rows=len(rows), n=int(n), path=path) \
-        if col is not None else nullcontext()
+        if col is not None else NULL_SPAN
     with ctx:
         if col is not None:
             col.batch_event(len(rows), int(n), path)
@@ -362,7 +364,7 @@ def _dispatch_bucket(svm, pipe, rows):
         finally:
             # free row 0 before rows 1+ allocate, as a loop of single
             # calls would, and when it raises
-            _release(svm, plan, data)
+            _release(svm, lz, data)
         if use_mat:
             # rows share (length, dtype): one concatenate is the stack,
             # at a third of np.stack's per-row cost
@@ -378,21 +380,21 @@ def _dispatch_bucket(svm, pipe, rows):
                 run_units(plan, fused, mats, svm.machine)
             outputs += list(mats[out_bid])
             if lengths is not None:
-                lengths += [int(v) for v in mats.fvals[out_tag]]
+                lengths += mats.fvals[out_tag].tolist()
             charge_runs(svm.machine, fused, b, mats.sws)
         else:
             tag_node = None if out_tag is None else next(
                 i for i, node in enumerate(plan.nodes)
                 if node.future is out_tag)
             for row in rows[1:]:
-                plan, data, out = _capture(svm, pipe, row)
+                lz, data, out = _capture(svm, pipe, row)
                 try:
-                    svm.engine.run(plan)
+                    svm.engine.run(lz.plan)
                     outputs.append(out.to_numpy())
                     if tag_node is not None:
-                        lengths.append(int(plan.nodes[tag_node].future.value))
+                        lengths.append(int(lz.plan.nodes[tag_node].future.value))
                 finally:
-                    _release(svm, plan, data)
+                    _release(svm, lz, data)
     return outputs, lengths, path
 
 
@@ -420,22 +422,33 @@ def run_batch(svm, pipe, inputs, *, dtype=np.uint32) -> BatchResult:
     if not arrays:
         return result
 
-    buckets: dict[tuple[int, object], list[int]] = {}
-    for i, arr in enumerate(arrays):
-        if arr.ndim != 1:
-            raise EngineError(f"batch inputs are 1-D, got shape {arr.shape}")
-        buckets.setdefault((arr.size, arr.dtype), []).append(i)
+    # one pass over the rows: a row's key is its (shape, dtype), and
+    # its shape carries both its rank and its length
+    buckets: dict[tuple, list[int]] = {}
+    for i, key in enumerate(map(_SHAPE_DTYPE, arrays)):
+        indices = buckets.get(key)
+        if indices is None:
+            buckets[key] = [i]
+        else:
+            indices.append(i)
+    for shape, _ in buckets:
+        if len(shape) != 1:
+            raise EngineError(f"batch inputs are 1-D, got shape {shape}")
 
-    for (n, dt), indices in buckets.items():
-        rows = [arrays[i] for i in indices]
+    outs, lens = result.outputs, result.lengths
+    for ((n,), dt), indices in buckets.items():
+        rows = list(map(arrays.__getitem__, indices))
         outputs, lengths, path = _dispatch_bucket(svm, pipe, rows)
-        for j, (i, arr_out) in enumerate(zip(indices, outputs)):
-            result.outputs[i] = arr_out
-            if lengths is not None:
-                result.lengths[i] = lengths[j]
+        for i, arr_out in zip(indices, outputs):
+            outs[i] = arr_out
+        if lengths is not None:
+            for i, k in zip(indices, lengths):
+                lens[i] = k
+        name = _DTYPE_NAME.get(dt)
+        if name is None:
+            name = _DTYPE_NAME[dt] = dt.name
         result.buckets.append(
-            BatchBucket(int(n), np.dtype(dt).name, len(rows), path,
-                        tuple(indices),
+            BatchBucket(n, name, len(rows), path, tuple(indices),
                         tuple(lengths) if lengths is not None else None)
         )
     return result

@@ -19,8 +19,11 @@ primitives at capture time, so a captured radix-sort round is
 structured end to end.
 
 Allocation is eager (``empty``/``zeros``/``array`` hand back live
-SVMArrays immediately, marked as plan temporaries); only *execution*
-is deferred. Data-dependent scalar results (the counts of ``pack`` and
+SVMArrays immediately, registered as plan temporaries); only
+*execution* is deferred. A buffer gets its id at its first use by a
+node, so a captured plan's ids are its α-slots (the numbering its
+cache key uses), and a temporary no node uses gets no buffer but is
+still freed by :meth:`PlanBuilder.free_temps`. Data-dependent scalar results (the counts of ``pack`` and
 ``enumerate``, the value of ``reduce``) come back as
 :class:`~repro.engine.ir.ScalarFuture` placeholders, usable as scalar
 operands of later recorded ops and resolved when the plan executes.
@@ -56,14 +59,15 @@ class PlanBuilder:
 
     def __init__(self, svm) -> None:
         self.svm = svm
+        #: Buffer id -> :class:`Buffer`, ids in first-use order.
         self._buffers: dict[int, Buffer] = {}
         self._by_addr: dict[int, int] = {}
+        #: Address -> every temporary this recorder allocated, used by
+        #: a node or not (what :meth:`free_temps` frees).
+        self._temps: dict[int, SVMArray] = {}
         self._nodes: list[OpNode] = []
         # the α-renaming record Plan._alpha would otherwise walk for:
-        # buffer id -> slot in first-use order, the buffers and their
-        # key tuples in slot order, one key tuple per node
-        self._slots: dict[int, int] = {}
-        self._alpha_bufs: list[Buffer] = []
+        # one key tuple per buffer in id (= slot) order, one per node
         self._buf_sig: list[tuple] = []
         self._node_sig: list[tuple] = []
         #: Set by :meth:`build` / :meth:`SVM.lazy` on completion.
@@ -73,51 +77,44 @@ class PlanBuilder:
     # ------------------------------------------------------------------
     # buffer registry
     # ------------------------------------------------------------------
-    def _bid(self, arr: SVMArray, temp: bool = False) -> int:
+    def _bid(self, arr: SVMArray) -> int:
+        """``arr``'s buffer id, handed out at its first use. Recorders
+        ask for a node's ids in dst, src, operand order after every
+        check that can raise, right before recording it, so ids count
+        up exactly as :meth:`Plan._alpha` numbers slots: a captured
+        plan's ids are its α-slots, and the buffer's key tuple is
+        appended here."""
         addr = arr.ptr.addr
         bid = self._by_addr.get(addr)
         if bid is None:
-            bid = len(self._buffers)
-            self._buffers[bid] = Buffer(bid, arr.n, arr.dtype, arr, temp=temp)
-            self._by_addr[addr] = bid
+            bid = self._by_addr[addr] = len(self._buffers)
+            temp = addr in self._temps
+            dt = arr.ptr.dtype
+            self._buffers[bid] = Buffer(bid, arr.n, dt, arr, temp)
+            sig = self._buf_sig
+            if sig is not None:
+                dts = _DTYPE_STR.get(dt)
+                if dts is None:
+                    dts = _DTYPE_STR[dt] = dt.str
+                sig.append((bid, arr.n, dts, temp))
         return bid
-
-    def _new_slot(self, bid: int) -> int:
-        s = self._slots[bid] = len(self._alpha_bufs)
-        buf = self._buffers[bid]
-        self._alpha_bufs.append(buf)
-        dt = buf.dtype
-        dts = _DTYPE_STR.get(dt)
-        if dts is None:
-            dts = _DTYPE_STR[dt] = dt.str
-        self._buf_sig.append((s, buf.n, dts, buf.temp))
-        return s
 
     def _record(self, node: OpNode) -> None:
         """Append ``node`` and its key tuple — the one
         :meth:`Plan._alpha` documents, built here so the plan-cache key
         costs nothing at dispatch. This runs once per recorded call, so
-        it inlines the slot lookups and reads ``_value_`` rather than
-        the enum ``value`` property, which costs more than the rest of
-        the tuple."""
+        it reads ``_value_`` rather than the enum ``value`` property,
+        which costs more than the rest of the tuple."""
         self._nodes.append(node)
-        slots = self._slots
-        d, s, o = node.dst, node.src, node.operand
-        if d is not None:
-            d = slots[d] if d in slots else self._new_slot(d)
-        if s is not None:
-            s = slots[s] if s in slots else self._new_slot(s)
-        if o is not None:
-            o = slots[o] if o in slots else self._new_slot(o)
         self._node_sig.append((
-            node.kind._value_, node.op, node.inclusive, d, s, o,
-            node.scalar is not None, node.lmul._value_,
+            node.kind._value_, node.op, node.inclusive, node.dst, node.src,
+            node.operand, node.scalar is not None, node.lmul._value_,
         ))
 
     def build(self) -> Plan:
         """Freeze the recording into an executable plan."""
         self.plan = Plan(dict(self._buffers), list(self._nodes),
-                         (list(self._alpha_bufs), tuple(self._buf_sig),
+                         (list(self._buffers.values()), tuple(self._buf_sig),
                           tuple(self._node_sig)))
         return self.plan
 
@@ -125,21 +122,22 @@ class PlanBuilder:
         return len(self._nodes)
 
     # ------------------------------------------------------------------
-    # allocation (eager — capture defers execution, not memory)
+    # allocation (eager — capture defers execution, not memory); a
+    # temporary is registered now and gets its buffer at first use
     # ------------------------------------------------------------------
     def array(self, values, dtype=np.uint32) -> SVMArray:
         arr = self.svm.array(values, dtype)
-        self._bid(arr, temp=True)
+        self._temps[arr.ptr.addr] = arr
         return arr
 
     def zeros(self, n: int, dtype=np.uint32) -> SVMArray:
         arr = self.svm.zeros(n, dtype)
-        self._bid(arr, temp=True)
+        self._temps[arr.ptr.addr] = arr
         return arr
 
     def empty(self, n: int, dtype=np.uint32) -> SVMArray:
         arr = self.svm.empty(n, dtype)
-        self._bid(arr, temp=True)
+        self._temps[arr.ptr.addr] = arr
         return arr
 
     def free(self, arr: SVMArray) -> None:
@@ -152,9 +150,9 @@ class PlanBuilder:
         """Free every temporary this recorder allocated that is still
         live: what a call or block that raised leaves behind."""
         heap = self.svm.machine.heap
-        for buf in self._buffers.values():
-            if buf.temp and heap.is_live(buf.array.ptr.addr):
-                self.svm.free(buf.array)
+        for addr, arr in self._temps.items():
+            if heap.is_live(addr):
+                self.svm.free(arr)
 
     def _dst(self, out, n: int, dtype) -> SVMArray:
         """``out``, or a new plan temporary of ``n`` ``dtype`` elements
@@ -192,9 +190,8 @@ class PlanBuilder:
     def get_flags(self, src: SVMArray, bit: int, out=None, lmul=None) -> SVMArray:
         self.svm._check_equal_len(src, out)
         dst = self._dst(out, src.n, src.dtype)
-        self._record(OpNode(Kind.GET_FLAGS, dst=self._bid(dst),
-                            src=self._bid(src), scalar=bit,
-                            lmul=self.svm._lmul(lmul)))
+        self._record(OpNode(Kind.GET_FLAGS, lmul=self.svm._lmul(lmul),
+                            dst=self._bid(dst), src=self._bid(src), scalar=bit))
         return dst
 
     # ------------------------------------------------------------------
@@ -203,8 +200,8 @@ class PlanBuilder:
     def scan(self, a: SVMArray, op: str | BinaryOp = PLUS, *,
              inclusive: bool = True, lmul: LMUL | None = None) -> None:
         self._record(OpNode(
-            Kind.SCAN, op=get_operator(op).name, dst=self._bid(a),
-            inclusive=bool(inclusive), lmul=self.svm._lmul(lmul),
+            Kind.SCAN, op=get_operator(op).name, lmul=self.svm._lmul(lmul),
+            dst=self._bid(a), inclusive=bool(inclusive),
         ))
 
     def plus_scan(self, a: SVMArray, lmul: LMUL | None = None) -> None:
@@ -220,9 +217,9 @@ class PlanBuilder:
                  inclusive: bool = True, lmul=None) -> None:
         self.svm._check_equal_len(a, head_flags)
         self._record(OpNode(Kind.SEG_SCAN, op=get_operator(op).name,
-                            dst=self._bid(a), operand=self._bid(head_flags),
-                            inclusive=bool(inclusive),
-                            lmul=self.svm._lmul(lmul)))
+                            lmul=self.svm._lmul(lmul), dst=self._bid(a),
+                            operand=self._bid(head_flags),
+                            inclusive=bool(inclusive)))
 
     def seg_plus_scan(self, a, head_flags, lmul=None) -> None:
         """The paper's segmented plus-scan (Listing 10)."""
@@ -231,8 +228,8 @@ class PlanBuilder:
     def reduce(self, a, op: str | BinaryOp = PLUS, lmul=None) -> ScalarFuture:
         result = ScalarFuture("reduce")
         self._record(OpNode(Kind.REDUCE, op=get_operator(op).name,
-                            src=self._bid(a), future=result,
-                            lmul=self.svm._lmul(lmul)))
+                            lmul=self.svm._lmul(lmul), src=self._bid(a),
+                            future=result))
         return result
 
     # ------------------------------------------------------------------
@@ -240,9 +237,9 @@ class PlanBuilder:
     # ------------------------------------------------------------------
     def p_select(self, flags, a, b, lmul=None) -> None:
         self.svm._check_equal_len(flags, a, b)
-        self._record(OpNode(Kind.SELECT, dst=self._bid(b), src=self._bid(a),
-                            operand=self._bid(flags),
-                            lmul=self.svm._lmul(lmul)))
+        self._record(OpNode(Kind.SELECT, lmul=self.svm._lmul(lmul),
+                            dst=self._bid(b), src=self._bid(a),
+                            operand=self._bid(flags)))
 
     def _into(self, kind: Kind, src, operand, out, lmul, dtype=None,
               scalar=None, future=None) -> SVMArray:
@@ -252,9 +249,10 @@ class PlanBuilder:
         self.svm._check_equal_len(src, operand, out)
         dst = self._dst(out, src.n, src.dtype if dtype is None else dtype)
         self._record(OpNode(
-            kind, dst=self._bid(dst), src=self._bid(src),
+            kind, lmul=self.svm._lmul(lmul), dst=self._bid(dst),
+            src=self._bid(src),
             operand=None if operand is None else self._bid(operand),
-            scalar=scalar, future=future, lmul=self.svm._lmul(lmul)))
+            scalar=scalar, future=future))
         return dst
 
     def permute(self, src, index, out=None, lmul=None) -> SVMArray:
@@ -281,8 +279,8 @@ class PlanBuilder:
 
     def index_array(self, n: int, out=None, lmul=None) -> SVMArray:
         dst = self._dst(out, int(n), np.uint32)
-        self._record(OpNode(Kind.INDEX, dst=self._bid(dst),
-                            lmul=self.svm._lmul(lmul)))
+        self._record(OpNode(Kind.INDEX, lmul=self.svm._lmul(lmul),
+                            dst=self._bid(dst)))
         return dst
 
     # ------------------------------------------------------------------
@@ -361,11 +359,15 @@ class EagerRecorder(PlanBuilder):
     length, inside its span. Futures resolve at once; no plan is built
     and no cache key is kept. One recorder serves one call."""
 
+    #: No key tuples: nothing is cached.
+    _buf_sig = None
+
     def __init__(self, svm) -> None:
         self.svm = svm
         #: Buffer id -> :class:`Buffer`: the "plan" :func:`run_node` reads.
         self.buffers = self._buffers = {}
         self._by_addr = {}
+        self._temps = {}
 
     def _record(self, node: OpNode) -> None:
         run_node(self.svm, self, node, Views(self.svm, self._buffers))

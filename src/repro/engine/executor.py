@@ -203,12 +203,9 @@ class Views(dict):
         self.sws = 0
 
     def __missing__(self, bid: int):
-        # bounds and alignment were validated when the buffer was
-        # allocated at capture time, so skip Memory.view's re-checks
+        # a buffer's array is a heap block allocated before the run
         buf = self.buffers[bid]
-        p = buf.array.ptr
-        view = self[bid] = p.mem._bytes[
-            p.addr:p.addr + buf.n * p.dtype.itemsize].view(p.dtype)
+        view = self[bid] = buf.array.ptr.view_unchecked(buf.n)
         return view
 
     #: A node that overwrites a buffer writes its memory view.

@@ -223,9 +223,10 @@ class Plan:
     """A captured straight-line operation graph over SVM buffers.
 
     ``alpha`` is the α-renaming record :class:`~repro.engine.capture.
-    PlanBuilder` keeps while it captures (see :meth:`_alpha`); a plan
-    built by hand passes none and walks its nodes once, on the first
-    key request. Whoever mutates a node after that must call
+    PlanBuilder` keeps while it captures (see :meth:`_alpha`; the
+    builder hands out buffer ids in slot order, so a captured plan's
+    ids are its slots); a plan built by hand passes none and walks its
+    nodes once, on the first key request. Whoever mutates a node after that must call
     :meth:`invalidate`.
     """
 

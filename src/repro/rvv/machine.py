@@ -181,15 +181,18 @@ class RVVMachine:
     # heap (Listings 7/9 allocate scratch with malloc)
     # ------------------------------------------------------------------
     def malloc(self, nbytes: int) -> int:
-        """Allocate heap memory, charging the malloc cost model."""
+        """Allocate heap memory, charging the malloc cost model once the
+        heap call succeeds (a failed one charges nothing)."""
+        addr = self.heap.malloc(nbytes)
         self.counters.add(Cat.ALLOC, self.malloc_model.malloc_cost(nbytes))
-        return self.heap.malloc(nbytes)
+        return addr
 
     def free(self, addr: int) -> None:
-        """Release heap memory, charging the free cost model."""
+        """Release heap memory, charging the free cost model once the
+        heap call succeeds (a double free charges nothing)."""
         size = self.heap._live.get(addr, 0)
-        self.counters.add(Cat.ALLOC, self.malloc_model.free_cost(size))
         self.heap.free(addr)
+        self.counters.add(Cat.ALLOC, self.malloc_model.free_cost(size))
 
     def alloc_array(self, count: int, dtype: np.dtype = np.uint32) -> Pointer:
         """malloc a typed array and return a pointer to it."""

@@ -1,4 +1,4 @@
-"""Simulated flat memory with a bump/free-list allocator.
+"""Simulated flat memory with an exact-size-reuse free-list allocator.
 
 The paper's kernels operate on C arrays reached through raw pointers
 (``unsigned int *src``) and allocate scratch space with ``malloc``
@@ -15,11 +15,19 @@ The paper's kernels operate on C arrays reached through raw pointers
   :mod:`repro.scalar.malloc_model`): Table 1's per-element cost jump
   between N=10^4 and N=10^5 traces to glibc switching to ``mmap`` for
   large blocks, whose page faults execute counted proxy-kernel code.
+
+Reuse policy: a freed block goes onto a LIFO list keyed by its rounded
+size, and ``malloc`` of that size pops the block freed last — O(1), so
+a warm call that allocates and frees the same shapes every time gets
+the same blocks back. Only a miss runs first-fit over the
+address-ordered free list; when that fails, every listed block returns
+to the free list, neighbours coalesce and first-fit runs once more, so
+:class:`~repro.errors.MemoryError_` means no coalesced run fits.
+``live_bytes`` still counts only allocated blocks (a listed block is
+free), blocks stay 16-byte aligned, and freeing a block twice raises.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,20 +120,40 @@ class Memory:
         flat[addrs // values.dtype.itemsize] = values
 
 
-@dataclass(frozen=True)
 class Pointer:
     """A typed C-style pointer into simulated :class:`Memory`.
 
     ``ptr + k`` advances by ``k`` elements (not bytes), so the paper's
-    ``src += vl`` strip-mining idiom translates directly.
+    ``src += vl`` strip-mining idiom translates directly. Immutable;
+    two pointers are equal when they name the same memory, address
+    and dtype.
     """
 
-    mem: Memory
-    addr: int
-    dtype: np.dtype
+    __slots__ = ("mem", "addr", "dtype")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dtype", np.dtype(self.dtype))
+    def __init__(self, mem: Memory, addr: int, dtype: np.dtype) -> None:
+        _set_mem(self, mem)
+        _set_addr(self, addr)
+        _set_dtype(self, dtype if isinstance(dtype, np.dtype) else np.dtype(dtype))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Pointer is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Pointer:
+            return NotImplemented
+        return (self.mem, self.addr, self.dtype) == (other.mem, other.addr, other.dtype)
+
+    def __hash__(self) -> int:
+        return hash((self.mem, self.addr, self.dtype))
+
+    def __repr__(self) -> str:
+        return f"Pointer(mem={self.mem!r}, addr={self.addr!r}, dtype={self.dtype!r})"
+
+    def __reduce__(self):
+        return Pointer, (self.mem, self.addr, self.dtype)
 
     def __add__(self, elements: int) -> "Pointer":
         return Pointer(self.mem, self.addr + int(elements) * self.dtype.itemsize, self.dtype)
@@ -133,6 +161,13 @@ class Pointer:
     def view(self, count: int) -> np.ndarray:
         """Writable view of ``count`` elements starting here."""
         return self.mem.view(self.addr, count, self.dtype)
+
+    def view_unchecked(self, count: int) -> np.ndarray:
+        """:meth:`view` without :meth:`Memory.view`'s bounds and
+        alignment checks, for a block the heap handed out: in bounds
+        and aligned by construction."""
+        return self.mem._bytes[
+            self.addr:self.addr + count * self.dtype.itemsize].view(self.dtype)
 
     def read(self, count: int) -> np.ndarray:
         """Copy of ``count`` elements starting here."""
@@ -155,8 +190,16 @@ class Pointer:
         self.mem.view(self.addr + i * self.dtype.itemsize, 1, self.dtype)[0] = value
 
 
+#: The slots' own setters: Pointer disables ``__setattr__``, and these
+#: cost less per call than ``object.__setattr__``.
+_set_mem = Pointer.mem.__set__
+_set_addr = Pointer.addr.__set__
+_set_dtype = Pointer.dtype.__set__
+
+
 class Allocator:
-    """First-fit free-list allocator over a :class:`Memory` region.
+    """Free-list allocator with exact-size reuse over a :class:`Memory`
+    region (the policy is in the module docstring).
 
     Mirrors the lifetime behaviour of the paper's listings (scratch
     buffers malloc'd and freed per ``split`` call). The *instruction
@@ -175,28 +218,58 @@ class Allocator:
         self.limit = mem.size if limit is None else limit
         if not (0 <= base < self.limit <= mem.size):
             raise MemoryError_(f"bad allocator region [{base}, {limit})")
-        # free list of (addr, size), address-ordered
+        # free list of (addr, size), address-ordered and coalesced; it
+        # excludes the freed blocks waiting in the size lists
         self._free: list[tuple[int, int]] = [(base, self.limit - base)]
+        # rounded size -> addresses of freed blocks, last freed on top
+        self._sized: dict[int, list[int]] = {}
         self._live: dict[int, int] = {}
-
-    @staticmethod
-    def _round(n: int) -> int:
-        return (n + Allocator.ALIGN - 1) // Allocator.ALIGN * Allocator.ALIGN
 
     def malloc(self, nbytes: int) -> int:
         """Allocate ``nbytes`` and return the byte address."""
         if nbytes < 0:
             raise MemoryError_(f"malloc of negative size {nbytes}")
-        size = max(self._round(nbytes), self.ALIGN)
-        for i, (addr, avail) in enumerate(self._free):
+        align = self.ALIGN
+        size = -(-nbytes // align) * align or align
+        stack = self._sized.get(size)
+        if stack:
+            addr = stack.pop()
+        else:
+            addr = self._first_fit(size)
+            if addr is None and self._sized:
+                self._coalesce()
+                addr = self._first_fit(size)
+            if addr is None:
+                raise MemoryError_(
+                    f"out of simulated memory allocating {nbytes} bytes")
+        self._live[addr] = size
+        return addr
+
+    def _first_fit(self, size: int) -> int | None:
+        free = self._free
+        for i, (addr, avail) in enumerate(free):
             if avail >= size:
                 if avail == size:
-                    del self._free[i]
+                    del free[i]
                 else:
-                    self._free[i] = (addr + size, avail - size)
-                self._live[addr] = size
+                    free[i] = (addr + size, avail - size)
                 return addr
-        raise MemoryError_(f"out of simulated memory allocating {nbytes} bytes")
+        return None
+
+    def _coalesce(self) -> None:
+        """Return every size-listed block to the free list and merge
+        address neighbours."""
+        blocks = self._free + [(addr, size) for size, stack in self._sized.items()
+                               for addr in stack]
+        self._sized.clear()
+        blocks.sort()
+        merged: list[tuple[int, int]] = []
+        for a, s in blocks:
+            if merged and merged[-1][0] + merged[-1][1] == a:
+                merged[-1] = (merged[-1][0], merged[-1][1] + s)
+            else:
+                merged.append((a, s))
+        self._free = merged
 
     def free(self, addr: int) -> None:
         """Release a block previously returned by :meth:`malloc`."""
@@ -204,16 +277,11 @@ class Allocator:
             size = self._live.pop(addr)
         except KeyError:
             raise MemoryError_(f"free of unallocated address {addr}") from None
-        self._free.append((addr, size))
-        self._free.sort()
-        # coalesce neighbours
-        merged: list[tuple[int, int]] = []
-        for a, s in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == a:
-                merged[-1] = (merged[-1][0], merged[-1][1] + s)
-            else:
-                merged.append((a, s))
-        self._free = merged
+        stack = self._sized.get(size)
+        if stack is None:
+            self._sized[size] = [addr]
+        else:
+            stack.append(addr)
 
     def alloc_array(self, count: int, dtype: np.dtype) -> Pointer:
         """malloc ``count`` elements and return a typed pointer."""

@@ -217,20 +217,30 @@ class SVM:
             values = np.asarray(values, dtype=dtype)
         if values.ndim != 1:
             raise VectorLengthError(f"SVM arrays are 1-D, got shape {values.shape}")
-        ptr = self.machine.heap.alloc_array(max(values.size, 1), values.dtype)
+        arr = self.empty(values.size, values.dtype)
         if values.size:
-            ptr.write(values)
-        return SVMArray(ptr, values.size)
+            arr.ptr.view_unchecked(arr.n)[...] = values
+        return arr
 
     def zeros(self, n: int, dtype=np.uint32) -> SVMArray:
         """Allocate a zero-filled array (uncharged, like :meth:`array`)."""
-        return self.array(np.zeros(int(n), dtype=dtype))
+        arr = self.empty(n, dtype)
+        arr.ptr.view_unchecked(arr.n)[...] = 0
+        return arr
 
     def empty(self, n: int, dtype=np.uint32) -> SVMArray:
-        """Allocate an uninitialized array (uncharged)."""
+        """Allocate an uninitialized array (uncharged). The one
+        allocation path: a negative ``n`` raises
+        :class:`~repro.errors.VectorLengthError` before anything is
+        allocated, and a length-0 array still holds one element."""
         n = int(n)
-        ptr = self.machine.heap.alloc_array(max(n, 1), np.dtype(dtype))
-        return SVMArray(ptr, n)
+        if n < 0:
+            raise VectorLengthError(f"array length must be non-negative, got {n}")
+        if not isinstance(dtype, np.dtype):
+            dtype = np.dtype(dtype)
+        m = self.machine
+        return SVMArray(Pointer(m.memory, m.heap.malloc((n or 1) * dtype.itemsize),
+                                dtype), n)
 
     def free(self, arr: SVMArray) -> None:
         """Release an array's memory (uncharged; the charged path is

@@ -68,6 +68,29 @@ class TestRecording:
         assert not bufs[data.ptr.addr].temp
         assert bufs[flags.ptr.addr].temp
 
+    def test_free_temps_frees_an_unused_temporary(self, svm):
+        data = make_data(svm, 32)
+        live = svm.machine.heap.live_bytes
+        lz = PlanBuilder(svm)
+        lz.empty(32)  # no node ever uses these three
+        lz.zeros(8, np.uint16)
+        lz.array([1, 2, 3])
+        lz.p_add(data, 1)
+        plan = lz.build()
+        assert all(not buf.temp for buf in plan.buffers.values())
+        lz.free_temps()
+        assert svm.machine.heap.live_bytes == live
+
+    def test_raising_block_frees_an_unused_temporary(self, svm):
+        data = make_data(svm, 32)
+        live = svm.machine.heap.live_bytes
+        with pytest.raises(RuntimeError):
+            with svm.lazy() as lz:
+                lz.empty(64)
+                lz.p_add(data, 1)
+                raise RuntimeError("boom")
+        assert svm.machine.heap.live_bytes == live
+
     def test_free_allows_address_recycling(self, svm):
         data = make_data(svm, 32)
         lz = PlanBuilder(svm)
@@ -160,6 +183,24 @@ class TestSignature:
                     assert plan.fingerprint() == walked.fingerprint(), cell
                     # the walk is kept: later requests reuse it
                     assert walked._alpha() is walked._alpha(), cell
+
+    @pytest.mark.parametrize("name", sorted(KEY_PIPELINES))
+    def test_buffer_ids_are_alpha_slots(self, name):
+        """Ids are handed out at first use, so the record the builder
+        keeps is the walk of the plan it built: the same buffers in
+        the same slot order, and the same key tuples."""
+        for n in (1, 300):
+            svm = SVM(vlen=128)
+            lz = PlanBuilder(svm)
+            KEY_PIPELINES[name](lz, make_data(svm, n))
+            plan = lz.build()
+            assert list(plan.buffers) == list(range(len(plan.buffers)))
+            bufs, buf_sig, node_sig = plan._alpha()
+            w_bufs, w_buf_sig, w_node_sig = Plan(plan.buffers, plan.nodes)._alpha()
+            assert [id(b) for b in bufs] == [id(b) for b in w_bufs]
+            assert [b.bid for b in bufs] == list(range(len(bufs)))
+            assert repr(buf_sig) == repr(w_buf_sig)
+            assert repr(node_sig) == repr(w_node_sig)
 
     def test_tune_retag_invalidates_capture_key(self, tmp_path):
         """A policy retag rewrites node LMULs after capture: the plan's

@@ -2,7 +2,9 @@
 against a reference model, and scatter/gather inverses."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.errors import MemoryError_
 from repro.rvv.memory import Allocator, Memory
@@ -70,6 +72,86 @@ def test_allocator_full_release_restores_capacity(script):
         heap.free(addr)
     # after freeing everything, one maximal block must fit again
     assert heap.malloc((1 << 16) - 16) is not None
+
+
+HEAP = 4096
+
+
+def _rounded(nbytes: int) -> int:
+    return max((nbytes + 15) // 16 * 16, 16)
+
+
+def _runs(taken: dict[int, int]) -> list[tuple[int, int]]:
+    """The maximal (addr, size) runs of [0, HEAP) outside ``taken``."""
+    runs, at = [], 0
+    for addr, size in sorted(taken.items()):
+        if addr > at:
+            runs.append((at, addr - at))
+        at = addr + size
+    if at < HEAP:
+        runs.append((at, HEAP - at))
+    return runs
+
+
+class AllocatorModel(RuleBasedStateMachine):
+    """The allocator against a reference model of its policy: a freed
+    block waits on its size's LIFO list; a miss takes the first run of
+    space that is neither live nor listed; when none fits, the listed
+    blocks rejoin the free space and first-fit runs again, and only
+    then is the heap out of memory."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.heap = Allocator(Memory(HEAP))
+        self.live: dict[int, int] = {}  # addr -> rounded size
+        self.listed: dict[int, list[int]] = {}  # size -> freed addrs
+
+    def _expect(self, size: int) -> int | None:
+        """The address the policy hands out for ``size``, or None."""
+        if self.listed.get(size):
+            return self.listed[size].pop()  # the last freed of its size
+        taken = dict(self.live)
+        taken.update((a, s) for s, addrs in self.listed.items() for a in addrs)
+        fit = next((a for a, avail in _runs(taken) if avail >= size), None)
+        if fit is None:
+            self.listed.clear()  # the listed blocks rejoin the free space
+            fit = next((a for a, avail in _runs(self.live) if avail >= size), None)
+        return fit
+
+    @rule(nbytes=st.integers(0, 1200))
+    def malloc(self, nbytes):
+        size = _rounded(nbytes)
+        expected = self._expect(size)
+        if expected is None:
+            # no run of free space fits, however it is merged
+            assert all(avail < size for _, avail in _runs(self.live))
+            with pytest.raises(MemoryError_):
+                self.heap.malloc(nbytes)
+            return
+        assert self.heap.malloc(nbytes) == expected
+        self.live[expected] = size
+
+    @precondition(lambda self: self.live)
+    @rule(pick=st.integers(0, 10**6))
+    def free(self, pick):
+        addr = sorted(self.live)[pick % len(self.live)]
+        self.heap.free(addr)
+        self.listed.setdefault(self.live.pop(addr), []).append(addr)
+        with pytest.raises(MemoryError_):
+            self.heap.free(addr)
+
+    @invariant()
+    def blocks_aligned_disjoint_and_counted(self):
+        blocks = sorted(self.live.items())
+        for (a, s), (b, _) in zip(blocks, blocks[1:]):
+            assert a + s <= b
+        assert all(a % 16 == 0 and a + s <= HEAP for a, s in blocks)
+        assert self.heap.live_bytes == sum(self.live.values())
+
+
+TestAllocatorModel = AllocatorModel.TestCase
+TestAllocatorModel.settings = settings(max_examples=60, stateful_step_count=60,
+                                       deadline=None)
 
 
 @given(data=st.data())

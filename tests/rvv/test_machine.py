@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, VectorLengthError
+from repro.errors import ConfigurationError, MemoryError_, VectorLengthError
 from repro.rvv import Cat, RVVMachine, strips
 from repro.rvv.types import LMUL, SEW
 from repro.scalar.malloc_model import GlibcMallocModel
@@ -102,6 +102,21 @@ class TestHeap:
         m.malloc(256 * 1024)
         pages = 256 * 1024 // 4096
         assert m.counters[Cat.ALLOC] == model.mmap_base + pages * model.per_page
+
+    def test_failed_heap_calls_charge_nothing(self):
+        m = RVVMachine(vlen=128, malloc_model=GlibcMallocModel())
+        addr = m.malloc(64)
+        m.free(addr)
+        before = m.counters.snapshot()
+        with pytest.raises(MemoryError_):
+            m.malloc(1 << 40)  # out of memory
+        assert m.counters.snapshot() == before
+        with pytest.raises(MemoryError_):
+            m.free(addr)  # double free
+        assert m.counters.snapshot() == before
+        with pytest.raises(MemoryError_):
+            m.malloc(-1)
+        assert m.counters.snapshot() == before
 
     def test_default_model_free(self):
         m = RVVMachine(vlen=128)

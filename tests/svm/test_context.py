@@ -48,6 +48,32 @@ class TestArrays:
         with pytest.raises(VectorLengthError):
             svm.array(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("alloc", [
+        lambda svm: svm.empty(-5),
+        lambda svm: svm.zeros(-1),
+        lambda svm: svm.index_array(-3),
+        lambda svm: svm.empty(-1, np.uint16),
+    ], ids=["empty", "zeros", "index_array", "empty_u16"])
+    @pytest.mark.parametrize("mode", ["fast", "strict"])
+    def test_negative_length_raises_before_allocating(self, alloc, mode):
+        svm = SVM(vlen=128, mode=mode)
+        svm.array([1, 2, 3])
+        live = svm.machine.heap.live_bytes
+        with pytest.raises(VectorLengthError):
+            alloc(svm)
+        assert svm.machine.heap.live_bytes == live
+
+    def test_negative_length_raises_in_a_lazy_block(self):
+        svm = SVM(vlen=128)
+        live = svm.machine.heap.live_bytes
+        for record in (lambda lz: lz.empty(-2), lambda lz: lz.zeros(-2),
+                       lambda lz: lz.index_array(-2)):
+            with pytest.raises(VectorLengthError):
+                with svm.lazy() as lz:
+                    lz.empty(4)
+                    record(lz)
+            assert svm.machine.heap.live_bytes == live
+
     def test_setup_is_uncharged(self):
         svm = SVM(vlen=128)
         svm.array([1, 2, 3])
