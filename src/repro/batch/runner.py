@@ -7,15 +7,16 @@ values. That is what makes batching sound: a cached
 :class:`~repro.engine.fuse.FusedPlan` evaluated over B same-length
 inputs performs B identical instruction streams, so the batch can
 
-* run row 0 through the ordinary single-input engine, then execute the
-  *data* of rows 1+ through the engine's one unit loop
+* capture and resolve row 0 as the probe, then execute the *data* of
+  all B rows through the engine's one unit loop
   (:func:`repro.engine.executor.run_units`, the loop an all-fast
-  single call runs on memory views) on ``[B-1, n]`` matrices (batch
-  axis × element axis), and
-* charge the *counters* of rows 1+ as B-1 times the plan's static
-  closed-form profile (``FusedPlan.charge_items``, computed when the
-  plan compiles) — exact, because integer scaling of an identical
-  per-row profile is exact.
+  single call runs on memory views) — or the plan's compiled C kernel
+  on the native backend — on ``[B, n]`` matrices (batch axis ×
+  element axis), and
+* charge the *counters* as B times the plan's static closed-form
+  profile (``FusedPlan.charge_items``, computed when the plan
+  compiles) — exact, because integer scaling of an identical per-row
+  profile is exact.
 
 The result is bit- and counter-identical to looping the single-input
 path, which stays the definitional semantics. This module keeps only
@@ -37,9 +38,9 @@ what is batch-specific:
   (:class:`~repro.batch.ragged.RaggedBatch`), and each row's own
   data-dependent pack items charged on top of the profile; strict
   mode, sub-threshold lengths, plans :func:`_batchable` rejects (a
-  future feeding a consumer the 2D path cannot broadcast) and
-  untrackable ragged flow fall back to literally looping the
-  single-input path.
+  future feeding a consumer the 2D path cannot broadcast, a write to
+  an array the pipeline did not allocate) and untrackable ragged flow
+  fall back to literally looping the single-input path.
 
 See ``docs/batching.md`` for the API, the bucketing rule, and the
 ragged representation.
@@ -64,7 +65,7 @@ from ..engine.fuse import GroupSpec
 from ..engine.ir import EngineError, Kind, Plan, ScalarFuture, resolve_scalar
 from ..obs.spans import NULL_SPAN
 from ..svm.fastpath import _wrap
-from ..svm.opspec import SIGNATURES, get_spec
+from ..svm.opspec import SIGNATURES
 from .ragged import RaggedBatch
 
 __all__ = ["BatchBucket", "BatchResult", "Rows", "run_batch"]
@@ -152,9 +153,10 @@ def _release(svm, lz: PlanBuilder, data) -> None:
 
 
 def _capture(svm, pipe, row: np.ndarray):
-    """Capture ``pipe`` over a fresh input array; returns (the recorder,
-    whose plan is ``lz.plan``, the input SVMArray, the output
-    SVMArray)."""
+    """Capture ``pipe`` over a fresh input array and resolve its plan
+    through the plan cache; returns (the recorder, whose plan is
+    ``lz.plan``, the input SVMArray, the output SVMArray, the fused
+    plan)."""
     data = svm.array(row, dtype=row.dtype)
     lz = PlanBuilder(svm)
     try:
@@ -163,13 +165,22 @@ def _capture(svm, pipe, row: np.ndarray):
             raise EngineError(
                 "batch pipelines must return their output SVMArray"
             )
+        lz.build()
+        fused = svm.engine.fused_for(lz.plan)
     except BaseException:
         # like a raising lazy block: free what the capture allocated
-        lz.free_temps()
-        svm.free(data)
+        _release(svm, lz, data)
         raise
-    lz.build()
-    return lz, data, out
+    return lz, data, out, fused
+
+
+def _writes_outside(plan: Plan, input_bid: int) -> bool:
+    """Whether a node writes (or frees) an array the pipeline did not
+    allocate: neither the input nor a capture temporary. The matrices
+    write copies, so such a write, which a loop of single calls repeats
+    per row, would be lost; these plans take the loop."""
+    return any(node.dst not in (None, input_bid)
+               and not plan.buffers[node.dst].temp for node in plan.nodes)
 
 
 def _batchable(plan: Plan, fused) -> bool:
@@ -255,13 +266,14 @@ def _ragged_tags(plan: Plan) -> tuple[bool, dict]:
 
 
 # ---------------------------------------------------------------------------
-# the matrices of rows 1+
+# the matrices of a bucket's B rows
 # ---------------------------------------------------------------------------
 
 class Rows(dict):
-    """Buffer id -> ``[b, n]`` matrix of a bucket's rows 1+: the unit
-    loop's arrays (:func:`repro.engine.executor.run_units`) for a
-    batch. The caller seeds the input matrix; every other buffer
+    """Buffer id -> ``[b, n]`` matrix of a bucket's B rows: the unit
+    loop's arrays (:func:`repro.engine.executor.run_units`) and the
+    native kernel's (:meth:`~repro.engine.native.NativePlan.run2d`)
+    for a batch. The caller seeds the input matrix; every other buffer
     materializes on first touch from its pre-execution contents
     ``init``, or uninitialized for a node that overwrites every lane
     (``fresh``). A future a node produces becomes a per-row int64
@@ -311,40 +323,37 @@ def _dispatch_bucket(svm, pipe, rows):
     """Run one bucket (all rows share (length, dtype)); returns
     (outputs in row order, per-row lengths or None, dispatch path).
 
-    Row 0 is the probe on every path: captured once, resolved through
-    the plan cache once and executed once by the ordinary engine. Rows
-    1+ then take one of three paths. Plans without pack take ``"2d"``
-    and plans with pack take ``"ragged"`` — one 2D evaluation, charged
-    the plan's static profile (``fused.charge_items``) per row plus
-    pack's own survivor-strip items — when the registry declares the
-    ragged recipe (``get_spec("pack").ragged2d``) and every packed
+    Row 0 is the probe on every path: captured once and resolved
+    through the plan cache once. Plans without pack then take ``"2d"``
+    and plans with pack take ``"ragged"`` — one evaluation of all B
+    rows as ``[B, n]`` matrices (the plan's C kernel on the native
+    backend), charged the plan's static profile (``fused.charge_items``)
+    per row plus pack's own survivor-strip items — when every packed
     buffer stays in prefix-local flow. Everything else — strict mode,
-    single rows, sub-threshold lengths, future operands
-    :func:`_batchable` rejects, untrackable ragged flow, a plan that
-    holds no buffer for the input or the output — takes
-    ``"loop"``: one single-input call per row."""
+    single rows, sub-threshold lengths, plans :func:`_batchable`
+    rejects, untrackable ragged flow, writes :func:`_writes_outside`
+    finds, a plan that holds no buffer for the input or the output —
+    takes ``"loop"``: one single-input call per row, row 0 on its
+    probe."""
     n = rows[0].size
-    lz, data, out = _capture(svm, pipe, rows[0])
+    lz, data, out, fused = _capture(svm, pipe, rows[0])
     plan = lz.plan
-    fused = svm.engine.fused_for(plan)
     # heap address -> the first buffer id backed by it
     bid_at = {buf.array.ptr.addr: bid
               for bid, buf in reversed(plan.buffers.items())}
     input_bid = bid_at.get(data.ptr.addr)
     out_bid = bid_at.get(out.ptr.addr)
     has_pack = any(node.kind is Kind.PACK for node in plan.nodes)
-    ragged_ok = False
+    ragged_ok = True
     out_tag = None
     if has_pack:
-        ok, tags = _ragged_tags(plan)
-        ragged_ok = ok and get_spec("pack").ragged2d
-        out_tag = tags.get(out_bid) if ok else None
+        ragged_ok, tags = _ragged_tags(plan)
+        out_tag = tags.get(out_bid)
     use_mat = (len(rows) > 1 and input_bid is not None and out_bid is not None
-               and all_fast(svm, fused)
-               and _batchable(plan, fused) and (not has_pack or ragged_ok))
+               and all_fast(svm, fused) and _batchable(plan, fused)
+               and ragged_ok and not _writes_outside(plan, input_bid))
     path = ("ragged" if has_pack else "2d") if use_mat else "loop"
     backend = svm.engine.backend
-    native = native_for(svm, plan, fused, backend)
     col = getattr(svm.machine, "collector", None)
     ctx = col.span("batch_bucket", rows=len(rows), n=int(n), path=path) \
         if col is not None else NULL_SPAN
@@ -352,44 +361,35 @@ def _dispatch_bucket(svm, pipe, rows):
         if col is not None:
             col.batch_event(len(rows), int(n), path)
         if use_mat:
-            # pre-execution contents of every buffer: the matrices of
-            # rows 1+ replay from these, exactly as fresh allocations
-            # would per loop iteration
+            # pre-execution contents of every buffer: each row's
+            # matrix replays from these, exactly as fresh allocations
+            # would per loop iteration; then the probe's arrays go
             init = {bid: buf.array.to_numpy()
                     for bid, buf in plan.buffers.items() if bid != input_bid}
-        try:
-            execute(svm, plan, fused, backend=backend)
-            outputs = [out.to_numpy()]
-            lengths = None if out_tag is None else [int(out_tag.value)]
-        finally:
-            # free row 0 before rows 1+ allocate, as a loop of single
-            # calls would, and when it raises
             _release(svm, lz, data)
-        if use_mat:
             # rows share (length, dtype): one concatenate is the stack,
             # at a third of np.stack's per-row cost
-            b = len(rows) - 1
-            mats = Rows(plan.buffers, init, b)
-            mats[input_bid] = np.concatenate(rows[1:]).reshape(b, n)
-            if native is not None and not has_pack:
-                # whole-bucket compiled call: the C kernel loops rows
-                # over the same matrices (pack has no 2D C kernel, so
-                # ragged plans run the NumPy evaluation on every backend)
+            mats = Rows(plan.buffers, init, len(rows))
+            mats[input_bid] = np.concatenate(rows).reshape(len(rows), n)
+            native = native_for(svm, plan, fused, backend)
+            if native is not None:
                 native.run2d(svm, plan, mats)
             else:
                 run_units(plan, fused, mats, svm.machine)
-            outputs += list(mats[out_bid])
-            if lengths is not None:
-                lengths += mats.fvals[out_tag].tolist()
-            charge_runs(svm.machine, fused, b, mats.sws)
+            charge_runs(svm.machine, fused, len(rows), mats.sws)
+            outputs = list(mats[out_bid])
+            lengths = None if out_tag is None else mats.fvals[out_tag].tolist()
         else:
             tag_node = None if out_tag is None else next(
                 i for i, node in enumerate(plan.nodes)
                 if node.future is out_tag)
-            for row in rows[1:]:
-                lz, data, out = _capture(svm, pipe, row)
+            outputs = []
+            lengths = None if tag_node is None else []
+            for i, row in enumerate(rows):
+                if i:
+                    lz, data, out, fused = _capture(svm, pipe, row)
                 try:
-                    svm.engine.run(lz.plan)
+                    execute(svm, lz.plan, fused, backend=backend)
                     outputs.append(out.to_numpy())
                     if tag_node is not None:
                         lengths.append(int(lz.plan.nodes[tag_node].future.value))

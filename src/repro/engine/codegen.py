@@ -18,8 +18,8 @@ and, for every fused group,
    from ``mats`` and leaving its result there. The engine's unit loop
    (:func:`~repro.engine.executor.run_units`) calls it for a group on
    the fast path, on the 1-D memory views of a single call and on the
-   ``[B-1, n]`` matrices of batch rows 1+. The generated source never
-   charges.
+   ``[B, n]`` matrices of a batch bucket's B rows. The generated source
+   never charges.
 
 The generated source has
 
@@ -171,7 +171,7 @@ class CompiledGroup:
 
     ``run(nodes, mats)`` runs the group's lane chain on the unit
     loop's arrays — the 1-D memory views of one call or the
-    ``[B-1, n]`` matrices of batch rows 1+ (see
+    ``[B, n]`` matrices of a batch bucket's B rows (see
     :func:`repro.engine.executor.run_units`) — and charges nothing.
     ``n`` is the group length the unit loop gates the fast path on;
     ``charge`` is the group's :func:`group_charge_items`, the term it

@@ -7,10 +7,11 @@ A run is *all-fast* when the fast path applies at that length; on the
 native backend it then runs as one C call (:mod:`repro.engine.native`)
 charged the profile once (:func:`charge_runs`).
 
-Every other single call, and batch rows 1+, take the Python tier's one
-unit loop, :func:`run_units`, on memory views (:class:`Views`) or on
-``[B-1, n]`` matrices; an eager SVM primitive is one node step of
-it (:func:`run_node`, from :class:`~repro.engine.capture.EagerRecorder`).
+Every other single call, and a batch bucket's B rows off native, take
+the Python tier's one unit loop, :func:`run_units`, on memory views
+(:class:`Views`) or on ``[B, n]`` matrices; an eager SVM primitive is
+one node step of it (:func:`run_node`, from
+:class:`~repro.engine.capture.EagerRecorder`).
 A fast unit runs its group's generated function or its node's NumPy
 body (:func:`~repro.engine.nodes.run_node_np`); a
 strict unit runs :func:`run_group_strict`, the reference semantics
@@ -230,7 +231,7 @@ class Views(dict):
 def run_units(plan: Plan, fused: FusedPlan, mats, m, svm=None) -> None:
     """The Python tier's one unit loop: every unit of a plan in program
     order on ``mats`` — the :class:`Views` of a single call, or the
-    :class:`~repro.batch.runner.Rows` matrices of batch rows 1+. With
+    :class:`~repro.batch.runner.Rows` matrices of a batch bucket. With
     no ``svm`` every unit is fast (a group's generated entry point, a
     node's NumPy body) and nothing is charged: the caller charges the
     static profile once (:func:`charge_runs`), with ``mats.sws`` for
@@ -317,8 +318,7 @@ def charge_runs(m, fused: FusedPlan, rows: int = 1, sws: int = 0) -> None:
 
 def free_live(svm, plan: Plan, bids) -> None:
     """Free each buffer of ``bids`` that is still allocated: after a
-    run that raised, the buffers its FREE nodes name; after a batch
-    row, its temporaries and input."""
+    run that raised, the buffers its FREE nodes name."""
     heap = svm.machine.heap
     for bid in bids:
         arr = plan.buffers[bid].array

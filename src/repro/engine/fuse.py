@@ -257,7 +257,8 @@ class FusedPlan:
     #: profile, pack's survivor-strip items excluded, computed by
     #: :meth:`repro.engine.executor.Engine.compile_plan` (None on a
     #: plan that was not compiled). Every all-fast run charges it: an
-    #: unprofiled single call, the native tier and batch rows 1+.
+    #: unprofiled single call, the native tier and, B times, a batch
+    #: bucket's B rows.
     charge_items: tuple | None = field(default=None, compare=False,
                                        repr=False)
     #: The element count of the shortest unit (FREE excluded), set with

@@ -23,7 +23,7 @@ Selected through the backend seam (``SVM(backend="native")`` /
 to the codegen tier. Each C call, the first included, charges the
 plan's static counter profile (``FusedPlan.charge_items``, summed from
 the registry's pure charge functions when the plan compiles — the same
-profile the 2D batch runner charges rows 1+ with) via
+profile the batch runner charges a bucket's B rows, once per row) via
 :meth:`~repro.rvv.counters.Counters.add_many`. This is sound because
 the primitives' counts are closed-form in the plan shape. The one
 data-dependent term, ``pack``'s
@@ -105,7 +105,6 @@ from .ir import Kind, Plan, ScalarFuture, resolve_scalar
 __all__ = [
     "NATIVE_VERSION",
     "CFLAGS",
-    "NATIVE_KINDS",
     "NativePlan",
     "find_compiler",
     "native_available",
@@ -124,11 +123,6 @@ NATIVE_VERSION = 5
 #: digest, so a flag change never rebinds a ``.so`` built under the old
 #: flags. ``-O3`` vectorizes the runtime-trip-count element loops.
 CFLAGS = ("-O3", "-shared", "-fPIC")
-
-#: Node kinds the lowering can emit C for: every kind.
-#: ``tools/check_opspec`` gates that every registered op is either
-#: covered here or carries an explicit ``native=False`` escape hatch.
-NATIVE_KINDS = frozenset(Kind)
 
 _U64 = (1 << 64) - 1
 
@@ -459,9 +453,6 @@ def _emit_node(g: _Gen, ni: int) -> None:
     plan = g.plan
     node = plan.nodes[ni]
     kind = node.kind
-    if kind not in NATIVE_KINDS:
-        raise _Ineligible(f"kind {kind.value} has no native emitter")
-
     if kind is Kind.FREE:
         g.free_nodes.append(ni)
         return
@@ -631,8 +622,9 @@ def _emit_node(g: _Gen, ni: int) -> None:
     elif kind is Kind.INDEX:
         d, TD, n = g.buf(ni, "dst")
         loop(n, f"{d}[i] = ({TD})(uint64_t)i;")
-    else:  # pragma: no cover - NATIVE_KINDS check above is exhaustive
-        raise _Ineligible(f"kind {kind.value}")
+    else:  # pragma: no cover - a new kind without an emitter, which
+        # tools/check_opspec.py rejects
+        raise _Ineligible(f"kind {kind.value} has no native emitter")
 
     out[1:1] = [f"    {l}" for l in pre]
     out.append("}")
@@ -876,14 +868,16 @@ class NativePlan:
         return sum(outs[strip_outs])
 
     def run2d(self, svm, plan: Plan, mats) -> None:
-        """Batched execution for the 2D bucket runner: every buffer is
-        materialized as a C-contiguous ``[b, n]`` matrix of ``mats``
-        (a :class:`~repro.batch.runner.Rows`) and the kernel loops rows
+        """Batched execution for the bucket runner's matrix paths
+        (``"2d"`` and ``"ragged"``): every buffer is materialized as a
+        C-contiguous ``[b, n]`` matrix of ``mats`` (a
+        :class:`~repro.batch.runner.Rows`) and the kernel loops rows
         natively; produced futures land in ``mats.fvals`` as per-row
-        int64 vectors."""
+        int64 vectors and every row's pack survivor-strip counts add
+        to ``mats.sws``."""
         layout = (getattr(self._local, "layout", None)
                   or self._layout(svm.machine, plan))
-        bufs, scalars, sel, _, lens, alpha_of = layout[:6]
+        bufs, scalars, sel, _, lens, alpha_of, _, strip_outs = layout[:8]
         self._local.last = None  # the tables get matrix pointers
         alpha_bufs = plan._alpha()[0]
         for j, a in enumerate(alpha_of):
@@ -905,6 +899,7 @@ class NativePlan:
             raise IndexError(_OOB_MESSAGE)
         for j, ni in enumerate(meta["future_nodes"]):
             mats.fvals[nodes[ni].future] = outs_mat[:, j].astype(np.int64)
+        mats.sws += int(outs_mat[:, strip_outs].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ kernel and the body take them:
   results *and* counters;
 * :func:`run_node_np` calls the kind's NumPy body and charges nothing —
   every fast node of the unit loop (:func:`repro.engine.executor.run_units`),
-  on a single call's memory views and on batch rows' ``[B-1, n]``
+  on a single call's memory views and on a batch bucket's ``[B, n]``
   matrices alike.
 
 :func:`node_spec` resolves the op a node was recorded from (its span

@@ -10,7 +10,7 @@ primitive, the two halves of its fast path:
 
 1. a NumPy body (``np_*``) that computes the result: one vectorized
    expression over the trailing axis, which runs unchanged on one
-   call's memory views and on a ``[B-1, n]`` matrix of batch rows;
+   call's memory views and on a ``[B, n]`` matrix of batch rows;
 2. a pure charge function (``charge_*``): ``(codegen preset, VLEN, n,
    SEW, LMUL)`` plus at most one op-specific fact in, the strict
    kernel's *identical per-category counts* ``((Cat, count), ...)``
@@ -329,11 +329,11 @@ def charge_copy(cg, vlen, n, sew, lmul):
 # NumPy bodies
 # ---------------------------------------------------------------------------
 # An ``np_*`` body runs on ``[n]`` memory views (an eager call, a
-# single lazy call) and on batch rows' ``[B-1, n]`` matrices, and
+# single lazy call) and on a batch bucket's ``[B, n]`` matrices, and
 # never charges. Its positional parameters follow its node kind's roles
 # in :data:`repro.svm.opspec.SIGNATURES`, the strict kernel's order.
 # Scalars arrive wrapped to the element dtype (in a batch possibly as a
-# ``[B-1, 1]`` column of per-row values), operators resolved; per-row
+# ``[B, 1]`` column of per-row values), operators resolved; per-row
 # results come back as vectors.
 
 def np_elementwise(a: np.ndarray, x, *, op: str) -> None:

@@ -21,8 +21,9 @@ every layer consumes the spec:
 * :meth:`repro.engine.executor.Engine.compile_plan` sums
   ``spec.charge`` over a plan's other nodes into its static counter
   profile;
-* the batch runner consults ``spec.ragged2d`` (derived from
-  ``spec.data_dependent``) to pick the ``ragged`` path;
+* ``spec.batch2d`` / ``spec.ragged2d`` (derived from
+  ``spec.data_dependent``) declare the batch path an op rides, which
+  ``tests/batch`` holds the runner to;
 * ``repro ops`` prints the registry as a tier-support matrix and
   ``tools/check_opspec.py`` fails CI when a public primitive bypasses
   the registry or a spec is missing a kernel or charge profile.
@@ -98,15 +99,11 @@ class OpSpec:
     the runner adds each row's own charge items).
     ``future`` is the label of the :class:`ScalarFuture` the op returns
     under capture and ``composite`` marks derived ops that lower to
-    other registered primitives (no kernels of their own).
-
-    ``native`` declares that the op's node kinds lower to C in the
-    compiled whole-plan tier (:mod:`repro.engine.native`); every
-    registered op does today, pack included (its kernel reports its
-    survivor-strip count so the data-dependent charge stays exact). An
-    op that cannot lower must set ``native=False`` explicitly —
-    ``tools/check_opspec.py`` gates that the flag and the native
-    emitter table agree in both directions.
+    other registered primitives (no kernels of their own). Every
+    non-composite op lowers to C in the compiled whole-plan tier
+    (:mod:`repro.engine.native`), pack included (its kernel reports
+    its survivor-strip count so the data-dependent charge stays
+    exact); ``tools/check_opspec.py`` lowers a captured call of each.
     """
 
     name: str
@@ -118,7 +115,6 @@ class OpSpec:
     fuse_role: str = ""
     data_dependent: bool = False
     future: str | None = None
-    native: bool = True
     composite: bool = False
     aliases: tuple[str, ...] = ()
     doc: str = ""
@@ -251,7 +247,7 @@ def support_matrix() -> list[dict]:
             "fast": not spec.composite,
             "fuse": "lowered" if spec.composite else (spec.fuse_role or None),
             "codegen": spec.codegen,
-            "native": bool(spec.native) and not spec.composite,
+            "native": not spec.composite,
             "batch2d": bool(spec.batch2d) and not spec.composite,
             "ragged2d": bool(spec.ragged2d) and not spec.composite,
             "data_dependent": spec.data_dependent,

@@ -12,7 +12,7 @@ from repro.engine import executor
 from repro.engine.ir import EngineError
 from repro.engine.native import native_available
 
-from .conftest import assert_equivalent, make_rows
+from .conftest import assert_equivalent, loop_reference, make_rows
 
 
 def _pipe(lz, data):
@@ -268,3 +268,35 @@ def test_out_of_range_index_raises_on_every_path(path, pipe, bad_row,
             with pytest.raises(IndexError):
                 svm.batch(pipe, rows)
             assert svm.machine.heap.live_bytes == live
+
+
+@pytest.mark.parametrize("backend", [
+    "codegen",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not native_available(), reason="no C toolchain on this host")),
+])
+@pytest.mark.parametrize("mode", ["fast", "strict"])
+def test_pipeline_writing_an_outside_array_takes_the_loop(mode, backend):
+    """A pipeline that writes an array it did not allocate (here a
+    closure array) repeats that write once per row, as a loop of
+    single calls does: the bucket takes the loop, ``ext`` ends at B,
+    and the counters match the loop's."""
+    rows = make_rows((300,) * 3, seed=13)
+    counts = []
+    for batched in (False, True):
+        svm = SVM(vlen=128, mode=mode, backend=backend)
+        ext = svm.zeros(8)
+
+        def pipe(lz, data):
+            lz.p_add(ext, 1)
+            lz.p_add(data, 1)
+            return data
+
+        if batched:
+            result = svm.batch(pipe, rows)
+            assert [b.path for b in result.buckets] == ["loop"]
+        else:
+            loop_reference(svm, pipe, rows)
+        assert ext.to_numpy().tolist() == [len(rows)] * 8
+        counts.append(svm.counters.snapshot().by_category)
+    assert counts[0] == counts[1]

@@ -1,13 +1,10 @@
 """The ragged-path identity gate: pack-tailed pipelines batched as one
 masked 2D evaluation must match the per-row loop on every defined lane
 and on every per-category counter, across the VLEN x LMUL x codegen
-grid — including rows where the predicate keeps nothing and rows where
-it keeps everything.
-
-The suite is registry-driven: it runs exactly because
-``get_spec("pack").ragged2d`` declares the masked recipe. If the
-declaration is ever withdrawn the promotion assertions here fail
-before any silent fallback ships.
+grid, on the codegen and native backends — including rows where the
+predicate keeps nothing and rows where it keeps everything. The
+registry's ``get_spec("pack").ragged2d`` flag, which ``repro ops``
+reports, must keep declaring the recipe the runner takes.
 """
 
 from __future__ import annotations
@@ -17,6 +14,7 @@ import pytest
 
 from repro import SVM
 from repro.batch import RaggedBatch, pack2d, run_batch
+from repro.engine.native import native_available
 from repro.rvv.types import LMUL
 from repro.svm.opspec import get_spec
 
@@ -96,15 +94,36 @@ def test_registry_declares_the_ragged_recipe():
     assert spec.data_dependent and spec.ragged2d and not spec.batch2d
 
 
-@pytest.mark.parametrize("codegen", ["ideal", "paper"])
+#: (codegen model, backend) pairs; the codegen backend keeps the bare
+#: model name.
+GRID_BACKENDS = [
+    pytest.param(codegen, backend,
+                 id=codegen if backend == "codegen" else f"{codegen}-{backend}",
+                 marks=() if backend == "codegen" else pytest.mark.skipif(
+                     not native_available(), reason="no C toolchain"))
+    for backend in ("codegen", "native")
+    for codegen in ("ideal", "paper")
+]
+
+
+@pytest.mark.parametrize("codegen,backend", GRID_BACKENDS)
 @pytest.mark.parametrize("vlen", [128, 512])
 @pytest.mark.parametrize("lmul", [LMUL.M1, LMUL.M4, LMUL.M8])
 @pytest.mark.parametrize("name", sorted(RAGGED_PIPELINES))
-def test_grid(name, vlen, lmul, codegen):
+def test_grid(name, vlen, lmul, codegen, backend):
     rows = make_rows((300, 300, 300), seed=29)
-    result = assert_ragged_equivalent(name, rows, vlen=vlen, lmul=lmul,
-                                      mode="fast", codegen=codegen)
+    kw = dict(vlen=vlen, lmul=lmul, mode="fast", codegen=codegen)
+    result = assert_ragged_equivalent(name, rows, backend=backend, **kw)
     assert {b.path for b in result.buckets} == {"ragged"}
+    if backend == "native":
+        # the C kernel's per-row survivor strips, at this LMUL's VLMAX,
+        # against the NumPy evaluation's
+        counts = []
+        for be in ("codegen", "native"):
+            svm = SVM(backend=be, **kw)
+            svm.batch(RAGGED_PIPELINES[name][0], rows)
+            counts.append(svm.counters.snapshot().by_category)
+        assert counts[0] == counts[1]
 
 
 #: (pipeline, backend) pairs; the codegen case keeps the bare name.

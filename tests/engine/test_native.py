@@ -382,11 +382,13 @@ def test_one_build_serves_every_length(monkeypatch):
 @needs_cc
 def test_batch_pack_stays_ragged(monkeypatch):
     """svm.batch of a pack pipeline on ``native`` keeps the ragged
-    codegen path (no 2D C kernel for pack): ``run2d`` is never called,
-    and results, lengths and counters equal codegen's."""
+    path and runs it as one ``run2d`` C call per bucket (the kernel
+    reports each row's kept count and survivor strips); results,
+    lengths and counters equal codegen's."""
     calls = []
-    monkeypatch.setattr(NativePlan, "run2d",
-                        lambda self, *a, **k: calls.append(1))
+    orig = NativePlan.run2d
+    monkeypatch.setattr(NativePlan, "run2d", lambda self, *a: (
+        calls.append(1), orig(self, *a))[1])
 
     def pipe(lz, data):
         flags = lz.p_lt(data, 2**15)
@@ -401,12 +403,12 @@ def test_batch_pack_stays_ragged(monkeypatch):
     results = {}
     for backend in ("codegen", "native"):
         svm = SVM(vlen=128, mode="fast", backend=backend)
-        for _ in range(2):   # the second batch replays row 0 natively
+        for _ in range(2):   # the second batch hits the bound kernel
             res = svm.batch(pipe, inputs)
         assert {b.path for b in res.buckets} == {"ragged"}
         results[backend] = (res, svm.machine.counters.snapshot().by_category)
     (ref, ref_counts), (got, counts) = results["codegen"], results["native"]
-    assert calls == []
+    assert calls == [1, 1]   # the native context's two buckets
     assert got.lengths == ref.lengths
     for r, g, k in zip(ref, got, ref.lengths):
         assert np.array_equal(r[:k], g[:k])

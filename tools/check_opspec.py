@@ -24,11 +24,11 @@ Fails (exit 1) when the "declared exactly once" invariant is violated:
    check, so a sneaky ``from . import elementwise`` fails even if
    unused);
 4. registry self-consistency: fusable ops need a lane recipe;
-5. native-tier coverage: every non-composite op must either capture
-   to node kinds the native backend can emit
-   (``repro.engine.native.NATIVE_KINDS``) or declare ``native=False``
-   explicitly — an op can never fall out of the compiled tier
-   silently, and a stale ``native=False`` on a lowerable op fails too;
+5. native-tier coverage: one captured call of every registered op
+   (composites included) builds a plan that
+   ``repro.engine.native.lower_plan`` turns into C source — an op can
+   never fall out of the compiled tier silently (no toolchain needed:
+   lowering only generates the source);
 6. signatures: every node ``Kind`` but ``FREE`` has an entry in
    ``repro.svm.opspec.SIGNATURES`` (``FREE`` is released by the unit
    loop itself), and each entry matches the code that reads it: its
@@ -49,6 +49,8 @@ import ast
 import inspect
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
@@ -160,32 +162,46 @@ def check_specs() -> list[str]:
     return errors
 
 
-def check_native() -> list[str]:
-    """Every non-composite op with codegen metadata must either lower
-    into the native tier or carry an explicit ``native=False`` escape
-    hatch — and the hatch must be honest (a lowerable op may not hide
-    behind a stale ``native=False``)."""
-    from repro.engine.native import NATIVE_KINDS
+#: One captured call per registered op for rule 5, over ``a`` (a
+#: vector), ``b`` (a permutation of its lanes) and ``f`` (0/1 flags);
+#: an op not listed records ``(a, 3)``.
+_LOWER_CALLS = {
+    "p_select": lambda lz, a, b, f: lz.p_select(f, a, b),
+    "scan": lambda lz, a, b, f: lz.scan(a, "max"),
+    "seg_scan": lambda lz, a, b, f: lz.seg_scan(a, f),
+    "permute": lambda lz, a, b, f: lz.permute(a, b),
+    "back_permute": lambda lz, a, b, f: lz.back_permute(a, b),
+    "pack": lambda lz, a, b, f: lz.pack(a, f),
+    "enumerate": lambda lz, a, b, f: lz.enumerate(f),
+    "index_array": lambda lz, a, b, f: lz.index_array(a.n),
+    "reduce": lambda lz, a, b, f: lz.reduce(a),
+    "copy": lambda lz, a, b, f: lz.copy(a),
+    "reverse": lambda lz, a, b, f: lz.reverse(a),
+    "split": lambda lz, a, b, f: lz.split(a, f),
+}
 
-    emittable = {kind.value for kind in NATIVE_KINDS}
+
+def check_native() -> list[str]:
+    """Every registered op lowers into the native tier: its captured
+    call compiles to a fused plan that ``lower_plan`` accepts."""
+    from repro.engine.native import lower_plan
+
     errors = []
+    n = 40
     for spec in opspec.iter_specs():
-        if spec.composite:
-            continue
-        lowerable = (bool(spec.node_kinds)
-                     and set(spec.node_kinds.values()) <= emittable)
-        if spec.native and not lowerable:
-            missing = sorted(set(spec.node_kinds.values()) - emittable)
+        svm = SVM(vlen=128, mode="fast")
+        a = svm.array(np.arange(n, dtype=np.uint32))
+        b = svm.array(np.random.default_rng(0).permutation(n).astype(np.uint32))
+        f = svm.array(np.arange(n, dtype=np.uint32) % 3 == 0)
+        lz = PlanBuilder(svm)
+        call = _LOWER_CALLS.get(spec.name, lambda lz, a, b, f: (
+            getattr(lz, spec.name)(a, 3)))
+        call(lz, a, b, f)
+        plan = lz.build()
+        if lower_plan(plan, svm.engine.compile_plan(plan)) is None:
             errors.append(
-                f"op {spec.name!r} claims the native tier but captures to "
-                f"node kind(s) {missing} the native backend cannot emit — "
-                "add a native emitter or declare native=False explicitly"
-            )
-        if not spec.native and lowerable:
-            errors.append(
-                f"op {spec.name!r} declares native=False but every node "
-                f"kind it captures to is native-emittable — drop the stale "
-                "escape hatch"
+                f"op {spec.name!r}: its captured plan does not lower to "
+                "the native tier — add a native emitter for its node kind"
             )
     return errors
 
@@ -279,7 +295,7 @@ def main() -> int:
     print(f"check_opspec: OK — {n} registered ops, public surface covered "
           "and generated from the recorder, "
           "every op captures to a structured node kind, "
-          "native flags consistent, every node kind's signature matches "
+          "every op lowers to native C, every node kind's signature matches "
           "its kernels and body, context.py imports no kernel modules")
     return 0
 
